@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo bench -p overton-bench --bench ablation_label_model`
 
-use overton::{build, OvertonOptions};
+use overton::{OvertonOptions, Project};
 use overton_bench::print_row;
 use overton_model::TrainConfig;
 use overton_nlp::{generate_workload, SourceSpec, WorkloadConfig};
@@ -112,11 +112,14 @@ fn main() {
     let widths2 = [28usize, 12, 12];
     print_row(&["combiner".into(), "Intent".into(), "IntentArg".into()], &widths2);
     for (name, method) in methods {
-        let built = build(
-            &dataset,
-            &OvertonOptions { combine: method, train: train.clone(), ..Default::default() },
-        )
-        .expect("build");
+        let built = Project::from_dataset(&dataset)
+            .with_options(OvertonOptions {
+                combine: method,
+                train: train.clone(),
+                ..Default::default()
+            })
+            .run()
+            .expect("run");
         print_row(
             &[
                 name.into(),

@@ -10,7 +10,9 @@
 //! Run with: `cargo bench -p overton-bench --bench ablation_multitask`
 
 use overton_bench::{build_overton, print_row, retarget, single_task_schema};
-use overton_model::{evaluate, prepare, train_model, CompiledModel, ModelConfig, TrainConfig};
+use overton_model::{
+    evaluate, prepare_store, train_model, CompiledModel, ModelConfig, TrainConfig,
+};
 use overton_nlp::{generate_workload, WorkloadConfig};
 use overton_supervision::CombineMethod;
 
@@ -33,7 +35,8 @@ fn main() {
     for task in dataset.schema().tasks.keys() {
         let sub_schema = single_task_schema(dataset.schema(), task);
         let sub_dataset = retarget(&dataset, &sub_schema);
-        let prepared = prepare(&sub_dataset, &CombineMethod::default()).expect("prepare");
+        let prepared =
+            prepare_store(&sub_dataset.seal(), &CombineMethod::default()).expect("prepare");
         let mut model =
             CompiledModel::compile(&sub_schema, &prepared.space, &ModelConfig::default(), None);
         train_model(

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo bench -p overton-bench --bench ablation_search`
 
-use overton::{build, OvertonOptions};
+use overton::{OvertonOptions, Project};
 use overton_bench::print_row;
 use overton_model::{SearchConfig, TrainConfig, TuningSpec};
 use overton_nlp::{generate_workload, WorkloadConfig};
@@ -24,13 +24,14 @@ fn main() {
     let train = TrainConfig { epochs: 6, early_stop_patience: 0, ..Default::default() };
 
     println!("building with the fixed default architecture...");
-    let fixed = build(&dataset, &OvertonOptions { train: train.clone(), ..Default::default() })
+    let fixed = Project::from_dataset(&dataset)
+        .with_options(OvertonOptions { train: train.clone(), ..Default::default() })
+        .run()
         .expect("fixed build");
 
     println!("building with coarse architecture search (6 trials, short budget)...\n");
-    let searched = build(
-        &dataset,
-        &OvertonOptions {
+    let searched = Project::from_dataset(&dataset)
+        .with_options(OvertonOptions {
             tuning: Some(TuningSpec::default()),
             search: SearchConfig {
                 trials: 6,
@@ -40,12 +41,12 @@ fn main() {
             },
             train,
             ..Default::default()
-        },
-    )
-    .expect("searched build");
+        })
+        .run()
+        .expect("searched build");
 
     println!("search trials (dev score, best first):");
-    for trial in &searched.trials {
+    for trial in searched.trials() {
         println!(
             "  {:?} token_dim={} hidden={} agg={:?}: dev {:.4}",
             trial.config.encoder,
@@ -55,7 +56,10 @@ fn main() {
             trial.dev_score
         );
     }
-    println!("\nchosen: {:?} (default was Cnn/32/48)\n", searched.chosen_config.encoder);
+    println!(
+        "\nchosen: {:?} (default was Cnn/32/48)\n",
+        searched.chosen_config().expect("searched").encoder
+    );
 
     let widths = [12usize, 12, 12];
     print_row(&["task".into(), "fixed".into(), "searched".into()], &widths);

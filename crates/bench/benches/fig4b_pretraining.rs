@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo bench -p overton-bench --bench fig4b_pretraining`
 
-use overton::{build, OvertonOptions};
+use overton::{OvertonOptions, Project};
 use overton_bench::print_row;
 use overton_model::{EmbeddingKind, ModelConfig, PretrainConfig, TrainConfig};
 use overton_nlp::{generate_workload, pretraining_corpus, KnowledgeBase, WorkloadConfig};
@@ -59,18 +59,16 @@ fn main() {
             train_subset.into_iter().chain(full.dev_indices()).chain(full.test_indices()).collect();
         let dataset = full.subset(&keep);
 
-        let without = build(
-            &dataset,
-            &OvertonOptions {
+        let without = Project::from_dataset(&dataset)
+            .with_options(OvertonOptions {
                 train: TrainConfig { epochs, early_stop_patience: 0, ..Default::default() },
                 ..Default::default()
-            },
-        )
-        .expect("without-BERT build");
+            })
+            .run()
+            .expect("without-BERT build");
 
-        let with = build(
-            &dataset,
-            &OvertonOptions {
+        let with = Project::from_dataset(&dataset)
+            .with_options(OvertonOptions {
                 base_model: ModelConfig {
                     embedding: EmbeddingKind::Pretrained,
                     token_dim: artifact.dim(),
@@ -79,9 +77,9 @@ fn main() {
                 pretrained: Some(artifact.clone()),
                 train: TrainConfig { epochs, early_stop_patience: 0, ..Default::default() },
                 ..Default::default()
-            },
-        )
-        .expect("with-BERT build");
+            })
+            .run()
+            .expect("with-BERT build");
 
         let rel = |task: &str| 100.0 * with.test_accuracy(task) / without.test_accuracy(task);
         let (ri, rp, ra) = (rel("Intent"), rel("POS"), rel("IntentArg"));

@@ -7,7 +7,7 @@
 //! blob — no `Vec<Record>` is ever materialized, so peak memory stays one
 //! record deep. The eager path ([`Dataset::from_jsonl_file`]) collects
 //! every record into the editable vector first and seals afterwards —
-//! what `overton::build` callers did before the `Project` front door.
+//! what `Project::from_dataset` callers pay on top of the seal.
 //! Both produce row-for-row identical stores (asserted before timing).
 //!
 //! Run with: `cargo bench -p overton-bench --bench ingest`

@@ -13,7 +13,7 @@
 //!
 //! Run with: `cargo bench -p overton-bench --bench slice_improvement`
 
-use overton::{build, OvertonOptions};
+use overton::{OvertonOptions, Project};
 use overton_bench::print_row;
 use overton_model::{ModelConfig, TrainConfig};
 use overton_nlp::{generate_workload, SourceSpec, WorkloadConfig};
@@ -59,15 +59,14 @@ fn main() {
         ..Default::default()
     };
     let run = |slice_heads: bool| {
-        build(
-            &dataset,
-            &OvertonOptions {
+        Project::from_dataset(&dataset)
+            .with_options(OvertonOptions {
                 base_model: ModelConfig { slice_heads, ..base.clone() },
                 train: train.clone(),
                 ..Default::default()
-            },
-        )
-        .expect("build")
+            })
+            .run()
+            .expect("build")
     };
 
     println!("training WITHOUT the slice declared...");
@@ -84,8 +83,8 @@ fn main() {
         ("overall accuracy", without.test_accuracy("IntentArg"), with.test_accuracy("IntentArg")),
         (
             "slice accuracy (F1)",
-            without.evaluation.slice_accuracy("IntentArg", slice).unwrap_or(0.0),
-            with.evaluation.slice_accuracy("IntentArg", slice).unwrap_or(0.0),
+            without.evaluation().and_then(|e| e.slice_accuracy("IntentArg", slice)).unwrap_or(0.0),
+            with.evaluation().and_then(|e| e.slice_accuracy("IntentArg", slice)).unwrap_or(0.0),
         ),
     ];
     for (name, a, b) in rows {

@@ -6,9 +6,9 @@
 
 #![warn(missing_docs)]
 
-use overton::{build, OvertonBuild, OvertonOptions};
+use overton::{OvertonOptions, Project, Run};
 use overton_model::{
-    evaluate, prepare, train_model, CompiledModel, EncoderKind, ModelConfig, TrainConfig,
+    evaluate, prepare_store, train_model, CompiledModel, EncoderKind, ModelConfig, TrainConfig,
 };
 use overton_nlp::{SourceSpec, WorkloadConfig};
 use overton_store::{Dataset, Schema, TaskKind};
@@ -92,8 +92,8 @@ pub fn overton_options(epochs: usize) -> OvertonOptions {
 }
 
 /// Builds the full Overton system on a dataset.
-pub fn build_overton(dataset: &Dataset, epochs: usize) -> OvertonBuild {
-    build(dataset, &overton_options(epochs)).expect("overton build")
+pub fn build_overton(dataset: &Dataset, epochs: usize) -> Run {
+    Project::from_dataset(dataset).with_options(overton_options(epochs)).run().expect("overton run")
 }
 
 /// The primary production heuristic per task — the single source a legacy
@@ -130,7 +130,7 @@ pub fn build_baseline(dataset: &Dataset, epochs: usize) -> BTreeMap<String, f64>
         } else {
             CombineMethod::MajorityVote
         };
-        let prepared = prepare(&sub_dataset, &method).expect("baseline prepare");
+        let prepared = prepare_store(&sub_dataset.seal(), &method).expect("baseline prepare");
         let config =
             ModelConfig { encoder: EncoderKind::MeanBag, slice_heads: false, ..Default::default() };
         let mut model = CompiledModel::compile(&sub_schema, &prepared.space, &config, None);
@@ -178,13 +178,15 @@ pub fn end_to_end_error(intent_acc: f64, arg_acc: f64, joint: Option<f64>) -> f6
     }
 }
 
-/// Joint Intent+IntentArg accuracy of an Overton build on the test split.
-pub fn joint_accuracy(built: &OvertonBuild, dataset: &Dataset) -> f64 {
+/// Joint Intent+IntentArg accuracy of a completed Overton run on the test
+/// split.
+pub fn joint_accuracy(built: &Run, dataset: &Dataset) -> f64 {
     use overton_model::TaskOutput;
     use overton_store::TaskLabel;
     let mut correct = 0usize;
     let mut total = 0usize;
-    for (record_idx, prediction) in &built.evaluation.predictions {
+    let Some(evaluation) = built.evaluation() else { return 0.0 };
+    for (record_idx, prediction) in &evaluation.predictions {
         let record = &dataset.records()[*record_idx];
         let Some(TaskLabel::MulticlassOne(gold_intent)) = record.gold("Intent") else { continue };
         let Some(TaskLabel::Select(gold_arg)) = record.gold("IntentArg") else { continue };

@@ -4,8 +4,8 @@
 //! corrupt row store, a supervision-combination failure, an empty training
 //! split, a staged run driven out of order — folds into one exhaustive
 //! [`Error`], so callers (including the `overton` CLI) match on a single
-//! type instead of juggling `StoreError`/`CombineError`/`OvertonError`
-//! conversions by hand.
+//! type instead of juggling `StoreError`/`CombineError` conversions by
+//! hand.
 
 use crate::run::Stage;
 use overton_store::StoreError;
@@ -13,7 +13,7 @@ use overton_supervision::CombineError;
 use std::fmt;
 
 /// Errors from the Overton facade: project construction, staged runs,
-/// deployment and the legacy one-shot pipeline.
+/// deployment and the improvement workflows.
 #[derive(Debug)]
 pub enum Error {
     /// Supervision combination failed (unknown task/class/source).
@@ -32,10 +32,6 @@ pub enum Error {
         message: String,
     },
 }
-
-/// The pre-`Project` name of [`Error`], kept so existing callers (and the
-/// `build()`/`build_from_store()` shims' signatures) keep compiling.
-pub type OvertonError = Error;
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

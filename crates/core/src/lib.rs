@@ -45,19 +45,14 @@
 #![warn(missing_docs)]
 
 mod error;
-mod pipeline;
 mod project;
 mod run;
 mod workflows;
 
-pub use error::{Error, OvertonError};
-pub use pipeline::{build, build_from_store, OvertonBuild, OvertonOptions};
-pub use project::{Deployment, Project};
+pub use error::Error;
+pub use project::{Deployment, OvertonOptions, Project};
 pub use run::{Run, RunReport, Stage, StageReport};
-pub use workflows::{
-    add_slice_supervision, cold_start, retrain_and_compare, worst_slices, ImprovementReport,
-    SliceDiagnosis,
-};
+pub use workflows::{add_slice_supervision, cold_start, ImprovementReport, SliceDiagnosis};
 
 // The deterministic statistics kernel — confidence intervals,
 // significance tests, and the test-set reuse meter — re-exported from

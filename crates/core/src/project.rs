@@ -12,20 +12,49 @@
 //! ranked slice worklist that drives the next data edit.
 
 use crate::error::Error;
-use crate::pipeline::OvertonOptions;
 use crate::run::{Run, Stage};
 use crate::workflows::{diagnose_reports, ImprovementReport, SliceDiagnosis};
-use overton_model::{DeployableModel, ModelRegistry};
-use overton_monitor::QualityReport;
+use overton_model::{
+    DeployableModel, ModelConfig, ModelRegistry, PretrainedEncoder, SearchConfig, TrainConfig,
+    TuningSpec,
+};
+use overton_monitor::{stats, QualityReport};
 use overton_obs as obs;
 use overton_serving::{
     CascadeEngine, DeploymentManager, ServingConfig, TrafficBaseline, WorkerPool,
 };
 use overton_store::{Dataset, ShardedStore, StoreSnapshot};
+use overton_supervision::CombineMethod;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Pipeline configuration. Everything has sensible defaults; an engineer
+/// usually touches none of it (that is the point of the system).
+/// Serializable: a persisted [`Run`](crate::Run) records its options as
+/// `options.json` so resuming re-executes under the run's original
+/// configuration.
+#[derive(Default, Clone, serde::Serialize, serde::Deserialize)]
+#[serde(default)]
+pub struct OvertonOptions {
+    /// How conflicting supervision is resolved.
+    pub combine: CombineMethod,
+    /// Base architecture settings (sizes etc. are overridden by search).
+    pub base_model: ModelConfig,
+    /// The coarse search space; `None` skips search and uses `base_model`.
+    pub tuning: Option<TuningSpec>,
+    /// Search budget.
+    pub search: SearchConfig,
+    /// Final training budget.
+    pub train: TrainConfig,
+    /// Optional pretrained embedding artifact (Figure 4b "with-BERT").
+    /// Not persisted in a run's `options.json` — the weight table is an
+    /// input artifact (like the data files), so resume takes it from the
+    /// project instead of re-serializing megabytes of embeddings per run.
+    #[serde(skip)]
+    pub pretrained: Option<PretrainedEncoder>,
+}
 
 /// Where a project's records come from.
 enum Source {
@@ -34,7 +63,7 @@ enum Source {
     /// files are picked up by the next run — that *is* the improvement
     /// loop.
     Files { schema: PathBuf, data: PathBuf },
-    /// An already-sealed store (in-memory callers, the legacy shims).
+    /// An already-sealed store (in-memory callers, live-store snapshots).
     /// Shared, so repeated runs adopt it without deep-copying the shard
     /// blobs.
     Store(Arc<ShardedStore>),
@@ -401,8 +430,8 @@ impl Project {
 
     /// Re-runs the pipeline on the project's *current* source (for a
     /// two-file project, the freshly edited files) and reports the
-    /// targeted `(task, slice)` accuracy before and after — the re-homed
-    /// improve-and-retrain workflow.
+    /// targeted `(task, slice)` accuracy of `previous` and of the new run —
+    /// the improve-and-retrain workflow of paper §2.3.
     ///
     /// The comparison is significance-gated: the report carries
     /// [`PromotionEvidence`](overton_monitor::stats::PromotionEvidence)
@@ -413,137 +442,39 @@ impl Project {
     /// delta within holdout noise holds the old model. The evidence
     /// (plus the remaining test-set reuse budget) is persisted into the
     /// new run's `report.json` and its artifact metadata.
+    ///
+    /// Every retrain variant is this one method on a differently built
+    /// project. An incremental retrain runs over a pinned live-store
+    /// snapshot, warm-started from the previous artifact; a watchdog
+    /// escalation names only a slice, and
+    /// [`Run::weakest_task_on_slice`] supplies the task:
+    ///
+    /// ```text
+    /// let task = previous.weakest_task_on_slice(slice)?;
+    /// Project::from_snapshot(&snapshot)
+    ///     .warm_started(previous.artifact().unwrap().clone())
+    ///     .retrain_and_compare(&previous, &task, slice)?;
+    /// ```
     pub fn retrain_and_compare(
         &self,
         previous: &Run,
         task: &str,
         slice: &str,
     ) -> Result<ImprovementReport, Error> {
-        let before =
-            previous.evaluation().and_then(|e| e.slice_accuracy(task, slice)).unwrap_or(0.0);
         let mut run = self.run()?;
-        let after = run.evaluation().and_then(|e| e.slice_accuracy(task, slice)).unwrap_or(0.0);
-        let evidence = Self::promotion_evidence(previous, &run, task, slice)?;
-        run.record_promotion(&evidence)?;
-        Ok(ImprovementReport { build: run.into_build()?, before, after, evidence })
-    }
-
-    /// The shared significance gate behind both retrain-and-compare
-    /// forms: evaluates the one-sided two-proportion test over the two
-    /// runs' per-slice success counts and attaches the new run's
-    /// remaining test-set reuse budget.
-    fn promotion_evidence(
-        previous: &Run,
-        run: &Run,
-        task: &str,
-        slice: &str,
-    ) -> Result<overton_monitor::stats::PromotionEvidence, Error> {
-        use crate::workflows::slice_counts;
-        let before = previous.evaluation().map_or((0, 0), |e| slice_counts(e, task, slice));
-        let after = run.evaluation().map_or((0, 0), |e| slice_counts(e, task, slice));
-        let mut evidence = overton_monitor::stats::evaluate_promotion(
+        let metrics = |r: &Run| r.evaluation().and_then(|e| e.slice_metrics(task, slice));
+        let counts = |r: &Run| metrics(r).map_or((0, 0), |m| (m.successes(), m.count as u64));
+        let accuracy = |r: &Run| metrics(r).map_or(0.0, |m| m.accuracy);
+        let mut evidence = stats::evaluate_promotion(
             task,
             slice,
-            before,
-            after,
-            overton_monitor::stats::DEFAULT_ALPHA,
+            counts(previous),
+            counts(&run),
+            stats::DEFAULT_ALPHA,
         );
         evidence.meter_remaining = run.report().meter_remaining;
-        Ok(evidence)
-    }
-
-    /// The automated end of Figure 1's loop: given a slice escalated by
-    /// the obs [`Watchdog`](overton_obs::Watchdog) (whose windowed
-    /// diagnoses are task-agnostic), picks the task that was weakest on
-    /// that slice in `previous`'s evaluation — deterministically, lowest
-    /// accuracy with ties broken on task name — and delegates to
-    /// [`retrain_and_compare`](Project::retrain_and_compare).
-    pub fn retrain_for_slice(
-        &self,
-        previous: &Run,
-        slice: &str,
-    ) -> Result<ImprovementReport, Error> {
-        let task = self.weakest_task_on_slice(previous, slice)?;
-        self.retrain_and_compare(previous, &task, slice)
-    }
-
-    /// Incremental variant of
-    /// [`retrain_and_compare`](Project::retrain_and_compare): instead of
-    /// re-ingesting the project source from scratch, trains on a pinned
-    /// live-store [`StoreSnapshot`] (base + sealed deltas) and
-    /// warm-starts from `previous`'s packaged weights — combine encodes
-    /// the snapshot in the previous run's feature space, search keeps
-    /// its architecture, train continues from its weights. The new run
-    /// records the snapshot generation in its report and artifact
-    /// metadata. Runs under this project's name, root and options.
-    pub fn retrain_incremental(
-        &self,
-        previous: &Run,
-        snapshot: &StoreSnapshot,
-        task: &str,
-        slice: &str,
-    ) -> Result<ImprovementReport, Error> {
-        let artifact = previous.artifact().ok_or_else(|| {
-            Error::run(
-                Stage::Package,
-                "previous run has no packaged artifact to warm-start from; complete it first",
-            )
-        })?;
-        let before =
-            previous.evaluation().and_then(|e| e.slice_accuracy(task, slice)).unwrap_or(0.0);
-        let project = Project {
-            name: self.name.clone(),
-            source: Source::Store(snapshot.store_arc()),
-            options: self.options.clone(),
-            root: self.root.clone(),
-            warm: Some(Arc::new(artifact.clone())),
-            snapshot_generation: Some(snapshot.generation()),
-        };
-        let mut run = project.run()?;
-        let after = run.evaluation().and_then(|e| e.slice_accuracy(task, slice)).unwrap_or(0.0);
-        let evidence = Self::promotion_evidence(previous, &run, task, slice)?;
         run.record_promotion(&evidence)?;
-        Ok(ImprovementReport { build: run.into_build()?, before, after, evidence })
-    }
-
-    /// The incremental twin of
-    /// [`retrain_for_slice`](Project::retrain_for_slice): picks the task
-    /// that was weakest on the escalated slice in `previous`'s evaluation
-    /// (deterministically — lowest accuracy, ties on task name) and
-    /// delegates to [`retrain_incremental`](Project::retrain_incremental)
-    /// over the pinned snapshot.
-    pub fn retrain_for_slice_incremental(
-        &self,
-        previous: &Run,
-        snapshot: &StoreSnapshot,
-        slice: &str,
-    ) -> Result<ImprovementReport, Error> {
-        let task = self.weakest_task_on_slice(previous, slice)?;
-        self.retrain_incremental(previous, snapshot, &task, slice)
-    }
-
-    /// The task of `previous`'s evaluation that scored lowest on `slice`
-    /// (the shared picker behind both retrain-for-slice forms).
-    fn weakest_task_on_slice(&self, previous: &Run, slice: &str) -> Result<String, Error> {
-        let evaluation = previous.evaluation().ok_or_else(|| {
-            Error::run(Stage::Evaluate, "previous run has no evaluation; complete it first")
-        })?;
-        evaluation
-            .reports
-            .iter()
-            .filter_map(|(task, report)| {
-                report
-                    .group(&format!("{}{slice}", overton_monitor::SLICE_PREFIX))
-                    .map(|m| (task, m.accuracy))
-            })
-            .min_by(|(ta, a), (tb, b)| a.total_cmp(b).then_with(|| ta.cmp(tb)))
-            .map(|(task, _)| task.clone())
-            .ok_or_else(|| {
-                Error::run(
-                    Stage::Evaluate,
-                    format!("no task of the previous run was evaluated on slice '{slice}'"),
-                )
-            })
+        Ok(ImprovementReport { before: accuracy(previous), after: accuracy(&run), run, evidence })
     }
 
     fn allocate_run_dir(&self) -> Result<(String, Option<PathBuf>), Error> {
@@ -686,6 +617,13 @@ mod tests {
     }
 
     #[test]
+    fn empty_dataset_rejected() {
+        let empty = Dataset::new(overton_nlp::workload_schema());
+        let result = Project::from_dataset(&empty).with_options(quick_options()).run();
+        assert!(matches!(result, Err(Error::NoTrainingData)), "{result:?}");
+    }
+
+    #[test]
     fn incremental_retrain_warm_starts_from_a_pinned_snapshot() {
         let dir = std::env::temp_dir()
             .join(format!("overton-proj-incr-{}", std::process::id()))
@@ -728,17 +666,21 @@ mod tests {
 
         // Warm retrain over the new snapshot: previous space and
         // architecture carry over, lineage is recorded.
-        let report =
-            project.retrain_incremental(&run, &snap1, "Intent", "complex-disambiguation").unwrap();
+        let report = Project::from_snapshot(&snap1)
+            .with_options(quick_options())
+            .warm_started(cold_artifact.clone())
+            .retrain_and_compare(&run, "Intent", "complex-disambiguation")
+            .unwrap();
         assert!((0.0..=1.0).contains(&report.before));
         assert!((0.0..=1.0).contains(&report.after));
-        let artifact = &report.build.artifact;
+        let artifact = report.run.artifact().unwrap();
         assert_eq!(artifact.metadata.get("warm_started").map(String::as_str), Some("true"));
         assert_eq!(
             artifact.metadata.get("snapshot_generation"),
             Some(&snap1.generation().to_string())
         );
-        assert!(report.build.trials.is_empty(), "warm runs never search");
+        assert!(artifact.metadata.contains_key("promotion"));
+        assert!(report.run.trials().is_empty(), "warm runs never search");
         assert_eq!(
             artifact.space.token_vocab.len(),
             cold_artifact.space.token_vocab.len(),

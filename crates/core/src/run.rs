@@ -32,7 +32,7 @@
 //! request-path names — `overton trace <dir>` renders either one.
 
 use crate::error::Error;
-use crate::pipeline::{OvertonBuild, OvertonOptions};
+use crate::project::OvertonOptions;
 use crate::workflows::{diagnose_reports, mean_accuracy, scored_accuracies, SliceDiagnosis};
 use overton_model::{
     evaluate_store, prepare_store, prepare_store_with_space, search, train_model, CompiledModel,
@@ -392,10 +392,35 @@ impl Run {
 
     /// The monitoring worklist: `(task, slice)` pairs of the evaluation
     /// ranked by accuracy ascending, skipping slices with fewer than
-    /// `min_count` scored examples. The re-homed
-    /// [`worst_slices`](crate::worst_slices) workflow.
+    /// `min_count` scored examples — the same kernel as
+    /// [`Project::monitor`](crate::Project::monitor) over live reports.
     pub fn worst_slices(&self, min_count: usize) -> Vec<SliceDiagnosis> {
         self.evaluation.as_ref().map_or_else(Vec::new, |e| diagnose_reports(&e.reports, min_count))
+    }
+
+    /// The task that scored lowest on `slice` in this run's evaluation —
+    /// deterministically: lowest accuracy, ties broken on task name. The
+    /// obs [`Watchdog`](overton_obs::Watchdog)'s windowed diagnoses are
+    /// task-agnostic; this maps an escalated slice onto the `task`
+    /// argument of
+    /// [`Project::retrain_and_compare`](crate::Project::retrain_and_compare),
+    /// closing Figure 1's loop automatically.
+    pub fn weakest_task_on_slice(&self, slice: &str) -> Result<String, Error> {
+        let evaluation = self.evaluation.as_ref().ok_or_else(|| {
+            Error::run(Stage::Evaluate, "run has no evaluation; complete it first")
+        })?;
+        evaluation
+            .reports
+            .keys()
+            .filter_map(|task| evaluation.slice_metrics(task, slice).map(|m| (task, m.accuracy)))
+            .min_by(|(ta, a), (tb, b)| a.total_cmp(b).then_with(|| ta.cmp(tb)))
+            .map(|(task, _)| task.clone())
+            .ok_or_else(|| {
+                Error::run(
+                    Stage::Evaluate,
+                    format!("no task of the run was evaluated on slice '{slice}'"),
+                )
+            })
     }
 
     /// Executes the next stage, returning which one ran.
@@ -423,27 +448,6 @@ impl Run {
             self.advance()?;
         }
         Ok(())
-    }
-
-    /// Consumes the run into the legacy [`OvertonBuild`] bundle. Fails if
-    /// the run is not complete.
-    pub fn into_build(self) -> Result<OvertonBuild, Error> {
-        if !self.is_complete() {
-            return Err(Error::run(
-                self.cursor.expect("incomplete run has a cursor"),
-                "run is not complete; call complete() first",
-            ));
-        }
-        Ok(OvertonBuild {
-            artifact: self.artifact.expect("complete run packaged"),
-            model: self.model.expect("complete run trained"),
-            space: self.space.expect("complete run has a feature space"),
-            chosen_config: self.chosen_config.expect("complete run searched"),
-            trials: self.trials,
-            train_report: self.train_report.expect("complete run trained"),
-            diagnostics: self.diagnostics,
-            evaluation: self.evaluation.expect("complete run evaluated"),
-        })
     }
 
     pub(crate) fn note_stage(&mut self, stage: Stage, start: Instant, records: usize) {
@@ -644,9 +648,8 @@ impl Run {
                 self.report.meter_remaining = Some(ledger.debit(&self.id, 1)?);
             }
         }
-        // The filtered mean (shared kernel with `OvertonBuild`): only
-        // tasks that produced an `overall` row enter numerator and
-        // denominator.
+        // The filtered mean: only tasks that produced an `overall` row
+        // enter numerator and denominator.
         let task_accuracy = scored_accuracies(&evaluation.reports);
         self.report.mean_test_accuracy = mean_accuracy(&task_accuracy);
         // Seeded bootstrap over the scored per-task accuracies — the
@@ -906,5 +909,26 @@ mod tests {
         assert_eq!(back, report);
         let text = report.to_string();
         assert!(text.contains("ingest") && text.contains("mean test accuracy"), "{text}");
+    }
+
+    #[test]
+    fn weakest_task_on_slice_breaks_ties_on_task_name() {
+        use overton_monitor::{Metrics, QualityReport};
+        let store = overton_store::Dataset::new(overton_nlp::workload_schema()).seal();
+        let mut run = Run::new("run-t".into(), None, OvertonOptions::default(), Arc::new(store));
+        assert!(run.weakest_task_on_slice("hard").is_err(), "no evaluation yet");
+
+        let metrics = |accuracy| Metrics { count: 10, accuracy, macro_f1: 0.0, micro_f1: 0.0 };
+        let mut reports = BTreeMap::new();
+        for (task, accuracy) in [("POS", 0.4), ("Intent", 0.4), ("EntityType", 0.9)] {
+            let mut report = QualityReport::new(task);
+            report.push("overall", metrics(0.1));
+            report.push("slice:hard", metrics(accuracy));
+            reports.insert(task.to_string(), report);
+        }
+        run.evaluation = Some(Evaluation { reports, predictions: Vec::new() });
+        assert_eq!(run.weakest_task_on_slice("hard").unwrap(), "Intent");
+        let err = run.weakest_task_on_slice("absent").unwrap_err();
+        assert!(err.to_string().contains("absent"), "{err}");
     }
 }

@@ -2,19 +2,17 @@
 //! API: monitoring output → data edit → retrain, plus the cold-start
 //! workflow. The engineer only ever touches *data*.
 //!
-//! The canonical homes of these workflows are now the [`Run`](crate::Run)
-//! and [`Project`](crate::Project) methods —
-//! [`Run::worst_slices`](crate::Run::worst_slices),
-//! [`Project::monitor`](crate::Project::monitor),
-//! [`Project::retrain_and_compare`](crate::Project::retrain_and_compare) —
-//! which operate on quality reports wherever they come from (a run's test
-//! evaluation or live canary scoring). The free functions here are the
-//! original dataset-centric forms, kept for existing callers and for the
-//! data-editing half of the loop ([`add_slice_supervision`],
-//! [`cold_start`]) that inherently works on an editable [`Dataset`].
+//! Diagnosis and retraining live on [`Run`] and [`Project`] —
+//! [`Run::worst_slices`], [`Project::monitor`],
+//! [`Project::retrain_and_compare`] — which operate on quality reports
+//! wherever they come from (a run's test evaluation or live canary
+//! scoring). The free functions here are the data-editing half of the
+//! loop ([`add_slice_supervision`], [`cold_start`]), which inherently
+//! works on an editable [`Dataset`].
 
-use crate::error::OvertonError;
-use crate::pipeline::{build, OvertonBuild, OvertonOptions};
+use crate::error::Error;
+use crate::project::{OvertonOptions, Project};
+use crate::run::Run;
 use overton_monitor::stats;
 use overton_monitor::QualityReport;
 use overton_store::{Dataset, Record, TaskLabel};
@@ -22,21 +20,17 @@ use std::collections::BTreeMap;
 
 // The shared diagnosis kernel — ranks every `slice:` row of a set of
 // per-task quality reports by accuracy ascending with deterministic
-// tie-breaking — now lives in `overton-monitor` (`diagnose_reports`),
-// where every monitoring surface can reach it: [`Run::worst_slices`]
-// (crate::Run::worst_slices), [`Project::monitor`]
-// (crate::Project::monitor), live canary scoring, and the obs watchdog's
-// automated retrain trigger. Re-exported here so `overton::SliceDiagnosis`
-// keeps working.
+// tie-breaking — lives in `overton-monitor` (`diagnose_reports`), where
+// every monitoring surface can reach it: `Run::worst_slices`,
+// `Project::monitor`, live canary scoring, and the obs watchdog's
+// automated retrain trigger. Re-exported here as `overton::SliceDiagnosis`.
 pub(crate) use overton_monitor::diagnose_reports;
 pub use overton_monitor::SliceDiagnosis;
 
 /// Per-task overall test accuracy for the tasks that were actually scored
-/// (an `overall` row exists). Shared kernel behind both
-/// [`RunReport`](crate::RunReport)'s accuracies and
-/// [`OvertonBuild::mean_test_accuracy`](crate::OvertonBuild::mean_test_accuracy),
-/// so the "unscored tasks enter neither numerator nor denominator" rule
-/// lives in exactly one place.
+/// (an `overall` row exists): the kernel behind
+/// [`RunReport`](crate::RunReport)'s accuracies, where the "unscored tasks
+/// enter neither numerator nor denominator" rule lives.
 pub(crate) fn scored_accuracies(
     reports: &BTreeMap<String, QualityReport>,
 ) -> BTreeMap<String, f64> {
@@ -50,13 +44,6 @@ pub(crate) fn mean_accuracy(scored: &BTreeMap<String, f64>) -> f64 {
     } else {
         scored.values().sum::<f64>() / scored.len() as f64
     }
-}
-
-/// Ranks (task, slice) pairs of a build's evaluation by accuracy ascending
-/// — the worklist an engineer monitors week to week. Legacy form of
-/// [`Run::worst_slices`](crate::Run::worst_slices).
-pub fn worst_slices(build: &OvertonBuild, min_count: usize) -> Vec<SliceDiagnosis> {
-    diagnose_reports(&build.evaluation.reports, min_count)
 }
 
 /// Adds supervision to every *training* record of a slice using an
@@ -89,8 +76,9 @@ pub fn add_slice_supervision(
 
 /// The outcome of an improve-and-retrain iteration.
 pub struct ImprovementReport {
-    /// The new build.
-    pub build: OvertonBuild,
+    /// The new, completed run (its report and artifact carry the
+    /// promotion evidence).
+    pub run: Run,
     /// Accuracy on the targeted (task, slice) before the change.
     pub before: f64,
     /// Accuracy after the change.
@@ -116,70 +104,33 @@ impl ImprovementReport {
     }
 }
 
-/// `(successes, trials)` for a task on one slice of an evaluation —
-/// `(0, 0)` (total ignorance) when the slice row is absent.
-pub(crate) fn slice_counts(
-    evaluation: &overton_model::Evaluation,
-    task: &str,
-    slice: &str,
-) -> (u64, u64) {
-    evaluation.slice_metrics(task, slice).map_or((0, 0), |m| (m.successes(), m.count as u64))
-}
-
-/// Retrains after a supervision change and reports the targeted slice's
-/// before/after accuracy. Legacy form of
-/// [`Project::retrain_and_compare`](crate::Project::retrain_and_compare);
-/// the `previous` baseline may be any earlier build of the feature.
-pub fn retrain_and_compare(
-    dataset: &Dataset,
-    options: &OvertonOptions,
-    previous: &OvertonBuild,
-    task: &str,
-    slice: &str,
-) -> Result<ImprovementReport, OvertonError> {
-    let before = previous.evaluation.slice_accuracy(task, slice).unwrap_or(0.0);
-    let new_build = build(dataset, options)?;
-    let after = new_build.evaluation.slice_accuracy(task, slice).unwrap_or(0.0);
-    let evidence = stats::evaluate_promotion(
-        task,
-        slice,
-        slice_counts(&previous.evaluation, task, slice),
-        slice_counts(&new_build.evaluation, task, slice),
-        stats::DEFAULT_ALPHA,
-    );
-    Ok(ImprovementReport { build: new_build, before, after, evidence })
-}
-
 /// Cold start (paper §2.3): a new feature launches with **zero** organic
 /// data. The engineer supplies synthetic records (tagged with their
 /// lineage) plus weak sources, and ships a first model entirely from them.
 ///
 /// `synthesizer` produces one synthetic training record per call; dev/test
 /// records must already be in `dataset` (curated by the launch review).
-/// The build routes through the staged [`Run`](crate::Run) like every
-/// other pipeline entry point.
+/// The first model is an ordinary staged [`Run`] over the augmented
+/// dataset.
 pub fn cold_start(
     dataset: &mut Dataset,
     n_synthetic: usize,
     lineage_tag: &str,
     mut synthesizer: impl FnMut(usize) -> Record,
     options: &OvertonOptions,
-) -> Result<OvertonBuild, OvertonError> {
+) -> Result<Run, Error> {
     for i in 0..n_synthetic {
         let record = synthesizer(i).with_tag(overton_store::TAG_TRAIN).with_tag(lineage_tag);
         dataset.push(record)?;
     }
-    build(dataset, options)
+    Project::from_dataset(dataset).with_options(options.clone()).run()
 }
 
-// `Run::worst_slices` lives in run.rs; the kernel above is shared so the
-// two stay identical.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::OvertonOptions;
-    use crate::project::Project;
     use overton_model::TrainConfig;
+    use overton_monitor::Metrics;
     use overton_nlp::{generate_workload, WorkloadConfig};
     use overton_store::GOLD_SOURCE;
 
@@ -204,18 +155,33 @@ mod tests {
     #[test]
     fn worst_slices_ranks_ascending_and_matches_run_method() {
         let ds = workload();
-        let run = Project::from_dataset(&ds).with_options(quick_options()).run().unwrap();
+        let project = Project::from_dataset(&ds).with_options(quick_options());
+        let run = project.run().unwrap();
         let from_run = run.worst_slices(3);
         assert!(!from_run.is_empty());
         for pair in from_run.windows(2) {
             assert!(pair[0].metrics.accuracy <= pair[1].metrics.accuracy);
         }
-        let build = run.into_build().unwrap();
-        let from_build = worst_slices(&build, 3);
-        assert_eq!(from_run.len(), from_build.len());
-        for (a, b) in from_run.iter().zip(&from_build) {
+        let from_monitor = project.monitor(&run.evaluation().unwrap().reports, 3);
+        assert_eq!(from_run.len(), from_monitor.len());
+        for (a, b) in from_run.iter().zip(&from_monitor) {
             assert_eq!((a.task.as_str(), a.slice.as_str()), (b.task.as_str(), b.slice.as_str()));
         }
+    }
+
+    #[test]
+    fn mean_test_accuracy_skips_unscored_tasks() {
+        // A task whose report lacks an `overall` row (no gold test
+        // examples) must not enter the denominator.
+        let mut reports = BTreeMap::new();
+        let mut scored = QualityReport::new("Intent");
+        scored.push("overall", Metrics { count: 10, accuracy: 0.8, macro_f1: 0.8, micro_f1: 0.8 });
+        reports.insert("Intent".to_string(), scored);
+        reports.insert("POS".to_string(), QualityReport::new("POS"));
+        let accuracies = scored_accuracies(&reports);
+        assert_eq!(accuracies.keys().collect::<Vec<_>>(), ["Intent"]);
+        assert!((mean_accuracy(&accuracies) - 0.8).abs() < 1e-12);
+        assert_eq!(mean_accuracy(&BTreeMap::new()), 0.0, "no scored task means zero");
     }
 
     #[test]
@@ -240,8 +206,7 @@ mod tests {
     #[test]
     fn retrain_and_compare_reports_delta() {
         let ds = workload();
-        let options = quick_options();
-        let first = build(&ds, &options).unwrap();
+        let first = Project::from_dataset(&ds).with_options(quick_options()).run().unwrap();
         let mut improved = ds.clone();
         // Engineers add a high-quality corrective source on the slice. The
         // synthetic generator knows the truth, so emulate an annotation
@@ -259,13 +224,15 @@ mod tests {
                 }
             },
         );
-        let report =
-            retrain_and_compare(&improved, &options, &first, "IntentArg", "complex-disambiguation")
-                .unwrap();
+        let report = Project::from_dataset(&improved)
+            .with_options(quick_options())
+            .retrain_and_compare(&first, "IntentArg", "complex-disambiguation")
+            .unwrap();
         // The delta is noisy at this scale; we only require the machinery
         // reports coherent numbers.
         assert!((0.0..=1.0).contains(&report.before));
         assert!((0.0..=1.0).contains(&report.after));
+        assert_eq!(report.run.report().promotion.as_ref(), Some(&report.evidence));
     }
 
     #[test]

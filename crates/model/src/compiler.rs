@@ -8,7 +8,7 @@
 //! one-hot targets for model selection.
 
 use crate::features::{gold_to_prob, CompiledExample, FeatureSpace};
-use overton_store::{Dataset, ShardedStore};
+use overton_store::ShardedStore;
 use overton_supervision::{combine_all, CombineError, CombineMethod, SourceDiagnostics};
 use std::collections::BTreeMap;
 
@@ -27,19 +27,11 @@ pub struct PreparedData {
 }
 
 /// Combines supervision for every task and materializes train/dev
-/// examples. Seals the dataset and delegates to [`prepare_store`]; the
-/// sealed sharded store is the pipeline's working form — callers that
-/// already hold one should use [`prepare_store`] directly and skip the
-/// re-encode.
-pub fn prepare(dataset: &Dataset, method: &CombineMethod) -> Result<PreparedData, CombineError> {
-    prepare_store(&dataset.seal(), method)
-}
-
-/// Combines supervision and materializes train/dev examples from a sealed
-/// [`ShardedStore`]: one shard-parallel scan combines every task
-/// ([`combine_all`]), another builds the feature space, and the train/dev
-/// splits (resolved from the seal-time index, not a tag scan) encode
-/// per shard in parallel. Targets follow the eager rules exactly:
+/// examples from a sealed [`ShardedStore`] (an eager
+/// [`Dataset`](overton_store::Dataset) enters via `dataset.seal()`): one
+/// shard-parallel scan combines every task ([`combine_all`]), another
+/// builds the feature space, and the train/dev splits (resolved from the
+/// seal-time index, not a tag scan) encode per shard in parallel. Targets follow the eager rules exactly:
 /// annotator gold overrides the weak combination on training records; dev
 /// records carry gold only.
 pub fn prepare_store(
@@ -107,6 +99,7 @@ pub fn prepare_store_with_space(
 mod tests {
     use super::*;
     use overton_nlp::{generate_workload, WorkloadConfig};
+    use overton_store::Dataset;
 
     fn workload(gold_fraction: f64) -> Dataset {
         generate_workload(&WorkloadConfig {
@@ -122,7 +115,7 @@ mod tests {
     #[test]
     fn prepare_attaches_targets() {
         let ds = workload(0.0);
-        let prepared = prepare(&ds, &CombineMethod::default()).unwrap();
+        let prepared = prepare_store(&ds.seal(), &CombineMethod::default()).unwrap();
         assert_eq!(prepared.train.len(), 80);
         assert_eq!(prepared.dev.len(), 20);
         // Most training examples should have an Intent target (weak coverage
@@ -141,7 +134,7 @@ mod tests {
     #[test]
     fn gold_overrides_weak_on_train() {
         let ds = workload(1.0);
-        let prepared = prepare(&ds, &CombineMethod::default()).unwrap();
+        let prepared = prepare_store(&ds.seal(), &CombineMethod::default()).unwrap();
         // With full gold coverage every Intent target is one-hot.
         for ex in &prepared.train {
             if let Some(overton_supervision::ProbLabel::Dist(d)) = ex.targets.get("Intent") {
@@ -152,22 +145,27 @@ mod tests {
     }
 
     #[test]
-    fn prepare_store_matches_prepare() {
+    fn prepare_store_is_shard_count_invariant() {
+        // Per-shard partials concatenate in shard order, so the shard
+        // count (and scan parallelism) must not change a single example.
         let ds = workload(0.3);
-        let eager = prepare(&ds, &CombineMethod::default()).unwrap();
+        let one = prepare_store(&ds.seal_shards(1), &CombineMethod::default()).unwrap();
         let store = ds.seal_shards(3).with_scan_workers(2);
-        let sharded = prepare_store(&store, &CombineMethod::default()).unwrap();
-        assert_eq!(sharded.space.token_vocab.len(), eager.space.token_vocab.len());
-        assert_eq!(sharded.space.entity_vocab.len(), eager.space.entity_vocab.len());
-        assert_eq!(sharded.space.slice_names, eager.space.slice_names);
-        assert_eq!(sharded.train.len(), eager.train.len());
-        assert_eq!(sharded.dev.len(), eager.dev.len());
-        for (a, b) in sharded.train.iter().zip(&eager.train) {
+        assert!(store.num_shards() > 1);
+        let three = prepare_store(&store, &CombineMethod::default()).unwrap();
+        assert_eq!(three.space.token_vocab.len(), one.space.token_vocab.len());
+        assert_eq!(three.space.entity_vocab.len(), one.space.entity_vocab.len());
+        assert_eq!(three.space.slice_names, one.space.slice_names);
+        assert_eq!(three.train.len(), one.train.len());
+        assert_eq!(three.dev.len(), one.dev.len());
+        for (a, b) in three.train.iter().chain(&three.dev).zip(one.train.iter().chain(&one.dev)) {
             assert_eq!(a.record_index, b.record_index);
             assert_eq!(a.sequences, b.sequences);
-            assert_eq!(a.targets.keys().collect::<Vec<_>>(), b.targets.keys().collect::<Vec<_>>());
+            assert_eq!(a.sets, b.sets);
+            assert_eq!(a.targets, b.targets);
+            assert_eq!(a.slice_membership, b.slice_membership);
         }
-        assert_eq!(sharded.diagnostics.len(), eager.diagnostics.len());
+        assert_eq!(format!("{:?}", three.diagnostics), format!("{:?}", one.diagnostics));
     }
 
     #[test]
@@ -213,7 +211,7 @@ mod tests {
     #[test]
     fn label_model_diagnostics_have_accuracies() {
         let ds = workload(0.0);
-        let prepared = prepare(&ds, &CombineMethod::default()).unwrap();
+        let prepared = prepare_store(&ds.seal(), &CombineMethod::default()).unwrap();
         let intent = &prepared.diagnostics["Intent"];
         assert!(intent.iter().all(|d| d.estimated_accuracy.is_some()));
     }

@@ -63,7 +63,7 @@ pub fn distill(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::prepare;
+    use crate::compiler::prepare_store;
     use crate::config::ModelConfig;
     use crate::trainer::dev_agreement;
     use overton_nlp::{generate_workload, WorkloadConfig};
@@ -78,7 +78,7 @@ mod tests {
             seed: 71,
             ..Default::default()
         });
-        let prepared = prepare(&ds, &CombineMethod::default()).unwrap();
+        let prepared = prepare_store(&ds.seal(), &CombineMethod::default()).unwrap();
         // Teacher: default size, trained normally.
         let mut teacher =
             CompiledModel::compile(ds.schema(), &prepared.space, &ModelConfig::default(), None);
@@ -117,7 +117,7 @@ mod tests {
             seed: 72,
             ..Default::default()
         });
-        let prepared = prepare(&ds, &CombineMethod::default()).unwrap();
+        let prepared = prepare_store(&ds.seal(), &CombineMethod::default()).unwrap();
         let teacher =
             CompiledModel::compile(ds.schema(), &prepared.space, &ModelConfig::default(), None);
         let softened = soften_targets(&teacher, &prepared.train);

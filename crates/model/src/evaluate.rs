@@ -7,7 +7,9 @@
 
 use crate::features::{CompiledExample, FeatureSpace};
 use crate::network::{CompiledModel, Prediction, TaskOutput};
-use overton_monitor::{multiclass_metrics, Metrics, MetricsAccumulator, QualityReport};
+use overton_monitor::{
+    multiclass_metrics, Metrics, MetricsAccumulator, QualityReport, SLICE_PREFIX,
+};
 use overton_store::{Dataset, ShardedStore, TaskKind, TaskLabel};
 use std::collections::BTreeMap;
 
@@ -28,7 +30,7 @@ impl Evaluation {
 
     /// Accuracy for a task on one slice (None when the row is absent).
     pub fn slice_accuracy(&self, task: &str, slice: &str) -> Option<f64> {
-        self.reports.get(task)?.group(&format!("slice:{slice}")).map(|m| m.accuracy)
+        self.slice_metrics(task, slice).map(|m| m.accuracy)
     }
 
     /// Full metrics for a task on one slice — unlike
@@ -36,7 +38,7 @@ impl Evaluation {
     /// example count, which is what significance tests and confidence
     /// intervals need.
     pub fn slice_metrics(&self, task: &str, slice: &str) -> Option<Metrics> {
-        self.reports.get(task)?.group(&format!("slice:{slice}")).copied()
+        self.reports.get(task)?.group(&format!("{SLICE_PREFIX}{slice}")).copied()
     }
 }
 
@@ -343,6 +345,25 @@ mod tests {
             report.rows.iter().map(|r| &r.group).collect::<Vec<_>>()
         );
         assert!(eval.slice_accuracy("IntentArg", "complex-disambiguation").is_some());
+    }
+
+    #[test]
+    fn slice_lookups_find_the_rows_keyed_by_record_slice_tags() {
+        // Report rows are keyed by the records' own tags, which the store
+        // spells with its prefix; the lookups spell the key with the
+        // monitor's. The two must agree for every declared slice.
+        assert_eq!(SLICE_PREFIX, overton_store::SLICE_PREFIX);
+        let (ds, space, model) = setup();
+        let eval = evaluate(&model, &ds, &ds.test_indices(), &space);
+        let report = &eval.reports["IntentArg"];
+        for slice in ds.slice_names() {
+            let tag = format!("{}{slice}", overton_store::SLICE_PREFIX);
+            let metrics = eval.slice_metrics("IntentArg", &slice);
+            assert_eq!(metrics.as_ref(), report.group(&tag), "{slice}");
+            assert_eq!(eval.slice_accuracy("IntentArg", &slice), metrics.map(|m| m.accuracy));
+        }
+        assert_eq!(eval.slice_metrics("IntentArg", "no-such-slice"), None);
+        assert_eq!(eval.slice_metrics("NoSuchTask", "complex-disambiguation"), None);
     }
 
     #[test]

@@ -23,7 +23,7 @@ mod search;
 mod serve;
 mod trainer;
 
-pub use compiler::{prepare, prepare_store, prepare_store_with_space, PreparedData};
+pub use compiler::{prepare_store, prepare_store_with_space, PreparedData};
 pub use config::{
     AggregationKind, EmbeddingKind, EncoderKind, ModelConfig, TrainConfig, TuningSpec,
 };

@@ -114,7 +114,7 @@ pub fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::prepare;
+    use crate::compiler::prepare_store;
     use crate::config::{AggregationKind, EncoderKind};
     use overton_nlp::{generate_workload, WorkloadConfig};
     use overton_supervision::CombineMethod;
@@ -128,7 +128,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         });
-        let prepared = prepare(&ds, &CombineMethod::default()).unwrap();
+        let prepared = prepare_store(&ds.seal(), &CombineMethod::default()).unwrap();
         let spec = TuningSpec {
             sizes: vec![(24, 32)],
             encoders: vec![EncoderKind::MeanBag, EncoderKind::Cnn],
@@ -165,7 +165,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         });
-        let prepared = prepare(&ds, &CombineMethod::default()).unwrap();
+        let prepared = prepare_store(&ds.seal(), &CombineMethod::default()).unwrap();
         let _ = search(
             ds.schema(),
             &prepared.space,

@@ -24,8 +24,9 @@
 //!   monitor <dir>` renders history with zero live state).
 //! - **Closed loop** ([`Watchdog`]): sustained high-severity alerts
 //!   become the same ranked [`SliceDiagnosis`](overton_monitor::SliceDiagnosis)
-//!   worklist the rest of the system uses, feeding
-//!   `Project::retrain_and_compare` — Figure 1 as running code.
+//!   worklist the rest of the system uses; `Run::weakest_task_on_slice`
+//!   names the task and `Project::retrain_and_compare` retrains it —
+//!   Figure 1 as running code.
 //! - **Scrape exposition** ([`monitor_metrics`], [`metrics_ext`]): the
 //!   windowed state, obslog health, alert ledger, per-slice accuracy
 //!   confidence bounds and the test-set reuse budget

@@ -6,8 +6,9 @@
 //! monitoring surface produces — via the shared
 //! [`diagnose_reports`](overton_monitor::diagnose_reports) kernel — so
 //! the caller can hand the worst slice straight to
-//! `Project::retrain_and_compare` (see `overton::Project::retrain_for_slice`)
-//! and the loop runs end-to-end without a human. Determinism matters
+//! `Project::retrain_and_compare` (with the task picked by
+//! `overton::Run::weakest_task_on_slice`) and the loop runs end-to-end
+//! without a human. Determinism matters
 //! here: the kernel's tie-breaking makes watchdog-triggered retrains
 //! reproducible.
 

@@ -251,7 +251,7 @@ mod tests {
     /// answered request in the quantized counter.
     #[test]
     fn quantized_small_cascade_guards_quality() {
-        use overton_model::{prepare, train_model, TrainConfig};
+        use overton_model::{prepare_store, train_model, TrainConfig};
         let ds = generate_workload(&WorkloadConfig {
             n_train: 60,
             n_dev: 15,
@@ -259,7 +259,8 @@ mod tests {
             seed: 61,
             ..Default::default()
         });
-        let prepared = prepare(&ds, &overton_supervision::CombineMethod::MajorityVote).unwrap();
+        let prepared =
+            prepare_store(&ds.seal(), &overton_supervision::CombineMethod::MajorityVote).unwrap();
         let train_cfg = TrainConfig { epochs: 3, early_stop_patience: 0, ..Default::default() };
         let mut large =
             CompiledModel::compile(ds.schema(), &prepared.space, &ModelConfig::default(), None);

@@ -88,7 +88,7 @@ fn main() {
 
     println!("synthetic training records: {}", dataset.tagged("aug:launch-templates").len());
     println!("\nlaunch-quality report (test split):");
-    for (task, report) in &built.evaluation.reports {
+    for (task, report) in &built.evaluation().expect("a complete run is evaluated").reports {
         if let Some(overall) = report.overall() {
             println!("  {:<12} accuracy {:.3} (n = {})", task, overall.accuracy, overall.count);
         }

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release -p harness --example deployment`
 
-use overton::{build, OvertonOptions};
+use overton::{OvertonOptions, Project};
 use overton_model::{ModelConfig, ModelPair, ModelRegistry, Server, TrainConfig};
 use overton_nlp::{generate_workload, WorkloadConfig};
 use overton_store::{rowstore::RowStore, TagIndex};
@@ -25,29 +25,28 @@ fn main() {
 
     // Large model: quality/analysis tier.
     println!("== training large model ==");
-    let large = build(
-        &dataset,
-        &OvertonOptions {
+    let large = Project::from_dataset(&dataset)
+        .with_options(OvertonOptions {
             base_model: ModelConfig { token_dim: 48, hidden_dim: 64, ..Default::default() },
             train: train_cfg.clone(),
             ..Default::default()
-        },
-    )
-    .expect("large build");
+        })
+        .run()
+        .expect("large build");
 
     // Small model: the SLA tier, same schema and data.
     println!("== training small model ==");
-    let small = build(
-        &dataset,
-        &OvertonOptions {
+    let small = Project::from_dataset(&dataset)
+        .with_options(OvertonOptions {
             base_model: ModelConfig { token_dim: 16, hidden_dim: 24, ..Default::default() },
             train: train_cfg,
             ..Default::default()
-        },
-    )
-    .expect("small build");
+        })
+        .run()
+        .expect("small build");
 
-    let pair = ModelPair { large: large.artifact.clone(), small: small.artifact.clone() };
+    let artifact = |run: &overton::Run| run.artifact().expect("packaged").clone();
+    let pair = ModelPair { large: artifact(&large), small: artifact(&small) };
     println!(
         "pair synchronized: {} (large {} weights / small {} weights)",
         pair.synchronized(),

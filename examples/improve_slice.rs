@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release -p harness --example improve_slice`
 
-use overton::{add_slice_supervision, build, retrain_and_compare, worst_slices, OvertonOptions};
+use overton::{add_slice_supervision, OvertonOptions, Project};
 use overton_model::TrainConfig;
 use overton_monitor::regressions;
 use overton_nlp::{generate_workload, WorkloadConfig};
@@ -32,9 +32,12 @@ fn main() {
     };
 
     println!("== initial build ==");
-    let first = build(&dataset, &options).expect("pipeline succeeds");
+    let first = Project::from_dataset(&dataset)
+        .with_options(options.clone())
+        .run()
+        .expect("pipeline succeeds");
     println!("worst slices on test:");
-    for diag in worst_slices(&first, 5).iter().take(5) {
+    for diag in first.worst_slices(5).iter().take(5) {
         println!(
             "  task {:<10} slice {:<24} acc {:.3} (n = {})",
             diag.task, diag.slice, diag.metrics.accuracy, diag.metrics.count
@@ -59,9 +62,10 @@ fn main() {
     println!("annotator_pass wrote {added} labels");
 
     println!("\n== retrain and compare ==");
-    let report =
-        retrain_and_compare(&dataset, &options, &first, "IntentArg", "complex-disambiguation")
-            .expect("pipeline succeeds");
+    let report = Project::from_dataset(&dataset)
+        .with_options(options)
+        .retrain_and_compare(&first, "IntentArg", "complex-disambiguation")
+        .expect("pipeline succeeds");
     println!(
         "IntentArg on slice:complex-disambiguation: {:.3} -> {:.3} (delta {:+.3})",
         report.before,
@@ -71,8 +75,9 @@ fn main() {
 
     // Regression check across all monitored groups.
     let mut regression_count = 0;
-    for (task, before_report) in &first.evaluation.reports {
-        if let Some(after_report) = report.build.evaluation.reports.get(task) {
+    let after = report.run.evaluation().expect("a complete run is evaluated");
+    for (task, before_report) in &first.evaluation().expect("evaluated").reports {
+        if let Some(after_report) = after.reports.get(task) {
             for r in regressions(before_report, after_report, 0.05) {
                 println!("  regression in {task}/{}: {:.3} -> {:.3}", r.group, r.before, r.after);
                 regression_count += 1;

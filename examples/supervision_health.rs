@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release -p harness --example supervision_health`
 
-use overton::{build, OvertonOptions};
+use overton::{OvertonOptions, Project};
 use overton_model::{TaskOutput, TrainConfig};
 use overton_monitor::calibration_report;
 use overton_nlp::{generate_workload, WorkloadConfig};
@@ -92,16 +92,15 @@ fn main() {
 
     // Train and check calibration of the Intent head.
     println!("== build + calibration ==");
-    let built = build(
-        &dataset,
-        &OvertonOptions {
+    let built = Project::from_dataset(&dataset)
+        .with_options(OvertonOptions {
             train: TrainConfig { epochs: 6, ..Default::default() },
             ..Default::default()
-        },
-    )
-    .expect("build");
+        })
+        .run()
+        .expect("build");
     let mut confidences = Vec::new();
-    for (record_idx, prediction) in &built.evaluation.predictions {
+    for (record_idx, prediction) in &built.evaluation().expect("evaluated").predictions {
         let record = &dataset.records()[*record_idx];
         let (Some(TaskOutput::Multiclass { class, dist }), Some(TaskLabel::MulticlassOne(gold))) =
             (prediction.tasks.get("Intent"), record.gold("Intent"))

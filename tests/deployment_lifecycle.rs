@@ -1,14 +1,22 @@
 //! Integration: the deployment lifecycle — distillation, registry
 //! versioning, regression gates, calibration — across crates.
 
-use overton::{build, OvertonOptions};
+use overton::{OvertonOptions, Project, Run};
 use overton_model::{
-    distill, prepare, CompiledModel, ModelConfig, ModelPair, ModelRegistry, Server, TrainConfig,
+    distill, prepare_store, CompiledModel, ModelConfig, ModelPair, ModelRegistry, Server,
+    TrainConfig,
 };
 use overton_monitor::{calibration_report, regressions};
 use overton_nlp::{generate_workload, WorkloadConfig};
 use overton_supervision::CombineMethod;
 use std::collections::BTreeMap;
+
+fn run(ds: &overton_store::Dataset, train: TrainConfig) -> Run {
+    Project::from_dataset(ds)
+        .with_options(OvertonOptions { train, ..Default::default() })
+        .run()
+        .unwrap()
+}
 
 fn workload(seed: u64) -> overton_store::Dataset {
     generate_workload(&WorkloadConfig {
@@ -23,7 +31,7 @@ fn workload(seed: u64) -> overton_store::Dataset {
 #[test]
 fn distilled_pair_stays_synchronized_and_servable() {
     let ds = workload(91);
-    let prepared = prepare(&ds, &CombineMethod::default()).unwrap();
+    let prepared = prepare_store(&ds.seal(), &CombineMethod::default()).unwrap();
     let train_cfg = TrainConfig { epochs: 4, early_stop_patience: 0, ..Default::default() };
 
     // Teacher trained normally; student distilled from it.
@@ -57,17 +65,12 @@ fn registry_versions_advance_through_retraining() {
     std::fs::remove_dir_all(&dir).ok();
     let registry = ModelRegistry::open(&dir).unwrap();
 
-    let opts = OvertonOptions {
-        train: TrainConfig { epochs: 1, early_stop_patience: 0, ..Default::default() },
-        ..Default::default()
-    };
-    let v1 = build(&ds, &opts).unwrap();
-    registry.publish(&v1.artifact, "prod").unwrap();
+    let train = TrainConfig { epochs: 1, early_stop_patience: 0, ..Default::default() };
+    let v1 = run(&ds, train.clone());
+    registry.publish(v1.artifact().unwrap(), "prod").unwrap();
 
-    let mut opts2 = opts;
-    opts2.train.epochs = 3;
-    let v2 = build(&ds, &opts2).unwrap();
-    let id2 = registry.publish(&v2.artifact, "prod").unwrap();
+    let v2 = run(&ds, TrainConfig { epochs: 3, ..train });
+    let id2 = registry.publish(v2.artifact().unwrap(), "prod").unwrap();
 
     assert_eq!(registry.list().unwrap().len(), 2);
     assert_eq!(registry.latest("prod").unwrap().unwrap(), id2);
@@ -80,24 +83,10 @@ fn regression_gate_catches_induced_regression() {
     // epochs of training after compile = random weights), and confirm the
     // monitor flags the drop on overall groups.
     let ds = workload(93);
-    let good = build(
-        &ds,
-        &OvertonOptions {
-            train: TrainConfig { epochs: 4, early_stop_patience: 0, ..Default::default() },
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let bad = build(
-        &ds,
-        &OvertonOptions {
-            train: TrainConfig { epochs: 1, learning_rate: 0.0, ..Default::default() },
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let before = &good.evaluation.reports["Intent"];
-    let after = &bad.evaluation.reports["Intent"];
+    let good = run(&ds, TrainConfig { epochs: 4, early_stop_patience: 0, ..Default::default() });
+    let bad = run(&ds, TrainConfig { epochs: 1, learning_rate: 0.0, ..Default::default() });
+    let before = &good.evaluation().unwrap().reports["Intent"];
+    let after = &bad.evaluation().unwrap().reports["Intent"];
     let regs = regressions(before, after, 0.10);
     assert!(
         regs.iter().any(|r| r.group == "overall"),
@@ -165,16 +154,9 @@ fn registry_publish_latest_fetch_hotswap_rollback_roundtrip() {
 #[test]
 fn trained_model_is_not_wildly_miscalibrated() {
     let ds = workload(94);
-    let built = build(
-        &ds,
-        &OvertonOptions {
-            train: TrainConfig { epochs: 5, early_stop_patience: 0, ..Default::default() },
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let built = run(&ds, TrainConfig { epochs: 5, early_stop_patience: 0, ..Default::default() });
     let mut confidences = Vec::new();
-    for (record_idx, prediction) in &built.evaluation.predictions {
+    for (record_idx, prediction) in &built.evaluation().unwrap().predictions {
         let record = &ds.records()[*record_idx];
         if let (
             Some(overton_model::TaskOutput::Multiclass { class, dist }),

@@ -201,17 +201,34 @@ fn drift_capture_and_incremental_retrain_close_the_loop() {
     // weights, trained on the base+delta snapshot — no re-ingest of the
     // two files. The captured gold rows target the drifted slice, so its
     // accuracy must not degrade (deterministic: everything is seeded).
-    let report =
-        project.retrain_for_slice_incremental(&run, &snap1, SLICE_COMPLEX_DISAMBIGUATION).unwrap();
+    let task = run.weakest_task_on_slice(SLICE_COMPLEX_DISAMBIGUATION).unwrap();
+    let report = Project::from_snapshot(&snap1)
+        .named("livedemo")
+        .at(&root)
+        .with_options(quick_options())
+        .warm_started(run.artifact().unwrap().clone())
+        .retrain_and_compare(&run, &task, SLICE_COMPLEX_DISAMBIGUATION)
+        .unwrap();
     assert!(
         report.after >= report.before,
         "incremental retrain degraded the drifted slice: {} -> {}",
         report.before,
         report.after
     );
-    let artifact = &report.build.artifact;
+    let artifact = report.run.artifact().unwrap();
     assert_eq!(artifact.metadata.get("warm_started").map(String::as_str), Some("true"));
     assert_eq!(artifact.metadata.get("snapshot_generation"), Some(&snap1.generation().to_string()));
+    for key in ["promotion", "promotion_p_value", "meter_remaining"] {
+        assert!(artifact.metadata.contains_key(key), "artifact metadata lacks {key}");
+    }
+    // The gate's evidence is durable in the new run's directory.
+    let run_dir = report.run.dir().expect("a rooted project persists its runs");
+    let persisted: overton::RunReport =
+        serde_json::from_str(&std::fs::read_to_string(run_dir.join("report.json")).unwrap())
+            .unwrap();
+    assert!(persisted.warm_started);
+    assert_eq!(persisted.snapshot_generation, Some(snap1.generation()));
+    assert_eq!(persisted.promotion.as_ref(), Some(&report.evidence));
 
     // The pinned pre-append snapshot replays bit-identically: its rows
     // are untouched by the append and the (possibly finished) compaction,

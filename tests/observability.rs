@@ -131,9 +131,11 @@ fn drift_is_detected_logged_replayed_and_fed_back() {
     assert!(strict.worklist(&monitor).is_empty());
 
     // (d) Close the loop: hand the worst slice to the automated retrain.
-    // The watchdog's diagnosis is task-agnostic; retrain_for_slice maps it
-    // onto the weakest task of the previous run deterministically.
-    let report = project.retrain_for_slice(&run, &worklist[0].slice).unwrap();
+    // The watchdog's diagnosis is task-agnostic; weakest_task_on_slice
+    // maps it onto the weakest task of the previous run deterministically.
+    let slice = &worklist[0].slice;
+    let task = run.weakest_task_on_slice(slice).unwrap();
+    let report = project.retrain_and_compare(&run, &task, slice).unwrap();
     assert!((0.0..=1.0).contains(&report.before));
     assert!((0.0..=1.0).contains(&report.after));
 

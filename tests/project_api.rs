@@ -1,13 +1,16 @@
 //! The front door end to end: `Project::from_files` → staged `Run` →
 //! `deploy` → `monitor`, resume from every completed stage, precise
-//! errors on malformed two-file input, and bit-identical parity between
-//! the legacy `build()` shims and a `Project` run.
+//! errors on malformed two-file input, and bit-identical runs whatever
+//! the shard count of the sealed store or the constructor that sealed it.
 
 use overton::serving::{CanaryConfig, CanaryOutcome};
 use overton::store::StoreError;
-use overton::{build_from_store, Error, OvertonOptions, Project, Stage};
+use overton::{Error, OvertonOptions, Project, Run, Stage};
 use overton_model::TrainConfig;
-use overton_nlp::{generate_workload_sealed, write_two_file_workload, WorkloadConfig};
+use overton_nlp::{
+    generate_workload, generate_workload_sealed, write_two_file_workload, WorkloadConfig,
+};
+use overton_store::Dataset;
 use std::path::PathBuf;
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -179,24 +182,64 @@ fn run_resumes_from_every_completed_stage() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-#[test]
-fn legacy_build_shim_is_bit_identical_to_project_run() {
-    let store = generate_workload_sealed(&WorkloadConfig {
-        n_train: 150,
-        n_dev: 30,
-        n_test: 60,
-        seed: 33,
+fn seed9_workload() -> Dataset {
+    generate_workload(&WorkloadConfig {
+        n_train: 250,
+        n_dev: 50,
+        n_test: 80,
+        seed: 9,
         ..Default::default()
-    });
-    let options = quick_options(2);
-    let shim = build_from_store(&store, &options).expect("legacy shim");
-    let run = Project::from_store(store).with_options(options).run().expect("project run");
-    let eval = run.evaluation().unwrap();
-    assert_eq!(shim.evaluation.reports, eval.reports);
-    assert_eq!(shim.evaluation.predictions, eval.predictions);
-    let build = run.into_build().unwrap();
-    assert_eq!(shim.artifact.to_bytes(), build.artifact.to_bytes(), "artifacts diverge");
-    assert_eq!(shim.train_report, build.train_report);
+    })
+}
+
+fn quick_run(project: Project) -> Run {
+    project.with_options(quick_options(3)).run().unwrap()
+}
+
+/// Two runs must agree bit for bit: artifact bytes, evaluation reports and
+/// predictions, and the training report.
+fn assert_runs_identical(a: &Run, b: &Run, name: &str) {
+    assert_eq!(
+        a.artifact().unwrap().to_bytes(),
+        b.artifact().unwrap().to_bytes(),
+        "{name}: artifacts diverge"
+    );
+    let (ea, eb) = (a.evaluation().unwrap(), b.evaluation().unwrap());
+    assert_eq!(ea.reports, eb.reports, "{name}");
+    assert_eq!(ea.predictions, eb.predictions, "{name}");
+    assert_eq!(a.train_report(), b.train_report(), "{name}");
+}
+
+#[test]
+fn end_to_end_run_beats_chance() {
+    let run = quick_run(Project::from_dataset(&seed9_workload()));
+    // Intent has 7 classes; chance is ~0.14.
+    assert!(run.test_accuracy("Intent") > 0.5, "intent accuracy {}", run.test_accuracy("Intent"));
+    assert!(run.mean_test_accuracy() > 0.4);
+    assert!(!run.diagnostics().is_empty());
+    assert!(run.trials().is_empty(), "no tuning spec => no trials");
+}
+
+#[test]
+fn run_is_shard_count_invariant() {
+    // Shards are scanned in parallel and merged in shard order, so how a
+    // dataset is sealed must not change one bit of what the run produces.
+    let ds = seed9_workload();
+    let one = quick_run(Project::from_store(ds.seal_shards(1)));
+    let three_shards = ds.seal_shards(3);
+    assert!(three_shards.num_shards() > 1);
+    let three = quick_run(Project::from_store(three_shards));
+    assert_runs_identical(&one, &three, "1 vs 3 shards");
+}
+
+#[test]
+fn from_store_matches_from_dataset() {
+    // `from_dataset` seals the rows itself; training consumes the same
+    // examples in the same order as a run over an explicitly sealed store.
+    let ds = seed9_workload();
+    let store = quick_run(Project::from_store(ds.seal_shards(3)));
+    let dataset = quick_run(Project::from_dataset(&ds));
+    assert_runs_identical(&store, &dataset, "from_store vs from_dataset");
 }
 
 #[test]

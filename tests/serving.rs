@@ -3,7 +3,7 @@
 //! telemetry — across crates.
 
 use overton_model::{
-    distill, prepare, CompiledModel, DeployableModel, ModelConfig, ModelPair, ModelRegistry,
+    distill, prepare_store, CompiledModel, DeployableModel, ModelConfig, ModelPair, ModelRegistry,
     Server, TrainConfig,
 };
 use overton_nlp::{generate_workload, KnowledgeBase, TrafficConfig, TrafficStream, WorkloadConfig};
@@ -33,7 +33,7 @@ fn small_config() -> ModelConfig {
 
 /// A trained large/small pair over one workload.
 fn trained_pair(ds: &Dataset) -> (ModelPair, overton_model::FeatureSpace) {
-    let prepared = prepare(ds, &CombineMethod::default()).unwrap();
+    let prepared = prepare_store(&ds.seal(), &CombineMethod::default()).unwrap();
     let train_cfg = TrainConfig { epochs: 4, early_stop_patience: 0, ..Default::default() };
     let mut teacher =
         CompiledModel::compile(ds.schema(), &prepared.space, &ModelConfig::default(), None);

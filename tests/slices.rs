@@ -1,7 +1,7 @@
 //! Integration: slice-based learning mechanics across crates (small-scale
 //! version of experiment E4).
 
-use overton::{build, worst_slices, OvertonOptions};
+use overton::{OvertonOptions, Project, Run};
 use overton_model::{ModelConfig, TrainConfig};
 use overton_nlp::{generate_workload, SourceSpec, WorkloadConfig};
 
@@ -21,21 +21,25 @@ fn slice_workload(seed: u64) -> overton_store::Dataset {
     })
 }
 
-fn options(slice_heads: bool) -> OvertonOptions {
-    OvertonOptions {
-        base_model: ModelConfig { slice_heads, ..Default::default() },
-        train: TrainConfig { epochs: 5, early_stop_patience: 0, ..Default::default() },
-        ..Default::default()
-    }
+fn run(dataset: &overton_store::Dataset, slice_heads: bool) -> Run {
+    Project::from_dataset(dataset)
+        .with_options(OvertonOptions {
+            base_model: ModelConfig { slice_heads, ..Default::default() },
+            train: TrainConfig { epochs: 5, early_stop_patience: 0, ..Default::default() },
+            ..Default::default()
+        })
+        .run()
+        .expect("run")
 }
 
 #[test]
 fn slice_reports_exist_and_monitoring_ranks_them() {
     let dataset = slice_workload(71);
-    let built = build(&dataset, &options(true)).expect("build");
+    let built = run(&dataset, true);
     // Per-slice rows must exist for the tasks the slice affects.
-    assert!(built.evaluation.slice_accuracy("IntentArg", "complex-disambiguation").is_some());
-    let ranked = worst_slices(&built, 5);
+    let evaluation = built.evaluation().unwrap();
+    assert!(evaluation.slice_accuracy("IntentArg", "complex-disambiguation").is_some());
+    let ranked = built.worst_slices(5);
     assert!(!ranked.is_empty());
     // The hardest slice for IntentArg should be complex-disambiguation.
     let arg_slices: Vec<&str> =
@@ -46,8 +50,8 @@ fn slice_reports_exist_and_monitoring_ranks_them() {
 #[test]
 fn slice_heads_do_not_hurt_overall_quality() {
     let dataset = slice_workload(74);
-    let with = build(&dataset, &options(true)).expect("with");
-    let without = build(&dataset, &options(false)).expect("without");
+    let with = run(&dataset, true);
+    let without = run(&dataset, false);
     // Paper: per-slice capacity must not degrade aggregate quality. Allow
     // small noise at this scale.
     assert!(
@@ -61,8 +65,10 @@ fn slice_heads_do_not_hurt_overall_quality() {
 #[test]
 fn indicator_heads_learn_slice_membership() {
     let dataset = slice_workload(73);
-    let built = build(&dataset, &options(true)).expect("build");
+    let built = run(&dataset, true);
     let slice_idx = built
+        .artifact()
+        .unwrap()
         .space
         .slice_names
         .iter()
@@ -72,7 +78,7 @@ fn indicator_heads_learn_slice_membership() {
     // records than out-of-slice ones.
     let mut in_probs = Vec::new();
     let mut out_probs = Vec::new();
-    for (record_idx, prediction) in &built.evaluation.predictions {
+    for (record_idx, prediction) in &built.evaluation().unwrap().predictions {
         let record = &dataset.records()[*record_idx];
         let p = prediction.slice_probs[slice_idx];
         if record.in_slice("complex-disambiguation") {

@@ -4,7 +4,7 @@
 //! `overton-supervision`, `overton-model` and the `overton` facade — this
 //! fails fast, before the heavier integration tests get a chance to.
 
-use overton::{build, OvertonOptions};
+use overton::{OvertonOptions, Project};
 use overton_model::TrainConfig;
 use overton_nlp::{generate_workload, WorkloadConfig};
 
@@ -25,7 +25,8 @@ fn quickstart_path_end_to_end() {
         train: TrainConfig { epochs: 2, ..Default::default() },
         ..Default::default()
     };
-    let built = build(&dataset, &options).expect("tiny build succeeds");
+    let built =
+        Project::from_dataset(&dataset).with_options(options).run().expect("tiny run succeeds");
 
     // Every schema task got evaluated, and accuracies are probabilities.
     for task in dataset.schema().tasks.keys() {
@@ -34,7 +35,8 @@ fn quickstart_path_end_to_end() {
     }
 
     // The packaged artifact round-trips through its serialized form.
-    let bytes = built.artifact.to_bytes();
-    let back = overton_model::DeployableModel::from_bytes(&bytes).expect("artifact deserializes");
-    assert_eq!(back.signature, built.artifact.signature);
+    let artifact = built.artifact().expect("a complete run packages an artifact");
+    let back = overton_model::DeployableModel::from_bytes(&artifact.to_bytes())
+        .expect("artifact deserializes");
+    assert_eq!(back.signature, artifact.signature);
 }

@@ -1,7 +1,7 @@
 //! Integration: the supervision subsystem's value, end to end (small-scale
 //! versions of experiments E1/A1 asserting the qualitative shape).
 
-use overton::{build, OvertonOptions};
+use overton::{OvertonOptions, Project, Run};
 use overton_model::TrainConfig;
 use overton_nlp::{generate_workload, SourceSpec, WorkloadConfig};
 use overton_supervision::{weak_supervision_fraction, CombineMethod, LabelModelConfig};
@@ -21,21 +21,22 @@ fn noisy_workload(seed: u64) -> overton_store::Dataset {
     })
 }
 
-fn options(method: CombineMethod) -> OvertonOptions {
-    OvertonOptions {
-        combine: method,
-        train: TrainConfig { epochs: 5, early_stop_patience: 0, ..Default::default() },
-        ..Default::default()
-    }
+fn run(dataset: &overton_store::Dataset, method: CombineMethod) -> Run {
+    Project::from_dataset(dataset)
+        .with_options(OvertonOptions {
+            combine: method,
+            train: TrainConfig { epochs: 5, early_stop_patience: 0, ..Default::default() },
+            ..Default::default()
+        })
+        .run()
+        .expect("run")
 }
 
 #[test]
 fn label_model_beats_noisy_single_source_end_to_end() {
     let dataset = noisy_workload(81);
-    let lm = build(&dataset, &options(CombineMethod::LabelModel(LabelModelConfig::default())))
-        .expect("label model build");
-    let noisy = build(&dataset, &options(CombineMethod::SingleSource("lf_noisy".into())))
-        .expect("single source build");
+    let lm = run(&dataset, CombineMethod::LabelModel(LabelModelConfig::default()));
+    let noisy = run(&dataset, CombineMethod::SingleSource("lf_noisy".into()));
     assert!(
         lm.test_accuracy("Intent") > noisy.test_accuracy("Intent") + 0.05,
         "label model {:.3} must clearly beat the 45%-accurate source {:.3}",
@@ -47,9 +48,8 @@ fn label_model_beats_noisy_single_source_end_to_end() {
 #[test]
 fn label_model_at_least_matches_majority_vote_end_to_end() {
     let dataset = noisy_workload(82);
-    let lm = build(&dataset, &options(CombineMethod::LabelModel(LabelModelConfig::default())))
-        .expect("label model build");
-    let mv = build(&dataset, &options(CombineMethod::MajorityVote)).expect("majority vote build");
+    let lm = run(&dataset, CombineMethod::LabelModel(LabelModelConfig::default()));
+    let mv = run(&dataset, CombineMethod::MajorityVote);
     assert!(
         lm.test_accuracy("Intent") >= mv.test_accuracy("Intent") - 0.03,
         "label model {:.3} vs majority vote {:.3}",
@@ -61,8 +61,8 @@ fn label_model_at_least_matches_majority_vote_end_to_end() {
 #[test]
 fn estimated_accuracies_rank_sources_correctly() {
     let dataset = noisy_workload(84);
-    let built = build(&dataset, &options(CombineMethod::default())).expect("build");
-    let diags = &built.diagnostics["Intent"];
+    let built = run(&dataset, CombineMethod::default());
+    let diags = &built.diagnostics()["Intent"];
     let acc = |name: &str| {
         diags
             .iter()
@@ -115,9 +115,8 @@ fn more_weak_data_does_not_hurt() {
         seed: 85,
         ..Default::default()
     });
-    let opts = options(CombineMethod::default());
-    let a = build(&small, &opts).expect("small");
-    let b = build(&large, &opts).expect("large");
+    let a = run(&small, CombineMethod::default());
+    let b = run(&large, CombineMethod::default());
     assert!(
         b.mean_test_accuracy() >= a.mean_test_accuracy() - 0.02,
         "4x data {:.3} should not be worse than 1x {:.3}",
