@@ -433,24 +433,7 @@ fn serve(dir: &Path, flags: &Flags) -> Result<(), String> {
             .collect::<Result<_, _>>()?
     };
 
-    let engine = Arc::new(CascadeEngine::single(server));
-    let config = ServingConfig { workers: flags.workers.unwrap_or(4), ..ServingConfig::default() };
-    let pool = WorkerPool::start(engine, config, baseline);
-
-    let mut monitor = if flags.obs {
-        let obs_config = ObsConfig {
-            window_len: flags.window.unwrap_or(250),
-            rules: default_rules(pool.telemetry().slice_names()),
-            ..Default::default()
-        };
-        let log_dir = obslog_dir(dir);
-        let monitor = Monitor::attach(&pool, obs_config, Some(&log_dir))
-            .map_err(|e| format!("cannot attach monitor: {e}"))?;
-        println!("observing: obslog at {}", log_dir.display());
-        Some(monitor)
-    } else {
-        None
-    };
+    let (pool, mut monitor) = start_pool(dir, flags, server, baseline)?;
 
     // Serve in window-sized chunks so the monitor drains its channel
     // between bursts (the pool never waits on it either way).
@@ -511,6 +494,32 @@ fn serve(dir: &Path, flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// Starts the worker pool over the run's artifact and, under `--obs`,
+/// attaches the monitor that writes the project's obslog.
+fn start_pool(
+    dir: &Path,
+    flags: &Flags,
+    server: Server,
+    baseline: Option<TrafficBaseline>,
+) -> Result<(WorkerPool, Option<Monitor>), String> {
+    let engine = Arc::new(CascadeEngine::single(server));
+    let config = ServingConfig { workers: flags.workers.unwrap_or(4), ..ServingConfig::default() };
+    let pool = WorkerPool::start(engine, config, baseline);
+    if !flags.obs {
+        return Ok((pool, None));
+    }
+    let obs_config = ObsConfig {
+        window_len: flags.window.unwrap_or(250),
+        rules: default_rules(pool.telemetry().slice_names()),
+        ..Default::default()
+    };
+    let log_dir = obslog_dir(dir);
+    let monitor = Monitor::attach(&pool, obs_config, Some(&log_dir))
+        .map_err(|e| format!("cannot attach monitor: {e}"))?;
+    println!("observing: obslog at {}", log_dir.display());
+    Ok((pool, Some(monitor)))
+}
+
 /// Set by the SIGTERM/SIGINT handlers; the serve loop polls it and
 /// drains when it flips.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -544,28 +553,13 @@ fn serve_listen(
     server: Server,
     baseline: Option<TrafficBaseline>,
 ) -> Result<(), String> {
-    let engine = Arc::new(CascadeEngine::single(server));
-    let config = ServingConfig { workers: flags.workers.unwrap_or(4), ..ServingConfig::default() };
-    let pool = Arc::new(WorkerPool::start(engine, config, baseline));
-
+    let (pool, monitor) = start_pool(dir, flags, server, baseline)?;
+    let pool = Arc::new(pool);
     // The monitor is shared between the pump loop (this thread) and the
     // `/metrics` scrape hook (connection handlers), so it lives behind a
     // mutex; handlers only take it for the duration of one exposition
     // render, never on the predict path.
-    let monitor = if flags.obs {
-        let obs_config = ObsConfig {
-            window_len: flags.window.unwrap_or(250),
-            rules: default_rules(pool.telemetry().slice_names()),
-            ..Default::default()
-        };
-        let log_dir = obslog_dir(dir);
-        let monitor = Monitor::attach(&pool, obs_config, Some(&log_dir))
-            .map_err(|e| format!("cannot attach monitor: {e}"))?;
-        println!("observing: obslog at {}", log_dir.display());
-        Some(Arc::new(std::sync::Mutex::new(monitor)))
-    } else {
-        None
-    };
+    let monitor = monitor.map(|m| Arc::new(std::sync::Mutex::new(m)));
     let pump = |m: &Arc<std::sync::Mutex<Monitor>>| {
         if let Ok(mut m) = m.lock() {
             m.pump();

@@ -690,48 +690,78 @@ impl CompiledModel {
     /// Decodes one forward pass into per-task outputs and slice
     /// probabilities.
     fn decode(&self, g: &Graph, pass: &ForwardPass) -> Prediction {
-        let mut tasks = BTreeMap::new();
-        for (task, &logits) in &pass.task_logits {
-            let head = &self.heads[task];
-            let values = g.value(logits).clone();
-            let output = match head {
-                Head::PerElement { bce: false, .. } => TaskOutput::MulticlassSeq {
-                    classes: (0..values.rows()).map(|r| values.row_argmax(r)).collect(),
-                },
-                Head::PerElement { bce: true, .. } => TaskOutput::BitsSeq {
-                    rows: (0..values.rows())
-                        .map(|r| values.row(r).iter().map(|&x| x > 0.0).collect())
-                        .collect(),
-                },
-                Head::Single { bce: false, .. } => {
-                    let mut dist = values.row(0).to_vec();
-                    overton_tensor::softmax_in_place(&mut dist);
-                    TaskOutput::Multiclass { class: values.row_argmax(0), dist }
-                }
-                Head::Single { bce: true, .. } => {
-                    let probs: Vec<f32> =
-                        values.row(0).iter().map(|&x| overton_tensor::stable_sigmoid(x)).collect();
-                    TaskOutput::Bits { bits: probs.iter().map(|&p| p > 0.5).collect(), probs }
-                }
-                Head::Select { .. } => {
-                    let mut dist = values.row(0).to_vec();
-                    overton_tensor::softmax_in_place(&mut dist);
-                    TaskOutput::Select { index: values.row_argmax(0), dist }
-                }
-            };
-            tasks.insert(task.clone(), output);
-        }
-        let slice_probs = pass
-            .indicator_logits
-            .iter()
-            .map(|&l| {
-                let row = g.value(l).row(0);
-                let margin = row[1] - row[0];
-                overton_tensor::stable_sigmoid(margin)
-            })
-            .collect();
-        Prediction { tasks, slice_probs }
+        decode(
+            pass.task_logits.iter().map(|(task, &l)| (task, self.heads[task].decode(), g.value(l))),
+            pass.indicator_logits.iter().map(|&l| g.value(l)),
+        )
     }
+}
+
+/// How a head's raw logits decode into a [`TaskOutput`]. The f32 model
+/// and the quantized replica share it, so both decode identically.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Decode {
+    /// Per-row argmax, or per-row thresholded bits with `bce`.
+    PerElement { bce: bool },
+    /// Softmax distribution, or sigmoid bits with `bce`.
+    Single { bce: bool },
+    /// Softmax over set elements.
+    Select,
+}
+
+impl Head {
+    /// How this head's logits decode.
+    pub(crate) fn decode(&self) -> Decode {
+        match self {
+            Head::PerElement { bce, .. } => Decode::PerElement { bce: *bce },
+            Head::Single { bce, .. } => Decode::Single { bce: *bce },
+            Head::Select { .. } => Decode::Select,
+        }
+    }
+}
+
+/// Decodes per-task `(task, kind, logits)` and per-slice `[1, 2]`
+/// indicator logits into a [`Prediction`].
+pub(crate) fn decode<'a>(
+    task_logits: impl Iterator<Item = (&'a String, Decode, &'a Matrix)>,
+    indicator_logits: impl Iterator<Item = &'a Matrix>,
+) -> Prediction {
+    let mut tasks = BTreeMap::new();
+    for (task, kind, values) in task_logits {
+        let output = match kind {
+            Decode::PerElement { bce: false } => TaskOutput::MulticlassSeq {
+                classes: (0..values.rows()).map(|r| values.row_argmax(r)).collect(),
+            },
+            Decode::PerElement { bce: true } => TaskOutput::BitsSeq {
+                rows: (0..values.rows())
+                    .map(|r| values.row(r).iter().map(|&x| x > 0.0).collect())
+                    .collect(),
+            },
+            Decode::Single { bce: false } => {
+                let mut dist = values.row(0).to_vec();
+                overton_tensor::softmax_in_place(&mut dist);
+                TaskOutput::Multiclass { class: values.row_argmax(0), dist }
+            }
+            Decode::Single { bce: true } => {
+                let probs: Vec<f32> =
+                    values.row(0).iter().map(|&x| overton_tensor::stable_sigmoid(x)).collect();
+                TaskOutput::Bits { bits: probs.iter().map(|&p| p > 0.5).collect(), probs }
+            }
+            Decode::Select => {
+                let mut dist = values.row(0).to_vec();
+                overton_tensor::softmax_in_place(&mut dist);
+                TaskOutput::Select { index: values.row_argmax(0), dist }
+            }
+        };
+        tasks.insert(task.clone(), output);
+    }
+    let slice_probs = indicator_logits
+        .map(|logits| {
+            let row = logits.row(0);
+            overton_tensor::stable_sigmoid(row[1] - row[0])
+        })
+        .collect();
+    Prediction { tasks, slice_probs }
 }
 
 #[cfg(test)]

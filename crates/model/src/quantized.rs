@@ -16,7 +16,7 @@
 //! model.
 
 use crate::features::CompiledExample;
-use crate::network::{CompiledModel, Encoder, Head, Prediction, SliceModule, TaskOutput};
+use crate::network::{decode, CompiledModel, Decode, Encoder, Head, Prediction, SliceModule};
 use overton_store::{PayloadKind, Schema};
 use overton_tensor::nn::{Linear, Lstm};
 use overton_tensor::quant::QuantizedLinear;
@@ -134,13 +134,13 @@ impl QuantEncoder {
         match self {
             QuantEncoder::MeanBag(proj) => relu(proj.forward(embedded)),
             QuantEncoder::Cnn { conv, kernel } => {
-                relu(conv.forward(&im2row(embedded, *kernel, kernel / 2)))
+                relu(conv.forward(&embedded.im2row(*kernel, kernel / 2)))
             }
             QuantEncoder::Lstm(lstm) => lstm.forward(embedded),
             QuantEncoder::BiLstm { fwd, bwd } => {
                 let f = fwd.forward(embedded);
-                let b_rev = bwd.forward(&reverse_rows(embedded));
-                f.hstack(&reverse_rows(&b_rev))
+                let b_rev = bwd.forward(&embedded.reverse_rows());
+                f.hstack(&b_rev.reverse_rows())
             }
             QuantEncoder::Attention { input_proj, wq, wk, wv, wo, heads, dim } => {
                 let x = tanh(input_proj.forward(embedded));
@@ -172,10 +172,11 @@ impl QuantEncoder {
     }
 }
 
-/// A quantized task head mirroring [`Head`].
+/// A quantized task head mirroring [`Head`] (decoding is the f32 head's
+/// [`Decode`], kept beside it).
 enum QuantHead {
-    PerElement { payload: String, linear: QuantizedLinear, bce: bool },
-    Single { linear: QuantizedLinear, bce: bool },
+    PerElement { payload: String, linear: QuantizedLinear },
+    Single { linear: QuantizedLinear },
     Select { payload: String, combine: QuantizedLinear, score: QuantizedLinear },
 }
 
@@ -195,6 +196,7 @@ pub struct QuantizedModel {
     encoders: BTreeMap<String, QuantEncoder>,
     set_proj: QuantizedLinear,
     heads: BTreeMap<String, QuantHead>,
+    decoders: BTreeMap<String, Decode>,
     slices: Option<QuantSlices>,
     hidden: usize,
 }
@@ -215,13 +217,12 @@ impl QuantizedModel {
             .iter()
             .map(|(task, head)| {
                 let q = match head {
-                    Head::PerElement { payload, linear, bce } => QuantHead::PerElement {
+                    Head::PerElement { payload, linear, .. } => QuantHead::PerElement {
                         payload: payload.clone(),
                         linear: quantize_linear(store, linear),
-                        bce: *bce,
                     },
-                    Head::Single { linear, bce } => {
-                        QuantHead::Single { linear: quantize_linear(store, linear), bce: *bce }
+                    Head::Single { linear, .. } => {
+                        QuantHead::Single { linear: quantize_linear(store, linear) }
                     }
                     Head::Select { payload, combine, score } => QuantHead::Select {
                         payload: payload.clone(),
@@ -232,6 +233,8 @@ impl QuantizedModel {
                 (task.clone(), q)
             })
             .collect();
+        let decoders =
+            model.heads.iter().map(|(task, head)| (task.clone(), head.decode())).collect();
         let slices = model.slices.as_ref().map(|SliceModule { indicators, experts }| QuantSlices {
             indicators: indicators.iter().map(|l| quantize_linear(store, l)).collect(),
             experts: experts.iter().map(|l| quantize_linear(store, l)).collect(),
@@ -247,6 +250,7 @@ impl QuantizedModel {
             encoders,
             set_proj: quantize_linear(store, &model.set_proj),
             heads,
+            decoders,
             slices,
             hidden: model.hidden,
         }
@@ -288,9 +292,9 @@ impl QuantizedModel {
                     stacked = stacked.vstack(p);
                 }
                 if self.aggregation_max {
-                    max_rows(&stacked)
+                    stacked.max_rows().0
                 } else {
-                    mean_rows(&stacked)
+                    stacked.mean_rows()
                 }
             };
             let key: &str =
@@ -300,7 +304,7 @@ impl QuantizedModel {
 
         // 3. Shared example-level representation.
         let shared = if single_repr.is_empty() {
-            let pooled: Vec<Matrix> = seq_enc.values().map(mean_rows).collect();
+            let pooled: Vec<Matrix> = seq_enc.values().map(Matrix::mean_rows).collect();
             match pooled.split_first() {
                 None => Matrix::zeros(1, self.hidden),
                 Some((first, rest)) => {
@@ -308,7 +312,7 @@ impl QuantizedModel {
                     for p in rest {
                         stacked = stacked.vstack(p);
                     }
-                    mean_rows(&stacked)
+                    stacked.mean_rows()
                 }
             }
         } else {
@@ -317,7 +321,7 @@ impl QuantizedModel {
             for p in iter {
                 stacked = stacked.vstack(p);
             }
-            mean_rows(&stacked)
+            stacked.mean_rows()
         };
 
         // 4. Slice-based re-weighting of the shared representation.
@@ -363,7 +367,7 @@ impl QuantizedModel {
                         let lo = lo.min(t_len.saturating_sub(1));
                         let hi = hi.clamp(lo + 1, t_len);
                         let span_rows: Vec<usize> = (lo..hi).collect();
-                        mean_rows(&enc.select_rows(&span_rows))
+                        enc.select_rows(&span_rows).mean_rows()
                     }
                     None => Matrix::zeros(1, self.hidden),
                 };
@@ -380,14 +384,14 @@ impl QuantizedModel {
         let mut task_values: BTreeMap<String, Matrix> = BTreeMap::new();
         for (task, head) in &self.heads {
             match head {
-                QuantHead::PerElement { payload, linear, .. } => {
+                QuantHead::PerElement { payload, linear } => {
                     if let Some(enc) = seq_enc.get(payload.as_str()) {
                         if example.sequences.get(payload).is_some_and(|ids| !ids.is_empty()) {
                             task_values.insert(task.clone(), linear.forward(enc));
                         }
                     }
                 }
-                QuantHead::Single { linear, .. } => {
+                QuantHead::Single { linear } => {
                     task_values.insert(task.clone(), linear.forward(&shared));
                 }
                 QuantHead::Select { payload, combine, score } => {
@@ -402,49 +406,10 @@ impl QuantizedModel {
             }
         }
 
-        self.decode(&task_values, &indicator_rows)
-    }
-
-    /// Decodes raw head outputs exactly as the f32 model does.
-    fn decode(
-        &self,
-        task_values: &BTreeMap<String, Matrix>,
-        indicator_rows: &[Matrix],
-    ) -> Prediction {
-        let mut tasks = BTreeMap::new();
-        for (task, values) in task_values {
-            let output = match &self.heads[task] {
-                QuantHead::PerElement { bce: false, .. } => TaskOutput::MulticlassSeq {
-                    classes: (0..values.rows()).map(|r| values.row_argmax(r)).collect(),
-                },
-                QuantHead::PerElement { bce: true, .. } => TaskOutput::BitsSeq {
-                    rows: (0..values.rows())
-                        .map(|r| values.row(r).iter().map(|&x| x > 0.0).collect())
-                        .collect(),
-                },
-                QuantHead::Single { bce: false, .. } => {
-                    let mut dist = values.row(0).to_vec();
-                    overton_tensor::softmax_in_place(&mut dist);
-                    TaskOutput::Multiclass { class: values.row_argmax(0), dist }
-                }
-                QuantHead::Single { bce: true, .. } => {
-                    let probs: Vec<f32> =
-                        values.row(0).iter().map(|&x| overton_tensor::stable_sigmoid(x)).collect();
-                    TaskOutput::Bits { bits: probs.iter().map(|&p| p > 0.5).collect(), probs }
-                }
-                QuantHead::Select { .. } => {
-                    let mut dist = values.row(0).to_vec();
-                    overton_tensor::softmax_in_place(&mut dist);
-                    TaskOutput::Select { index: values.row_argmax(0), dist }
-                }
-            };
-            tasks.insert(task.clone(), output);
-        }
-        let slice_probs = indicator_rows
-            .iter()
-            .map(|row| overton_tensor::stable_sigmoid(row[(0, 1)] - row[(0, 0)]))
-            .collect();
-        Prediction { tasks, slice_probs }
+        decode(
+            task_values.iter().map(|(task, values)| (task, self.decoders[task], values)),
+            indicator_rows.iter(),
+        )
     }
 }
 
@@ -458,56 +423,12 @@ fn tanh(mut m: Matrix) -> Matrix {
     m
 }
 
-fn mean_rows(m: &Matrix) -> Matrix {
-    assert!(m.rows() > 0, "mean_rows over an empty matrix");
-    let inv = 1.0 / m.rows() as f32;
-    let mut out = Matrix::zeros(1, m.cols());
-    for r in 0..m.rows() {
-        for (o, &x) in out.row_mut(0).iter_mut().zip(m.row(r)) {
-            *o += x * inv;
-        }
-    }
-    out
-}
-
-fn max_rows(m: &Matrix) -> Matrix {
-    assert!(m.rows() > 0, "max_rows over an empty matrix");
-    let mut out = Matrix::zeros(1, m.cols());
-    for j in 0..m.cols() {
-        let mut best = f32::NEG_INFINITY;
-        for r in 0..m.rows() {
-            best = best.max(m[(r, j)]);
-        }
-        out[(0, j)] = best;
-    }
-    out
-}
-
-fn reverse_rows(m: &Matrix) -> Matrix {
-    let rev: Vec<usize> = (0..m.rows()).rev().collect();
-    m.select_rows(&rev)
-}
-
-/// Sliding-window unfold matching [`overton_tensor::Graph::im2row`].
-fn im2row(m: &Matrix, k: usize, pad: usize) -> Matrix {
-    let (t_len, d) = m.shape();
-    let mut out = Matrix::zeros(t_len, k * d);
-    for t in 0..t_len {
-        for o in 0..k {
-            let src = t as isize + o as isize - pad as isize;
-            if src >= 0 && (src as usize) < t_len {
-                out.row_mut(t)[o * d..(o + 1) * d].copy_from_slice(m.row(src as usize));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{EncoderKind, ModelConfig};
     use crate::features::FeatureSpace;
+    use crate::network::TaskOutput;
     use overton_nlp::{generate_workload, WorkloadConfig};
     use overton_store::Dataset;
 

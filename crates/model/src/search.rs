@@ -11,7 +11,7 @@ use crate::features::{CompiledExample, FeatureSpace};
 use crate::network::CompiledModel;
 use crate::pretrained::PretrainedEncoder;
 use crate::trainer::{dev_agreement, train_model};
-use overton_store::Schema;
+use overton_store::{par_map, Schema};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,33 +80,18 @@ pub fn search(
     }
     candidates.truncate(config.trials.max(1));
 
-    let results = std::sync::Mutex::new(Vec::<TrialResult>::with_capacity(candidates.len()));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let threads = config.threads.clamp(1, candidates.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= candidates.len() {
-                    break;
-                }
-                let trial_config = candidates[i].clone();
-                let artifact = match trial_config.embedding {
-                    EmbeddingKind::Pretrained => pretrained,
-                    EmbeddingKind::Learned => None,
-                };
-                let mut model = CompiledModel::compile(schema, space, &trial_config, artifact);
-                train_model(&mut model, train, dev, &config.train);
-                let dev_score = dev_agreement(&model, dev);
-                results
-                    .lock()
-                    .expect("no trial panicked")
-                    .push(TrialResult { config: trial_config, dev_score });
-            });
-        }
+    let mut trials = par_map(config.threads, candidates, |trial_config| {
+        let artifact = match trial_config.embedding {
+            EmbeddingKind::Pretrained => pretrained,
+            EmbeddingKind::Learned => None,
+        };
+        let mut model = CompiledModel::compile(schema, space, &trial_config, artifact);
+        train_model(&mut model, train, dev, &config.train);
+        let dev_score = dev_agreement(&model, dev);
+        TrialResult { config: trial_config, dev_score }
     });
-
-    let mut trials = results.into_inner().expect("no trial panicked");
+    // Trials come back in candidate order and the sort is stable, so ties
+    // on dev score resolve the same way for any thread count.
     trials.sort_by(|a, b| b.dev_score.partial_cmp(&a.dev_score).unwrap());
     (trials[0].config.clone(), trials)
 }
@@ -153,6 +138,56 @@ mod tests {
         assert_eq!(trials.len(), 2);
         assert!(trials[0].dev_score >= trials[1].dev_score);
         assert_eq!(best, trials[0].config);
+    }
+
+    /// With no dev targets every trial scores 0.0, so the winner and the
+    /// trial order rest entirely on how ties resolve. They must follow
+    /// candidate order, not which thread finished first.
+    #[test]
+    fn tied_trials_resolve_identically_for_any_thread_count() {
+        let ds = generate_workload(&WorkloadConfig {
+            n_train: 60,
+            n_dev: 10,
+            n_test: 5,
+            seed: 3,
+            ..Default::default()
+        });
+        let prepared = prepare_store(&ds.seal(), &CombineMethod::default()).unwrap();
+        let mut dev = prepared.dev.clone();
+        for example in &mut dev {
+            example.targets.clear();
+        }
+        // A slow encoder ahead of a fast one after the seeded shuffle:
+        // with two threads the second candidate finishes first.
+        let spec = TuningSpec {
+            sizes: vec![(24, 32)],
+            encoders: vec![EncoderKind::Lstm, EncoderKind::MeanBag],
+            embeddings: vec![EmbeddingKind::Learned],
+            aggregations: vec![AggregationKind::Mean],
+        };
+        let run = |threads| {
+            search(
+                ds.schema(),
+                &prepared.space,
+                &prepared.train,
+                &dev,
+                &spec,
+                &ModelConfig::default(),
+                None,
+                &SearchConfig {
+                    trials: 2,
+                    threads,
+                    seed: 0,
+                    train: TrainConfig { epochs: 1, early_stop_patience: 0, ..Default::default() },
+                },
+            )
+        };
+        let (serial_best, serial_trials) = run(1);
+        assert!(serial_trials.iter().all(|t| t.dev_score == 0.0), "{serial_trials:?}");
+        assert_eq!(serial_best.encoder, EncoderKind::Lstm, "the slow trial leads candidate order");
+        let (parallel_best, parallel_trials) = run(2);
+        assert_eq!(parallel_best, serial_best);
+        assert_eq!(parallel_trials, serial_trials);
     }
 
     #[test]

@@ -21,11 +21,11 @@
 use crate::config::TrainConfig;
 use crate::features::CompiledExample;
 use crate::network::CompiledModel;
+use overton_store::par_map;
 use overton_tensor::optim::{Adam, Optimizer};
 use overton_tensor::{Graph, Matrix, ParamId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Mutex;
 
 /// Summary of a training run. Serializable: the `Run` API persists it as
 /// the train stage's artifact under the run directory.
@@ -166,30 +166,10 @@ fn window_gradients(
     seeds: &[u64],
     config: &TrainConfig,
 ) -> Vec<Option<ExampleGrad>> {
-    let workers = config.grad_workers.min(window.len());
-    if workers <= 1 {
-        return window
-            .iter()
-            .zip(seeds)
-            .map(|(&idx, &seed)| example_gradient(model, &train[idx], seed, config))
-            .collect();
-    }
-    let slots: Vec<Mutex<Option<Option<ExampleGrad>>>> =
-        window.iter().map(|_| Mutex::new(None)).collect();
-    let queue = Mutex::new((0..window.len()).rev().collect::<Vec<usize>>());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let Some(at) = queue.lock().expect("window queue").pop() else { break };
-                let result = example_gradient(model, &train[window[at]], seeds[at], config);
-                *slots[at].lock().expect("gradient slot") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("gradient slot").expect("worker filled slot"))
-        .collect()
+    let work: Vec<(usize, u64)> = window.iter().copied().zip(seeds.iter().copied()).collect();
+    par_map(config.grad_workers, work, |(idx, seed)| {
+        example_gradient(model, &train[idx], seed, config)
+    })
 }
 
 /// Mean per-task agreement of model predictions with example targets

@@ -35,8 +35,9 @@
 //!   [`MetricsExt`](overton_serving::MetricsExt) hook.
 //!
 //! The serving hot path pays one atomic load plus a bounded-channel
-//! `try_send` per request (`crates/bench`'s `obs_overhead` measures the
-//! observed pool within 1.5x of the unobserved one); all aggregation
+//! `try_send` per request (the repo benchmark's `serve_socket` workload
+//! runs with `--obs` and reports `obs.pump_busy_ratio` and
+//! `obs.dropped_ratio`); all aggregation
 //! happens on the monitor's thread via [`Monitor::pump`].
 
 #![warn(missing_docs)]

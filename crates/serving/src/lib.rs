@@ -34,7 +34,8 @@
 //!
 //! Drive it with `overton-nlp`'s `TrafficStream` (Poisson arrivals over
 //! the synthetic query generator); see `tests/serving.rs` for the full loop
-//! and `crates/bench`'s `serving_throughput` for the batching win.
+//! and the repo benchmark's `serve_offline` / `serve_socket` workloads
+//! (`bench/`) for the batching win.
 
 #![warn(missing_docs)]
 

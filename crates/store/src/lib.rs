@@ -22,6 +22,7 @@
 mod dataset;
 mod error;
 mod evolution;
+mod par;
 mod record;
 mod schema;
 mod stats;
@@ -33,6 +34,7 @@ pub mod rowstore;
 pub use dataset::Dataset;
 pub use error::{Result, StoreError};
 pub use evolution::{diff_schemas, is_backward_compatible, SchemaChange};
+pub use par::par_map;
 pub use record::{
     PayloadValue, Record, SetElement, TaskLabel, GOLD_SOURCE, SLICE_PREFIX, TAG_DEV, TAG_LIVE,
     TAG_TEST, TAG_TRAIN,

@@ -17,14 +17,13 @@
 
 use crate::dataset::Dataset;
 use crate::error::{Result, StoreError};
+use crate::par::par_map;
 use crate::record::{Record, SLICE_PREFIX, TAG_DEV, TAG_TEST, TAG_TRAIN};
 use crate::rowstore::encode::{approx_record_bytes, encode_record, RowView};
 use crate::rowstore::store::RowStore;
 use crate::schema::Schema;
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Default target size of one shard produced by the streaming
 /// [`ShardedStoreBuilder`] (4 MiB of encoded rows).
@@ -325,25 +324,9 @@ impl ShardedStore {
             bounds = vec![0, records.len()]; // empty input: one empty shard
         }
 
-        // Encode shards in parallel; each worker owns one contiguous range.
-        let n = bounds.len() - 1;
-        let slots: Vec<Mutex<Option<RowStore>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = Self::default_shards().min(n);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let s = next.fetch_add(1, Ordering::Relaxed);
-                    if s >= n {
-                        break;
-                    }
-                    let built = RowStore::build(&records[bounds[s]..bounds[s + 1]]);
-                    *slots[s].lock().expect("shard slot") = Some(built);
-                });
-            }
-        });
-        let shards: Vec<RowStore> =
-            slots.into_iter().map(|m| m.into_inner().expect("slot").expect("built")).collect();
+        // Encode shards in parallel; each one owns one contiguous range.
+        let ranges: Vec<&[Record]> = bounds.windows(2).map(|w| &records[w[0]..w[1]]).collect();
+        let shards = par_map(Self::default_shards(), ranges, RowStore::build);
 
         let mut index = StoreIndex { num_rows: records.len(), ..StoreIndex::default() };
         for (row, record) in records.iter().enumerate() {
@@ -478,7 +461,7 @@ impl ShardedStore {
         let scans: Vec<ShardScan<'_>> = (0..self.shards.len())
             .map(|s| ShardScan { shard: s, start: self.starts[s], store: &self.shards[s] })
             .collect();
-        self.run_workers(scans, f)
+        par_map(self.scan_workers, scans, f).into_iter().collect()
     }
 
     /// Like [`par_scan`](Self::par_scan) but over a **sorted** set of
@@ -503,33 +486,7 @@ impl ShardedStore {
                 });
             }
         }
-        self.run_workers(scans, f)
-    }
-
-    fn run_workers<S, T, F>(&self, scans: Vec<S>, f: F) -> Result<Vec<T>>
-    where
-        S: Send,
-        T: Send,
-        F: Fn(S) -> Result<T> + Sync,
-    {
-        let n = scans.len();
-        let workers = self.scan_workers.min(n);
-        if workers <= 1 {
-            return scans.into_iter().map(f).collect();
-        }
-        let slots: Vec<Mutex<Option<Result<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let queue = Mutex::new(scans.into_iter().enumerate().collect::<Vec<_>>());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let Some((at, scan)) = queue.lock().expect("scan queue").pop() else {
-                        break;
-                    };
-                    *slots[at].lock().expect("result slot") = Some(f(scan));
-                });
-            }
-        });
-        slots.into_iter().map(|m| m.into_inner().expect("slot").expect("scanned")).collect()
+        par_map(self.scan_workers, scans, f).into_iter().collect()
     }
 
     /// Decodes the whole store back into an eager [`Dataset`] (the

@@ -19,8 +19,8 @@ use crate::majority::majority_vote;
 use crate::matrix::LabelMatrix;
 use crate::prob::ProbLabel;
 use overton_store::{
-    Dataset, LabelView, PayloadKind, PayloadValue, Record, RowView, ShardedStore, StoreError,
-    TaskKind, TaskLabel,
+    par_map, Dataset, LabelView, PayloadKind, PayloadValue, Record, RowView, ShardedStore,
+    StoreError, TaskKind, TaskLabel,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -675,38 +675,13 @@ pub fn combine_all(
         specs.push(spec);
     }
     let partials = scan_partials(store, &specs)?;
-    let workers = store.scan_workers().min(specs.len());
-    if workers > 1 {
-        // The per-task combiner runs are independent; fan them out over a
-        // bounded worker pool (same shape as the store's shard scans).
-        use std::sync::Mutex;
-        let queue: Mutex<Vec<(usize, &TaskSpec, TaskPartial)>> = Mutex::new(
-            specs.iter().zip(partials).enumerate().map(|(i, (s, p))| (i, s, p)).collect(),
-        );
-        let slots: Vec<Mutex<Option<CombinedSupervision>>> =
-            (0..specs.len()).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let Some((at, spec, partial)) = queue.lock().expect("task queue").pop() else {
-                        break;
-                    };
-                    *slots[at].lock().expect("task slot") =
-                        Some(finish_task(spec, partial, store.len(), method));
-                });
-            }
-        });
-        results.extend(
-            specs
-                .iter()
-                .map(|s| s.name.clone())
-                .zip(slots.into_iter().map(|m| m.into_inner().expect("slot").expect("finished"))),
-        );
-        return Ok(results);
-    }
-    results.extend(specs.iter().zip(partials).map(|(spec, partial)| {
-        (spec.name.clone(), finish_task(spec, partial, store.len(), method))
-    }));
+    // The per-task combiner runs are independent; fan them out with the
+    // same worker budget as the store's shard scans.
+    let work: Vec<(&TaskSpec, TaskPartial)> = specs.iter().zip(partials).collect();
+    let combined = par_map(store.scan_workers(), work, |(spec, partial)| {
+        finish_task(spec, partial, store.len(), method)
+    });
+    results.extend(specs.iter().map(|s| s.name.clone()).zip(combined));
     Ok(results)
 }
 

@@ -353,35 +353,14 @@ impl Graph {
 
     /// Column-wise mean over rows: `m x n -> 1 x n`.
     pub fn mean_rows(&mut self, a: NodeId) -> NodeId {
-        let av = self.value(a);
-        assert!(av.rows() > 0, "mean_rows over an empty matrix");
-        let inv = 1.0 / av.rows() as f32;
-        let mut v = Matrix::zeros(1, av.cols());
-        for r in 0..av.rows() {
-            for (o, &x) in v.row_mut(0).iter_mut().zip(av.row(r)) {
-                *o += x * inv;
-            }
-        }
+        let v = self.value(a).mean_rows();
         let ng = self.needs(a);
         self.push(v, Op::MeanRows(a), ng)
     }
 
     /// Column-wise max over rows: `m x n -> 1 x n`.
     pub fn max_rows(&mut self, a: NodeId) -> NodeId {
-        let av = self.value(a);
-        assert!(av.rows() > 0, "max_rows over an empty matrix");
-        let mut v = Matrix::zeros(1, av.cols());
-        let mut argmax = vec![0u32; av.cols()];
-        for j in 0..av.cols() {
-            let mut best = f32::NEG_INFINITY;
-            for r in 0..av.rows() {
-                if av[(r, j)] > best {
-                    best = av[(r, j)];
-                    argmax[j] = r as u32;
-                }
-            }
-            v[(0, j)] = best;
-        }
+        let (v, argmax) = self.value(a).max_rows();
         let ng = self.needs(a);
         self.push(v, Op::MaxRows { x: a, argmax }, ng)
     }
@@ -453,28 +432,15 @@ impl Graph {
 
     /// Reverses the row order (used by backward RNN passes).
     pub fn reverse_rows(&mut self, a: NodeId) -> NodeId {
-        let av = self.value(a);
-        let rev: Vec<usize> = (0..av.rows()).rev().collect();
-        let v = av.select_rows(&rev);
+        let v = self.value(a).reverse_rows();
         let ng = self.needs(a);
         self.push(v, Op::ReverseRows(a), ng)
     }
 
-    /// Sliding-window unfold: row `t` of the result is the concatenation of
-    /// rows `t - pad .. t - pad + k` of `a`, with zeros outside the matrix.
-    /// `im2row(x, k, k/2) * W` is a same-length 1-D convolution.
+    /// Sliding-window unfold ([`Matrix::im2row`]): `im2row(x, k, k/2) * W`
+    /// is a same-length 1-D convolution.
     pub fn im2row(&mut self, a: NodeId, k: usize, pad: usize) -> NodeId {
-        let av = self.value(a);
-        let (t_len, d) = av.shape();
-        let mut v = Matrix::zeros(t_len, k * d);
-        for t in 0..t_len {
-            for o in 0..k {
-                let src = t as isize + o as isize - pad as isize;
-                if src >= 0 && (src as usize) < t_len {
-                    v.row_mut(t)[o * d..(o + 1) * d].copy_from_slice(av.row(src as usize));
-                }
-            }
-        }
+        let v = self.value(a).im2row(k, pad);
         let ng = self.needs(a);
         self.push(v, Op::Im2Row { x: a, k, pad }, ng)
     }

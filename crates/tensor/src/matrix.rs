@@ -368,6 +368,67 @@ impl Matrix {
         best
     }
 
+    /// Column-wise mean over rows: `m x n -> 1 x n`.
+    ///
+    /// # Panics
+    /// Panics if the matrix has no rows.
+    pub fn mean_rows(&self) -> Self {
+        assert!(self.rows > 0, "mean_rows over an empty matrix");
+        let inv = 1.0 / self.rows as f32;
+        let mut out = Self::zeros(1, self.cols);
+        for r in 0..self.rows {
+            for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
+                *o += x * inv;
+            }
+        }
+        out
+    }
+
+    /// Column-wise max over rows: `m x n -> 1 x n`, plus the row each
+    /// column's maximum came from (first on ties).
+    ///
+    /// # Panics
+    /// Panics if the matrix has no rows.
+    pub fn max_rows(&self) -> (Self, Vec<u32>) {
+        assert!(self.rows > 0, "max_rows over an empty matrix");
+        let mut out = Self::zeros(1, self.cols);
+        let mut argmax = vec![0u32; self.cols];
+        for j in 0..self.cols {
+            let mut best = f32::NEG_INFINITY;
+            for r in 0..self.rows {
+                if self[(r, j)] > best {
+                    best = self[(r, j)];
+                    argmax[j] = r as u32;
+                }
+            }
+            out[(0, j)] = best;
+        }
+        (out, argmax)
+    }
+
+    /// The rows in reverse order (used by backward RNN passes).
+    pub fn reverse_rows(&self) -> Self {
+        let rev: Vec<usize> = (0..self.rows).rev().collect();
+        self.select_rows(&rev)
+    }
+
+    /// Sliding-window unfold: row `t` of the result is the concatenation of
+    /// rows `t - pad .. t - pad + k`, with zeros outside the matrix.
+    /// `x.im2row(k, k/2) * W` is a same-length 1-D convolution.
+    pub fn im2row(&self, k: usize, pad: usize) -> Self {
+        let (t_len, d) = self.shape();
+        let mut out = Self::zeros(t_len, k * d);
+        for t in 0..t_len {
+            for o in 0..k {
+                let src = t as isize + o as isize - pad as isize;
+                if src >= 0 && (src as usize) < t_len {
+                    out.row_mut(t)[o * d..(o + 1) * d].copy_from_slice(self.row(src as usize));
+                }
+            }
+        }
+        out
+    }
+
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
