@@ -1,19 +1,21 @@
 //! **K1–K3** — release-mode smoke for the hardware-fast compute core:
 //! blocked GEMM vs the naive loop at production shapes, deterministic
-//! data-parallel training scaling, and the i8 quantized small-model
-//! forward vs f32. Emits `BENCH_kernels.json` with the measured medians
+//! data-parallel training scaling, and i8 vs f32 weights through the one
+//! inference forward. Emits `BENCH_kernels.json` with the measured medians
 //! and panics (failing the CI step) when a floor is missed:
 //!
 //! - blocked GEMM must be >= 2x naive at 256^3 and beat it clearly at
 //!   `predict_batch`-like shapes;
 //! - `grad_workers = 4` must be >= 1.8x over serial (asserted only when
-//!   the host actually has >= 4 cores);
-//! - the quantized small forward must be >= 1.5x over the f32 tape path.
+//!   the host actually has >= 4 cores).
+//!
+//! K3 has no floor: it records what i8 weights buy (or cost) over f32 on
+//! the same tape-free forward.
 //!
 //! Run with: `cargo bench -p overton-bench --bench kernels`
 
 use overton_model::{
-    CompiledExample, CompiledModel, FeatureSpace, ModelConfig, QuantizedModel, TrainConfig,
+    CompiledExample, CompiledModel, FeatureSpace, InferenceModel, ModelConfig, TrainConfig,
 };
 use overton_nlp::{generate_workload, WorkloadConfig};
 use overton_tensor::Matrix;
@@ -176,10 +178,10 @@ fn main() {
         println!("  K2 floor: SKIPPED ({cores} core(s) < 4)");
     }
 
-    println!("K3: quantized small-model forward vs f32 tape path (median of {reps})");
+    println!("K3: i8 vs f32 weights through the same inference forward (no floor)");
     let small_cfg = ModelConfig { hidden_dim: 16, token_dim: 16, ..Default::default() };
     let small = CompiledModel::compile(ds.schema(), &space, &small_cfg, None);
-    let quantized = QuantizedModel::from_model(&small);
+    let quantized = InferenceModel::quantize(&small);
     let test: Vec<CompiledExample> = ds
         .test_indices()
         .iter()
@@ -200,7 +202,7 @@ fn main() {
     };
     let quant_round: &dyn Fn() = &|| {
         for ex in &test {
-            std::hint::black_box(quantized.predict(ex));
+            std::hint::black_box(quantized.predict(&small, ex));
         }
     };
     f32_round();
@@ -223,13 +225,9 @@ fn main() {
     let quant_s = quant_times[rounds / 2];
     let quant_speedup = ratios[rounds / 2];
     println!(
-        "  f32 {:.3} ms/batch  quantized {:.3} ms/batch  speedup {quant_speedup:.2}x",
+        "  f32 {:.3} ms/batch  i8 {:.3} ms/batch  i8 speedup over f32 {quant_speedup:.2}x",
         f32_s * 1e3,
         quant_s * 1e3
-    );
-    assert!(
-        quant_speedup >= 1.5,
-        "quantized small forward must be >= 1.5x over f32, got {quant_speedup:.2}x"
     );
 
     let mut json = String::from("{\n  \"gemm\": [\n");

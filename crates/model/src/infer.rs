@@ -1,0 +1,674 @@
+//! The inference forward: the one tape-free path every prediction runs.
+//!
+//! Training records an autograd tape ([`overton_tensor::Graph`]) per
+//! example because it needs gradients. Inference does not, so
+//! [`CompiledModel::predict`] — and through it evaluation, dev selection,
+//! search, distillation and serving — runs an [`InferenceModel`] instead:
+//! the same layers lowered to plain matrix arithmetic, with no tape nodes,
+//! no per-node value storage and no weight copies.
+//!
+//! Every affine layer is an `Affine` in one of two precisions:
+//!
+//! - `F32` holds only parameter handles and reads the weights from the
+//!   model's [`ParamStore`] at call time. It performs the tape forward's
+//!   arithmetic op for op, so its output is **bit-identical** to decoding
+//!   [`CompiledModel::forward`] (tested over every encoder, aggregation and
+//!   head kind).
+//! - `I8` is the deploy-time quantized layer ([`QuantizedLinear`]: i8
+//!   codes with per-output-channel scales, i32 accumulation) that
+//!   [`crate::Server::quantize`] opts the cascade's small model into (§2.4:
+//!   "the small model must meet SLA requirements"). Embedding tables,
+//!   biases and activations stay f32. Outputs approximate the f32 model;
+//!   the quality-guard tests bound the difference.
+
+use crate::features::CompiledExample;
+use crate::network::{CompiledModel, Encoder, Head, Prediction, SliceModule, TaskOutput};
+use crate::AggregationKind;
+use overton_store::PayloadKind;
+use overton_tensor::nn::{Linear, Lstm};
+use overton_tensor::quant::QuantizedLinear;
+use overton_tensor::{softmax_in_place, stable_sigmoid, Matrix, ParamId, ParamStore};
+use std::collections::BTreeMap;
+
+/// One affine layer `y = x W + b`.
+enum Affine {
+    /// Full precision: handles into the model's [`ParamStore`].
+    F32 { weight: ParamId, bias: Option<ParamId> },
+    /// Quantized weights (the bias, if any, is kept f32 inside).
+    I8(QuantizedLinear),
+}
+
+impl Affine {
+    fn forward(&self, ps: &ParamStore, x: &Matrix) -> Matrix {
+        match self {
+            Affine::F32 { weight, bias } => {
+                let mut y = x.matmul(ps.value(*weight));
+                if let Some(bias) = bias {
+                    y.add_row(ps.value(*bias));
+                }
+                y
+            }
+            Affine::I8(layer) => layer.forward(x),
+        }
+    }
+}
+
+/// One LSTM direction. The gate bias is added after the two projections
+/// (not folded into either), which is the tape's order.
+struct InferLstm {
+    wx: Affine,
+    wh: Affine,
+    bias: ParamId,
+    hidden: usize,
+}
+
+impl InferLstm {
+    /// Runs the recurrence over `T x in_dim`, returning `T x hidden`.
+    fn forward(&self, ps: &ParamStore, xs: &Matrix) -> Matrix {
+        let t_len = xs.rows();
+        assert!(t_len > 0, "LSTM over an empty sequence");
+        let h = self.hidden;
+        let bias = ps.value(self.bias).row(0);
+        let xw_all = self.wx.forward(ps, xs);
+        let mut h_prev = Matrix::zeros(1, h);
+        let mut c_prev = vec![0.0f32; h];
+        let mut out = Matrix::zeros(t_len, h);
+        for t in 0..t_len {
+            // pre = (x_t W_x + h_{t-1} W_h) + b, gate order [i, f, c, o].
+            let mut pre = self.wh.forward(ps, &h_prev);
+            for ((p, &xw), &b) in pre.as_mut_slice().iter_mut().zip(xw_all.row(t)).zip(bias) {
+                *p = (xw + *p) + b;
+            }
+            let pre = pre.as_slice();
+            let h_t = out.row_mut(t);
+            for j in 0..h {
+                let i_gate = stable_sigmoid(pre[j]);
+                let f_gate = stable_sigmoid(pre[h + j]);
+                let c_cand = pre[2 * h + j].tanh();
+                let o_gate = stable_sigmoid(pre[3 * h + j]);
+                let c = f_gate * c_prev[j] + i_gate * c_cand;
+                c_prev[j] = c;
+                h_t[j] = o_gate * c.tanh();
+            }
+            h_prev.row_mut(0).copy_from_slice(h_t);
+        }
+        out
+    }
+}
+
+/// A sequence encoder, mirroring [`Encoder`].
+enum InferEncoder {
+    MeanBag(Affine),
+    Cnn { conv: Affine, kernel: usize },
+    Lstm(InferLstm),
+    BiLstm { fwd: InferLstm, bwd: InferLstm },
+    Attention { input_proj: Affine, wq: Affine, wk: Affine, wv: Affine, wo: Affine, heads: usize },
+}
+
+impl InferEncoder {
+    fn forward(&self, ps: &ParamStore, embedded: &Matrix) -> Matrix {
+        match self {
+            InferEncoder::MeanBag(proj) => relu(proj.forward(ps, embedded)),
+            InferEncoder::Cnn { conv, kernel } => {
+                relu(conv.forward(ps, &embedded.im2row(*kernel, kernel / 2)))
+            }
+            InferEncoder::Lstm(lstm) => lstm.forward(ps, embedded),
+            InferEncoder::BiLstm { fwd, bwd } => {
+                let b_rev = bwd.forward(ps, &embedded.reverse_rows());
+                Matrix::concat_cols([&fwd.forward(ps, embedded), &b_rev.reverse_rows()])
+            }
+            InferEncoder::Attention { input_proj, wq, wk, wv, wo, heads } => {
+                let x = tanh(input_proj.forward(ps, embedded));
+                let (q, k, v) = (wq.forward(ps, &x), wk.forward(ps, &x), wv.forward(ps, &x));
+                let head_dim = q.cols() / heads;
+                let scale = 1.0 / (head_dim as f32).sqrt();
+                let outputs: Vec<Matrix> = (0..*heads)
+                    .map(|h| {
+                        let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
+                        // The tape's order: an explicit transpose, then the scale.
+                        let mut scores =
+                            q.slice_cols(lo, hi).matmul(&k.slice_cols(lo, hi).transpose());
+                        scores.map_inplace(|s| s * scale);
+                        for r in 0..scores.rows() {
+                            softmax_in_place(scores.row_mut(r));
+                        }
+                        scores.matmul(&v.slice_cols(lo, hi))
+                    })
+                    .collect();
+                wo.forward(ps, &Matrix::concat_cols(&outputs))
+            }
+        }
+    }
+}
+
+/// A task head, mirroring [`Head`].
+enum InferHead {
+    PerElement { payload: String, linear: Affine },
+    Single(Affine),
+    Select { payload: String, combine: Affine, score: Affine },
+}
+
+/// A [`CompiledModel`]'s layers lowered for tape-free inference, with f32
+/// or i8 affine weights. Everything else the forward needs (schema,
+/// payload order, embedding tables, LSTM biases) it reads from the model
+/// it is run with.
+pub struct InferenceModel {
+    encoders: Vec<(String, InferEncoder)>,
+    set_proj: Affine,
+    heads: Vec<(String, InferHead, Decode)>,
+    /// `(indicator, expert)` per slice; empty without slice heads.
+    slices: Vec<(Affine, Affine)>,
+}
+
+impl InferenceModel {
+    /// The f32 lowering: parameter handles only, nothing copied.
+    pub(crate) fn f32(
+        encoders: &BTreeMap<String, Encoder>,
+        set_proj: &Linear,
+        heads: &BTreeMap<String, Head>,
+        slices: Option<&SliceModule>,
+    ) -> Self {
+        Self::lower(encoders, set_proj, heads, slices, |weight, bias| Affine::F32 { weight, bias })
+    }
+
+    /// Quantizes a trained model's affine weights to i8 codes with
+    /// per-output-channel scales. The model is unchanged; run the result
+    /// with [`InferenceModel::predict`] on that same model.
+    pub fn quantize(model: &CompiledModel) -> Self {
+        let ps = &model.params;
+        Self::lower(
+            &model.encoders,
+            &model.set_proj,
+            &model.heads,
+            model.slices.as_ref(),
+            |w, b| Affine::I8(QuantizedLinear::new(ps.value(w), b.map(|b| ps.value(b)))),
+        )
+    }
+
+    fn lower(
+        encoders: &BTreeMap<String, Encoder>,
+        set_proj: &Linear,
+        heads: &BTreeMap<String, Head>,
+        slices: Option<&SliceModule>,
+        affine: impl Fn(ParamId, Option<ParamId>) -> Affine,
+    ) -> Self {
+        let linear = |l: &Linear| affine(l.weight_id(), l.bias_id());
+        let lstm = |l: &Lstm| InferLstm {
+            wx: affine(l.wx_id(), None),
+            wh: affine(l.wh_id(), None),
+            bias: l.bias_id(),
+            hidden: l.hidden(),
+        };
+        let encoders = encoders
+            .iter()
+            .map(|(name, encoder)| {
+                let lowered = match encoder {
+                    Encoder::MeanBag(proj) => InferEncoder::MeanBag(linear(proj)),
+                    Encoder::Cnn(conv) => InferEncoder::Cnn {
+                        conv: affine(conv.weight_id(), Some(conv.bias_id())),
+                        kernel: conv.kernel(),
+                    },
+                    Encoder::Lstm(l) => InferEncoder::Lstm(lstm(l)),
+                    Encoder::BiLstm(bi) => {
+                        InferEncoder::BiLstm { fwd: lstm(bi.fwd()), bwd: lstm(bi.bwd()) }
+                    }
+                    Encoder::Attention { input_proj, attention } => InferEncoder::Attention {
+                        input_proj: linear(input_proj),
+                        wq: linear(attention.wq()),
+                        wk: linear(attention.wk()),
+                        wv: linear(attention.wv()),
+                        wo: linear(attention.wo()),
+                        heads: attention.heads(),
+                    },
+                };
+                (name.clone(), lowered)
+            })
+            .collect();
+        let heads = heads
+            .iter()
+            .map(|(task, head)| {
+                let lowered = match head {
+                    Head::PerElement { payload, linear: l, .. } => {
+                        InferHead::PerElement { payload: payload.clone(), linear: linear(l) }
+                    }
+                    Head::Single { linear: l, .. } => InferHead::Single(linear(l)),
+                    Head::Select { payload, combine, score } => InferHead::Select {
+                        payload: payload.clone(),
+                        combine: linear(combine),
+                        score: linear(score),
+                    },
+                };
+                (task.clone(), lowered, head.decode())
+            })
+            .collect();
+        let slices = slices.map_or_else(Vec::new, |s| {
+            s.indicators.iter().zip(&s.experts).map(|(i, e)| (linear(i), linear(e))).collect()
+        });
+        Self { encoders, set_proj: linear(set_proj), heads, slices }
+    }
+
+    /// Runs the forward over one example and decodes every task output
+    /// (dropout is off, as in any inference pass). `model` must be the
+    /// model this was lowered from: its store supplies the f32 weights.
+    pub fn predict(&self, model: &CompiledModel, example: &CompiledExample) -> Prediction {
+        let ps = &model.params;
+        let schema = model.schema();
+        let hidden = model.hidden;
+
+        // 1. Encode every sequence payload; an absent or empty one reads
+        //    as a single PAD token.
+        let tokens = ps.value(model.token_embedding.table());
+        let mut seq_enc: BTreeMap<&str, Matrix> = BTreeMap::new();
+        for (name, encoder) in &self.encoders {
+            let ids: &[usize] = match example.sequences.get(name) {
+                Some(ids) if !ids.is_empty() => ids,
+                _ => &[overton_nlp::PAD],
+            };
+            seq_enc.insert(name.as_str(), encoder.forward(ps, &tokens.select_rows(ids)));
+        }
+
+        // 2. Singleton payloads aggregate their bases, in dependency order.
+        let mut single_repr: BTreeMap<&str, Matrix> = BTreeMap::new();
+        for name in &model.singleton_order {
+            let parts: Vec<&Matrix> = schema.payloads[name]
+                .base
+                .iter()
+                .filter_map(|b| seq_enc.get(b.as_str()).or_else(|| single_repr.get(b.as_str())))
+                .collect();
+            let repr = if parts.is_empty() {
+                Matrix::zeros(1, hidden)
+            } else {
+                let stacked = Matrix::concat_rows(parts);
+                match model.config().aggregation {
+                    AggregationKind::Mean => stacked.mean_rows(),
+                    AggregationKind::Max => stacked.max_rows().0,
+                }
+            };
+            single_repr.insert(name.as_str(), repr);
+        }
+
+        // 3. Shared example-level representation: mean of singleton reprs
+        //    (or of pooled sequence encodings when none exist).
+        let shared = if !single_repr.is_empty() {
+            Matrix::concat_rows(single_repr.values()).mean_rows()
+        } else if !seq_enc.is_empty() {
+            let pooled: Vec<Matrix> = seq_enc.values().map(Matrix::mean_rows).collect();
+            Matrix::concat_rows(&pooled).mean_rows()
+        } else {
+            Matrix::zeros(1, hidden)
+        };
+
+        // 4. Slice-based re-weighting of the shared representation.
+        let mut indicator_logits = Vec::with_capacity(self.slices.len());
+        let shared = if self.slices.is_empty() {
+            shared
+        } else {
+            let mut weights = vec![0.0f32];
+            let mut experts = Vec::with_capacity(self.slices.len());
+            for (indicator, expert) in &self.slices {
+                let logits = indicator.forward(ps, &shared);
+                weights.push(logits[(0, 1)] - logits[(0, 0)]);
+                indicator_logits.push(logits);
+                experts.push(relu(expert.forward(ps, &shared)));
+            }
+            softmax_in_place(&mut weights);
+            // The tape's order: start from repr_0 * w_0, then add each term.
+            let mut mixed = shared.map(|x| x * weights[0]);
+            for (w, repr) in weights[1..].iter().zip(&experts) {
+                for (o, &x) in mixed.as_mut_slice().iter_mut().zip(repr.as_slice()) {
+                    *o += x * w;
+                }
+            }
+            mixed
+        };
+
+        // 5. Set payloads: one row per element, entity embedding joined
+        //    with the mean encoding of its span in the range payload.
+        let entities = ps.value(model.entity_embedding.table());
+        let mut set_repr: BTreeMap<&str, Matrix> = BTreeMap::new();
+        for (name, def) in &schema.payloads {
+            if !matches!(def.kind, PayloadKind::Set) {
+                continue;
+            }
+            let Some(elements) = example.sets.get(name).filter(|els| !els.is_empty()) else {
+                continue;
+            };
+            let range_enc = def.range.as_deref().and_then(|r| seq_enc.get(r));
+            let mut rows = Matrix::zeros(elements.len(), hidden);
+            for (i, &(entity_id, (lo, hi))) in elements.iter().enumerate() {
+                let span_summary = match range_enc {
+                    Some(enc) => {
+                        let t_len = enc.rows();
+                        let lo = lo.min(t_len.saturating_sub(1));
+                        let hi = hi.clamp(lo + 1, t_len);
+                        enc.select_rows(&(lo..hi).collect::<Vec<_>>()).mean_rows()
+                    }
+                    None => Matrix::zeros(1, hidden),
+                };
+                let joined =
+                    Matrix::concat_cols([&entities.select_rows(&[entity_id]), &span_summary]);
+                rows.row_mut(i).copy_from_slice(tanh(self.set_proj.forward(ps, &joined)).row(0));
+            }
+            set_repr.insert(name.as_str(), rows);
+        }
+
+        // 6. Task heads.
+        let mut task_logits: Vec<(&String, Decode, Matrix)> = Vec::with_capacity(self.heads.len());
+        for (task, head, kind) in &self.heads {
+            let logits = match head {
+                InferHead::PerElement { payload, linear } => {
+                    // Skip placeholder-only sequences (payload absent).
+                    if example.sequences.get(payload).is_none_or(|ids| ids.is_empty()) {
+                        continue;
+                    }
+                    let Some(enc) = seq_enc.get(payload.as_str()) else { continue };
+                    linear.forward(ps, enc)
+                }
+                InferHead::Single(linear) => linear.forward(ps, &shared),
+                InferHead::Select { payload, combine, score } => {
+                    let Some(elements) = set_repr.get(payload.as_str()) else { continue };
+                    // Pair the shared repr with each element, score each pair.
+                    let context = shared.select_rows(&vec![0; elements.rows()]);
+                    let activated =
+                        tanh(combine.forward(ps, &Matrix::concat_cols([&context, elements])));
+                    score.forward(ps, &activated).transpose() // [k, 1] -> [1, k]
+                }
+            };
+            task_logits.push((task, *kind, logits));
+        }
+
+        decode(task_logits.iter().map(|(task, kind, l)| (*task, *kind, l)), indicator_logits.iter())
+    }
+}
+
+fn relu(mut m: Matrix) -> Matrix {
+    m.map_inplace(|x| x.max(0.0));
+    m
+}
+
+fn tanh(mut m: Matrix) -> Matrix {
+    m.map_inplace(f32::tanh);
+    m
+}
+
+/// How a head's raw logits decode into a [`TaskOutput`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Decode {
+    /// Per-row argmax, or per-row thresholded bits with `bce`.
+    PerElement { bce: bool },
+    /// Softmax distribution, or sigmoid bits with `bce`.
+    Single { bce: bool },
+    /// Softmax over set elements.
+    Select,
+}
+
+/// Decodes per-task `(task, kind, logits)` and per-slice `[1, 2]`
+/// indicator logits into a [`Prediction`].
+pub(crate) fn decode<'a>(
+    task_logits: impl Iterator<Item = (&'a String, Decode, &'a Matrix)>,
+    indicator_logits: impl Iterator<Item = &'a Matrix>,
+) -> Prediction {
+    let mut tasks = BTreeMap::new();
+    for (task, kind, values) in task_logits {
+        let output = match kind {
+            Decode::PerElement { bce: false } => TaskOutput::MulticlassSeq {
+                classes: (0..values.rows()).map(|r| values.row_argmax(r)).collect(),
+            },
+            Decode::PerElement { bce: true } => TaskOutput::BitsSeq {
+                rows: (0..values.rows())
+                    .map(|r| values.row(r).iter().map(|&x| x > 0.0).collect())
+                    .collect(),
+            },
+            Decode::Single { bce: false } => {
+                let mut dist = values.row(0).to_vec();
+                softmax_in_place(&mut dist);
+                TaskOutput::Multiclass { class: values.row_argmax(0), dist }
+            }
+            Decode::Single { bce: true } => {
+                let probs: Vec<f32> = values.row(0).iter().map(|&x| stable_sigmoid(x)).collect();
+                TaskOutput::Bits { bits: probs.iter().map(|&p| p > 0.5).collect(), probs }
+            }
+            Decode::Select => {
+                let mut dist = values.row(0).to_vec();
+                softmax_in_place(&mut dist);
+                TaskOutput::Select { index: values.row_argmax(0), dist }
+            }
+        };
+        tasks.insert(task.clone(), output);
+    }
+    let slice_probs = indicator_logits
+        .map(|logits| {
+            let row = logits.row(0);
+            stable_sigmoid(row[1] - row[0])
+        })
+        .collect();
+    Prediction { tasks, slice_probs }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{EncoderKind, ModelConfig};
+    use crate::features::FeatureSpace;
+    use overton_nlp::{generate_workload, WorkloadConfig};
+    use overton_store::{Dataset, PayloadDef, Record, Schema, TaskDef, TaskKind};
+    use overton_tensor::Graph;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    const ENCODERS: [EncoderKind; 5] = [
+        EncoderKind::MeanBag,
+        EncoderKind::Cnn,
+        EncoderKind::Lstm,
+        EncoderKind::BiLstm,
+        EncoderKind::Attention,
+    ];
+
+    fn setup() -> (Dataset, FeatureSpace) {
+        let ds = generate_workload(&WorkloadConfig {
+            n_train: 60,
+            n_dev: 15,
+            n_test: 30,
+            seed: 11,
+            slice_rate: 0.3,
+            ..Default::default()
+        });
+        let space = FeatureSpace::build(&ds);
+        (ds, space)
+    }
+
+    fn examples(ds: &Dataset, space: &FeatureSpace) -> Vec<CompiledExample> {
+        ds.test_indices()
+            .iter()
+            .map(|&i| CompiledExample::from_record(&ds.records()[i], i, space, ds.schema()))
+            .collect()
+    }
+
+    /// The tape forward, decoded.
+    fn tape_predict(model: &CompiledModel, example: &CompiledExample) -> Prediction {
+        let mut g = Graph::new();
+        let pass = model.forward(&mut g, example, false, &mut SmallRng::seed_from_u64(0));
+        decode(
+            pass.task_logits
+                .iter()
+                .map(|(task, &l)| (task, model.heads[task].decode(), g.value(l))),
+            pass.indicator_logits.iter().map(|&l| g.value(l)),
+        )
+    }
+
+    /// The workload schema plus what it lacks to reach every forward
+    /// branch: a singleton bitvector head, a singleton built on another
+    /// singleton, and a set with no range payload (zero span summaries).
+    fn every_branch_schema() -> Schema {
+        let mut schema = overton_nlp::workload_schema();
+        let labels = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        schema.payloads.insert(
+            "summary".into(),
+            PayloadDef {
+                kind: PayloadKind::Singleton,
+                base: labels(&["query", "tokens"]),
+                range: None,
+            },
+        );
+        schema.payloads.insert(
+            "mentions".into(),
+            PayloadDef { kind: PayloadKind::Set, base: vec![], range: None },
+        );
+        let task = |payload: &str, kind| TaskDef { payload: payload.into(), kind };
+        schema.tasks.insert(
+            "Flags".into(),
+            task("query", TaskKind::Bitvector { labels: labels(&["a", "b", "c"]) }),
+        );
+        schema.tasks.insert(
+            "Topic".into(),
+            task("summary", TaskKind::Multiclass { classes: labels(&["x", "y"]) }),
+        );
+        schema.tasks.insert("MentionArg".into(), task("mentions", TaskKind::Select));
+        schema.validate().expect("extended schema is valid");
+        schema
+    }
+
+    #[test]
+    fn f32_inference_is_bit_identical_to_the_tape() {
+        let (ds, space) = setup();
+        let schema = every_branch_schema();
+        let mut exs: Vec<CompiledExample> = ds
+            .test_indices()
+            .iter()
+            .map(|&i| {
+                let mut record: Record = ds.records()[i].clone();
+                if let Some(entities) = record.payloads.get("entities").cloned() {
+                    record.payloads.insert("mentions".into(), entities);
+                }
+                CompiledExample::from_record(&record, i, &space, &schema)
+            })
+            .collect();
+        // The PAD path (an empty sequence) and an empty entity set.
+        let mut empty_tokens = exs[0].clone();
+        empty_tokens.sequences.get_mut("tokens").expect("tokens").clear();
+        let mut empty_entities = exs[1].clone();
+        empty_entities.sets.get_mut("entities").expect("entities").clear();
+        exs.extend([empty_tokens, empty_entities]);
+
+        let mut outputs = std::collections::HashSet::new();
+        for encoder in ENCODERS {
+            for slice_heads in [true, false] {
+                for aggregation in [AggregationKind::Mean, AggregationKind::Max] {
+                    let config =
+                        ModelConfig { encoder, slice_heads, aggregation, ..Default::default() };
+                    let mut model = CompiledModel::compile(&schema, &space, &config, None);
+                    // Nonzero biases and off-init weights, so every add and
+                    // every sign of zero is exercised.
+                    let mut rng = SmallRng::seed_from_u64(7);
+                    let ids: Vec<ParamId> = model.params.ids().collect();
+                    for id in ids {
+                        for x in model.params.value_mut(id).as_mut_slice() {
+                            *x += rng.gen_range(-0.2f32..0.2);
+                        }
+                    }
+                    for ex in &exs {
+                        let fast = model.predict(ex);
+                        assert_eq!(
+                            format!("{fast:?}"),
+                            format!("{:?}", tape_predict(&model, ex)),
+                            "{config:?} diverged from the tape"
+                        );
+                        assert_eq!(fast.slice_probs.is_empty(), !slice_heads);
+                        outputs.extend(fast.tasks.values().map(std::mem::discriminant));
+                    }
+                }
+            }
+        }
+        assert_eq!(outputs.len(), 5, "every head kind must be decoded");
+    }
+
+    /// Fraction of test examples where the quantized model's argmax answer
+    /// agrees with the f32 model's, averaged over distribution-producing
+    /// tasks.
+    fn agreement(model: &CompiledModel, q: &InferenceModel, exs: &[CompiledExample]) -> f64 {
+        let mut same = 0usize;
+        let mut total = 0usize;
+        for ex in exs {
+            let full = model.predict(ex);
+            let quant = q.predict(model, ex);
+            for (task, output) in &full.tasks {
+                let Some(q_output) = quant.tasks.get(task) else { continue };
+                let matched = match (output, q_output) {
+                    (
+                        TaskOutput::Multiclass { class: a, .. },
+                        TaskOutput::Multiclass { class: b, .. },
+                    )
+                    | (TaskOutput::Select { index: a, .. }, TaskOutput::Select { index: b, .. }) => {
+                        a == b
+                    }
+                    (
+                        TaskOutput::MulticlassSeq { classes: a },
+                        TaskOutput::MulticlassSeq { classes: b },
+                    ) => a == b,
+                    (TaskOutput::Bits { bits: a, .. }, TaskOutput::Bits { bits: b, .. }) => a == b,
+                    (TaskOutput::BitsSeq { rows: a }, TaskOutput::BitsSeq { rows: b }) => a == b,
+                    _ => false,
+                };
+                total += 1;
+                same += usize::from(matched);
+            }
+        }
+        assert!(total > 0, "no comparable task outputs");
+        same as f64 / total as f64
+    }
+
+    #[test]
+    fn every_encoder_kind_survives_quantization() {
+        let (ds, space) = setup();
+        let exs = examples(&ds, &space);
+        for kind in ENCODERS {
+            let config = ModelConfig { encoder: kind, ..Default::default() };
+            let model = CompiledModel::compile(ds.schema(), &space, &config, None);
+            let q = InferenceModel::quantize(&model);
+            // Untrained weights are small and near-uniform — the hardest
+            // regime for argmax agreement — so only demand structure here:
+            // every task decoded, same shapes, finite values.
+            for ex in &exs {
+                let full = model.predict(ex);
+                let quant = q.predict(&model, ex);
+                assert_eq!(
+                    full.tasks.keys().collect::<Vec<_>>(),
+                    quant.tasks.keys().collect::<Vec<_>>(),
+                    "{kind:?} changed the task set"
+                );
+                assert_eq!(full.slice_probs.len(), quant.slice_probs.len());
+                assert!(quant.slice_probs.iter().all(|p| p.is_finite()));
+            }
+        }
+    }
+
+    #[test]
+    fn quantized_predictions_track_f32_after_training() {
+        use crate::features::gold_to_prob;
+        let (ds, space) = setup();
+        let train: Vec<CompiledExample> = ds
+            .train_indices()
+            .iter()
+            .map(|&i| {
+                let record = &ds.records()[i];
+                let mut ex = CompiledExample::from_record(record, i, &space, ds.schema());
+                for task in ds.schema().tasks.keys() {
+                    if let Some(p) = gold_to_prob(ds.schema(), record, task) {
+                        ex.targets.insert(task.clone(), p);
+                    }
+                }
+                ex
+            })
+            .collect();
+        let mut model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
+        crate::trainer::train_model(
+            &mut model,
+            &train,
+            &[],
+            &crate::config::TrainConfig { epochs: 4, early_stop_patience: 0, ..Default::default() },
+        );
+        let q = InferenceModel::quantize(&model);
+        let score = agreement(&model, &q, &examples(&ds, &space));
+        assert!(score >= 0.9, "quantized/f32 agreement too low: {score:.3}");
+    }
+}

@@ -15,9 +15,9 @@ mod config;
 mod distill;
 mod evaluate;
 mod features;
+mod infer;
 mod network;
 mod pretrained;
-mod quantized;
 mod registry;
 mod search;
 mod serve;
@@ -30,9 +30,9 @@ pub use config::{
 pub use distill::{distill, soften_targets};
 pub use evaluate::{evaluate, evaluate_store, Evaluation};
 pub use features::{gold_to_prob, CompiledExample, FeatureSpace};
+pub use infer::InferenceModel;
 pub use network::{CompiledModel, ForwardPass, Prediction, TaskOutput};
 pub use pretrained::{pretrain, PretrainConfig, PretrainedEncoder};
-pub use quantized::QuantizedModel;
 pub use registry::{ArtifactEntry, ArtifactId, ModelRegistry};
 pub use search::{search, SearchConfig, TrialResult};
 pub use serve::{DeployableModel, ModelPair, ServedOutput, Server, ServingResponse};

@@ -20,6 +20,7 @@
 
 use crate::config::{AggregationKind, EmbeddingKind, EncoderKind, ModelConfig};
 use crate::features::{CompiledExample, FeatureSpace};
+use crate::infer::{Decode, InferenceModel};
 use crate::pretrained::PretrainedEncoder;
 use overton_store::{PayloadKind, Schema, TaskKind};
 use overton_supervision::ProbLabel;
@@ -153,6 +154,11 @@ pub struct CompiledModel {
     pub(crate) slices: Option<SliceModule>,
     dropout: Dropout,
     pub(crate) hidden: usize,
+    /// Singleton payloads in dependency order (bases first), computed once
+    /// here so neither forward re-sorts the schema per example.
+    pub(crate) singleton_order: Vec<String>,
+    /// The f32 inference forward over these layers.
+    pub(crate) inference: InferenceModel,
 }
 
 /// Everything a forward pass produces (node ids into the caller's graph).
@@ -360,6 +366,12 @@ impl CompiledModel {
                 .collect(),
         });
 
+        let singleton_order = schema
+            .payload_topo_order()
+            .into_iter()
+            .filter(|name| matches!(schema.payloads[name].kind, PayloadKind::Singleton))
+            .collect();
+        let inference = InferenceModel::f32(&encoders, &set_proj, &heads, slices.as_ref());
         Self {
             schema: schema.clone(),
             config: config.clone(),
@@ -372,6 +384,8 @@ impl CompiledModel {
             slices,
             dropout: Dropout::new(config.dropout),
             hidden,
+            singleton_order,
+            inference,
         }
     }
 
@@ -395,8 +409,9 @@ impl CompiledModel {
         self.slices.is_some()
     }
 
-    /// Runs the network over one example, emitting logits for every task
-    /// whose payload has content.
+    /// Runs the network over one example on an autograd tape, emitting
+    /// logits for every task whose payload has content. This is training's
+    /// forward; inference runs tape-free through [`CompiledModel::predict`].
     pub fn forward(
         &self,
         g: &mut Graph,
@@ -409,11 +424,11 @@ impl CompiledModel {
         // 1. Encode every sequence payload.
         let mut seq_enc: BTreeMap<&str, NodeId> = BTreeMap::new();
         for (name, encoder) in &self.encoders {
-            let ids: Vec<usize> = match example.sequences.get(name) {
-                Some(ids) if !ids.is_empty() => ids.clone(),
-                _ => vec![overton_nlp::PAD],
+            let ids: &[usize] = match example.sequences.get(name) {
+                Some(ids) if !ids.is_empty() => ids,
+                _ => &[overton_nlp::PAD],
             };
-            let embedded = self.token_embedding.forward(g, ps, &ids);
+            let embedded = self.token_embedding.forward(g, ps, ids);
             let encoded = encoder.forward(g, ps, embedded);
             let encoded = self.dropout.forward(g, encoded, train, rng);
             seq_enc.insert(name.as_str(), encoded);
@@ -421,11 +436,8 @@ impl CompiledModel {
 
         // 2. Singleton payloads aggregate their base payloads.
         let mut single_repr: BTreeMap<&str, NodeId> = BTreeMap::new();
-        for name in self.schema.payload_topo_order() {
-            let def = &self.schema.payloads[&name];
-            if !matches!(def.kind, PayloadKind::Singleton) {
-                continue;
-            }
+        for name in &self.singleton_order {
+            let def = &self.schema.payloads[name];
             let mut parts: Vec<NodeId> = Vec::new();
             for base in &def.base {
                 if let Some(&enc) = seq_enc.get(base.as_str()) {
@@ -443,9 +455,7 @@ impl CompiledModel {
                     AggregationKind::Max => g.max_rows(stacked),
                 }
             };
-            let key: &str =
-                self.schema.payloads.keys().find(|k| **k == name).expect("payload exists").as_str();
-            single_repr.insert(key, repr);
+            single_repr.insert(name.as_str(), repr);
         }
 
         // 3. Shared example-level representation: mean of singleton reprs
@@ -658,55 +668,17 @@ impl CompiledModel {
         total
     }
 
-    /// Runs inference and decodes every task output.
+    /// Runs inference and decodes every task output, tape-free: the
+    /// [`InferenceModel`] forward with f32 weights read in place. Outputs
+    /// are bit-identical to decoding the tape [`CompiledModel::forward`].
     pub fn predict(&self, example: &CompiledExample) -> Prediction {
-        let mut g = Graph::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let pass = self.forward(&mut g, example, false, &mut rng);
-        self.decode(&g, &pass)
+        self.inference.predict(self, example)
     }
 
-    /// Runs inference over a batch of examples through one shared graph.
-    ///
-    /// This is the serving hot loop: [`Graph::param`] copies each weight
-    /// matrix into the tape, so per-example graphs re-copy the entire model
-    /// (embedding tables included) for every record. The batched path uses a
-    /// param-cached graph ([`Graph::with_param_cache`]) so weights are
-    /// brought in once per *batch*, amortizing the per-example overhead.
-    /// Outputs are identical to calling [`CompiledModel::predict`] per
-    /// example.
+    /// [`CompiledModel::predict`] over a batch, in input order.
     pub fn predict_batch(&self, examples: &[CompiledExample]) -> Vec<Prediction> {
-        let mut g = Graph::with_param_cache();
-        let mut rng = SmallRng::seed_from_u64(0);
-        examples
-            .iter()
-            .map(|example| {
-                let pass = self.forward(&mut g, example, false, &mut rng);
-                self.decode(&g, &pass)
-            })
-            .collect()
+        examples.iter().map(|example| self.predict(example)).collect()
     }
-
-    /// Decodes one forward pass into per-task outputs and slice
-    /// probabilities.
-    fn decode(&self, g: &Graph, pass: &ForwardPass) -> Prediction {
-        decode(
-            pass.task_logits.iter().map(|(task, &l)| (task, self.heads[task].decode(), g.value(l))),
-            pass.indicator_logits.iter().map(|&l| g.value(l)),
-        )
-    }
-}
-
-/// How a head's raw logits decode into a [`TaskOutput`]. The f32 model
-/// and the quantized replica share it, so both decode identically.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Decode {
-    /// Per-row argmax, or per-row thresholded bits with `bce`.
-    PerElement { bce: bool },
-    /// Softmax distribution, or sigmoid bits with `bce`.
-    Single { bce: bool },
-    /// Softmax over set elements.
-    Select,
 }
 
 impl Head {
@@ -718,50 +690,6 @@ impl Head {
             Head::Select { .. } => Decode::Select,
         }
     }
-}
-
-/// Decodes per-task `(task, kind, logits)` and per-slice `[1, 2]`
-/// indicator logits into a [`Prediction`].
-pub(crate) fn decode<'a>(
-    task_logits: impl Iterator<Item = (&'a String, Decode, &'a Matrix)>,
-    indicator_logits: impl Iterator<Item = &'a Matrix>,
-) -> Prediction {
-    let mut tasks = BTreeMap::new();
-    for (task, kind, values) in task_logits {
-        let output = match kind {
-            Decode::PerElement { bce: false } => TaskOutput::MulticlassSeq {
-                classes: (0..values.rows()).map(|r| values.row_argmax(r)).collect(),
-            },
-            Decode::PerElement { bce: true } => TaskOutput::BitsSeq {
-                rows: (0..values.rows())
-                    .map(|r| values.row(r).iter().map(|&x| x > 0.0).collect())
-                    .collect(),
-            },
-            Decode::Single { bce: false } => {
-                let mut dist = values.row(0).to_vec();
-                overton_tensor::softmax_in_place(&mut dist);
-                TaskOutput::Multiclass { class: values.row_argmax(0), dist }
-            }
-            Decode::Single { bce: true } => {
-                let probs: Vec<f32> =
-                    values.row(0).iter().map(|&x| overton_tensor::stable_sigmoid(x)).collect();
-                TaskOutput::Bits { bits: probs.iter().map(|&p| p > 0.5).collect(), probs }
-            }
-            Decode::Select => {
-                let mut dist = values.row(0).to_vec();
-                overton_tensor::softmax_in_place(&mut dist);
-                TaskOutput::Select { index: values.row_argmax(0), dist }
-            }
-        };
-        tasks.insert(task.clone(), output);
-    }
-    let slice_probs = indicator_logits
-        .map(|logits| {
-            let row = logits.row(0);
-            overton_tensor::stable_sigmoid(row[1] - row[0])
-        })
-        .collect();
-    Prediction { tasks, slice_probs }
 }
 
 #[cfg(test)]

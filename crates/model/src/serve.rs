@@ -9,6 +9,7 @@
 
 use crate::config::ModelConfig;
 use crate::features::{CompiledExample, FeatureSpace};
+use crate::infer::InferenceModel;
 use crate::network::{CompiledModel, Prediction, TaskOutput};
 use overton_store::{Record, Schema, ServingSignature, StoreError, TaskKind};
 use serde::{Deserialize, Serialize};
@@ -118,7 +119,7 @@ pub struct ServingResponse {
 /// A loaded model ready to answer queries.
 pub struct Server {
     model: CompiledModel,
-    quantized: Option<crate::QuantizedModel>,
+    quantized: Option<InferenceModel>,
     space: FeatureSpace,
     signature: ServingSignature,
 }
@@ -134,13 +135,13 @@ impl Server {
         }
     }
 
-    /// Converts the loaded weights to the i8 inference path
-    /// ([`crate::QuantizedModel`]). Subsequent [`Server::predict`] and
-    /// [`Server::predict_batch`] calls run tape-free quantized forwards;
-    /// the f32 weights are retained (for schema metadata and possible
-    /// re-deployment) but no longer drive inference.
+    /// Switches inference to i8 affine weights
+    /// ([`InferenceModel::quantize`]). Subsequent [`Server::predict`] and
+    /// [`Server::predict_batch`] calls run the same tape-free forward with
+    /// quantized weights; the f32 weights stay loaded (embedding tables and
+    /// biases are read from them) but no longer drive the matmuls.
     pub fn quantize(mut self) -> Self {
-        self.quantized = Some(crate::QuantizedModel::from_model(&self.model));
+        self.quantized = Some(InferenceModel::quantize(&self.model));
         self
     }
 
@@ -168,18 +169,13 @@ impl Server {
     pub fn predict(&self, record: &Record) -> Result<ServingResponse, StoreError> {
         record.validate(self.model.schema())?;
         let example = CompiledExample::from_record(record, 0, &self.space, self.model.schema());
-        let prediction = match &self.quantized {
-            Some(q) => q.predict(&example),
-            None => self.model.predict(&example),
-        };
-        self.decode_response(record, &prediction)
+        self.decode_response(record, &self.inference().predict(&self.model, &example))
     }
 
-    /// Validates and predicts a batch of records through the batched
-    /// forward path ([`CompiledModel::predict_batch`]), returning one result
-    /// per record in input order. Invalid records fail individually without
-    /// poisoning the rest of the batch; weights are brought into the
-    /// inference graph once per batch rather than once per record.
+    /// Validates and predicts a batch of records, returning one result per
+    /// record in input order. Invalid records fail individually without
+    /// poisoning the rest of the batch; valid ones are encoded together and
+    /// run through the inference forward one after another.
     pub fn predict_batch(&self, records: &[Record]) -> Vec<Result<ServingResponse, StoreError>> {
         let schema = self.model.schema();
         let mut out: Vec<Option<Result<ServingResponse, StoreError>>> =
@@ -189,14 +185,18 @@ impl Server {
             .iter()
             .map(|&i| CompiledExample::from_record(&records[i], i, &self.space, schema))
             .collect();
-        let predictions = match &self.quantized {
-            Some(q) => examples.iter().map(|ex| q.predict(ex)).collect(),
-            None => self.model.predict_batch(&examples),
-        };
-        for (&i, prediction) in valid.iter().zip(&predictions) {
-            out[i] = Some(self.decode_response(&records[i], prediction));
+        let inference = self.inference();
+        for (&i, example) in valid.iter().zip(&examples) {
+            let prediction = inference.predict(&self.model, example);
+            out[i] = Some(self.decode_response(&records[i], &prediction));
         }
         out.into_iter().map(|r| r.expect("every slot filled")).collect()
+    }
+
+    /// The forward inference runs: the quantized one after
+    /// [`Server::quantize`], the model's f32 one otherwise.
+    fn inference(&self) -> &InferenceModel {
+        self.quantized.as_ref().unwrap_or(&self.model.inference)
     }
 
     /// Decodes a raw prediction into label-named outputs. A task whose

@@ -2,10 +2,13 @@
 //!
 //! A [`Graph`] is a define-by-run tape: every operation appends a node that
 //! records its inputs, so nodes are already in topological order and
-//! [`Graph::backward`] is a single reverse sweep. A fresh graph is built per
-//! training step; learnable parameters live outside the graph in a
-//! [`ParamStore`](crate::params::ParamStore) and are brought in as leaf nodes
-//! with [`Graph::param`].
+//! [`Graph::backward`] is a single reverse sweep. The tape exists for
+//! training: a fresh graph is built per example, and learnable parameters
+//! live outside it in a [`ParamStore`](crate::params::ParamStore), brought
+//! in as leaf nodes with [`Graph::param`]. Inference needs no gradients, so
+//! it runs tape-free on plain [`Matrix`] arithmetic instead (the model
+//! crate's inference forward), using the same `Matrix` ops the tape
+//! records so both compute identical values.
 
 use crate::matrix::{dot, Matrix};
 use crate::params::{ParamId, ParamStore};
@@ -116,30 +119,12 @@ struct Node {
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    /// When present, [`Graph::param`] memoizes: the first use of a parameter
-    /// inserts a leaf, later uses return the same node instead of cloning the
-    /// weight matrix again. See [`Graph::with_param_cache`].
-    param_cache: Option<std::collections::HashMap<ParamId, NodeId>>,
 }
 
 impl Graph {
     /// Creates an empty graph.
     pub fn new() -> Self {
-        Self { nodes: Vec::with_capacity(64), param_cache: None }
-    }
-
-    /// Creates an empty graph that memoizes [`Graph::param`]: each parameter
-    /// is brought in as a leaf once and every later use shares that node.
-    ///
-    /// [`Graph::param`] copies the weight matrix into the tape, so a loop
-    /// that runs many forward passes through one graph (batched inference)
-    /// would otherwise re-copy every weight — including embedding tables —
-    /// per example. Sharing the leaf amortizes that cost across the batch.
-    /// Gradients still flush correctly (they accumulate on the shared node),
-    /// but the cache assumes the [`ParamStore`] is not mutated while the
-    /// graph is alive, which is why it is opt-in rather than the default.
-    pub fn with_param_cache() -> Self {
-        Self { nodes: Vec::with_capacity(64), param_cache: Some(std::collections::HashMap::new()) }
+        Self { nodes: Vec::with_capacity(64) }
     }
 
     /// Number of nodes recorded so far.
@@ -191,16 +176,7 @@ impl Graph {
     /// [`backward`](Self::backward), call
     /// [`flush_grads`](Self::flush_grads) to push the gradient back.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
-        if let Some(cache) = &self.param_cache {
-            if let Some(&node) = cache.get(&id) {
-                return node;
-            }
-        }
-        let node = self.push(store.value(id).clone(), Op::Leaf { param: Some(id) }, true);
-        if let Some(cache) = &mut self.param_cache {
-            cache.insert(id, node);
-        }
-        node
+        self.push(store.value(id).clone(), Op::Leaf { param: Some(id) }, true)
     }
 
     // ---- arithmetic -------------------------------------------------------
@@ -256,15 +232,8 @@ impl Graph {
 
     /// Adds a `1 x n` bias row to every row of an `m x n` node.
     pub fn add_row_broadcast(&mut self, a: NodeId, bias: NodeId) -> NodeId {
-        let (av, bv) = (self.value(a), self.value(bias));
-        assert_eq!(bv.rows(), 1, "bias must be a row vector");
-        assert_eq!(av.cols(), bv.cols(), "bias width mismatch");
-        let mut v = av.clone();
-        for r in 0..v.rows() {
-            for (o, &b) in v.row_mut(r).iter_mut().zip(bv.row(0)) {
-                *o += b;
-            }
-        }
+        let mut v = self.value(a).clone();
+        v.add_row(self.value(bias));
         let ng = self.needs(a) || self.needs(bias);
         self.push(v, Op::AddRowBroadcast(a, bias), ng)
     }
@@ -383,11 +352,7 @@ impl Graph {
     /// # Panics
     /// Panics if `parts` is empty.
     pub fn concat_rows(&mut self, parts: &[NodeId]) -> NodeId {
-        assert!(!parts.is_empty(), "concat_rows needs at least one part");
-        let mut v = self.value(parts[0]).clone();
-        for &p in &parts[1..] {
-            v = v.vstack(self.value(p));
-        }
+        let v = Matrix::concat_rows(parts.iter().map(|&p| self.value(p)));
         let ng = parts.iter().any(|&p| self.needs(p));
         self.push(v, Op::ConcatRows(parts.to_vec()), ng)
     }
@@ -397,11 +362,7 @@ impl Graph {
     /// # Panics
     /// Panics if `parts` is empty.
     pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
-        assert!(!parts.is_empty(), "concat_cols needs at least one part");
-        let mut v = self.value(parts[0]).clone();
-        for &p in &parts[1..] {
-            v = v.hstack(self.value(p));
-        }
+        let v = Matrix::concat_cols(parts.iter().map(|&p| self.value(p)));
         let ng = parts.iter().any(|&p| self.needs(p));
         self.push(v, Op::ConcatCols(parts.to_vec()), ng)
     }
@@ -951,33 +912,20 @@ mod tests {
     }
 
     #[test]
-    fn param_cache_shares_leaf_nodes_and_flushes_grads_once() {
+    fn repeated_param_uses_get_own_leaves_and_all_flush() {
         let mut store = ParamStore::new();
         let w = store.add("w", Matrix::scalar(3.0));
-
-        // Uncached: two uses insert two leaves, each flushing its gradient.
+        // Two uses insert two leaves, and each flushes its gradient.
         let mut g = Graph::new();
         let a = g.param(&store, w);
         let b = g.param(&store, w);
         assert_ne!(a, b);
+        assert_eq!(g.len(), 2);
         let f = g.add(a, b); // d/dw (w + w) = 2
-        g.backward(f);
-        let mut plain = store.clone();
-        g.flush_grads(&mut plain);
-        assert_eq!(plain.grad(w).scalar_value(), 2.0);
-
-        // Cached: one shared leaf, identical value and total gradient.
-        let mut g = Graph::with_param_cache();
-        let a = g.param(&store, w);
-        let b = g.param(&store, w);
-        assert_eq!(a, b);
-        assert_eq!(g.len(), 1);
-        let f = g.add(a, b);
         assert_eq!(g.value(f).scalar_value(), 6.0);
         g.backward(f);
-        let mut cached = store.clone();
-        g.flush_grads(&mut cached);
-        assert_eq!(cached.grad(w).scalar_value(), 2.0);
+        g.flush_grads(&mut store);
+        assert_eq!(store.grad(w).scalar_value(), 2.0);
     }
 
     #[test]

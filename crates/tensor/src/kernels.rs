@@ -97,8 +97,11 @@ fn gemm_with(
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    let mut a_pack = vec![0.0f32; MC * KC];
-    let mut b_pack = vec![0.0f32; KC * NC];
+    // Sized to the largest block this shape packs, not the full MC x KC /
+    // KC x NC maxima: serving-size products (a few rows by ~100) would
+    // otherwise zero 320 KiB per call to use a few KiB of it.
+    let mut a_pack = vec![0.0f32; MC.min(m.next_multiple_of(MR)) * KC.min(k)];
+    let mut b_pack = vec![0.0f32; KC.min(k) * NC.min(n.next_multiple_of(NR))];
     let mut jc = 0;
     while jc < n {
         let nc = NC.min(n - jc);

@@ -443,30 +443,56 @@ impl Matrix {
         self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max)
     }
 
-    /// Vertically stacks `self` on top of `other`.
+    /// Stacks `parts` top to bottom.
     ///
     /// # Panics
-    /// Panics if the column counts differ.
-    pub fn vstack(&self, other: &Self) -> Self {
-        assert_eq!(self.cols, other.cols, "vstack column mismatch");
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Self::from_vec(self.rows + other.rows, self.cols, data)
+    /// Panics if `parts` is empty or the column counts differ.
+    pub fn concat_rows<'a>(parts: impl IntoIterator<Item = &'a Matrix>) -> Self {
+        let mut parts = parts.into_iter();
+        let first = parts.next().expect("concat_rows needs at least one part");
+        let (mut rows, mut data) = (first.rows, first.data.clone());
+        for p in parts {
+            assert_eq!(first.cols, p.cols, "concat_rows column mismatch");
+            rows += p.rows;
+            data.extend_from_slice(&p.data);
+        }
+        Self::from_vec(rows, first.cols, data)
     }
 
-    /// Horizontally concatenates `self` with `other`.
+    /// Joins `parts` left to right.
     ///
     /// # Panics
-    /// Panics if the row counts differ.
-    pub fn hstack(&self, other: &Self) -> Self {
-        assert_eq!(self.rows, other.rows, "hstack row mismatch");
-        let mut out = Self::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
+    /// Panics if `parts` is empty or the row counts differ.
+    pub fn concat_cols<'a, I>(parts: I) -> Self
+    where
+        I: IntoIterator<Item = &'a Matrix>,
+        I::IntoIter: Clone,
+    {
+        let parts = parts.into_iter();
+        let rows = parts.clone().next().expect("concat_cols needs at least one part").rows;
+        assert!(parts.clone().all(|p| p.rows == rows), "concat_cols row mismatch");
+        let cols = parts.clone().map(|p| p.cols).sum();
+        let mut data = Vec::with_capacity(rows * cols);
+        for r in 0..rows {
+            for p in parts.clone() {
+                data.extend_from_slice(p.row(r));
+            }
         }
-        out
+        Self::from_vec(rows, cols, data)
+    }
+
+    /// Adds the `1 x cols` row `bias` to every row, in place.
+    ///
+    /// # Panics
+    /// Panics unless `bias` is a row vector as wide as `self`.
+    pub fn add_row(&mut self, bias: &Self) {
+        assert_eq!(bias.rows, 1, "bias must be a row vector");
+        assert_eq!(self.cols, bias.cols, "bias width mismatch");
+        for r in 0..self.rows {
+            for (o, &b) in self.row_mut(r).iter_mut().zip(&bias.data) {
+                *o += b;
+            }
+        }
     }
 
     /// Returns a new matrix containing the given rows, in order.
@@ -607,14 +633,20 @@ mod tests {
     fn stacking_and_slicing() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
         let b = Matrix::from_rows(&[vec![3.0, 4.0]]);
-        let v = a.vstack(&b);
+        let v = Matrix::concat_rows([&a, &b]);
         assert_eq!(v.shape(), (2, 2));
         assert_eq!(v.row(1), &[3.0, 4.0]);
-        let h = a.hstack(&b);
+        assert_eq!(Matrix::concat_rows([&a, &b, &a]).row(2), &[1.0, 2.0]);
+        let h = Matrix::concat_cols([&a, &b]);
         assert_eq!(h.shape(), (1, 4));
         assert_eq!(h.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
+        let h3 = Matrix::concat_cols([&v, &v.slice_cols(0, 1)]);
+        assert_eq!(h3.as_slice(), &[1.0, 2.0, 1.0, 3.0, 4.0, 3.0]);
         assert_eq!(v.slice_cols(1, 2).as_slice(), &[2.0, 4.0]);
         assert_eq!(v.select_rows(&[1, 0, 1]).row(0), &[3.0, 4.0]);
+        let mut shifted = v.clone();
+        shifted.add_row(&Matrix::row_vector(&[10.0, 20.0]));
+        assert_eq!(shifted.as_slice(), &[11.0, 22.0, 13.0, 24.0]);
     }
 
     #[test]

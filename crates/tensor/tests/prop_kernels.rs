@@ -142,6 +142,32 @@ fn production_shapes_bit_identical() {
 }
 
 #[test]
+fn serving_shapes_bit_identical() {
+    // One example through the default CNN encoder: a 4-12 token im2row
+    // (kernel 3 x token_dim 32 = 96 wide) times the 96 x 48 conv weight.
+    // These sit just above the dispatch cutoff, where the pack buffers
+    // are far smaller than one full MC x KC / KC x NC block.
+    let mut rng = SmallRng::seed_from_u64(23);
+    for m in 4..=12 {
+        let a = random_matrix(&mut rng, m, 96);
+        let b = random_matrix(&mut rng, 96, 48);
+        assert_eq!(a.matmul(&b), naive_matmul(&a, &b), "{m}x96*96x48");
+        let bt = random_matrix(&mut rng, 48, 96);
+        assert_eq!(
+            a.matmul_transpose_b(&bt),
+            naive_matmul_transpose_b(&a, &bt),
+            "{m}x96*(48x96)^T"
+        );
+        let at = random_matrix(&mut rng, 96, m);
+        assert_eq!(
+            at.transpose_a_matmul(&b),
+            naive_transpose_a_matmul(&at, &b),
+            "(96x{m})^T*96x48"
+        );
+    }
+}
+
+#[test]
 fn degenerate_shapes() {
     let mut rng = SmallRng::seed_from_u64(5);
     // Empty on every axis.
