@@ -1,7 +1,7 @@
 //! **K1–K3** — release-mode smoke for the hardware-fast compute core:
 //! blocked GEMM vs the naive loop at production shapes, deterministic
 //! data-parallel training scaling, and i8 vs f32 weights through the one
-//! inference forward. Emits `BENCH_kernels.json` with the measured medians
+//! batched inference forward. Emits `BENCH_kernels.json` with the measured medians
 //! and panics (failing the CI step) when a floor is missed:
 //!
 //! - blocked GEMM must be >= 2x naive at 256^3 and beat it clearly at
@@ -10,7 +10,8 @@
 //!   the host actually has >= 4 cores).
 //!
 //! K3 has no floor: it records what i8 weights buy (or cost) over f32 on
-//! the same tape-free forward.
+//! the same tape-free forward, over 32-example batches (the shape the
+//! serving pool runs).
 //!
 //! Run with: `cargo bench -p overton-bench --bench kernels`
 
@@ -178,7 +179,7 @@ fn main() {
         println!("  K2 floor: SKIPPED ({cores} core(s) < 4)");
     }
 
-    println!("K3: i8 vs f32 weights through the same inference forward (no floor)");
+    println!("K3: i8 vs f32 weights through the same batched inference forward (no floor)");
     let small_cfg = ModelConfig { hidden_dim: 16, token_dim: 16, ..Default::default() };
     let small = CompiledModel::compile(ds.schema(), &space, &small_cfg, None);
     let quantized = InferenceModel::quantize(&small);
@@ -196,13 +197,13 @@ fn main() {
         start.elapsed().as_secs_f64()
     };
     let f32_round: &dyn Fn() = &|| {
-        for ex in &test {
-            std::hint::black_box(small.predict(ex));
+        for batch in test.chunks(32) {
+            std::hint::black_box(small.predict_batch(batch));
         }
     };
     let quant_round: &dyn Fn() = &|| {
-        for ex in &test {
-            std::hint::black_box(quantized.predict(&small, ex));
+        for batch in test.chunks(32) {
+            std::hint::black_box(quantized.predict_batch(&small, batch));
         }
     };
     f32_round();
@@ -225,7 +226,9 @@ fn main() {
     let quant_s = quant_times[rounds / 2];
     let quant_speedup = ratios[rounds / 2];
     println!(
-        "  f32 {:.3} ms/batch  i8 {:.3} ms/batch  i8 speedup over f32 {quant_speedup:.2}x",
+        "  {} examples in 32-example batches: f32 {:.3} ms  i8 {:.3} ms  \
+         i8 speedup over f32 {quant_speedup:.2}x",
+        test.len(),
         f32_s * 1e3,
         quant_s * 1e3
     );

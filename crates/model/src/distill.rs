@@ -24,9 +24,9 @@ pub fn soften_targets(
 ) -> Vec<CompiledExample> {
     examples
         .iter()
-        .map(|example| {
+        .zip(teacher.predict_batch(examples))
+        .map(|(example, prediction)| {
             let mut out = example.clone();
-            let prediction = teacher.predict(example);
             for (task, output) in prediction.tasks {
                 let soft = match output {
                     TaskOutput::Multiclass { dist, .. } | TaskOutput::Select { dist, .. } => {

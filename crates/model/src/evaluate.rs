@@ -6,11 +6,12 @@
 //! conditioned on an example being in the slice").
 
 use crate::features::{CompiledExample, FeatureSpace};
+use crate::infer::MAX_BATCH;
 use crate::network::{CompiledModel, Prediction, TaskOutput};
 use overton_monitor::{
     multiclass_metrics, Metrics, MetricsAccumulator, QualityReport, SLICE_PREFIX,
 };
-use overton_store::{Dataset, ShardedStore, TaskKind, TaskLabel};
+use overton_store::{Dataset, Record, ShardedStore, TaskKind, TaskLabel};
 use std::collections::BTreeMap;
 
 /// Evaluation output: one report per task plus the raw predictions.
@@ -66,10 +67,12 @@ pub fn evaluate(
     // Per task, per group: accumulated scored pairs.
     let mut grouped: BTreeMap<String, BTreeMap<String, Vec<Scored>>> = BTreeMap::new();
 
-    for &i in indices {
+    let examples: Vec<CompiledExample> = indices
+        .iter()
+        .map(|&i| CompiledExample::from_record(&dataset.records()[i], i, space, schema))
+        .collect();
+    for (&i, prediction) in indices.iter().zip(model.predict_batch(&examples)) {
         let record = &dataset.records()[i];
-        let example = CompiledExample::from_record(record, i, space, schema);
-        let prediction = model.predict(&example);
         for (task, def) in &schema.tasks {
             let Some(output) = prediction.tasks.get(task) else { continue };
             let Some(gold) = record.gold(task) else { continue };
@@ -102,8 +105,8 @@ pub fn evaluate(
 }
 
 /// Evaluates `model` on the given **sorted** global rows of a sealed
-/// store, shard-parallel: every shard decodes its rows, runs the forward
-/// pass, and scores into mergeable per-group
+/// store, shard-parallel: every shard decodes its rows, runs the batched
+/// forward over them a micro-batch at a time, and scores into mergeable per-group
 /// [`MetricsAccumulator`] partials; the partials reduce in shard order, so
 /// the reports (and the prediction order) are identical to the sequential
 /// [`evaluate`] over the equivalent dataset.
@@ -118,21 +121,30 @@ pub fn evaluate_store(
     let partials = store.par_scan_rows(rows, |scan| {
         let mut grouped: Grouped = BTreeMap::new();
         let mut predictions = Vec::with_capacity(scan.len());
-        for (i, record) in scan.records() {
-            let record = record?;
-            let example = CompiledExample::from_record(&record, i, space, schema);
-            let prediction = model.predict(&example);
-            for (task, def) in &schema.tasks {
-                let Some(output) = prediction.tasks.get(task) else { continue };
-                let Some(gold) = record.gold(task) else { continue };
-                let Some(scored) = score_one(def.kind.clone(), output, gold) else { continue };
-                let per_task = grouped.entry(task.clone()).or_default();
-                for group in record_groups(&record) {
-                    accumulate(per_task, group, &scored);
+        let mut records = scan.records().peekable();
+        while records.peek().is_some() {
+            let chunk: Vec<(usize, Record)> = records
+                .by_ref()
+                .take(MAX_BATCH)
+                .map(|(i, record)| record.map(|record| (i, record)))
+                .collect::<overton_store::Result<_>>()?;
+            let examples: Vec<CompiledExample> = chunk
+                .iter()
+                .map(|(i, record)| CompiledExample::from_record(record, *i, space, schema))
+                .collect();
+            for ((i, record), prediction) in chunk.iter().zip(model.predict_batch(&examples)) {
+                for (task, def) in &schema.tasks {
+                    let Some(output) = prediction.tasks.get(task) else { continue };
+                    let Some(gold) = record.gold(task) else { continue };
+                    let Some(scored) = score_one(def.kind.clone(), output, gold) else { continue };
+                    let per_task = grouped.entry(task.clone()).or_default();
+                    for group in record_groups(record) {
+                        accumulate(per_task, group, &scored);
+                    }
+                    accumulate(per_task, "overall".to_string(), &scored);
                 }
-                accumulate(per_task, "overall".to_string(), &scored);
+                predictions.push((*i, prediction));
             }
-            predictions.push((i, prediction));
         }
         Ok((grouped, predictions))
     })?;

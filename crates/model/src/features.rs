@@ -88,10 +88,9 @@ impl FeatureSpace {
     ///
     /// The counterpart of
     /// [`CompiledModel::predict_batch`](crate::CompiledModel::predict_batch)
-    /// on the input side: serving
-    /// drains a queue of records and encodes them together before one
-    /// batched forward pass. `record_index` is the position within the
-    /// batch.
+    /// on the input side: the examples of a batch are encoded together,
+    /// then their rows are stacked so each layer of the forward runs once
+    /// per batch. `record_index` is the position within the batch.
     pub fn encode_batch(&self, records: &[Record], schema: &Schema) -> Vec<CompiledExample> {
         records
             .iter()

@@ -20,7 +20,7 @@
 
 use crate::config::{AggregationKind, EmbeddingKind, EncoderKind, ModelConfig};
 use crate::features::{CompiledExample, FeatureSpace};
-use crate::infer::{Decode, InferenceModel};
+use crate::infer::{Decode, InferenceModel, MAX_BATCH};
 use crate::pretrained::PretrainedEncoder;
 use overton_store::{PayloadKind, Schema, TaskKind};
 use overton_supervision::ProbLabel;
@@ -668,16 +668,21 @@ impl CompiledModel {
         total
     }
 
-    /// Runs inference and decodes every task output, tape-free: the
-    /// [`InferenceModel`] forward with f32 weights read in place. Outputs
-    /// are bit-identical to decoding the tape [`CompiledModel::forward`].
+    /// [`CompiledModel::predict_batch`] over a batch of one.
     pub fn predict(&self, example: &CompiledExample) -> Prediction {
         self.inference.predict(self, example)
     }
 
-    /// [`CompiledModel::predict`] over a batch, in input order.
+    /// Runs inference over a batch and decodes every task output, in input
+    /// order: the tape-free [`InferenceModel::predict_batch`] with f32
+    /// weights read in place, fed chunks of at most 32 examples so memory
+    /// stays bounded whatever the input length. Outputs are bit-identical
+    /// to decoding the tape [`CompiledModel::forward`] per example.
     pub fn predict_batch(&self, examples: &[CompiledExample]) -> Vec<Prediction> {
-        examples.iter().map(|example| self.predict(example)).collect()
+        examples
+            .chunks(MAX_BATCH)
+            .flat_map(|chunk| self.inference.predict_batch(self, chunk))
+            .collect()
     }
 }
 

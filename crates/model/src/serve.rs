@@ -9,7 +9,7 @@
 
 use crate::config::ModelConfig;
 use crate::features::{CompiledExample, FeatureSpace};
-use crate::infer::InferenceModel;
+use crate::infer::{InferenceModel, MAX_BATCH};
 use crate::network::{CompiledModel, Prediction, TaskOutput};
 use overton_store::{Record, Schema, ServingSignature, StoreError, TaskKind};
 use serde::{Deserialize, Serialize};
@@ -165,30 +165,32 @@ impl Server {
         &self.space
     }
 
-    /// Validates a record against the schema and predicts all tasks.
+    /// Validates a record against the schema and predicts all tasks:
+    /// [`Server::predict_batch`] over a batch of one.
     pub fn predict(&self, record: &Record) -> Result<ServingResponse, StoreError> {
-        record.validate(self.model.schema())?;
-        let example = CompiledExample::from_record(record, 0, &self.space, self.model.schema());
-        self.decode_response(record, &self.inference().predict(&self.model, &example))
+        self.predict_batch(std::slice::from_ref(record)).pop().expect("one result per record")
     }
 
     /// Validates and predicts a batch of records, returning one result per
     /// record in input order. Invalid records fail individually without
-    /// poisoning the rest of the batch; valid ones are encoded together and
-    /// run through the inference forward one after another.
+    /// poisoning the rest of the batch. Valid ones are encoded and run
+    /// through the inference forward together, in chunks of at most 32, so
+    /// each affine layer runs once per chunk and memory follows the chunk,
+    /// not the input.
     pub fn predict_batch(&self, records: &[Record]) -> Vec<Result<ServingResponse, StoreError>> {
         let schema = self.model.schema();
         let mut out: Vec<Option<Result<ServingResponse, StoreError>>> =
             records.iter().map(|r| r.validate(schema).err().map(Err)).collect();
         let valid: Vec<usize> = (0..records.len()).filter(|&i| out[i].is_none()).collect();
-        let examples: Vec<CompiledExample> = valid
-            .iter()
-            .map(|&i| CompiledExample::from_record(&records[i], i, &self.space, schema))
-            .collect();
-        let inference = self.inference();
-        for (&i, example) in valid.iter().zip(&examples) {
-            let prediction = inference.predict(&self.model, example);
-            out[i] = Some(self.decode_response(&records[i], &prediction));
+        for chunk in valid.chunks(MAX_BATCH) {
+            let examples: Vec<CompiledExample> = chunk
+                .iter()
+                .map(|&i| CompiledExample::from_record(&records[i], i, &self.space, schema))
+                .collect();
+            let predictions = self.inference().predict_batch(&self.model, &examples);
+            for (&i, prediction) in chunk.iter().zip(&predictions) {
+                out[i] = Some(self.decode_response(&records[i], prediction));
+            }
         }
         out.into_iter().map(|r| r.expect("every slot filled")).collect()
     }
@@ -427,6 +429,42 @@ mod tests {
                     assert_eq!(*response, server.predict(record).unwrap());
                     assert!((0.0..=1.0).contains(&response.confidence));
                 }
+                Err(_) => assert!(record.validate(ds.schema()).is_err()),
+            }
+        }
+        assert_eq!(results.iter().filter(|r| r.is_err()).count(), 1);
+    }
+
+    #[test]
+    fn predict_batch_edge_batches() {
+        let (ds, space, model) = setup();
+        let server = Server::load(&DeployableModel::package(&model, &space, BTreeMap::new()));
+        assert!(server.predict_batch(&[]).is_empty());
+
+        let bad = Record::new().with_label(
+            "Intent",
+            "w",
+            overton_store::TaskLabel::MulticlassOne("NotAClass".into()),
+        );
+        let all_bad = server.predict_batch(&vec![bad.clone(); 3]);
+        assert_eq!(all_bad.len(), 3);
+        assert!(all_bad.iter().all(Result::is_err));
+
+        // More than two chunks, with an invalid record shifting the chunk
+        // boundaries off the input positions.
+        let mut records: Vec<Record> = ds
+            .test_indices()
+            .iter()
+            .cycle()
+            .take(2 * MAX_BATCH + 5)
+            .map(|&i| ds.records()[i].clone())
+            .collect();
+        records.insert(MAX_BATCH - 1, bad);
+        let results = server.predict_batch(&records);
+        assert_eq!(results.len(), records.len());
+        for (record, result) in records.iter().zip(&results) {
+            match result {
+                Ok(response) => assert_eq!(*response, server.predict(record).unwrap()),
                 Err(_) => assert!(record.validate(ds.schema()).is_err()),
             }
         }

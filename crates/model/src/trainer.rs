@@ -20,6 +20,7 @@
 
 use crate::config::TrainConfig;
 use crate::features::CompiledExample;
+use crate::infer::argmax;
 use crate::network::CompiledModel;
 use overton_store::par_map;
 use overton_tensor::optim::{Adam, Optimizer};
@@ -179,8 +180,7 @@ pub fn dev_agreement(model: &CompiledModel, examples: &[CompiledExample]) -> f64
     use overton_supervision::ProbLabel;
     let mut total = 0.0f64;
     let mut n = 0usize;
-    for example in examples {
-        let prediction = model.predict(example);
+    for (example, prediction) in examples.iter().zip(model.predict_batch(examples)) {
         for (task, target) in &example.targets {
             let Some(output) = prediction.tasks.get(task) else { continue };
             let score = match (output, target) {
@@ -235,16 +235,6 @@ fn bit_agreement<B: AsRef<[bool]>>(pred: &[B], gold: &[Vec<bool>]) -> f64 {
     } else {
         correct as f64 / total as f64
     }
-}
-
-fn argmax(xs: &[f32]) -> usize {
-    let mut best = 0;
-    for (i, &x) in xs.iter().enumerate() {
-        if x > xs[best] {
-            best = i;
-        }
-    }
-    best
 }
 
 #[cfg(test)]

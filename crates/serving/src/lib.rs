@@ -7,8 +7,9 @@
 //! - **Worker pool with dynamic micro-batching** ([`WorkerPool`]): requests
 //!   queue behind `std::thread` workers that drain whatever is waiting (up
 //!   to `max_batch`) and run it through the batched forward path
-//!   ([`overton_model::Server::predict_batch`]), amortizing per-record
-//!   overhead under load without adding latency when idle.
+//!   ([`overton_model::Server::predict_batch`], one GEMM per layer per
+//!   micro-batch), amortizing per-record cost under load without adding
+//!   latency when idle.
 //! - **Model-pair cascade** ([`CascadeEngine`]): the small (SLA) model
 //!   answers everything; low-confidence responses escalate to the large
 //!   (quality) model, with per-route counters (§2.4's large/small pairs as

@@ -5,8 +5,8 @@
 //! drains *up to* `max_batch` of whatever is queued the moment it wakes —
 //! under light load a request rides alone for minimal latency, under heavy
 //! load batches fill up and the batched forward path
-//! ([`overton_model::Server::predict_batch`]) amortizes per-record
-//! overhead. Engines are hot-swappable behind an `RwLock`, which is what
+//! ([`overton_model::Server::predict_batch`]) stacks the batch's rows so
+//! each layer runs one GEMM for the whole micro-batch. Engines are hot-swappable behind an `RwLock`, which is what
 //! lets the deployment manager promote a canary under live traffic without
 //! dropping a request.
 

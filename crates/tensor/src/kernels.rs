@@ -17,7 +17,12 @@
 //! Every partial sum is rounded to `f32` exactly as the naive loops round
 //! theirs, so the blocked kernels produce bit-identical results to the
 //! naive reference paths (and training trajectories do not depend on
-//! which path a shape dispatches to).
+//! which path a shape dispatches to). It follows that rows are
+//! independent: row `i` of `A * B` is the same bits whichever other rows
+//! share the product, so stacking several inputs into one GEMM (as batched
+//! inference does) changes no output — for finite operands only, since the
+//! sparse naive path skips zero terms of `A` and so never computes
+//! `0 * inf = NaN`.
 
 /// Microkernel tile rows (register-blocked rows of `A`).
 const MR: usize = 4;

@@ -114,6 +114,34 @@ proptest! {
         let b = random_matrix(&mut rng, k, n);
         prop_assert_eq!(a.matmul(&b), naive_matmul(&a, &b));
     }
+
+    // Row independence, which batched inference relies on: each row of
+    // `[A1; A2] * B` is bit-identical to the same row of `A1 * B` or
+    // `A2 * B`, even when stacking moves the product across the blocked
+    // cutoff or flips the sparsity probe (`sparse` zeroes most of A1 or A2).
+    #[test]
+    fn stacked_rows_match_alone(
+        m1 in 1usize..40, m2 in 1usize..40, k in 1usize..90, n in 1usize..70,
+        sparse in 0usize..3, seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut parts = [random_matrix(&mut rng, m1, k), random_matrix(&mut rng, m2, k)];
+        if let Some(part) = parts.get_mut(sparse) {
+            for x in part.as_mut_slice() {
+                if rng.gen_bool(0.8) {
+                    *x = 0.0;
+                }
+            }
+        }
+        let b = random_matrix(&mut rng, k, n);
+        let stacked = Matrix::concat_rows(&parts).matmul(&b);
+        let alone: Vec<Matrix> = parts.iter().map(|a| a.matmul(&b)).collect();
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let alone_rows = alone.iter().flat_map(|c| (0..c.rows()).map(move |r| c.row(r)));
+        for (r, row) in alone_rows.enumerate() {
+            prop_assert_eq!(bits(stacked.row(r)), bits(row));
+        }
+    }
 }
 
 #[test]
