@@ -475,9 +475,9 @@ fn finish_task(
     match partial {
         TaskPartial::Single { matrix, items } => {
             let (dists, diags) = run_combiner(&matrix, &spec.sources, method);
-            for (item, row) in items.iter().enumerate() {
-                if let Some(dist) = &dists[item] {
-                    labels[*row as usize] = Some(ProbLabel::Dist(dist.clone()));
+            for (dist, row) in dists.into_iter().zip(&items) {
+                if let Some(dist) = dist {
+                    labels[*row as usize] = Some(ProbLabel::Dist(dist));
                 }
             }
             CombinedSupervision { labels, sources: diags }
@@ -489,11 +489,9 @@ fn finish_task(
             for (row, len) in &record_len {
                 per_record.insert(*row, vec![Vec::new(); *len as usize]);
             }
-            for (item, (row, t)) in item_pos.iter().enumerate() {
-                match &dists[item] {
-                    Some(dist) => {
-                        per_record.get_mut(row).expect("registered")[*t as usize] = dist.clone()
-                    }
+            for (dist, (row, t)) in dists.into_iter().zip(&item_pos) {
+                match dist {
+                    Some(dist) => per_record.get_mut(row).expect("registered")[*t as usize] = dist,
                     None => {
                         skipped.insert(*row);
                     }

@@ -9,6 +9,16 @@
 //! ("Overton estimates the accuracy of these sources and then uses these
 //! accuracies to compute a probability that each training point is
 //! correct", §2.2).
+//!
+//! An item's posterior depends only on its `(cardinality, votes)` row, and
+//! a workload with a few sources and small `k` has a few hundred distinct
+//! rows among tens of thousands of items. So the E-step runs once per
+//! distinct row (a *vote pattern*), while the M-step still sums each
+//! item's pattern posterior per item, in item order. Both steps perform
+//! the same floating-point operations in the same order as an EM that runs
+//! the E-step per item, so the fitted model is bit-identical to it.
+
+use std::collections::HashMap;
 
 use crate::matrix::LabelMatrix;
 
@@ -53,6 +63,10 @@ pub struct LabelModel {
 impl LabelModel {
     /// Fits the model to a label matrix by EM.
     ///
+    /// The E-step runs once per distinct `(cardinality, votes)` row; the
+    /// M-step sums every item's posterior per item, in item order, so the
+    /// result is bit-identical to running the E-step per item.
+    ///
     /// # Panics
     /// Panics if the matrix has no sources.
     pub fn fit(matrix: &LabelMatrix, config: &LabelModelConfig) -> Self {
@@ -66,19 +80,30 @@ impl LabelModel {
         };
         let propensities: Vec<f32> = (0..m).map(|j| matrix.coverage(j)).collect();
 
+        let patterns = Patterns::new(matrix);
+        let mut posteriors = vec![0.0f32; patterns.width];
+        // Per-source vote counts do not change between iterations.
+        let mut votes = vec![0.0f32; m];
+        for i in 0..matrix.n_items() {
+            for (j, vote) in matrix.votes(i).iter().enumerate() {
+                if vote.is_some() {
+                    votes[j] += 1.0;
+                }
+            }
+        }
+
         let mut iterations = 0;
         for _ in 0..config.max_iter {
             iterations += 1;
-            let posteriors = posterior_given(matrix, &accuracies, balance.as_deref());
+            patterns.e_step(matrix, &accuracies, balance.as_deref(), &mut posteriors);
 
             // M-step: accuracy_j = E[#correct votes] / #votes (+ smoothing).
             let mut new_acc = vec![0.0f32; m];
-            let mut votes = vec![0.0f32; m];
-            for (i, post) in posteriors.iter().enumerate() {
+            for (i, &id) in patterns.ids.iter().enumerate() {
+                let post = patterns.posterior(id, &posteriors);
                 for (j, vote) in matrix.votes(i).iter().enumerate() {
                     if let Some(v) = vote {
                         new_acc[j] += post[*v as usize];
-                        votes[j] += 1.0;
                     }
                 }
             }
@@ -92,8 +117,8 @@ impl LabelModel {
             if let Some(bal) = &mut balance {
                 let k = bal.len();
                 let mut new_bal = vec![config.smoothing; k];
-                for post in &posteriors {
-                    for (c, &p) in post.iter().enumerate() {
+                for &id in &patterns.ids {
+                    for (c, &p) in patterns.posterior(id, &posteriors).iter().enumerate() {
                         new_bal[c] += p;
                     }
                 }
@@ -133,7 +158,10 @@ impl LabelModel {
 
     /// Posterior distribution over each item's true label.
     pub fn predict_proba(&self, matrix: &LabelMatrix) -> Vec<Vec<f32>> {
-        posterior_given(matrix, &self.accuracies, self.class_balance.as_deref())
+        let patterns = Patterns::new(matrix);
+        let mut posteriors = vec![0.0f32; patterns.width];
+        patterns.e_step(matrix, &self.accuracies, self.class_balance.as_deref(), &mut posteriors);
+        patterns.ids.iter().map(|&id| patterns.posterior(id, &posteriors).to_vec()).collect()
     }
 
     /// Hard posterior predictions (argmax; first class on ties).
@@ -153,48 +181,95 @@ impl LabelModel {
     }
 }
 
-/// E-step: `P(y_i = c | votes, params)` in log space.
-fn posterior_given(
-    matrix: &LabelMatrix,
-    accuracies: &[f32],
-    balance: Option<&[f32]>,
-) -> Vec<Vec<f32>> {
-    (0..matrix.n_items())
-        .map(|i| {
-            let k = matrix.cardinality(i) as usize;
-            let mut log_post: Vec<f64> = (0..k)
-                .map(|c| match balance {
-                    Some(b) if b.len() == k => (b[c].max(1e-9) as f64).ln(),
-                    _ => (1.0 / k as f64).ln(),
-                })
-                .collect();
-            for (j, vote) in matrix.votes(i).iter().enumerate() {
-                let Some(v) = vote else { continue };
-                let acc = accuracies[j] as f64;
-                // With a single candidate the vote carries no information.
-                if k <= 1 {
-                    continue;
-                }
-                let wrong = ((1.0 - acc) / (k as f64 - 1.0)).max(1e-12);
-                for (c, lp) in log_post.iter_mut().enumerate() {
-                    *lp += if c as u32 == *v { acc.max(1e-12).ln() } else { wrong.ln() };
+/// The matrix's items grouped by distinct `(cardinality, votes)` row. Ids
+/// are assigned in first-appearance order; the hash map only serves
+/// lookups while indexing, so its iteration order never reaches a result.
+struct Patterns {
+    /// Pattern id of each item, in item order.
+    ids: Vec<u32>,
+    /// Per pattern: its first item, cardinality, and offset into the flat
+    /// posterior buffer.
+    patterns: Vec<Pattern>,
+    /// Length of the flat posterior buffer (sum of pattern cardinalities).
+    width: usize,
+}
+
+struct Pattern {
+    item: usize,
+    k: usize,
+    offset: usize,
+}
+
+impl Patterns {
+    fn new(matrix: &LabelMatrix) -> Self {
+        let mut lookup: HashMap<(u32, &[Option<u32>]), u32> = HashMap::new();
+        let mut ids = Vec::with_capacity(matrix.n_items());
+        let mut patterns: Vec<Pattern> = Vec::new();
+        let mut width = 0;
+        for i in 0..matrix.n_items() {
+            let k = matrix.cardinality(i);
+            let id = *lookup.entry((k, matrix.votes(i))).or_insert_with(|| {
+                patterns.push(Pattern { item: i, k: k as usize, offset: width });
+                width += k as usize;
+                (patterns.len() - 1) as u32
+            });
+            ids.push(id);
+        }
+        Self { ids, patterns, width }
+    }
+
+    /// Pattern `id`'s slice of the flat posterior buffer.
+    fn posterior<'a>(&self, id: u32, posteriors: &'a [f32]) -> &'a [f32] {
+        let p = &self.patterns[id as usize];
+        &posteriors[p.offset..p.offset + p.k]
+    }
+
+    /// E-step: `P(y = c | votes, params)` in log space, once per pattern,
+    /// written into `posteriors` at each pattern's offset.
+    fn e_step(
+        &self,
+        matrix: &LabelMatrix,
+        accuracies: &[f32],
+        balance: Option<&[f32]>,
+        posteriors: &mut [f32],
+    ) {
+        let mut log_post: Vec<f64> = Vec::new();
+        for p in &self.patterns {
+            let k = p.k;
+            log_post.clear();
+            log_post.extend((0..k).map(|c| match balance {
+                Some(b) if b.len() == k => (b[c].max(1e-9) as f64).ln(),
+                _ => (1.0 / k as f64).ln(),
+            }));
+            // With a single candidate a vote carries no information.
+            if k > 1 {
+                for (j, vote) in matrix.votes(p.item).iter().enumerate() {
+                    let Some(v) = vote else { continue };
+                    let acc = accuracies[j] as f64;
+                    let right = acc.max(1e-12).ln();
+                    let wrong = ((1.0 - acc) / (k as f64 - 1.0)).max(1e-12).ln();
+                    for (c, lp) in log_post.iter_mut().enumerate() {
+                        *lp += if c as u32 == *v { right } else { wrong };
+                    }
                 }
             }
             // Normalize stably.
             let max = log_post.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let mut probs: Vec<f64> = log_post.iter().map(|lp| (lp - max).exp()).collect();
-            let z: f64 = probs.iter().sum();
-            for p in &mut probs {
-                *p /= z;
+            for lp in &mut log_post {
+                *lp = (*lp - max).exp();
             }
-            probs.into_iter().map(|p| p as f32).collect()
-        })
-        .collect()
+            let z: f64 = log_post.iter().sum();
+            for (out, q) in posteriors[p.offset..p.offset + k].iter_mut().zip(&log_post) {
+                *out = (q / z) as f32;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -352,6 +427,184 @@ mod tests {
         let model = LabelModel::fit(&matrix, &LabelModelConfig::default());
         assert!(model.iterations() >= 1);
         assert!(model.iterations() <= 100);
+    }
+
+    /// The per-item EM that ran the E-step once per item, kept verbatim as
+    /// the oracle the pattern-grouped EM must match bit for bit.
+    mod reference {
+        use super::*;
+
+        pub(super) fn fit(matrix: &LabelMatrix, config: &LabelModelConfig) -> LabelModel {
+            assert!(matrix.n_sources() > 0, "label model needs at least one source");
+            let m = matrix.n_sources();
+            let uniform_k = matrix.uniform_cardinality();
+            let mut accuracies = vec![config.init_accuracy.clamp(0.05, 0.95); m];
+            let mut balance: Option<Vec<f32>> = match (config.estimate_balance, uniform_k) {
+                (true, Some(k)) if k > 0 => Some(vec![1.0 / k as f32; k as usize]),
+                _ => None,
+            };
+            let propensities: Vec<f32> = (0..m).map(|j| matrix.coverage(j)).collect();
+
+            let mut iterations = 0;
+            for _ in 0..config.max_iter {
+                iterations += 1;
+                let posteriors = posterior_given(matrix, &accuracies, balance.as_deref());
+
+                // M-step: accuracy_j = E[#correct votes] / #votes (+ smoothing).
+                let mut new_acc = vec![0.0f32; m];
+                let mut votes = vec![0.0f32; m];
+                for (i, post) in posteriors.iter().enumerate() {
+                    for (j, vote) in matrix.votes(i).iter().enumerate() {
+                        if let Some(v) = vote {
+                            new_acc[j] += post[*v as usize];
+                            votes[j] += 1.0;
+                        }
+                    }
+                }
+                let mut max_delta = 0.0f32;
+                for j in 0..m {
+                    let est = (new_acc[j] + config.smoothing) / (votes[j] + 2.0 * config.smoothing);
+                    let est = est.clamp(0.01, 0.99);
+                    max_delta = max_delta.max((est - accuracies[j]).abs());
+                    accuracies[j] = est;
+                }
+                if let Some(bal) = &mut balance {
+                    let k = bal.len();
+                    let mut new_bal = vec![config.smoothing; k];
+                    for post in &posteriors {
+                        for (c, &p) in post.iter().enumerate() {
+                            new_bal[c] += p;
+                        }
+                    }
+                    let total: f32 = new_bal.iter().sum();
+                    for (b, nb) in bal.iter_mut().zip(&new_bal) {
+                        let est = nb / total;
+                        max_delta = max_delta.max((est - *b).abs());
+                        *b = est;
+                    }
+                }
+                if max_delta < config.tol {
+                    break;
+                }
+            }
+            LabelModel { accuracies, propensities, class_balance: balance, iterations }
+        }
+
+        /// E-step: `P(y_i = c | votes, params)` in log space.
+        pub(super) fn posterior_given(
+            matrix: &LabelMatrix,
+            accuracies: &[f32],
+            balance: Option<&[f32]>,
+        ) -> Vec<Vec<f32>> {
+            (0..matrix.n_items())
+                .map(|i| {
+                    let k = matrix.cardinality(i) as usize;
+                    let mut log_post: Vec<f64> = (0..k)
+                        .map(|c| match balance {
+                            Some(b) if b.len() == k => (b[c].max(1e-9) as f64).ln(),
+                            _ => (1.0 / k as f64).ln(),
+                        })
+                        .collect();
+                    for (j, vote) in matrix.votes(i).iter().enumerate() {
+                        let Some(v) = vote else { continue };
+                        let acc = accuracies[j] as f64;
+                        // With a single candidate the vote carries no information.
+                        if k <= 1 {
+                            continue;
+                        }
+                        let wrong = ((1.0 - acc) / (k as f64 - 1.0)).max(1e-12);
+                        for (c, lp) in log_post.iter_mut().enumerate() {
+                            *lp += if c as u32 == *v { acc.max(1e-12).ln() } else { wrong.ln() };
+                        }
+                    }
+                    // Normalize stably.
+                    let max = log_post.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                    let mut probs: Vec<f64> = log_post.iter().map(|lp| (lp - max).exp()).collect();
+                    let z: f64 = probs.iter().sum();
+                    for p in &mut probs {
+                        *p /= z;
+                    }
+                    probs.into_iter().map(|p| p as f32).collect()
+                })
+                .collect()
+        }
+    }
+
+    /// A random label matrix: `m` sources of random accuracy voting on a
+    /// hidden truth, abstaining at rate `abstain`, plus some all-abstain
+    /// rows. `uniform` gives every item one cardinality in `1..=max_k`;
+    /// otherwise each item draws its own (select-style), so `k = 1` items
+    /// occur in both.
+    fn random_matrix(
+        m: usize,
+        n: usize,
+        max_k: u32,
+        uniform: bool,
+        abstain: f32,
+        seed: u64,
+    ) -> LabelMatrix {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let accs: Vec<f32> = (0..m).map(|_| rng.gen_range(0.3..0.95)).collect();
+        let shared_k = rng.gen_range(1..=max_k);
+        let mut matrix = LabelMatrix::new(m);
+        for _ in 0..n {
+            let k = if uniform { shared_k } else { rng.gen_range(1..=max_k) };
+            let y = rng.gen_range(0..k);
+            let silent = rng.gen::<f32>() < 0.1;
+            let votes: Vec<Option<u32>> = accs
+                .iter()
+                .map(|&a| {
+                    if silent || rng.gen::<f32>() < abstain {
+                        None
+                    } else if k == 1 || rng.gen::<f32>() < a {
+                        Some(y)
+                    } else {
+                        Some(rng.gen_range(0..k))
+                    }
+                })
+                .collect();
+            matrix.push_item(k, &votes);
+        }
+        matrix
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn pattern_em_is_bit_identical_to_per_item_em(
+            shape in (1usize..6, 0usize..300, 1u32..6, any::<bool>()),
+            knobs in (any::<bool>(), any::<bool>(), 0.0f32..0.8, 0.5f32..0.9, any::<u64>()),
+        ) {
+            let (m, n, max_k, uniform) = shape;
+            let (estimate_balance, long, abstain, init_accuracy, seed) = knobs;
+            let matrix = random_matrix(m, n, max_k, uniform, abstain, seed);
+            let config = LabelModelConfig {
+                max_iter: if long { 100 } else { 1 },
+                init_accuracy,
+                estimate_balance,
+                ..LabelModelConfig::default()
+            };
+            let fast = LabelModel::fit(&matrix, &config);
+            let slow = reference::fit(&matrix, &config);
+            prop_assert_eq!(bits(fast.accuracies()), bits(slow.accuracies()));
+            prop_assert_eq!(fast.class_balance().map(bits), slow.class_balance().map(bits));
+            prop_assert_eq!(fast.iterations(), slow.iterations());
+            let fast_post = fast.predict_proba(&matrix);
+            let slow_post = reference::posterior_given(
+                &matrix,
+                slow.accuracies(),
+                slow.class_balance(),
+            );
+            prop_assert_eq!(fast_post.len(), slow_post.len());
+            for (a, b) in fast_post.iter().zip(&slow_post) {
+                prop_assert_eq!(bits(a), bits(b));
+            }
+        }
     }
 
     #[test]
