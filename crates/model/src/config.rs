@@ -107,10 +107,11 @@ pub struct TrainConfig {
     /// Shuffling/dropout seed.
     pub seed: u64,
     /// Threads sharing each optimizer window's gradient computation
-    /// (`0` or `1` = single-threaded). Any value produces bit-identical
-    /// weights: per-example gradients are merged in example order, so
-    /// workers change wall-time only, never the trajectory. Defaults low
-    /// because training often runs alongside serving.
+    /// (`0` or `1` = single-threaded): the window splits into this many
+    /// contiguous sub-windows, one stacked tape each. Any value produces
+    /// bit-identical weights: per-example gradients are merged in example
+    /// order, so workers change wall-time only, never the trajectory.
+    /// Defaults low because training often runs alongside serving.
     #[serde(default)]
     pub grad_workers: usize,
 }

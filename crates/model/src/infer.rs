@@ -1,7 +1,8 @@
 //! The inference forward: the one tape-free path every prediction runs.
 //!
 //! Training records an autograd tape ([`overton_tensor::Graph`]) per
-//! example because it needs gradients. Inference does not, so
+//! optimizer window, stacked the same way, because it needs gradients.
+//! Inference does not, so
 //! [`CompiledModel::predict`] — and through it evaluation, dev selection,
 //! search, distillation and serving — runs an [`InferenceModel`] instead:
 //! the same layers lowered to plain matrix arithmetic, with no tape nodes,
@@ -21,9 +22,10 @@
 //! - `F32` holds only parameter handles and reads the weights from the
 //!   model's [`ParamStore`] at call time. It performs the tape forward's
 //!   arithmetic op for op, and GEMM rows are independent of each other, so
-//!   its output is **bit-identical** to decoding [`CompiledModel::forward`]
-//!   one example at a time (tested over every encoder, aggregation and head
-//!   kind, in mixed batches).
+//!   its output is **bit-identical** to decoding a single-example
+//!   training tape one example at a time (tested against the per-example
+//!   tape kept as the test oracle, over every encoder, aggregation and
+//!   head kind, in mixed batches).
 //! - `I8` is the deploy-time quantized layer ([`QuantizedLinear`]: i8
 //!   codes with per-output-channel scales, i32 accumulation) that
 //!   [`crate::Server::quantize`] opts the cascade's small model into (§2.4:
@@ -74,12 +76,13 @@ impl Affine {
 
 /// Row bounds of a row-stacked batch: example `b` owns rows
 /// `starts[b]..starts[b + 1]` of every matrix stacked over these bounds.
-struct Segments {
+/// Inference and the training tape stack the same way.
+pub(crate) struct Segments {
     starts: Vec<usize>,
 }
 
 impl Segments {
-    fn from_lens(lens: impl IntoIterator<Item = usize>) -> Self {
+    pub(crate) fn from_lens(lens: impl IntoIterator<Item = usize>) -> Self {
         let mut starts = vec![0];
         for len in lens {
             starts.push(starts[starts.len() - 1] + len);
@@ -88,46 +91,84 @@ impl Segments {
     }
 
     /// Example `b`'s rows.
-    fn range(&self, b: usize) -> Range<usize> {
+    pub(crate) fn range(&self, b: usize) -> Range<usize> {
         self.starts[b]..self.starts[b + 1]
     }
 
     /// Number of examples.
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.starts.len() - 1
     }
 
-    fn iter(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Range<usize>> + '_ {
         self.starts.windows(2).map(|w| w[0]..w[1])
     }
 
-    fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.starts[self.starts.len() - 1]
     }
 
+    /// The stacked rows of example `b`'s span `lo..hi`, clamped into its
+    /// segment and at least one row long.
+    pub(crate) fn span(&self, b: usize, (lo, hi): (usize, usize)) -> Range<usize> {
+        let seg = self.range(b);
+        let lo = lo.min(seg.len().saturating_sub(1));
+        let hi = hi.clamp(lo + 1, seg.len());
+        seg.start + lo..seg.start + hi
+    }
+
+    /// `(example, rows)` for every example that owns rows: the parameter
+    /// blocks of an op over this stack (see `Graph::param_blocks`).
+    pub(crate) fn blocks(&self) -> Vec<(usize, Range<usize>)> {
+        self.iter().enumerate().filter(|(_, rows)| !rows.is_empty()).collect()
+    }
+
     /// The example each stacked row belongs to.
-    fn owners(&self) -> Vec<usize> {
+    pub(crate) fn owners(&self) -> Vec<usize> {
         self.iter().enumerate().flat_map(|(b, rows)| std::iter::repeat_n(b, rows.len())).collect()
     }
 
     /// `m` with each segment's rows reversed in place (the backward LSTM
     /// direction, per example).
-    fn reverse_rows(&self, m: &Matrix) -> Matrix {
+    pub(crate) fn reverse_rows(&self, m: &Matrix) -> Matrix {
         m.select_rows(&self.iter().flat_map(Iterator::rev).collect::<Vec<_>>())
     }
 
     /// Example `b`'s rows of `m`.
-    fn rows(&self, m: &Matrix, b: usize) -> Matrix {
+    pub(crate) fn rows(&self, m: &Matrix, b: usize) -> Matrix {
         m.select_rows(&self.range(b).collect::<Vec<_>>())
     }
 
     /// [`Matrix::im2row`] per segment, stacked: windows never reach across
     /// an example boundary.
-    fn im2row(&self, m: &Matrix, k: usize) -> Matrix {
+    pub(crate) fn im2row(&self, m: &Matrix, k: usize) -> Matrix {
         let parts: Vec<Matrix> =
             (0..self.len()).map(|b| self.rows(m, b).im2row(k, k / 2)).collect();
         Matrix::concat_rows(&parts)
     }
+}
+
+/// Each example's token ids for the sequence payload `name`; an absent or
+/// empty payload reads as a single PAD token.
+pub(crate) fn token_ids<'e>(
+    examples: impl IntoIterator<Item = &'e CompiledExample>,
+    name: &str,
+) -> Vec<&'e [usize]> {
+    examples
+        .into_iter()
+        .map(|ex| match ex.sequences.get(name) {
+            Some(ids) if !ids.is_empty() => ids.as_slice(),
+            _ => &[overton_nlp::PAD],
+        })
+        .collect()
+}
+
+/// Each example's elements of the set payload `name` (none if absent).
+pub(crate) fn set_elements<'e>(
+    examples: impl IntoIterator<Item = &'e CompiledExample>,
+    name: &str,
+) -> Vec<&'e [(usize, (usize, usize))]> {
+    examples.into_iter().map(|ex| ex.sets.get(name).map_or(&[][..], Vec::as_slice)).collect()
 }
 
 /// One LSTM direction. The gate bias is added after the two projections
@@ -369,13 +410,7 @@ impl InferenceModel {
         let tokens = ps.value(model.token_embedding.table());
         let mut seq_enc: BTreeMap<&str, (Matrix, Segments)> = BTreeMap::new();
         for (name, encoder) in &self.encoders {
-            let ids: Vec<&[usize]> = examples
-                .iter()
-                .map(|ex| match ex.sequences.get(name) {
-                    Some(ids) if !ids.is_empty() => ids.as_slice(),
-                    _ => &[overton_nlp::PAD],
-                })
-                .collect();
+            let ids = token_ids(examples, name);
             let segs = Segments::from_lens(ids.iter().map(|ids| ids.len()));
             let encoded = encoder.forward(ps, &tokens.select_rows(&ids.concat()), &segs);
             seq_enc.insert(name.as_str(), (encoded, segs));
@@ -453,10 +488,7 @@ impl InferenceModel {
             if !matches!(def.kind, PayloadKind::Set) {
                 continue;
             }
-            let sets: Vec<&[(usize, (usize, usize))]> = examples
-                .iter()
-                .map(|ex| ex.sets.get(name).map_or(&[][..], Vec::as_slice))
-                .collect();
+            let sets = set_elements(examples, name);
             let segs = Segments::from_lens(sets.iter().map(|els| els.len()));
             if segs.total() == 0 {
                 continue;
@@ -464,15 +496,11 @@ impl InferenceModel {
             let range_enc = def.range.as_deref().and_then(|r| seq_enc.get(r));
             let mut joined = Matrix::zeros(segs.total(), entity_dim + hidden);
             for (b, elements) in sets.iter().enumerate() {
-                for (row, &(entity_id, (lo, hi))) in segs.range(b).zip(elements.iter()) {
+                for (row, &(entity_id, span)) in segs.range(b).zip(elements.iter()) {
                     let row = joined.row_mut(row);
                     row[..entity_dim].copy_from_slice(entities.row(entity_id));
                     let Some((enc, enc_segs)) = range_enc else { continue };
-                    let seg = enc_segs.range(b);
-                    let lo = lo.min(seg.len().saturating_sub(1));
-                    let hi = hi.clamp(lo + 1, seg.len());
-                    let span =
-                        enc.select_rows(&(seg.start + lo..seg.start + hi).collect::<Vec<_>>());
+                    let span = enc.select_rows(&enc_segs.span(b, span).collect::<Vec<_>>());
                     row[entity_dim..].copy_from_slice(span.mean_rows().row(0));
                 }
             }
@@ -616,8 +644,9 @@ mod tests {
     use super::*;
     use crate::config::{EncoderKind, ModelConfig};
     use crate::features::FeatureSpace;
+    use crate::oracle;
     use overton_nlp::{generate_workload, WorkloadConfig};
-    use overton_store::{Dataset, PayloadDef, Record, Schema, TaskDef, TaskKind};
+    use overton_store::Dataset;
     use overton_tensor::Graph;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -650,10 +679,10 @@ mod tests {
             .collect()
     }
 
-    /// The tape forward, decoded.
+    /// The per-example training tape's forward (the test oracle), decoded.
     fn tape_predict(model: &CompiledModel, example: &CompiledExample) -> Prediction {
         let mut g = Graph::new();
-        let pass = model.forward(&mut g, example, false, &mut SmallRng::seed_from_u64(0));
+        let pass = oracle::forward(model, &mut g, example, false, &mut SmallRng::seed_from_u64(0));
         decode(
             pass.task_logits.iter().map(|(task, &l)| {
                 (task, model.heads[task].decode(), g.value(l).as_slice(), g.value(l).cols())
@@ -662,53 +691,11 @@ mod tests {
         )
     }
 
-    /// The workload schema plus what it lacks to reach every forward
-    /// branch: a singleton bitvector head, a singleton built on another
-    /// singleton, and a set with no range payload (zero span summaries).
-    fn every_branch_schema() -> Schema {
-        let mut schema = overton_nlp::workload_schema();
-        let labels = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        schema.payloads.insert(
-            "summary".into(),
-            PayloadDef {
-                kind: PayloadKind::Singleton,
-                base: labels(&["query", "tokens"]),
-                range: None,
-            },
-        );
-        schema.payloads.insert(
-            "mentions".into(),
-            PayloadDef { kind: PayloadKind::Set, base: vec![], range: None },
-        );
-        let task = |payload: &str, kind| TaskDef { payload: payload.into(), kind };
-        schema.tasks.insert(
-            "Flags".into(),
-            task("query", TaskKind::Bitvector { labels: labels(&["a", "b", "c"]) }),
-        );
-        schema.tasks.insert(
-            "Topic".into(),
-            task("summary", TaskKind::Multiclass { classes: labels(&["x", "y"]) }),
-        );
-        schema.tasks.insert("MentionArg".into(), task("mentions", TaskKind::Select));
-        schema.validate().expect("extended schema is valid");
-        schema
-    }
-
     #[test]
     fn batched_forward_is_bit_identical_to_the_tape() {
         let (ds, space) = setup();
-        let schema = every_branch_schema();
-        let mut exs: Vec<CompiledExample> = ds
-            .test_indices()
-            .iter()
-            .map(|&i| {
-                let mut record: Record = ds.records()[i].clone();
-                if let Some(entities) = record.payloads.get("entities").cloned() {
-                    record.payloads.insert("mentions".into(), entities);
-                }
-                CompiledExample::from_record(&record, i, &space, &schema)
-            })
-            .collect();
+        let schema = oracle::every_branch_schema();
+        let mut exs = oracle::every_branch_examples(&ds, &ds.test_indices(), &space, &schema);
         // The PAD path (an empty sequence) and an empty entity set, in the
         // middle of the batch so segments on both sides of them must line up.
         let mut empty_tokens = exs[0].clone();

@@ -17,6 +17,8 @@ mod evaluate;
 mod features;
 mod infer;
 mod network;
+#[cfg(test)]
+mod oracle;
 mod pretrained;
 mod registry;
 mod search;
@@ -31,7 +33,7 @@ pub use distill::{distill, soften_targets};
 pub use evaluate::{evaluate, evaluate_store, Evaluation};
 pub use features::{gold_to_prob, CompiledExample, FeatureSpace};
 pub use infer::InferenceModel;
-pub use network::{CompiledModel, ForwardPass, Prediction, TaskOutput};
+pub use network::{CompiledModel, Prediction, TaskOutput};
 pub use pretrained::{pretrain, PretrainConfig, PretrainedEncoder};
 pub use registry::{ArtifactEntry, ArtifactId, ModelRegistry};
 pub use search::{search, SearchConfig, TrialResult};

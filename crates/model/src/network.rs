@@ -20,7 +20,7 @@
 
 use crate::config::{AggregationKind, EmbeddingKind, EncoderKind, ModelConfig};
 use crate::features::{CompiledExample, FeatureSpace};
-use crate::infer::{Decode, InferenceModel, MAX_BATCH};
+use crate::infer::{set_elements, token_ids, Decode, InferenceModel, Segments, MAX_BATCH};
 use crate::pretrained::PretrainedEncoder;
 use overton_store::{PayloadKind, Schema, TaskKind};
 use overton_supervision::ProbLabel;
@@ -31,6 +31,7 @@ use overton_tensor::{Graph, Matrix, NodeId, ParamStore};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// A sequence encoder producing `[T, hidden]` from `[T, token_dim]`.
 #[derive(Debug, Clone)]
@@ -96,26 +97,6 @@ impl Encoder {
             }
         }
     }
-
-    fn forward(&self, g: &mut Graph, ps: &ParamStore, embedded: NodeId) -> NodeId {
-        match self {
-            Encoder::MeanBag(proj) => {
-                let h = proj.forward(g, ps, embedded);
-                g.relu(h)
-            }
-            Encoder::Cnn(conv) => {
-                let h = conv.forward(g, ps, embedded);
-                g.relu(h)
-            }
-            Encoder::Lstm(lstm) => lstm.forward(g, ps, embedded),
-            Encoder::BiLstm(bilstm) => bilstm.forward(g, ps, embedded),
-            Encoder::Attention { input_proj, attention } => {
-                let projected = input_proj.forward(g, ps, embedded);
-                let activated = g.tanh(projected);
-                attention.forward(g, ps, activated)
-            }
-        }
-    }
 }
 
 /// A task head bound to a payload.
@@ -152,22 +133,13 @@ pub struct CompiledModel {
     pub(crate) set_proj: Linear,
     pub(crate) heads: BTreeMap<String, Head>,
     pub(crate) slices: Option<SliceModule>,
-    dropout: Dropout,
+    pub(crate) dropout: Dropout,
     pub(crate) hidden: usize,
     /// Singleton payloads in dependency order (bases first), computed once
     /// here so neither forward re-sorts the schema per example.
     pub(crate) singleton_order: Vec<String>,
     /// The f32 inference forward over these layers.
     pub(crate) inference: InferenceModel,
-}
-
-/// Everything a forward pass produces (node ids into the caller's graph).
-pub struct ForwardPass {
-    /// Per-task logits: `[T, K]` for sequence tasks, `[1, K]` for singleton
-    /// tasks, `[1, k]` for select tasks (absent when the payload is empty).
-    pub task_logits: BTreeMap<String, NodeId>,
-    /// Per-slice indicator logits (`[1, 2]` each).
-    pub indicator_logits: Vec<NodeId>,
 }
 
 /// A decoded prediction for one task.
@@ -409,78 +381,101 @@ impl CompiledModel {
         self.slices.is_some()
     }
 
-    /// Runs the network over one example on an autograd tape, emitting
-    /// logits for every task whose payload has content. This is training's
-    /// forward; inference runs tape-free through [`CompiledModel::predict`].
-    pub fn forward(
-        &self,
-        g: &mut Graph,
-        example: &CompiledExample,
-        train: bool,
-        rng: &mut SmallRng,
-    ) -> ForwardPass {
+    /// Training's forward over one optimizer window, recorded on `g` with
+    /// the examples' rows stacked: token rows per sequence payload, one row
+    /// per example for singletons and the shared representation, one row
+    /// per set element. Every affine layer runs once over its stack, with
+    /// one parameter leaf per [`Graph::param_blocks`] block wherever a
+    /// single-example tape makes one `param` call (per example, or per set
+    /// element inside the element loop); only what mixes rows within an
+    /// example — aggregation, the LSTM recurrence, attention scores, span
+    /// means and the losses — runs per example, on row views.
+    ///
+    /// Ops go on the tape in a single-example tape's order and each row's
+    /// arithmetic is the same, so every row's value and gradient, and every
+    /// leaf's gradient, is the bits that example's own tape would compute.
+    /// Dropout is on: example `b` draws its masks from `rngs[b]`, in the
+    /// order its own tape would.
+    pub(crate) fn forward_window<'p>(
+        &'p self,
+        g: &mut Graph<'p>,
+        examples: &[&CompiledExample],
+        rngs: &mut [SmallRng],
+    ) -> WindowPass {
         let ps = &self.params;
+        let (n, hidden) = (examples.len(), self.hidden);
+        let unit = Segments::from_lens(std::iter::repeat_n(1, n));
 
-        // 1. Encode every sequence payload.
-        let mut seq_enc: BTreeMap<&str, NodeId> = BTreeMap::new();
+        // 1. Encode every sequence payload; an absent or empty payload
+        //    reads as a single PAD token.
+        let mut seq_enc: BTreeMap<&str, (NodeId, Segments)> = BTreeMap::new();
         for (name, encoder) in &self.encoders {
-            let ids: &[usize] = match example.sequences.get(name) {
-                Some(ids) if !ids.is_empty() => ids,
-                _ => &[overton_nlp::PAD],
-            };
-            let embedded = self.token_embedding.forward(g, ps, ids);
-            let encoded = encoder.forward(g, ps, embedded);
-            let encoded = self.dropout.forward(g, encoded, train, rng);
-            seq_enc.insert(name.as_str(), encoded);
+            let ids = token_ids(examples.iter().copied(), name);
+            let segs = Segments::from_lens(ids.iter().map(|ids| ids.len()));
+            let embedded = gather(g, ps, &self.token_embedding, &ids.concat(), segs.blocks());
+            let encoded = encode(g, ps, encoder, embedded, &segs);
+            let lens: Vec<usize> = segs.iter().map(|rows| rows.len()).collect();
+            let encoded = self.dropout.forward(g, encoded, true, &lens, rngs);
+            seq_enc.insert(name.as_str(), (encoded, segs));
         }
 
-        // 2. Singleton payloads aggregate their base payloads.
+        // 2. Singleton payloads aggregate their base payloads, per example.
         let mut single_repr: BTreeMap<&str, NodeId> = BTreeMap::new();
         for name in &self.singleton_order {
-            let def = &self.schema.payloads[name];
-            let mut parts: Vec<NodeId> = Vec::new();
-            for base in &def.base {
-                if let Some(&enc) = seq_enc.get(base.as_str()) {
-                    parts.push(enc);
-                } else if let Some(repr) = single_repr.get(base.as_str()) {
-                    parts.push(*repr);
-                }
-            }
+            let parts: Vec<(NodeId, &Segments)> = self.schema.payloads[name]
+                .base
+                .iter()
+                .filter_map(|base| match seq_enc.get(base.as_str()) {
+                    Some((enc, segs)) => Some((*enc, segs)),
+                    None => single_repr.get(base.as_str()).map(|&repr| (repr, &unit)),
+                })
+                .collect();
             let repr = if parts.is_empty() {
-                g.constant(Matrix::zeros(1, self.hidden))
+                g.constant(Matrix::zeros(n, hidden))
             } else {
-                let stacked = g.concat_rows(&parts);
-                match self.config.aggregation {
-                    AggregationKind::Mean => g.mean_rows(stacked),
-                    AggregationKind::Max => g.max_rows(stacked),
-                }
+                let aggregated: Vec<NodeId> = (0..n)
+                    .map(|b| {
+                        let views: Vec<NodeId> = parts
+                            .iter()
+                            .map(|&(node, segs)| view(g, node, segs.range(b)))
+                            .collect();
+                        let stacked = concat_rows(g, &views);
+                        match self.config.aggregation {
+                            AggregationKind::Mean => g.mean_rows(stacked),
+                            AggregationKind::Max => g.max_rows(stacked),
+                        }
+                    })
+                    .collect();
+                concat_rows(g, &aggregated)
             };
             single_repr.insert(name.as_str(), repr);
         }
 
         // 3. Shared example-level representation: mean of singleton reprs
-        //    (or of aggregated sequence encodings when none exist).
-        let shared = if single_repr.is_empty() {
-            let pooled: Vec<NodeId> = seq_enc.values().map(|&enc| g.mean_rows(enc)).collect();
-            if pooled.is_empty() {
-                g.constant(Matrix::zeros(1, self.hidden))
-            } else {
-                let stacked = g.concat_rows(&pooled);
-                g.mean_rows(stacked)
-            }
+        //    (or of pooled sequence encodings when none exist).
+        let reprs: Vec<NodeId> = if single_repr.is_empty() {
+            seq_enc.values().map(|(enc, segs)| segment_means(g, *enc, segs.iter())).collect()
         } else {
-            let reprs: Vec<NodeId> = single_repr.values().copied().collect();
-            let stacked = g.concat_rows(&reprs);
-            g.mean_rows(stacked)
+            single_repr.values().copied().collect()
+        };
+        let shared = if reprs.is_empty() {
+            g.constant(Matrix::zeros(n, hidden))
+        } else {
+            // Row by row, this is `mean_rows` over one row per part: the
+            // same products, summed in the same order.
+            let inv = 1.0 / reprs.len() as f32;
+            let scaled: Vec<NodeId> = reprs.iter().map(|&r| g.scale(r, inv)).collect();
+            sum(g, &scaled).expect("at least one part")
         };
 
         // 4. Slice-based re-weighting of the shared representation.
+        let unit_blocks = unit.blocks();
         let mut indicator_logits = Vec::new();
         let shared = if let Some(slices) = &self.slices {
-            let mut weight_logits: Vec<NodeId> = vec![g.constant(Matrix::scalar(0.0))];
+            let mut weight_logits: Vec<NodeId> = vec![g.constant(Matrix::zeros(n, 1))];
             let mut expert_reprs: Vec<NodeId> = vec![shared];
             for (indicator, expert) in slices.indicators.iter().zip(&slices.experts) {
-                let logits = indicator.forward(g, ps, shared);
+                let logits = affine(g, ps, indicator, shared, &unit_blocks);
                 indicator_logits.push(logits);
                 // Membership confidence enters the attention as the logit
                 // margin in favour of membership.
@@ -488,184 +483,206 @@ impl CompiledModel {
                 let non_member = g.slice_cols(logits, 0, 1);
                 let margin = g.sub(member, non_member);
                 weight_logits.push(margin);
-                let r = expert.forward(g, ps, shared);
+                let r = affine(g, ps, expert, shared, &unit_blocks);
                 expert_reprs.push(g.relu(r));
             }
-            let logits_row = g.concat_cols(&weight_logits);
-            let attn = g.softmax_rows(logits_row); // [1, S+1]
-            let mut combined: Option<NodeId> = None;
-            for (i, &repr) in expert_reprs.iter().enumerate() {
-                let w = g.slice_cols(attn, i, i + 1); // [1,1]
-                let scaled = g.mul_row_scalar(repr, w);
-                combined = Some(match combined {
-                    None => scaled,
-                    Some(acc) => g.add(acc, scaled),
-                });
-            }
-            combined.expect("at least the base repr")
+            let logits_rows = g.concat_cols(&weight_logits);
+            let attn = g.softmax_rows(logits_rows); // [n, S+1]
+            let scaled: Vec<NodeId> = expert_reprs
+                .iter()
+                .enumerate()
+                .map(|(i, &repr)| {
+                    let w = g.slice_cols(attn, i, i + 1); // [n, 1]
+                    g.mul_row_scalar(repr, w)
+                })
+                .collect();
+            sum(g, &scaled).expect("at least the base repr")
         } else {
             shared
         };
 
-        // 5. Set payloads: per-element representations.
-        let mut set_repr: BTreeMap<&str, (NodeId, usize)> = BTreeMap::new();
+        // 5. Set payloads: one row per element of the whole window, entity
+        //    embedding joined with the mean encoding of its span.
+        let mut set_repr: BTreeMap<&str, (NodeId, Segments)> = BTreeMap::new();
         for (name, def) in &self.schema.payloads {
             if !matches!(def.kind, PayloadKind::Set) {
                 continue;
             }
-            let Some(elements) = example.sets.get(name) else { continue };
-            if elements.is_empty() {
+            let sets = set_elements(examples.iter().copied(), name);
+            let segs = Segments::from_lens(sets.iter().map(|els| els.len()));
+            if segs.total() == 0 {
                 continue;
             }
-            let range_enc = def.range.as_deref().and_then(|r| seq_enc.get(r).copied());
-            let mut rows = Vec::with_capacity(elements.len());
-            for &(entity_id, (lo, hi)) in elements {
-                let emb = self.entity_embedding.forward(g, ps, &[entity_id]);
-                let span_summary = match range_enc {
-                    Some(enc) => {
-                        let t_len = g.value(enc).rows();
-                        let lo = lo.min(t_len.saturating_sub(1));
-                        let hi = hi.clamp(lo + 1, t_len);
-                        let span_rows: Vec<usize> = (lo..hi).collect();
-                        let picked = g.select_rows(enc, &span_rows);
-                        g.mean_rows(picked)
-                    }
-                    None => g.constant(Matrix::zeros(1, self.hidden)),
-                };
-                let cat = g.concat_cols(&[emb, span_summary]);
-                let projected = self.set_proj.forward(g, ps, cat);
-                rows.push(g.tanh(projected));
-            }
-            let stacked = g.concat_rows(&rows);
-            set_repr.insert(name.as_str(), (stacked, elements.len()));
+            // A single-example tape brings the entity table and `set_proj`
+            // in once per element: one block each.
+            let element_blocks: Vec<(usize, Range<usize>)> =
+                segs.owners().into_iter().enumerate().map(|(row, b)| (b, row..row + 1)).collect();
+            let entity_ids: Vec<usize> =
+                sets.iter().flat_map(|els| els.iter().map(|e| e.0)).collect();
+            let emb = gather(g, ps, &self.entity_embedding, &entity_ids, element_blocks.clone());
+            let span_summary = match def.range.as_deref().and_then(|r| seq_enc.get(r)) {
+                Some((enc, enc_segs)) => {
+                    let spans = sets.iter().enumerate().flat_map(|(b, elements)| {
+                        elements.iter().map(move |&(_, span)| enc_segs.span(b, span))
+                    });
+                    segment_means(g, *enc, spans)
+                }
+                None => g.constant(Matrix::zeros(segs.total(), hidden)),
+            };
+            let cat = g.concat_cols(&[emb, span_summary]);
+            let projected = affine(g, ps, &self.set_proj, cat, &element_blocks);
+            set_repr.insert(name.as_str(), (g.tanh(projected), segs));
         }
 
-        // 6. Task heads.
+        // 6. Task heads, each over its whole stack.
         let mut task_logits = BTreeMap::new();
         for (task, head) in &self.heads {
-            match head {
+            let (logits, rows) = match head {
                 Head::PerElement { payload, linear, .. } => {
-                    if let Some(&enc) = seq_enc.get(payload.as_str()) {
-                        // Skip placeholder-only sequences (payload absent).
-                        if example.sequences.get(payload).is_some_and(|ids| !ids.is_empty()) {
-                            task_logits.insert(task.clone(), linear.forward(g, ps, enc));
+                    let Some((enc, segs)) = seq_enc.get(payload.as_str()) else { continue };
+                    // Skip placeholder-only sequences (payload absent).
+                    let present: Vec<bool> = examples
+                        .iter()
+                        .map(|ex| ex.sequences.get(payload).is_some_and(|ids| !ids.is_empty()))
+                        .collect();
+                    let (x, kept) = if present.iter().all(|&p| p) {
+                        (*enc, Segments::from_lens(segs.iter().map(|r| r.len())))
+                    } else {
+                        let rows: Vec<usize> = segs
+                            .iter()
+                            .zip(&present)
+                            .filter(|(_, &p)| p)
+                            .flat_map(|(r, _)| r)
+                            .collect();
+                        if rows.is_empty() {
+                            continue;
                         }
-                    }
+                        let lens =
+                            segs.iter().zip(&present).map(|(r, &p)| if p { r.len() } else { 0 });
+                        (g.select_rows(*enc, &rows), Segments::from_lens(lens))
+                    };
+                    let logits = affine(g, ps, linear, x, &kept.blocks());
+                    (logits, kept.iter().map(|r| Some(r).filter(|r| !r.is_empty())).collect())
                 }
                 Head::Single { linear, .. } => {
-                    task_logits.insert(task.clone(), linear.forward(g, ps, shared));
+                    let logits = affine(g, ps, linear, shared, &unit_blocks);
+                    (logits, unit.iter().map(Some).collect())
                 }
                 Head::Select { payload, combine, score } => {
-                    let Some(&(elements, k)) = set_repr.get(payload.as_str()) else { continue };
-                    // Broadcast the shared repr to k rows, score each pair.
-                    let context_rows = g.select_rows(shared, &vec![0; k]);
-                    let paired = g.concat_cols(&[context_rows, elements]);
-                    let hidden = combine.forward(g, ps, paired);
+                    let Some((elements, segs)) = set_repr.get(payload.as_str()) else { continue };
+                    // Pair each element with its example's shared repr,
+                    // score each pair.
+                    let context = g.select_rows(shared, &segs.owners());
+                    let paired = g.concat_cols(&[context, *elements]);
+                    let blocks = segs.blocks();
+                    let hidden = affine(g, ps, combine, paired, &blocks);
                     let activated = g.tanh(hidden);
-                    let scores = score.forward(g, ps, activated); // [k,1]
-                    task_logits.insert(task.clone(), g.transpose(scores)); // [1,k]
+                    let scores = affine(g, ps, score, activated, &blocks); // [elements, 1]
+                    (scores, segs.iter().map(|r| Some(r).filter(|r| !r.is_empty())).collect())
                 }
-            }
+            };
+            task_logits.insert(task.clone(), WindowLogits { logits, rows });
         }
 
-        ForwardPass { task_logits, indicator_logits }
+        WindowPass { task_logits, indicator_logits }
     }
 
-    /// Builds the total training loss for one example: task losses against
-    /// probabilistic targets plus (optionally) slice-indicator losses.
-    /// Returns `None` when the example supervises nothing.
-    pub fn loss(
+    /// Each example's total training loss over a window's forward: task
+    /// losses against probabilistic targets plus (optionally) slice-indicator
+    /// losses, built on views of that example's logit rows in a
+    /// single-example tape's order. `None` where an example supervises
+    /// nothing.
+    pub(crate) fn window_losses(
         &self,
         g: &mut Graph,
-        pass: &ForwardPass,
-        example: &CompiledExample,
+        pass: &WindowPass,
+        examples: &[&CompiledExample],
         indicator_loss_weight: f32,
-    ) -> Option<NodeId> {
-        let mut terms: Vec<NodeId> = Vec::new();
-        for (task, target) in &example.targets {
-            let Some(&logits) = pass.task_logits.get(task) else { continue };
-            let Some(head) = self.heads.get(task) else { continue };
-            let term = match (head, target) {
-                (Head::PerElement { bce: false, .. }, ProbLabel::SeqDist(rows)) => {
-                    let (t, k) = g.value(logits).shape();
-                    if rows.len() != t {
-                        continue;
-                    }
-                    let mut targets = Matrix::zeros(t, k);
-                    let mut weights = vec![0.0f32; t];
-                    for (i, row) in rows.iter().enumerate() {
-                        if row.len() == k && row.iter().sum::<f32>() > 0.0 {
-                            targets.row_mut(i).copy_from_slice(row);
-                            weights[i] = 1.0;
+    ) -> Vec<Option<NodeId>> {
+        let mut totals = Vec::with_capacity(examples.len());
+        for (b, example) in examples.iter().enumerate() {
+            let mut terms: Vec<NodeId> = Vec::new();
+            for (task, target) in &example.targets {
+                let Some(WindowLogits { logits, rows }) = pass.task_logits.get(task) else {
+                    continue;
+                };
+                let Some(rows) = rows[b].clone() else { continue };
+                let Some(head) = self.heads.get(task) else { continue };
+                let (t, k) = (rows.len(), g.value(*logits).cols());
+                let term = match (head, target) {
+                    (Head::PerElement { bce: false, .. }, ProbLabel::SeqDist(dists)) => {
+                        if dists.len() != t {
+                            continue;
                         }
-                    }
-                    if weights.iter().all(|&w| w == 0.0) {
-                        continue;
-                    }
-                    g.cross_entropy(logits, &targets, &weights)
-                }
-                (Head::PerElement { bce: true, .. }, ProbLabel::SeqBits(rows)) => {
-                    let (t, b) = g.value(logits).shape();
-                    if rows.len() != t {
-                        continue;
-                    }
-                    let mut targets = Matrix::zeros(t, b);
-                    for (i, row) in rows.iter().enumerate() {
-                        if row.len() == b {
-                            targets.row_mut(i).copy_from_slice(row);
+                        let mut targets = Matrix::zeros(t, k);
+                        let mut weights = vec![0.0f32; t];
+                        for (i, row) in dists.iter().enumerate() {
+                            if row.len() == k && row.iter().sum::<f32>() > 0.0 {
+                                targets.row_mut(i).copy_from_slice(row);
+                                weights[i] = 1.0;
+                            }
                         }
+                        if weights.iter().all(|&w| w == 0.0) {
+                            continue;
+                        }
+                        let logits = view(g, *logits, rows);
+                        g.cross_entropy(logits, &targets, &weights)
                     }
-                    let mask = Matrix::ones(t, b);
-                    g.bce_with_logits(logits, &targets, &mask)
-                }
-                (Head::Single { bce: false, .. }, ProbLabel::Dist(dist)) => {
-                    let k = g.value(logits).cols();
-                    if dist.len() != k {
-                        continue;
+                    (Head::PerElement { bce: true, .. }, ProbLabel::SeqBits(bits)) => {
+                        if bits.len() != t {
+                            continue;
+                        }
+                        let mut targets = Matrix::zeros(t, k);
+                        for (i, row) in bits.iter().enumerate() {
+                            if row.len() == k {
+                                targets.row_mut(i).copy_from_slice(row);
+                            }
+                        }
+                        let logits = view(g, *logits, rows);
+                        g.bce_with_logits(logits, &targets, &Matrix::ones(t, k))
                     }
-                    let targets = Matrix::from_rows(std::slice::from_ref(dist));
-                    g.cross_entropy(logits, &targets, &[1.0])
-                }
-                (Head::Single { bce: true, .. }, ProbLabel::Bits(bits)) => {
-                    let b = g.value(logits).cols();
-                    if bits.len() != b {
-                        continue;
+                    (Head::Single { bce: false, .. }, ProbLabel::Dist(dist)) => {
+                        if dist.len() != k {
+                            continue;
+                        }
+                        let logits = view(g, *logits, rows);
+                        g.cross_entropy(logits, &Matrix::row_vector(dist), &[1.0])
                     }
-                    let targets = Matrix::from_rows(std::slice::from_ref(bits));
-                    let mask = Matrix::ones(1, b);
-                    g.bce_with_logits(logits, &targets, &mask)
-                }
-                (Head::Select { .. }, ProbLabel::Dist(dist)) => {
-                    let k = g.value(logits).cols();
-                    if dist.len() != k {
-                        continue;
+                    (Head::Single { bce: true, .. }, ProbLabel::Bits(bits)) => {
+                        if bits.len() != k {
+                            continue;
+                        }
+                        let logits = view(g, *logits, rows);
+                        g.bce_with_logits(logits, &Matrix::row_vector(bits), &Matrix::ones(1, k))
                     }
-                    let targets = Matrix::from_rows(std::slice::from_ref(dist));
-                    g.cross_entropy(logits, &targets, &[1.0])
-                }
-                _ => continue,
-            };
-            terms.push(term);
-        }
-        // Indicator supervision comes from slice tags, which are known on
-        // every training record.
-        if indicator_loss_weight > 0.0 {
-            for (s, &logits) in pass.indicator_logits.iter().enumerate() {
-                let member = example.slice_membership.get(s).copied().unwrap_or(false);
-                let mut target = Matrix::zeros(1, 2);
-                target[(0, usize::from(member))] = 1.0;
-                let ce = g.cross_entropy(logits, &target, &[1.0]);
-                terms.push(g.scale(ce, indicator_loss_weight));
+                    (Head::Select { .. }, ProbLabel::Dist(dist)) => {
+                        // The example's element scores, as one `[1, k]` row.
+                        if dist.len() != t {
+                            continue;
+                        }
+                        let scores = view(g, *logits, rows);
+                        let logits = g.transpose(scores);
+                        g.cross_entropy(logits, &Matrix::row_vector(dist), &[1.0])
+                    }
+                    _ => continue,
+                };
+                terms.push(term);
             }
+            // Indicator supervision comes from slice tags, which are known
+            // on every training record.
+            if indicator_loss_weight > 0.0 {
+                for (s, &logits) in pass.indicator_logits.iter().enumerate() {
+                    let member = example.slice_membership.get(s).copied().unwrap_or(false);
+                    let mut target = Matrix::zeros(1, 2);
+                    target[(0, usize::from(member))] = 1.0;
+                    let logits = g.slice_rows(logits, b, b + 1);
+                    let ce = g.cross_entropy(logits, &target, &[1.0]);
+                    terms.push(g.scale(ce, indicator_loss_weight));
+                }
+            }
+            totals.push(sum(g, &terms));
         }
-        let mut total: Option<NodeId> = None;
-        for term in terms {
-            total = Some(match total {
-                None => term,
-                Some(acc) => g.add(acc, term),
-            });
-        }
-        total
+        totals
     }
 
     /// [`CompiledModel::predict_batch`] over a batch of one.
@@ -677,7 +694,7 @@ impl CompiledModel {
     /// order: the tape-free [`InferenceModel::predict_batch`] with f32
     /// weights read in place, fed chunks of at most 32 examples so memory
     /// stays bounded whatever the input length. Outputs are bit-identical
-    /// to decoding the tape [`CompiledModel::forward`] per example.
+    /// to decoding a single-example training tape per example.
     pub fn predict_batch(&self, examples: &[CompiledExample]) -> Vec<Prediction> {
         examples
             .chunks(MAX_BATCH)
@@ -695,6 +712,187 @@ impl Head {
             Head::Select { .. } => Decode::Select,
         }
     }
+}
+
+/// A window forward's outputs (node ids into the caller's graph).
+pub(crate) struct WindowPass {
+    /// Per task, the head's logits over the whole window.
+    task_logits: BTreeMap<String, WindowLogits>,
+    /// Per slice, indicator logits: one `[non-member, member]` row per
+    /// example.
+    indicator_logits: Vec<NodeId>,
+}
+
+/// One head's row-stacked logits.
+struct WindowLogits {
+    logits: NodeId,
+    /// The logit rows each example owns (`None`: no output for it). A
+    /// select head's rows are its element scores, one per row.
+    rows: Vec<Option<Range<usize>>>,
+}
+
+/// Rows `rows` of a node (the node itself when that is all of it).
+fn view(g: &mut Graph, node: NodeId, rows: Range<usize>) -> NodeId {
+    if rows == (0..g.value(node).rows()) {
+        node
+    } else {
+        g.slice_rows(node, rows.start, rows.end)
+    }
+}
+
+/// `parts` stacked by rows (a single part as it is).
+fn concat_rows(g: &mut Graph, parts: &[NodeId]) -> NodeId {
+    match parts {
+        [part] => *part,
+        _ => g.concat_rows(parts),
+    }
+}
+
+/// `((t0 + t1) + t2) + ...`, or `None` without terms.
+fn sum(g: &mut Graph, terms: &[NodeId]) -> Option<NodeId> {
+    terms.iter().copied().reduce(|acc, term| g.add(acc, term))
+}
+
+/// The mean of each span of `x`'s rows, one row per span. Spans may
+/// overlap: the backward sweep adds each span's gradient into `x` in
+/// reverse span order, as a tape running one span at a time would.
+fn segment_means(
+    g: &mut Graph,
+    x: NodeId,
+    spans: impl IntoIterator<Item = Range<usize>>,
+) -> NodeId {
+    let means: Vec<NodeId> = spans
+        .into_iter()
+        .map(|rows| {
+            let rows = view(g, x, rows);
+            g.mean_rows(rows)
+        })
+        .collect();
+    concat_rows(g, &means)
+}
+
+/// `x W + b` over row-stacked `x`, with one weight (and bias) leaf per
+/// `(example, rows)` block.
+fn affine<'p>(
+    g: &mut Graph<'p>,
+    ps: &'p ParamStore,
+    linear: &Linear,
+    x: NodeId,
+    blocks: &[(usize, Range<usize>)],
+) -> NodeId {
+    let w = g.param_blocks(ps, linear.weight_id(), blocks.iter().cloned());
+    let xw = g.matmul(x, w);
+    match linear.bias_id() {
+        Some(b) => {
+            let bn = g.param_blocks(ps, b, blocks.iter().cloned());
+            g.add_row_broadcast(xw, bn)
+        }
+        None => xw,
+    }
+}
+
+/// Embedding lookup of stacked `ids`, with one table leaf per block.
+///
+/// # Panics
+/// Panics if any id is out of vocabulary.
+fn gather<'p>(
+    g: &mut Graph<'p>,
+    ps: &'p ParamStore,
+    embedding: &Embedding,
+    ids: &[usize],
+    blocks: impl IntoIterator<Item = (usize, Range<usize>)>,
+) -> NodeId {
+    assert!(
+        ids.iter().all(|&i| i < embedding.vocab()),
+        "embedding id out of vocabulary (vocab = {})",
+        embedding.vocab()
+    );
+    let table = g.param_blocks(ps, embedding.table(), blocks);
+    g.select_rows(table, ids)
+}
+
+/// A sequence encoder over the row-stacked embeddings `x` of a window:
+/// affine layers once over the stack, the rest per example.
+fn encode<'p>(
+    g: &mut Graph<'p>,
+    ps: &'p ParamStore,
+    encoder: &Encoder,
+    x: NodeId,
+    segs: &Segments,
+) -> NodeId {
+    let blocks = segs.blocks();
+    match encoder {
+        Encoder::MeanBag(proj) => {
+            let h = affine(g, ps, proj, x, &blocks);
+            g.relu(h)
+        }
+        Encoder::Cnn(conv) => {
+            // Windows never reach across an example boundary.
+            let k = conv.kernel();
+            let unfolded: Vec<NodeId> = segs
+                .iter()
+                .map(|rows| {
+                    let rows = view(g, x, rows);
+                    g.im2row(rows, k, k / 2)
+                })
+                .collect();
+            let unfolded = concat_rows(g, &unfolded);
+            let w = g.param_blocks(ps, conv.weight_id(), blocks.iter().cloned());
+            let b = g.param_blocks(ps, conv.bias_id(), blocks);
+            let h = g.matmul(unfolded, w);
+            let h = g.add_row_broadcast(h, b);
+            g.relu(h)
+        }
+        Encoder::Lstm(lstm) => recur(g, ps, lstm, x, segs),
+        Encoder::BiLstm(bilstm) => {
+            let f = recur(g, ps, bilstm.fwd(), x, segs);
+            // Each example's rows reversed in place.
+            let rev: Vec<usize> = segs.iter().flat_map(Iterator::rev).collect();
+            let rev_in = g.select_rows(x, &rev);
+            let b_rev = recur(g, ps, bilstm.bwd(), rev_in, segs);
+            let b = g.select_rows(b_rev, &rev);
+            g.concat_cols(&[f, b])
+        }
+        Encoder::Attention { input_proj, attention } => {
+            let projected = affine(g, ps, input_proj, x, &blocks);
+            let activated = g.tanh(projected);
+            let q = affine(g, ps, attention.wq(), activated, &blocks);
+            let k = affine(g, ps, attention.wk(), activated, &blocks);
+            let v = affine(g, ps, attention.wv(), activated, &blocks);
+            let attended: Vec<NodeId> = segs
+                .iter()
+                .map(|rows| {
+                    let q = view(g, q, rows.clone());
+                    let k = view(g, k, rows.clone());
+                    let v = view(g, v, rows);
+                    attention.attend(g, q, k, v)
+                })
+                .collect();
+            let attended = concat_rows(g, &attended);
+            affine(g, ps, attention.wo(), attended, &blocks)
+        }
+    }
+}
+
+/// An LSTM over a window: the input projection once over the stack, the
+/// recurrence per example with that example's recurrent weight and bias
+/// leaves.
+fn recur<'p>(
+    g: &mut Graph<'p>,
+    ps: &'p ParamStore,
+    lstm: &Lstm,
+    xs: NodeId,
+    segs: &Segments,
+) -> NodeId {
+    let wx = g.param_blocks(ps, lstm.wx_id(), segs.blocks());
+    let xw_all = g.matmul(xs, wx);
+    let mut outputs = Vec::with_capacity(segs.total());
+    for (b, rows) in segs.iter().enumerate() {
+        let wh = g.param_blocks(ps, lstm.wh_id(), [(b, 0..1)]);
+        let bias = g.param_blocks(ps, lstm.bias_id(), [(b, 0..1)]);
+        outputs.extend(lstm.recur(g, xw_all, rows, wh, bias));
+    }
+    g.concat_rows(&outputs)
 }
 
 #[cfg(test)]
@@ -726,18 +924,25 @@ mod tests {
     fn forward_produces_all_task_logits() {
         let (ds, space) = setup();
         let model = compile(&ds, &space, EncoderKind::Cnn);
-        let ex = CompiledExample::from_record(&ds.records()[0], 0, &space, ds.schema());
+        let exs: Vec<CompiledExample> = (0..3)
+            .map(|i| CompiledExample::from_record(&ds.records()[i], i, &space, ds.schema()))
+            .collect();
+        let window: Vec<&CompiledExample> = exs.iter().collect();
         let mut g = Graph::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let pass = model.forward(&mut g, &ex, false, &mut rng);
+        let mut rngs: Vec<SmallRng> = (0..3).map(SmallRng::seed_from_u64).collect();
+        let pass = model.forward_window(&mut g, &window, &mut rngs);
         for task in ["Intent", "POS", "EntityType", "IntentArg"] {
             assert!(pass.task_logits.contains_key(task), "missing logits for {task}");
         }
-        let t = ex.sequences["tokens"].len();
-        assert_eq!(g.value(pass.task_logits["POS"]).shape(), (t, 8));
-        assert_eq!(g.value(pass.task_logits["Intent"]).shape().0, 1);
-        assert_eq!(g.value(pass.task_logits["IntentArg"]).cols(), ex.sets["entities"].len());
+        for (b, ex) in exs.iter().enumerate() {
+            let rows = |task: &str| pass.task_logits[task].rows[b].clone().expect("has rows");
+            assert_eq!(rows("POS").len(), ex.sequences["tokens"].len());
+            assert_eq!(rows("Intent").len(), 1);
+            assert_eq!(rows("IntentArg").len(), ex.sets["entities"].len());
+        }
+        assert_eq!(g.value(pass.task_logits["POS"].logits).cols(), 8);
         assert_eq!(pass.indicator_logits.len(), space.slice_names.len());
+        assert_eq!(g.value(pass.indicator_logits[0]).shape(), (3, 2));
     }
 
     #[test]
@@ -770,13 +975,15 @@ mod tests {
             }
         }
         let mut g = Graph::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let pass = model.forward(&mut g, &ex, true, &mut rng);
-        let loss = model.loss(&mut g, &pass, &ex, 0.3).expect("has targets");
+        let mut rngs = [SmallRng::seed_from_u64(0)];
+        let pass = model.forward_window(&mut g, &[&ex], &mut rngs);
+        let loss = model.window_losses(&mut g, &pass, &[&ex], 0.3)[0].expect("has targets");
         assert!(g.value(loss).scalar_value() > 0.0);
         g.backward(loss);
         let mut params = model.params.clone();
-        g.flush_grads(&mut params);
+        for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+            params.grad_mut(pid).add_assign(&grad);
+        }
         assert!(params.grad_norm() > 0.0, "gradients must flow");
     }
 
@@ -787,9 +994,9 @@ mod tests {
         let model = CompiledModel::compile(ds.schema(), &space, &config, None);
         let ex = CompiledExample::from_record(&ds.records()[0], 0, &space, ds.schema());
         let mut g = Graph::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        let pass = model.forward(&mut g, &ex, true, &mut rng);
-        assert!(model.loss(&mut g, &pass, &ex, 0.0).is_none());
+        let mut rngs = [SmallRng::seed_from_u64(0)];
+        let pass = model.forward_window(&mut g, &[&ex], &mut rngs);
+        assert!(model.window_losses(&mut g, &pass, &[&ex], 0.0)[0].is_none());
     }
 
     #[test]

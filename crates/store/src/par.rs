@@ -1,7 +1,7 @@
 //! The workspace's one ordered parallel map.
 //!
-//! Shard encoding, shard scans, per-task combiner runs, per-example
-//! gradients and search trials all fan independent work out over a
+//! Shard encoding, shard scans, per-task combiner runs, training
+//! sub-windows and search trials all fan independent work out over a
 //! bounded set of scoped threads and then merge the results in a fixed
 //! order. They share this one implementation.
 

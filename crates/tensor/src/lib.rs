@@ -29,7 +29,9 @@
 //!     let err = g.sub(pred, six);
 //!     let loss = g.mul(err, err);
 //!     g.backward(loss);
-//!     g.flush_grads(&mut ps);
+//!     for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+//!         ps.grad_mut(pid).add_assign(&grad);
+//!     }
 //!     opt.step(&mut ps);
 //!     ps.zero_grads();
 //! }

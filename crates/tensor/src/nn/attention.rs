@@ -75,16 +75,16 @@ impl MultiHeadSelfAttention {
     }
 
     /// Self-attention: queries, keys and values all come from `xs`.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, xs: NodeId) -> NodeId {
+    pub fn forward<'p>(&self, g: &mut Graph<'p>, store: &'p ParamStore, xs: NodeId) -> NodeId {
         self.forward_cross(g, store, xs, xs)
     }
 
     /// Cross-attention: `queries_from` attends over `context` (used for
     /// payload references, e.g. an entity set attending over query tokens).
-    pub fn forward_cross(
+    pub fn forward_cross<'p>(
         &self,
-        g: &mut Graph,
-        store: &ParamStore,
+        g: &mut Graph<'p>,
+        store: &'p ParamStore,
         queries_from: NodeId,
         context: NodeId,
     ) -> NodeId {
@@ -93,6 +93,16 @@ impl MultiHeadSelfAttention {
         let q = self.wq.forward(g, store, queries_from);
         let k = self.wk.forward(g, store, context);
         let v = self.wv.forward(g, store, context);
+        let concat = self.attend(g, q, k, v);
+        self.wo.forward(g, store, concat)
+    }
+
+    /// The attention between the projections: per head, scaled
+    /// dot-product scores of the `q` rows against the `k` rows, softmaxed,
+    /// then applied to `v`; the heads joined side by side (the input of
+    /// the output projection). A row-stacked tape projects all its
+    /// sequences at once, then runs this per sequence on its rows.
+    pub fn attend(&self, g: &mut Graph, q: NodeId, k: NodeId, v: NodeId) -> NodeId {
         let head_dim = self.dim / self.heads;
         let scale = 1.0 / (head_dim as f32).sqrt();
         let mut head_outputs = Vec::with_capacity(self.heads);
@@ -108,8 +118,7 @@ impl MultiHeadSelfAttention {
             let out = g.matmul(attn, vh);
             head_outputs.push(out);
         }
-        let concat = g.concat_cols(&head_outputs);
-        self.wo.forward(g, store, concat)
+        g.concat_cols(&head_outputs)
     }
 }
 
@@ -188,7 +197,9 @@ mod tests {
             target[(0, class)] = 1.0;
             let loss = g.cross_entropy(logits, &target, &[1.0]);
             g.backward(loss);
-            g.flush_grads(&mut ps);
+            for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+                ps.grad_mut(pid).add_assign(&grad);
+            }
             opt.step(&mut ps);
             ps.zero_grads();
         }

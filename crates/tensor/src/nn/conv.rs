@@ -64,7 +64,7 @@ impl Conv1d {
     }
 
     /// Applies the convolution to a `T x in_dim` node.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, xs: NodeId) -> NodeId {
+    pub fn forward<'p>(&self, g: &mut Graph<'p>, store: &'p ParamStore, xs: NodeId) -> NodeId {
         debug_assert_eq!(g.value(xs).cols(), self.in_dim, "Conv1d input width mismatch");
         let unfolded = g.im2row(xs, self.kernel, self.kernel / 2);
         let w = g.param(store, self.weight);
@@ -128,7 +128,9 @@ mod tests {
             }
             let loss = g.cross_entropy(logits, &targets, &[1.0; 6]);
             g.backward(loss);
-            g.flush_grads(&mut ps);
+            for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+                ps.grad_mut(pid).add_assign(&grad);
+            }
             opt.step(&mut ps);
             ps.zero_grads();
         }

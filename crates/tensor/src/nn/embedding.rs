@@ -61,7 +61,7 @@ impl Embedding {
     ///
     /// # Panics
     /// Panics if any id is out of vocabulary.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, ids: &[usize]) -> NodeId {
+    pub fn forward<'p>(&self, g: &mut Graph<'p>, store: &'p ParamStore, ids: &[usize]) -> NodeId {
         assert!(
             ids.iter().all(|&i| i < self.vocab),
             "embedding id out of vocabulary (vocab = {})",
@@ -110,7 +110,9 @@ mod tests {
         let out = emb.forward(&mut g, &ps, &[1, 3]);
         let loss = g.sum_all(out);
         g.backward(loss);
-        g.flush_grads(&mut ps);
+        for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+            ps.grad_mut(pid).add_assign(&grad);
+        }
         let grad = ps.grad(emb.table());
         assert_eq!(grad.row(0), &[0.0; 3]);
         assert_eq!(grad.row(1), &[1.0; 3]);
@@ -129,7 +131,9 @@ mod tests {
         let out = emb.forward(&mut g, &ps, &[0, 1, 2]);
         let loss = g.sum_all(out);
         g.backward(loss);
-        g.flush_grads(&mut ps);
+        for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+            ps.grad_mut(pid).add_assign(&grad);
+        }
         let mut opt = Sgd::new(1.0);
         opt.step(&mut ps);
         assert_eq!(ps.value(emb.table()), &before);

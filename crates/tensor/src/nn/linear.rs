@@ -65,7 +65,7 @@ impl Linear {
     }
 
     /// Applies the layer to an `m x in_dim` node.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
+    pub fn forward<'p>(&self, g: &mut Graph<'p>, store: &'p ParamStore, x: NodeId) -> NodeId {
         debug_assert_eq!(g.value(x).cols(), self.in_dim, "Linear input width mismatch");
         let w = g.param(store, self.weight);
         let xw = g.matmul(x, w);
@@ -135,7 +135,9 @@ mod tests {
             let loss = g.mean_all(sq);
             last = g.value(loss).scalar_value();
             g.backward(loss);
-            g.flush_grads(&mut ps);
+            for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+                ps.grad_mut(pid).add_assign(&grad);
+            }
             opt.step(&mut ps);
             ps.zero_grads();
         }

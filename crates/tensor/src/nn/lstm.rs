@@ -5,6 +5,7 @@ use crate::init;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
 use rand::Rng;
+use std::ops::Range;
 
 /// A single-layer LSTM over a `T x in_dim` sequence, producing `T x hidden`.
 ///
@@ -67,23 +68,43 @@ impl Lstm {
 
     /// Runs the recurrence over a `T x in_dim` node, returning `T x hidden`
     /// (the hidden state at every step).
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, xs: NodeId) -> NodeId {
+    pub fn forward<'p>(&self, g: &mut Graph<'p>, store: &'p ParamStore, xs: NodeId) -> NodeId {
         let t_len = g.value(xs).rows();
-        assert!(t_len > 0, "LSTM over an empty sequence");
         debug_assert_eq!(g.value(xs).cols(), self.in_dim, "LSTM input width mismatch");
-        let h = self.hidden;
         let wx = g.param(store, self.wx);
         let wh = g.param(store, self.wh);
         let bias = g.param(store, self.bias);
 
         // Pre-compute x_t W_x for the whole sequence in one matmul.
         let xw_all = g.matmul(xs, wx);
+        let outputs = self.recur(g, xw_all, 0..t_len, wh, bias);
+        g.concat_rows(&outputs)
+    }
 
+    /// The recurrence alone, over rows `rows` of a precomputed input
+    /// projection `xw_all` (`x W_x`, possibly row-stacked over several
+    /// sequences), with recurrent weight and gate bias leaves `wh` and
+    /// `bias`. Returns the `1 x hidden` state of each step, in order. A
+    /// row-stacked tape runs one projection for all its sequences, then
+    /// this once per sequence with that sequence's rows and leaves.
+    ///
+    /// # Panics
+    /// Panics if `rows` is empty.
+    pub fn recur(
+        &self,
+        g: &mut Graph,
+        xw_all: NodeId,
+        rows: Range<usize>,
+        wh: NodeId,
+        bias: NodeId,
+    ) -> Vec<NodeId> {
+        assert!(!rows.is_empty(), "LSTM over an empty sequence");
+        let h = self.hidden;
         let mut h_prev = g.constant(Matrix::zeros(1, h));
         let mut c_prev = g.constant(Matrix::zeros(1, h));
-        let mut outputs = Vec::with_capacity(t_len);
-        for t in 0..t_len {
-            let xw = g.select_rows(xw_all, &[t]);
+        let mut outputs = Vec::with_capacity(rows.len());
+        for t in rows {
+            let xw = g.slice_rows(xw_all, t, t + 1);
             let hw = g.matmul(h_prev, wh);
             let pre0 = g.add(xw, hw);
             let pre = g.add_row_broadcast(pre0, bias);
@@ -112,7 +133,7 @@ impl Lstm {
             h_prev = h_t;
             c_prev = c;
         }
-        g.concat_rows(&outputs)
+        outputs
     }
 }
 
@@ -155,7 +176,7 @@ impl BiLstm {
     }
 
     /// Encodes a `T x in_dim` node into `T x 2*hidden`.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, xs: NodeId) -> NodeId {
+    pub fn forward<'p>(&self, g: &mut Graph<'p>, store: &'p ParamStore, xs: NodeId) -> NodeId {
         let f = self.fwd.forward(g, store, xs);
         let rev_in = g.reverse_rows(xs);
         let b_rev = self.bwd.forward(g, store, rev_in);
@@ -236,7 +257,9 @@ mod tests {
             target[(0, label)] = 1.0;
             let loss = g.cross_entropy(logits, &target, &[1.0]);
             g.backward(loss);
-            g.flush_grads(&mut ps);
+            for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+                ps.grad_mut(pid).add_assign(&grad);
+            }
             ps.clip_grad_norm(5.0);
             opt.step(&mut ps);
             ps.zero_grads();

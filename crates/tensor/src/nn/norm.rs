@@ -27,7 +27,7 @@ impl LayerNorm {
     }
 
     /// Applies normalization to an `m x dim` node.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
+    pub fn forward<'p>(&self, g: &mut Graph<'p>, store: &'p ParamStore, x: NodeId) -> NodeId {
         debug_assert_eq!(g.value(x).cols(), self.dim, "LayerNorm width mismatch");
         let gain = g.param(store, self.gain);
         let bias = g.param(store, self.bias);

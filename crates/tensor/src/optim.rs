@@ -5,7 +5,7 @@ use crate::params::ParamStore;
 
 /// A gradient-descent style optimizer.
 ///
-/// The usual step is: build a graph, `backward`, `flush_grads` into the
+/// The usual step is: build a graph, `backward`, add its `take_param_grads` into the
 /// store, `step`, then `zero_grads`.
 pub trait Optimizer {
     /// Applies one update using the gradients accumulated in `store`.
@@ -192,7 +192,9 @@ mod tests {
             let d = g.sub(wn, c);
             let loss = g.mul(d, d);
             g.backward(loss);
-            g.flush_grads(&mut ps);
+            for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+                ps.grad_mut(pid).add_assign(&grad);
+            }
             opt.step(&mut ps);
             ps.zero_grads();
         }

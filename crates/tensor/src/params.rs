@@ -20,9 +20,10 @@ struct ParamEntry {
 
 /// Owns every learnable matrix of a model plus its accumulated gradients.
 ///
-/// Graphs reference parameters by [`ParamId`]; after a backward pass,
-/// [`Graph::flush_grads`](crate::Graph::flush_grads) adds the leaf gradients
-/// here, and an [`Optimizer`](crate::optim::Optimizer) consumes them.
+/// Graphs reference parameters by [`ParamId`]; after a backward pass, the
+/// leaf gradients from [`Graph::take_param_grads`](crate::Graph::take_param_grads)
+/// are added here (see [`ParamStore::grad_mut`]), and an
+/// [`Optimizer`](crate::optim::Optimizer) consumes them.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct ParamStore {
     entries: Vec<ParamEntry>,

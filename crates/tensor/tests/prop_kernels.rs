@@ -99,8 +99,8 @@ proptest! {
         prop_assert_eq!(at.transpose_a_matmul(&b), naive_transpose_a_matmul(&at, &b));
     }
 
-    // Sparse operands take the skip-zero naive path below the cutoff; the
-    // blocked path above it never skips. Both must agree with the dense
+    // Mostly-zero operands (one-hot selections, dead activations) go
+    // through the same kernels as dense ones and must agree with the
     // reference on every (finite) input.
     #[test]
     fn sparse_operand_parity(m in 1usize..40, k in 1usize..60, n in 1usize..40, seed in 0u64..1_000_000) {
@@ -115,10 +115,10 @@ proptest! {
         prop_assert_eq!(a.matmul(&b), naive_matmul(&a, &b));
     }
 
-    // Row independence, which batched inference relies on: each row of
-    // `[A1; A2] * B` is bit-identical to the same row of `A1 * B` or
-    // `A2 * B`, even when stacking moves the product across the blocked
-    // cutoff or flips the sparsity probe (`sparse` zeroes most of A1 or A2).
+    // Row independence, which batched inference and the window training
+    // tape rely on: each row of `[A1; A2] * B` is bit-identical to the same
+    // row of `A1 * B` or `A2 * B`, even when stacking moves the product
+    // across the blocked cutoff (`sparse` zeroes most of A1 or A2).
     #[test]
     fn stacked_rows_match_alone(
         m1 in 1usize..40, m2 in 1usize..40, k in 1usize..90, n in 1usize..70,
@@ -172,9 +172,9 @@ fn production_shapes_bit_identical() {
 #[test]
 fn serving_shapes_bit_identical() {
     // One example through the default CNN encoder: a 4-12 token im2row
-    // (kernel 3 x token_dim 32 = 96 wide) times the 96 x 48 conv weight.
-    // These sit just above the dispatch cutoff, where the pack buffers
-    // are far smaller than one full MC x KC / KC x NC block.
+    // (kernel 3 x token_dim 32 = 96 wide) times the 96 x 48 conv weight,
+    // and the per-example weight gradients of the same shapes. These run
+    // the row kernel, below the blocked dispatch cutoff.
     let mut rng = SmallRng::seed_from_u64(23);
     for m in 4..=12 {
         let a = random_matrix(&mut rng, m, 96);
