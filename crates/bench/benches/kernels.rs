@@ -1,23 +1,16 @@
-//! **K1–K3** — release-mode smoke for the hardware-fast compute core:
-//! blocked GEMM vs the naive loop at production shapes, deterministic
-//! data-parallel training scaling, and i8 vs f32 weights through the one
-//! batched inference forward. Emits `BENCH_kernels.json` with the measured medians
-//! and panics (failing the CI step) when a floor is missed:
+//! **K1–K2** — release-mode smoke for the hardware-fast compute core:
+//! blocked GEMM vs the naive loop at production shapes, and deterministic
+//! data-parallel training scaling. Emits `BENCH_kernels.json` with the
+//! measured medians and panics (failing the CI step) when a floor is missed:
 //!
 //! - blocked GEMM must be >= 2x naive at 256^3 and beat it clearly at
 //!   `predict_batch`-like shapes;
 //! - `grad_workers = 4` must be >= 1.8x over serial (asserted only when
 //!   the host actually has >= 4 cores).
 //!
-//! K3 has no floor: it records what i8 weights buy (or cost) over f32 on
-//! the same tape-free forward, over 32-example batches (the shape the
-//! serving pool runs).
-//!
 //! Run with: `cargo bench -p overton-bench --bench kernels`
 
-use overton_model::{
-    CompiledExample, CompiledModel, FeatureSpace, InferenceModel, ModelConfig, TrainConfig,
-};
+use overton_model::{CompiledExample, CompiledModel, FeatureSpace, ModelConfig, TrainConfig};
 use overton_nlp::{generate_workload, WorkloadConfig};
 use overton_tensor::Matrix;
 use rand::rngs::SmallRng;
@@ -179,60 +172,6 @@ fn main() {
         println!("  K2 floor: SKIPPED ({cores} core(s) < 4)");
     }
 
-    println!("K3: i8 vs f32 weights through the same batched inference forward (no floor)");
-    let small_cfg = ModelConfig { hidden_dim: 16, token_dim: 16, ..Default::default() };
-    let small = CompiledModel::compile(ds.schema(), &space, &small_cfg, None);
-    let quantized = InferenceModel::quantize(&small);
-    let test: Vec<CompiledExample> = ds
-        .test_indices()
-        .iter()
-        .map(|&i| CompiledExample::from_record(&ds.records()[i], i, &space, ds.schema()))
-        .collect();
-    // Interleave f32/quantized rounds and compare per-round ratios: on a
-    // busy host, drift hits both paths of a round equally, so the median
-    // ratio is far more stable than the ratio of independent medians.
-    let round = |f: &dyn Fn()| {
-        let start = Instant::now();
-        f();
-        start.elapsed().as_secs_f64()
-    };
-    let f32_round: &dyn Fn() = &|| {
-        for batch in test.chunks(32) {
-            std::hint::black_box(small.predict_batch(batch));
-        }
-    };
-    let quant_round: &dyn Fn() = &|| {
-        for batch in test.chunks(32) {
-            std::hint::black_box(quantized.predict_batch(&small, batch));
-        }
-    };
-    f32_round();
-    quant_round();
-    let rounds = 25;
-    let mut f32_times = Vec::with_capacity(rounds);
-    let mut quant_times = Vec::with_capacity(rounds);
-    let mut ratios = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let f = round(f32_round);
-        let q = round(quant_round);
-        f32_times.push(f);
-        quant_times.push(q);
-        ratios.push(f / q);
-    }
-    f32_times.sort_by(f64::total_cmp);
-    quant_times.sort_by(f64::total_cmp);
-    ratios.sort_by(f64::total_cmp);
-    let f32_s = f32_times[rounds / 2];
-    let quant_s = quant_times[rounds / 2];
-    let quant_speedup = ratios[rounds / 2];
-    println!(
-        "  {} examples in 32-example batches: f32 {:.3} ms  i8 {:.3} ms  \
-         i8 speedup over f32 {quant_speedup:.2}x",
-        test.len(),
-        f32_s * 1e3,
-        quant_s * 1e3
-    );
-
     let mut json = String::from("{\n  \"gemm\": [\n");
     for (i, r) in gemm.iter().enumerate() {
         json.push_str(&format!(
@@ -247,11 +186,7 @@ fn main() {
     json.push_str(&format!(
         "  ],\n  \"training\": {{\"cores\": {cores}, \"serial_s\": {serial_s}, \
          \"workers4_s\": {parallel_s}, \"speedup\": {train_speedup:.3}, \
-         \"floor_enforced\": {k2_floor_enforced}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"quantized\": {{\"f32_s\": {f32_s}, \"quantized_s\": {quant_s}, \
-         \"speedup\": {quant_speedup:.3}}}\n}}\n"
+         \"floor_enforced\": {k2_floor_enforced}}}\n}}\n"
     ));
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
     println!("wrote BENCH_kernels.json");

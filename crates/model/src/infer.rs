@@ -17,30 +17,19 @@
 //! recurrence, attention scores, aggregation and decoding — runs per
 //! segment. A single prediction is a batch of one.
 //!
-//! Every affine layer is an `Affine` in one of two precisions:
-//!
-//! - `F32` holds only parameter handles and reads the weights from the
-//!   model's [`ParamStore`] at call time. It performs the tape forward's
-//!   arithmetic op for op, and GEMM rows are independent of each other, so
-//!   its output is **bit-identical** to decoding a single-example
-//!   training tape one example at a time (tested against the per-example
-//!   tape kept as the test oracle, over every encoder, aggregation and
-//!   head kind, in mixed batches).
-//! - `I8` is the deploy-time quantized layer ([`QuantizedLinear`]: i8
-//!   codes with per-output-channel scales, i32 accumulation) that
-//!   [`crate::Server::quantize`] opts the cascade's small model into (§2.4:
-//!   "the small model must meet SLA requirements"). Embedding tables,
-//!   biases and activations stay f32, and activations are quantized per
-//!   row, so batching does not change its outputs either. Outputs
-//!   approximate the f32 model; the quality-guard tests bound the
-//!   difference.
+//! Every affine layer is an `Affine`: parameter handles only, with the
+//! weights read from the model's [`ParamStore`] at call time. It performs
+//! the tape forward's arithmetic op for op, in f32, and GEMM rows are
+//! independent of each other, so its output is **bit-identical** to
+//! decoding a single-example training tape one example at a time (tested
+//! against the per-example tape kept as the test oracle, over every
+//! encoder, aggregation and head kind, in mixed batches).
 
 use crate::features::CompiledExample;
 use crate::network::{CompiledModel, Encoder, Head, Prediction, SliceModule, TaskOutput};
 use crate::AggregationKind;
 use overton_store::PayloadKind;
 use overton_tensor::nn::{Linear, Lstm};
-use overton_tensor::quant::QuantizedLinear;
 use overton_tensor::{softmax_in_place, stable_sigmoid, Matrix, ParamId, ParamStore};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -51,26 +40,19 @@ use std::ops::Range;
 /// size, so memory follows the chunk and not the caller's input.
 pub(crate) const MAX_BATCH: usize = 32;
 
-/// One affine layer `y = x W + b`.
-enum Affine {
-    /// Full precision: handles into the model's [`ParamStore`].
-    F32 { weight: ParamId, bias: Option<ParamId> },
-    /// Quantized weights (the bias, if any, is kept f32 inside).
-    I8(QuantizedLinear),
+/// One affine layer `y = x W + b`: handles into the model's [`ParamStore`].
+struct Affine {
+    weight: ParamId,
+    bias: Option<ParamId>,
 }
 
 impl Affine {
     fn forward(&self, ps: &ParamStore, x: &Matrix) -> Matrix {
-        match self {
-            Affine::F32 { weight, bias } => {
-                let mut y = x.matmul(ps.value(*weight));
-                if let Some(bias) = bias {
-                    y.add_row(ps.value(*bias));
-                }
-                y
-            }
-            Affine::I8(layer) => layer.forward(x),
+        let mut y = x.matmul(ps.value(self.weight));
+        if let Some(bias) = self.bias {
+            y.add_row(ps.value(bias));
         }
+        y
     }
 }
 
@@ -278,11 +260,10 @@ enum InferHead {
     Select { payload: String, combine: Affine, score: Affine },
 }
 
-/// A [`CompiledModel`]'s layers lowered for tape-free inference, with f32
-/// or i8 affine weights. Everything else the forward needs (schema,
-/// payload order, embedding tables, LSTM biases) it reads from the model
-/// it is run with.
-pub struct InferenceModel {
+/// A [`CompiledModel`]'s layers lowered for tape-free inference. Everything
+/// else the forward needs (schema, payload order, embedding tables, LSTM
+/// biases) it reads from the model it is run with.
+pub(crate) struct InferenceModel {
     encoders: Vec<(String, InferEncoder)>,
     set_proj: Affine,
     heads: Vec<(String, InferHead, Decode)>,
@@ -291,41 +272,17 @@ pub struct InferenceModel {
 }
 
 impl InferenceModel {
-    /// The f32 lowering: parameter handles only, nothing copied.
-    pub(crate) fn f32(
+    /// Lowers the layers to parameter handles; nothing is copied.
+    pub(crate) fn lower(
         encoders: &BTreeMap<String, Encoder>,
         set_proj: &Linear,
         heads: &BTreeMap<String, Head>,
         slices: Option<&SliceModule>,
     ) -> Self {
-        Self::lower(encoders, set_proj, heads, slices, |weight, bias| Affine::F32 { weight, bias })
-    }
-
-    /// Quantizes a trained model's affine weights to i8 codes with
-    /// per-output-channel scales. The model is unchanged; run the result
-    /// with [`InferenceModel::predict`] on that same model.
-    pub fn quantize(model: &CompiledModel) -> Self {
-        let ps = &model.params;
-        Self::lower(
-            &model.encoders,
-            &model.set_proj,
-            &model.heads,
-            model.slices.as_ref(),
-            |w, b| Affine::I8(QuantizedLinear::new(ps.value(w), b.map(|b| ps.value(b)))),
-        )
-    }
-
-    fn lower(
-        encoders: &BTreeMap<String, Encoder>,
-        set_proj: &Linear,
-        heads: &BTreeMap<String, Head>,
-        slices: Option<&SliceModule>,
-        affine: impl Fn(ParamId, Option<ParamId>) -> Affine,
-    ) -> Self {
-        let linear = |l: &Linear| affine(l.weight_id(), l.bias_id());
+        let linear = |l: &Linear| Affine { weight: l.weight_id(), bias: l.bias_id() };
         let lstm = |l: &Lstm| InferLstm {
-            wx: affine(l.wx_id(), None),
-            wh: affine(l.wh_id(), None),
+            wx: Affine { weight: l.wx_id(), bias: None },
+            wh: Affine { weight: l.wh_id(), bias: None },
             bias: l.bias_id(),
             hidden: l.hidden(),
         };
@@ -335,7 +292,7 @@ impl InferenceModel {
                 let lowered = match encoder {
                     Encoder::MeanBag(proj) => InferEncoder::MeanBag(linear(proj)),
                     Encoder::Cnn(conv) => InferEncoder::Cnn {
-                        conv: affine(conv.weight_id(), Some(conv.bias_id())),
+                        conv: Affine { weight: conv.weight_id(), bias: Some(conv.bias_id()) },
                         kernel: conv.kernel(),
                     },
                     Encoder::Lstm(l) => InferEncoder::Lstm(lstm(l)),
@@ -378,14 +335,13 @@ impl InferenceModel {
     }
 
     /// [`InferenceModel::predict_batch`] over a batch of one.
-    pub fn predict(&self, model: &CompiledModel, example: &CompiledExample) -> Prediction {
+    pub(crate) fn predict(&self, model: &CompiledModel, example: &CompiledExample) -> Prediction {
         self.predict_batch(model, std::slice::from_ref(example)).pop().expect("one prediction")
     }
 
     /// Runs the forward over a batch and decodes every task output, in
     /// input order (dropout is off, as in any inference pass). `model` must
-    /// be the model this was lowered from: its store supplies the f32
-    /// weights.
+    /// be the model this was lowered from: its store supplies the weights.
     ///
     /// The batch's rows are stacked, so every affine layer runs once per
     /// batch. A row's result does not depend on which rows share the
@@ -393,7 +349,7 @@ impl InferenceModel {
     /// bit-identical to running its example alone. Memory grows with the
     /// batch; [`CompiledModel::predict_batch`] and
     /// [`crate::Server::predict_batch`] chunk their input to 32 examples.
-    pub fn predict_batch(
+    pub(crate) fn predict_batch(
         &self,
         model: &CompiledModel,
         examples: &[CompiledExample],
@@ -672,13 +628,6 @@ mod tests {
         (ds, space)
     }
 
-    fn examples(ds: &Dataset, space: &FeatureSpace) -> Vec<CompiledExample> {
-        ds.test_indices()
-            .iter()
-            .map(|&i| CompiledExample::from_record(&ds.records()[i], i, space, ds.schema()))
-            .collect()
-    }
-
     /// The per-example training tape's forward (the test oracle), decoded.
     fn tape_predict(model: &CompiledModel, example: &CompiledExample) -> Prediction {
         let mut g = Graph::new();
@@ -736,109 +685,9 @@ mod tests {
                         assert_eq!(fast.slice_probs.is_empty(), !slice_heads);
                         outputs.extend(fast.tasks.values().map(std::mem::discriminant));
                     }
-                    // i8 quantizes activations per row, so stacking leaves
-                    // its outputs unchanged too.
-                    let q = InferenceModel::quantize(&model);
-                    for (ex, batched) in exs.iter().zip(q.predict_batch(&model, &exs)) {
-                        assert_eq!(
-                            format!("{batched:?}"),
-                            format!("{:?}", q.predict(&model, ex)),
-                            "{config:?}: i8 batching changed an output"
-                        );
-                    }
                 }
             }
         }
         assert_eq!(outputs.len(), 5, "every head kind must be decoded");
-    }
-
-    /// Fraction of test examples where the quantized model's argmax answer
-    /// agrees with the f32 model's, averaged over distribution-producing
-    /// tasks.
-    fn agreement(model: &CompiledModel, q: &InferenceModel, exs: &[CompiledExample]) -> f64 {
-        let mut same = 0usize;
-        let mut total = 0usize;
-        for ex in exs {
-            let full = model.predict(ex);
-            let quant = q.predict(model, ex);
-            for (task, output) in &full.tasks {
-                let Some(q_output) = quant.tasks.get(task) else { continue };
-                let matched = match (output, q_output) {
-                    (
-                        TaskOutput::Multiclass { class: a, .. },
-                        TaskOutput::Multiclass { class: b, .. },
-                    )
-                    | (TaskOutput::Select { index: a, .. }, TaskOutput::Select { index: b, .. }) => {
-                        a == b
-                    }
-                    (
-                        TaskOutput::MulticlassSeq { classes: a },
-                        TaskOutput::MulticlassSeq { classes: b },
-                    ) => a == b,
-                    (TaskOutput::Bits { bits: a, .. }, TaskOutput::Bits { bits: b, .. }) => a == b,
-                    (TaskOutput::BitsSeq { rows: a }, TaskOutput::BitsSeq { rows: b }) => a == b,
-                    _ => false,
-                };
-                total += 1;
-                same += usize::from(matched);
-            }
-        }
-        assert!(total > 0, "no comparable task outputs");
-        same as f64 / total as f64
-    }
-
-    #[test]
-    fn every_encoder_kind_survives_quantization() {
-        let (ds, space) = setup();
-        let exs = examples(&ds, &space);
-        for kind in ENCODERS {
-            let config = ModelConfig { encoder: kind, ..Default::default() };
-            let model = CompiledModel::compile(ds.schema(), &space, &config, None);
-            let q = InferenceModel::quantize(&model);
-            // Untrained weights are small and near-uniform — the hardest
-            // regime for argmax agreement — so only demand structure here:
-            // every task decoded, same shapes, finite values.
-            for ex in &exs {
-                let full = model.predict(ex);
-                let quant = q.predict(&model, ex);
-                assert_eq!(
-                    full.tasks.keys().collect::<Vec<_>>(),
-                    quant.tasks.keys().collect::<Vec<_>>(),
-                    "{kind:?} changed the task set"
-                );
-                assert_eq!(full.slice_probs.len(), quant.slice_probs.len());
-                assert!(quant.slice_probs.iter().all(|p| p.is_finite()));
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_predictions_track_f32_after_training() {
-        use crate::features::gold_to_prob;
-        let (ds, space) = setup();
-        let train: Vec<CompiledExample> = ds
-            .train_indices()
-            .iter()
-            .map(|&i| {
-                let record = &ds.records()[i];
-                let mut ex = CompiledExample::from_record(record, i, &space, ds.schema());
-                for task in ds.schema().tasks.keys() {
-                    if let Some(p) = gold_to_prob(ds.schema(), record, task) {
-                        ex.targets.insert(task.clone(), p);
-                    }
-                }
-                ex
-            })
-            .collect();
-        let mut model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
-        crate::trainer::train_model(
-            &mut model,
-            &train,
-            &[],
-            &crate::config::TrainConfig { epochs: 4, early_stop_patience: 0, ..Default::default() },
-        );
-        let q = InferenceModel::quantize(&model);
-        let score = agreement(&model, &q, &examples(&ds, &space));
-        assert!(score >= 0.9, "quantized/f32 agreement too low: {score:.3}");
     }
 }

@@ -32,7 +32,6 @@ pub use config::{
 pub use distill::{distill, soften_targets};
 pub use evaluate::{evaluate, evaluate_store, Evaluation};
 pub use features::{gold_to_prob, CompiledExample, FeatureSpace};
-pub use infer::InferenceModel;
 pub use network::{CompiledModel, Prediction, TaskOutput};
 pub use pretrained::{pretrain, PretrainConfig, PretrainedEncoder};
 pub use registry::{ArtifactEntry, ArtifactId, ModelRegistry};

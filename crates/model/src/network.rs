@@ -343,7 +343,7 @@ impl CompiledModel {
             .into_iter()
             .filter(|name| matches!(schema.payloads[name].kind, PayloadKind::Singleton))
             .collect();
-        let inference = InferenceModel::f32(&encoders, &set_proj, &heads, slices.as_ref());
+        let inference = InferenceModel::lower(&encoders, &set_proj, &heads, slices.as_ref());
         Self {
             schema: schema.clone(),
             config: config.clone(),
@@ -691,10 +691,10 @@ impl CompiledModel {
     }
 
     /// Runs inference over a batch and decodes every task output, in input
-    /// order: the tape-free [`InferenceModel::predict_batch`] with f32
-    /// weights read in place, fed chunks of at most 32 examples so memory
-    /// stays bounded whatever the input length. Outputs are bit-identical
-    /// to decoding a single-example training tape per example.
+    /// order: the tape-free inference forward with f32 weights read in
+    /// place, fed chunks of at most 32 examples so memory stays bounded
+    /// whatever the input length. Outputs are bit-identical to decoding a
+    /// single-example training tape per example.
     pub fn predict_batch(&self, examples: &[CompiledExample]) -> Vec<Prediction> {
         examples
             .chunks(MAX_BATCH)

@@ -9,7 +9,7 @@
 
 use crate::config::ModelConfig;
 use crate::features::{CompiledExample, FeatureSpace};
-use crate::infer::{InferenceModel, MAX_BATCH};
+use crate::infer::MAX_BATCH;
 use crate::network::{CompiledModel, Prediction, TaskOutput};
 use overton_store::{Record, Schema, ServingSignature, StoreError, TaskKind};
 use serde::{Deserialize, Serialize};
@@ -119,7 +119,6 @@ pub struct ServingResponse {
 /// A loaded model ready to answer queries.
 pub struct Server {
     model: CompiledModel,
-    quantized: Option<InferenceModel>,
     space: FeatureSpace,
     signature: ServingSignature,
 }
@@ -129,25 +128,9 @@ impl Server {
     pub fn load(artifact: &DeployableModel) -> Self {
         Self {
             model: artifact.instantiate(),
-            quantized: None,
             space: artifact.space.clone(),
             signature: artifact.signature.clone(),
         }
-    }
-
-    /// Switches inference to i8 affine weights
-    /// ([`InferenceModel::quantize`]). Subsequent [`Server::predict`] and
-    /// [`Server::predict_batch`] calls run the same tape-free forward with
-    /// quantized weights; the f32 weights stay loaded (embedding tables and
-    /// biases are read from them) but no longer drive the matmuls.
-    pub fn quantize(mut self) -> Self {
-        self.quantized = Some(InferenceModel::quantize(&self.model));
-        self
-    }
-
-    /// Whether inference runs on the quantized path.
-    pub fn is_quantized(&self) -> bool {
-        self.quantized.is_some()
     }
 
     /// The serving signature (stable across retrains of the same schema).
@@ -187,18 +170,12 @@ impl Server {
                 .iter()
                 .map(|&i| CompiledExample::from_record(&records[i], i, &self.space, schema))
                 .collect();
-            let predictions = self.inference().predict_batch(&self.model, &examples);
+            let predictions = self.model.inference.predict_batch(&self.model, &examples);
             for (&i, prediction) in chunk.iter().zip(&predictions) {
                 out[i] = Some(self.decode_response(&records[i], prediction));
             }
         }
         out.into_iter().map(|r| r.expect("every slot filled")).collect()
-    }
-
-    /// The forward inference runs: the quantized one after
-    /// [`Server::quantize`], the model's f32 one otherwise.
-    fn inference(&self) -> &InferenceModel {
-        self.quantized.as_ref().unwrap_or(&self.model.inference)
     }
 
     /// Decodes a raw prediction into label-named outputs. A task whose

@@ -28,10 +28,6 @@ pub struct CascadeCounters {
     pub small: u64,
     /// Requests escalated to the large model.
     pub escalated: u64,
-    /// Responses produced by the small model's i8 quantized path (a subset
-    /// of `small + escalated`: every request first runs through the small
-    /// model, quantized or not).
-    pub quantized: u64,
 }
 
 impl CascadeCounters {
@@ -54,7 +50,6 @@ pub struct CascadeEngine {
     threshold: f32,
     answered_small: AtomicU64,
     escalated: AtomicU64,
-    answered_quantized: AtomicU64,
 }
 
 impl CascadeEngine {
@@ -67,22 +62,7 @@ impl CascadeEngine {
             threshold: 0.0,
             answered_small: AtomicU64::new(0),
             escalated: AtomicU64::new(0),
-            answered_quantized: AtomicU64::new(0),
         }
-    }
-
-    /// Converts the small (SLA) model to the i8 quantized inference path.
-    /// The large model — the quality backstop that escalations re-run —
-    /// stays full-precision, so low-confidence answers lose nothing.
-    #[must_use]
-    pub fn with_quantized_small(mut self) -> Self {
-        self.small = self.small.quantize();
-        self
-    }
-
-    /// Whether the small model serves through the quantized path.
-    pub fn small_is_quantized(&self) -> bool {
-        self.small.is_quantized()
     }
 
     /// Builds a cascade from a synchronized model pair: responses from the
@@ -102,7 +82,6 @@ impl CascadeEngine {
             threshold,
             answered_small: AtomicU64::new(0),
             escalated: AtomicU64::new(0),
-            answered_quantized: AtomicU64::new(0),
         })
     }
 
@@ -137,7 +116,6 @@ impl CascadeEngine {
         CascadeCounters {
             small: self.answered_small.load(Ordering::Relaxed),
             escalated: self.escalated.load(Ordering::Relaxed),
-            quantized: self.answered_quantized.load(Ordering::Relaxed),
         }
     }
 
@@ -151,6 +129,7 @@ impl CascadeEngine {
     ) -> Vec<(Result<ServingResponse, StoreError>, Route)> {
         let mut results: Vec<(Result<ServingResponse, StoreError>, Route)> =
             self.small.predict_batch(records).into_iter().map(|r| (r, Route::Small)).collect();
+        let mut escalated = 0;
         if let Some(large) = &self.large {
             let escalate: Vec<usize> = results
                 .iter()
@@ -164,20 +143,11 @@ impl CascadeEngine {
                     results[i] = (upgraded, Route::Large);
                 }
             }
-            let answered = results.iter().filter(|(r, _)| r.is_ok()).count() as u64;
-            let escalated = escalate.len() as u64;
-            self.escalated.fetch_add(escalated, Ordering::Relaxed);
-            self.answered_small.fetch_add(answered.saturating_sub(escalated), Ordering::Relaxed);
-            if self.small.is_quantized() {
-                self.answered_quantized.fetch_add(answered, Ordering::Relaxed);
-            }
-        } else {
-            let answered = results.iter().filter(|(r, _)| r.is_ok()).count() as u64;
-            self.answered_small.fetch_add(answered, Ordering::Relaxed);
-            if self.small.is_quantized() {
-                self.answered_quantized.fetch_add(answered, Ordering::Relaxed);
-            }
+            escalated = escalate.len() as u64;
         }
+        let answered = results.iter().filter(|(r, _)| r.is_ok()).count() as u64;
+        self.escalated.fetch_add(escalated, Ordering::Relaxed);
+        self.answered_small.fetch_add(answered.saturating_sub(escalated), Ordering::Relaxed);
         results
     }
 
@@ -190,7 +160,7 @@ impl CascadeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overton_model::{CompiledModel, DeployableModel, FeatureSpace, ModelConfig, ServedOutput};
+    use overton_model::{CompiledModel, DeployableModel, FeatureSpace, ModelConfig};
     use overton_nlp::{generate_workload, WorkloadConfig};
     use std::collections::BTreeMap;
 
@@ -242,82 +212,6 @@ mod tests {
         for (record, (result, _)) in records.iter().zip(&results) {
             assert_eq!(*result.as_ref().unwrap(), large.predict(record).unwrap());
         }
-    }
-
-    /// Quality guard for the quantized small path: on a trained pair, the
-    /// quantized cascade must (a) answer everything, (b) agree with the f32
-    /// cascade on the overwhelming majority of task decisions, (c) keep its
-    /// escalation rate close to the f32 cascade's, and (d) account every
-    /// answered request in the quantized counter.
-    #[test]
-    fn quantized_small_cascade_guards_quality() {
-        use overton_model::{prepare_store, train_model, TrainConfig};
-        let ds = generate_workload(&WorkloadConfig {
-            n_train: 60,
-            n_dev: 15,
-            n_test: 40,
-            seed: 61,
-            ..Default::default()
-        });
-        let prepared =
-            prepare_store(&ds.seal(), &overton_supervision::CombineMethod::MajorityVote).unwrap();
-        let train_cfg = TrainConfig { epochs: 3, early_stop_patience: 0, ..Default::default() };
-        let mut large =
-            CompiledModel::compile(ds.schema(), &prepared.space, &ModelConfig::default(), None);
-        train_model(&mut large, &prepared.train, &prepared.dev, &train_cfg);
-        let small_cfg = ModelConfig { hidden_dim: 16, token_dim: 16, ..Default::default() };
-        let mut small = CompiledModel::compile(ds.schema(), &prepared.space, &small_cfg, None);
-        train_model(&mut small, &prepared.train, &prepared.dev, &train_cfg);
-        let pair = ModelPair {
-            large: DeployableModel::package(&large, &prepared.space, BTreeMap::new()),
-            small: DeployableModel::package(&small, &prepared.space, BTreeMap::new()),
-        };
-        let records = test_records(&ds);
-
-        let full = CascadeEngine::from_pair(&pair, 0.6).unwrap();
-        let quant = CascadeEngine::from_pair(&pair, 0.6).unwrap().with_quantized_small();
-        assert!(quant.small_is_quantized() && !full.small_is_quantized());
-        let full_results = full.answer_batch(&records);
-        let quant_results = quant.answer_batch(&records);
-
-        let answered = quant_results.iter().filter(|(r, _)| r.is_ok()).count() as u64;
-        assert_eq!(answered, records.len() as u64, "quantized cascade dropped requests");
-        assert_eq!(quant.counters().quantized, answered);
-        assert_eq!(full.counters().quantized, 0);
-
-        let delta = (quant.counters().escalation_rate() - full.counters().escalation_rate()).abs();
-        assert!(delta <= 0.2, "escalation rate drifted by {delta:.3} under quantization");
-
-        let mut same = 0usize;
-        let mut total = 0usize;
-        for ((a, _), (b, _)) in full_results.iter().zip(&quant_results) {
-            let (Ok(a), Ok(b)) = (a, b) else { panic!("both cascades must answer") };
-            for (task, output) in &a.tasks {
-                let matched = match (output, &b.tasks[task]) {
-                    (
-                        ServedOutput::Multiclass { class: x, .. },
-                        ServedOutput::Multiclass { class: y, .. },
-                    ) => x == y,
-                    (
-                        ServedOutput::MulticlassSeq { classes: x },
-                        ServedOutput::MulticlassSeq { classes: y },
-                    ) => x == y,
-                    (ServedOutput::Bits { set: x }, ServedOutput::Bits { set: y }) => x == y,
-                    (ServedOutput::BitsSeq { rows: x }, ServedOutput::BitsSeq { rows: y }) => {
-                        x == y
-                    }
-                    (
-                        ServedOutput::Select { index: x, .. },
-                        ServedOutput::Select { index: y, .. },
-                    ) => x == y,
-                    _ => false,
-                };
-                total += 1;
-                same += usize::from(matched);
-            }
-        }
-        let agreement = same as f64 / total as f64;
-        assert!(agreement >= 0.85, "quantized/f32 cascade agreement too low: {agreement:.3}");
     }
 
     #[test]

@@ -139,7 +139,6 @@ pub struct DeploymentManager {
     incumbent_artifact: DeployableModel,
     incumbent_server: Server,
     large: Option<DeployableModel>,
-    quantize_small: bool,
     pool: Option<Arc<WorkerPool>>,
     canary: Option<CanaryState>,
     events: Vec<DeployEvent>,
@@ -163,22 +162,10 @@ impl DeploymentManager {
             incumbent_artifact,
             incumbent_server,
             large: None,
-            quantize_small: false,
             pool: None,
             canary: None,
             events: Vec::new(),
         })
-    }
-
-    /// Opts engines built by this deployment into the i8 quantized serving
-    /// path for the small (incumbent) model. Off by default — quantization
-    /// trades a bounded accuracy loss for latency, which is a deployment
-    /// decision, not a registry property. Applies to [`Self::build_engine`]
-    /// and to engines hot-swapped on canary promotion.
-    #[must_use]
-    pub fn with_quantized_small(mut self) -> Self {
-        self.quantize_small = true;
-        self
     }
 
     /// Attaches the large half of the model pair, enabling the cascade in
@@ -201,17 +188,19 @@ impl DeploymentManager {
     /// Builds a serving engine for the current incumbent (a cascade when a
     /// large model is attached).
     pub fn build_engine(&self) -> Result<Arc<CascadeEngine>, StoreError> {
-        let mut engine = match &self.large {
+        self.engine_for(&self.incumbent_artifact).map(Arc::new)
+    }
+
+    /// An engine serving `small`: a cascade with the attached large model,
+    /// which must share its whole schema, or `small` alone.
+    fn engine_for(&self, small: &DeployableModel) -> Result<CascadeEngine, StoreError> {
+        match &self.large {
             Some(large) => CascadeEngine::from_pair(
-                &ModelPair { large: large.clone(), small: self.incumbent_artifact.clone() },
+                &ModelPair { large: large.clone(), small: small.clone() },
                 self.threshold,
-            )?,
-            None => CascadeEngine::single(Server::load(&self.incumbent_artifact)),
-        };
-        if self.quantize_small {
-            engine = engine.with_quantized_small();
+            ),
+            None => Ok(CascadeEngine::single(Server::load(small))),
         }
-        Ok(Arc::new(engine))
     }
 
     /// The registry backing this deployment.
@@ -340,21 +329,14 @@ impl DeploymentManager {
         }
         if found.is_empty() {
             // Run every fallible step *before* touching incumbent state, so
-            // a failed publish or engine swap leaves the deployment exactly
-            // as it was (canary still active, incumbent still serving).
-            // Track the promotion in the registry so `latest` follows.
+            // a failure leaves the deployment exactly as it was (canary still
+            // active, incumbent still serving) and the registry untouched.
+            // The engine goes first: `start_canary` checks the signature and
+            // slice space, not the whole schema a cascade pair must share.
+            // Publishing makes `latest` follow the promotion.
+            let engine = self.engine_for(&canary.artifact)?;
             self.registry.publish(&canary.artifact, &self.name)?;
             if let Some(pool) = &self.pool {
-                let mut engine = match &self.large {
-                    Some(large) => CascadeEngine::from_pair(
-                        &ModelPair { large: large.clone(), small: canary.artifact.clone() },
-                        self.threshold,
-                    )?,
-                    None => CascadeEngine::single(Server::load(&canary.artifact)),
-                };
-                if self.quantize_small {
-                    engine = engine.with_quantized_small();
-                }
                 pool.swap_engine(Arc::new(engine))?;
             }
             let canary = self.canary.take().expect("checked above");

@@ -166,9 +166,9 @@ fn confidence_histogram(w: &mut PromWriter, name: &str, labels: &[(&str, &str)],
 ///
 /// `traces` adds per-stage duration histograms and trace-store counters;
 /// `conns` adds the listener's connection gauges; `cascade` adds per-route
-/// model-pair counters (small/large routing, quantized answers, escalation
-/// rate). All are optional so the renderer also serves embedded
-/// (non-socket, single-model) pools.
+/// model-pair counters (small/large routing, escalation rate). All are
+/// optional so the renderer also serves embedded (non-socket, single-model)
+/// pools.
 pub fn render_metrics(
     telemetry: &Telemetry,
     traces: Option<&TraceStore>,
@@ -266,12 +266,6 @@ pub fn render_metrics(
         );
         w.count("overton_cascade_requests_total", &[("route", "small")], cascade.small);
         w.count("overton_cascade_requests_total", &[("route", "large")], cascade.escalated);
-        w.family(
-            "overton_cascade_quantized_answers_total",
-            "counter",
-            "Responses produced by the small model's i8 quantized inference path.",
-        );
-        w.count("overton_cascade_quantized_answers_total", &[], cascade.quantized);
         w.family(
             "overton_cascade_escalation_rate",
             "gauge",
@@ -468,13 +462,12 @@ mod tests {
             &telemetry,
             Some(&store),
             Some(ConnGauges { active: 2, accepted: 5, refused: 1 }),
-            Some(crate::cascade::CascadeCounters { small: 6, escalated: 2, quantized: 8 }),
+            Some(crate::cascade::CascadeCounters { small: 6, escalated: 2 }),
         );
         validate_exposition(&text).unwrap();
         for needle in [
             "overton_cascade_requests_total{route=\"small\"} 6",
             "overton_cascade_requests_total{route=\"large\"} 2",
-            "overton_cascade_quantized_answers_total 8",
             "overton_cascade_escalation_rate 0.25",
             "overton_requests_shed_total 1",
             "overton_observer_dropped_total 0",
@@ -489,5 +482,6 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+        assert!(!text.contains("overton_cascade_quantized"), "no i8 cascade family");
     }
 }

@@ -21,7 +21,6 @@
 
 mod dataset;
 mod error;
-mod evolution;
 mod par;
 mod record;
 mod schema;
@@ -33,7 +32,6 @@ pub mod rowstore;
 
 pub use dataset::Dataset;
 pub use error::{Result, StoreError};
-pub use evolution::{diff_schemas, is_backward_compatible, SchemaChange};
 pub use par::par_map;
 pub use record::{
     PayloadValue, Record, SetElement, TaskLabel, GOLD_SOURCE, SLICE_PREFIX, TAG_DEV, TAG_LIVE,

@@ -4,14 +4,13 @@
 //! Weakly Supervised Code", §2.4): label matrices over abstaining sources,
 //! a majority-vote baseline, the generative **label model** fit by EM (the
 //! Snorkel data-programming estimator), a closed-form **triplet**
-//! method-of-moments alternative, class rebalancing, per-task combination at
-//! every granularity (singleton / sequence / set / bitvector), and
-//! label-preserving **data augmentation** with lineage tags.
+//! method-of-moments alternative, per-task combination at every granularity
+//! (singleton / sequence / set / bitvector), and label-preserving **data
+//! augmentation** with lineage tags.
 
 #![warn(missing_docs)]
 
 mod augment;
-mod balance;
 mod combine;
 mod dependencies;
 mod label_model;
@@ -21,7 +20,6 @@ mod prob;
 mod triplet;
 
 pub use augment::{AugmentPolicy, SynonymSwap, TokenDropout, Transform, AUG_TAG_PREFIX};
-pub use balance::{class_weights, example_weight};
 pub use combine::{
     combine_all, combine_task, combine_task_store, weak_supervision_fraction, CombineError,
     CombineMethod, CombinedSupervision, SourceDiagnostics,

@@ -49,7 +49,6 @@ pub mod gradcheck;
 pub mod init;
 pub mod nn;
 pub mod optim;
-pub mod quant;
 pub mod schedule;
 
 pub use graph::{softmax_in_place, stable_sigmoid, Graph, NodeId, LN_CLAMP};

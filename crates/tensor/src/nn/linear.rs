@@ -47,8 +47,7 @@ impl Linear {
         self.in_dim
     }
 
-    /// Handle to the `in_dim x out_dim` weight matrix (for offline
-    /// conversions such as post-training quantization).
+    /// Handle to the `in_dim x out_dim` weight matrix.
     pub fn weight_id(&self) -> ParamId {
         self.weight
     }

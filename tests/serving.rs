@@ -223,3 +223,42 @@ fn canary_promotion_and_auto_rollback() {
     assert!(manager.start_canary(&v1).is_ok());
     assert!(manager.start_canary(&v2).is_err());
 }
+
+/// A promotion the cascade cannot serve fails before it reaches the
+/// registry. The canary passes every `start_canary` check (same serving
+/// signature, same slice space) but its schema differs from the attached
+/// large model's outside the signature, so no synchronized pair exists.
+#[test]
+fn unservable_promotion_leaves_the_registry_untouched() {
+    let ds = workload(203);
+    let space = overton_model::FeatureSpace::build(&ds);
+    let package = |schema: &overton_store::Schema, config: &ModelConfig| {
+        let model = CompiledModel::compile(schema, &space, config, None);
+        DeployableModel::package(&model, &space, BTreeMap::new())
+    };
+    let incumbent = package(ds.schema(), &small_config());
+    let large = package(ds.schema(), &ModelConfig::default());
+    let mut schema = ds.schema().clone();
+    schema.payloads.get_mut("entities").expect("entities payload").range = None;
+    let candidate = package(&schema, &small_config());
+    assert_eq!(candidate.signature, incumbent.signature);
+
+    let registry = temp_registry("unservable");
+    let v1 = registry.publish(&incumbent, "prod").unwrap();
+    let candidate_id = registry.publish(&candidate, "staging").unwrap();
+    let mut manager =
+        DeploymentManager::open(registry, "prod", 0.5).unwrap().with_large(large).unwrap();
+    let pool = Arc::new(WorkerPool::start(
+        manager.build_engine().unwrap(),
+        ServingConfig { workers: 1, max_batch: 16 },
+        None,
+    ));
+    manager.attach_pool(Arc::clone(&pool));
+    manager.start_canary(&candidate_id).unwrap();
+
+    let gate = CanaryConfig { regression_threshold: 1.0, min_scored: 0 };
+    assert!(manager.resolve_canary(&gate).is_err());
+    assert_eq!(manager.registry().latest("prod").unwrap().unwrap(), v1);
+    assert_eq!(manager.incumbent_id(), &v1);
+    assert!(manager.canary_active());
+}
