@@ -80,6 +80,10 @@ pub enum PredictOutcome {
 pub struct NetClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// The framed request (head and body), reused across requests.
+    request: Vec<u8>,
+    /// The encoded `/predict` body, reused across requests.
+    body: Vec<u8>,
 }
 
 impl NetClient {
@@ -95,7 +99,7 @@ impl NetClient {
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self { writer: stream, reader })
+        Ok(Self { writer: stream, reader, request: Vec::new(), body: Vec::new() })
     }
 
     /// Sends one request and reads the response.
@@ -116,20 +120,8 @@ impl NetClient {
         body: Option<&[u8]>,
         extra_headers: &[(&str, &str)],
     ) -> Result<ClientResponse, ClientError> {
-        let mut out = Vec::with_capacity(body.map_or(0, <[u8]>::len) + 128);
-        write!(out, "{method} {path} HTTP/1.1\r\n")?;
-        out.extend_from_slice(b"host: overton\r\n");
-        for (name, value) in extra_headers {
-            write!(out, "{name}: {value}\r\n")?;
-        }
-        if let Some(body) = body {
-            write!(out, "content-type: application/json\r\ncontent-length: {}\r\n", body.len())?;
-        }
-        out.extend_from_slice(b"\r\n");
-        if let Some(body) = body {
-            out.extend_from_slice(body);
-        }
-        self.writer.write_all(&out)?;
+        frame_request(&mut self.request, method, path, body, extra_headers)?;
+        self.writer.write_all(&self.request)?;
         self.read_response()
     }
 
@@ -147,10 +139,13 @@ impl NetClient {
         records: &[Record],
         trace_id: Option<&str>,
     ) -> Result<(PredictOutcome, Option<String>), ClientError> {
-        let body = wire::encode_predict_request(records);
+        self.body.clear();
+        wire::encode_predict_request_into(records, &mut self.body);
         let headers: Vec<(&str, &str)> =
             trace_id.map(|id| ("x-overton-trace", id)).into_iter().collect();
-        let response = self.request_with("POST", "/predict", Some(body.as_bytes()), &headers)?;
+        frame_request(&mut self.request, "POST", "/predict", Some(&self.body), &headers)?;
+        self.writer.write_all(&self.request)?;
+        let response = self.read_response()?;
         let echoed = response.header("x-overton-trace").map(str::to_string);
         let outcome = match response.status {
             200 => wire::decode_predict_response(&response.body)
@@ -328,4 +323,29 @@ impl NetClient {
     pub fn has_buffered(&self) -> bool {
         !self.reader.buffer().is_empty()
     }
+}
+
+/// Frames one request (request line, headers, body) into `out`, replacing
+/// its contents, so the request leaves in a single write.
+fn frame_request(
+    out: &mut Vec<u8>,
+    method: &str,
+    path: &str,
+    body: Option<&[u8]>,
+    extra_headers: &[(&str, &str)],
+) -> io::Result<()> {
+    out.clear();
+    write!(out, "{method} {path} HTTP/1.1\r\n")?;
+    out.extend_from_slice(b"host: overton\r\n");
+    for (name, value) in extra_headers {
+        write!(out, "{name}: {value}\r\n")?;
+    }
+    if let Some(body) = body {
+        write!(out, "content-type: application/json\r\ncontent-length: {}\r\n", body.len())?;
+    }
+    out.extend_from_slice(b"\r\n");
+    if let Some(body) = body {
+        out.extend_from_slice(body);
+    }
+    Ok(())
 }

@@ -144,10 +144,7 @@ impl HttpError {
     /// one is warranted.
     pub fn response(&self) -> Option<Response> {
         let status = self.status()?;
-        Some(
-            Response::json(status, &format!("{{\"error\":{}}}", json_string(&self.to_string())))
-                .with_header("connection", "close"),
-        )
+        Some(Response::json_error(status, &self.to_string()).with_header("connection", "close"))
     }
 }
 
@@ -396,25 +393,6 @@ fn lossy_prefix(bytes: &[u8]) -> String {
     out
 }
 
-/// Minimal JSON string escaping for hand-assembled error bodies.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The reason phrase for the status codes the tier emits.
 pub fn reason(status: u16) -> &'static str {
     match status {
@@ -447,24 +425,23 @@ pub struct Response {
 }
 
 impl Response {
-    /// A JSON response.
-    pub fn json(status: u16, body: &str) -> Self {
-        Self {
-            status,
-            headers: Vec::new(),
-            body: body.as_bytes().to_vec(),
-            content_type: "application/json",
-        }
+    /// A JSON response; an owned body (`Vec<u8>`, `String`) moves in
+    /// without a copy.
+    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Self {
+        Self { status, headers: Vec::new(), body: body.into(), content_type: "application/json" }
     }
 
-    /// A plain-text response.
-    pub fn text(status: u16, body: &str) -> Self {
-        Self {
-            status,
-            headers: Vec::new(),
-            body: body.as_bytes().to_vec(),
-            content_type: "text/plain",
-        }
+    /// A `{"error": msg}` JSON response.
+    pub fn json_error(status: u16, msg: &str) -> Self {
+        let mut body = b"{\"error\":".to_vec();
+        serde::json::write_str(msg, &mut body);
+        body.push(b'}');
+        Self::json(status, body)
+    }
+
+    /// A plain-text response; an owned body moves in without a copy.
+    pub fn text(status: u16, body: impl Into<Vec<u8>>) -> Self {
+        Self { status, headers: Vec::new(), body: body.into(), content_type: "text/plain" }
     }
 
     /// Adds a header.

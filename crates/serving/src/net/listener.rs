@@ -356,6 +356,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
+    // One framing buffer per connection, reused by every response on it.
+    let mut out = Vec::new();
     let ctx = RouterCtx { shared: Arc::clone(shared) };
     loop {
         // The cycle start doubles as the trace origin: the accept span
@@ -374,7 +376,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 if let Some(t) = &trace {
                     t.begin(SpanName::Write);
                 }
-                let wrote = write_response(&mut writer, &response);
+                let wrote = write_response(&mut writer, &response, &mut out);
                 if let Some(t) = &trace {
                     t.end(SpanName::Write);
                     if let Some(store) = &shared.traces {
@@ -397,7 +399,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 // close-on-error means a hostile peer costs at most one
                 // request cycle.
                 if let Some(response) = e.response() {
-                    let _ = write_response(&mut writer, &response);
+                    let _ = write_response(&mut writer, &response, &mut out);
                 }
                 return;
             }
@@ -405,10 +407,10 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-fn write_response(w: &mut TcpStream, response: &Response) -> io::Result<()> {
-    // Serialize into one buffer so the response leaves in a single write
+fn write_response(w: &mut TcpStream, response: &Response, buf: &mut Vec<u8>) -> io::Result<()> {
+    // Frame into one buffer so the response leaves in a single write
     // (headers are tiny; syscall-per-header would dominate small replies).
-    let mut buf = Vec::with_capacity(response.body.len() + 256);
-    response.write_to(&mut buf)?;
-    w.write_all(&buf)
+    buf.clear();
+    response.write_to(buf)?;
+    w.write_all(buf)
 }

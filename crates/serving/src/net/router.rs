@@ -23,6 +23,7 @@ use super::listener::Shared;
 use super::shed::Admission;
 use super::wire;
 use crate::trace::{RequestTrace, SpanName, TraceOutcome};
+use serde::Serialize;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -60,13 +61,7 @@ pub(crate) fn route(
             };
             (body, None)
         }
-        ("GET", "/telemetry") => {
-            let response = match serde_json::to_string(&shared.pool.snapshot()) {
-                Ok(body) => Response::json(200, &body),
-                Err(e) => Response::json(500, &format!("{{\"error\":\"{e}\"}}")),
-            };
-            (response, None)
-        }
+        ("GET", "/telemetry") => (json_ok(&shared.pool.snapshot()), None),
         ("GET", "/metrics") => (metrics(ctx), None),
         ("GET", "/traces") => (slowest_traces(ctx), None),
         (method, target) if target.starts_with("/trace/") => {
@@ -99,7 +94,7 @@ fn metrics(ctx: &RouterCtx) -> Response {
     if let Some(ext) = &shared.config.metrics_ext {
         ext(&mut body);
     }
-    Response::text(200, &body)
+    Response::text(200, body)
 }
 
 fn trace_by_id(ctx: &RouterCtx, id: &str) -> Response {
@@ -107,10 +102,7 @@ fn trace_by_id(ctx: &RouterCtx, id: &str) -> Response {
         return Response::json(404, "{\"error\":\"tracing is disabled\"}");
     };
     match store.get(id) {
-        Some(report) => match serde_json::to_string(&report) {
-            Ok(body) => Response::json(200, &body),
-            Err(e) => Response::json(500, &format!("{{\"error\":\"{e}\"}}")),
-        },
+        Some(report) => json_ok(&report),
         None => Response::json(404, "{\"error\":\"no such trace (evicted or never recorded)\"}"),
     }
 }
@@ -119,18 +111,17 @@ fn slowest_traces(ctx: &RouterCtx) -> Response {
     let Some(store) = &ctx.shared.traces else {
         return Response::json(404, "{\"error\":\"tracing is disabled\"}");
     };
-    match serde_json::to_string(&store.slowest()) {
-        Ok(list) => Response::json(200, &format!("{{\"slowest\":{list}}}")),
-        Err(e) => Response::json(500, &format!("{{\"error\":\"{e}\"}}")),
-    }
+    let mut body = b"{\"slowest\":".to_vec();
+    store.slowest().write_json(&mut body);
+    body.push(b'}');
+    Response::json(200, body)
 }
 
-fn error_body(msg: String) -> String {
-    serde_json::to_string(&serde::Value::Object(serde::Map::from([(
-        "error".to_string(),
-        serde::Value::String(msg),
-    )])))
-    .expect("error body serializes")
+/// A `200` whose body is `value` written straight to bytes.
+fn json_ok(value: &impl Serialize) -> Response {
+    let mut body = Vec::new();
+    value.write_json(&mut body);
+    Response::json(200, body)
 }
 
 fn predict(
@@ -170,7 +161,7 @@ fn predict(
                 t.set_outcome(TraceOutcome::Error);
             }
             let status = if msg.contains("batch cap") { 413 } else { 400 };
-            return (echo_trace(Response::json(status, &error_body(msg)), &trace), trace);
+            return (echo_trace(Response::json_error(status, &msg), &trace), trace);
         }
     };
     // Canonicalize JSON-ambiguous label variants exactly as file ingest
@@ -206,7 +197,8 @@ fn predict(
         t.begin(SpanName::Encode);
     }
     let results: Vec<_> = replies.into_iter().map(|r| r.result).collect();
-    let body = wire::encode_predict_response(&results);
+    let mut body = Vec::new();
+    wire::encode_predict_response_into(&results, &mut body);
     if let Some(t) = &trace {
         t.set_outcome(if results.iter().any(Result::is_err) {
             TraceOutcome::Error
@@ -215,7 +207,7 @@ fn predict(
         });
         t.end(SpanName::Encode);
     }
-    (echo_trace(Response::json(200, &body), &trace), trace)
+    (echo_trace(Response::json(200, body), &trace), trace)
 }
 
 /// Echoes the trace id back to the client when the request was traced.

@@ -19,20 +19,33 @@
 //! `results[i]` answers `records[i]`; per-record failures (unknown
 //! payloads, vocabulary misses) travel as `err` strings without failing
 //! the sibling records — the same contract [`crate::WorkerPool`] gives
-//! in-process callers. Serialization of [`ServingResponse`] goes through
-//! serde on both sides and floats print shortest-round-trip, so a wire
+//! in-process callers. Floats print shortest-round-trip, so a wire
 //! round-trip reproduces the in-process response bit for bit.
+//!
+//! Encoding writes bytes directly: the `_into` encoders append the body
+//! to a caller's buffer through the derive-generated
+//! [`serde::Serialize::write_json`], with no `Value` tree in between, and
+//! produce exactly the bytes the tree would. The router hands its buffer
+//! to the response as the body; the listener then frames it into one
+//! write buffer per connection, and [`super::NetClient`] reuses its
+//! request buffers the same way. Decoding still goes through a `Value`.
 
 use overton_model::ServingResponse;
 use overton_store::{Record, StoreError};
-use serde::Value;
+use serde::{Serialize, Value};
 
 /// Encodes the request body for a batch of records.
 pub fn encode_predict_request(records: &[Record]) -> String {
-    let records = Value::Array(records.iter().map(serde::Serialize::to_value).collect());
-    let mut body = serde::Map::new();
-    body.insert("records".to_string(), records);
-    serde_json::to_string(&Value::Object(body)).expect("wire request serialization cannot fail")
+    let mut out = Vec::new();
+    encode_predict_request_into(records, &mut out);
+    String::from_utf8(out).expect("the JSON writer emits UTF-8")
+}
+
+/// Appends the request body for a batch of records to `out`.
+pub(crate) fn encode_predict_request_into(records: &[Record], out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"records\":");
+    records.write_json(out);
+    out.push(b'}');
 }
 
 /// Decodes a request body into records. `max_records` bounds the batch
@@ -68,26 +81,34 @@ pub fn decode_predict_request(body: &[u8], max_records: usize) -> Result<Vec<Rec
 
 /// Encodes the response body for a batch of per-record results.
 pub fn encode_predict_response(results: &[Result<ServingResponse, StoreError>]) -> String {
-    let results = Value::Array(
-        results
-            .iter()
-            .map(|r| {
-                let mut entry = serde::Map::new();
-                match r {
-                    Ok(response) => {
-                        entry.insert("ok".to_string(), serde::Serialize::to_value(response));
-                    }
-                    Err(e) => {
-                        entry.insert("err".to_string(), Value::String(e.to_string()));
-                    }
-                }
-                Value::Object(entry)
-            })
-            .collect(),
-    );
-    let mut body = serde::Map::new();
-    body.insert("results".to_string(), results);
-    serde_json::to_string(&Value::Object(body)).expect("wire response serialization cannot fail")
+    let mut out = Vec::new();
+    encode_predict_response_into(results, &mut out);
+    String::from_utf8(out).expect("the JSON writer emits UTF-8")
+}
+
+/// Appends the response body for a batch of per-record results to `out`.
+pub(crate) fn encode_predict_response_into(
+    results: &[Result<ServingResponse, StoreError>],
+    out: &mut Vec<u8>,
+) {
+    out.extend_from_slice(b"{\"results\":[");
+    for (i, result) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        match result {
+            Ok(response) => {
+                out.extend_from_slice(b"{\"ok\":");
+                response.write_json(out);
+            }
+            Err(e) => {
+                out.extend_from_slice(b"{\"err\":");
+                serde::json::write_str(&e.to_string(), out);
+            }
+        }
+        out.push(b'}');
+    }
+    out.extend_from_slice(b"]}");
 }
 
 /// Decodes a response body into per-record results (the client half).

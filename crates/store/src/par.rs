@@ -13,7 +13,8 @@ use std::sync::Mutex;
 /// deterministic under any thread schedule. With `workers <= 1` (or fewer
 /// than two items) everything runs inline on the calling thread.
 ///
-/// A panic in `f` propagates to the caller once every worker has stopped.
+/// A panic in `f` propagates to the caller, with its own payload, once
+/// every worker has exited.
 pub fn par_map<I, T, F>(workers: usize, items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
@@ -29,12 +30,25 @@ where
     let queue = Mutex::new(items.into_iter().enumerate().rev().collect::<Vec<_>>());
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let Some((at, item)) = queue.lock().expect("par_map queue").pop() else { break };
-                let out = f(item);
-                *slots[at].lock().expect("par_map slot") = Some(out);
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let Some((at, item)) = queue.lock().expect("par_map queue").pop() else {
+                        break;
+                    };
+                    let out = f(item);
+                    *slots[at].lock().expect("par_map slot") = Some(out);
+                })
+            })
+            .collect();
+        // Join every worker by hand: the scope's own wait returns once the
+        // closures are done, before the threads have exited and handed
+        // their malloc arenas back. The next `par_map`'s workers would then
+        // sometimes find no free arena and open a new one, so a process's
+        // peak RSS would depend on thread timing.
+        let mut panics = handles.into_iter().filter_map(|h| h.join().err()).collect::<Vec<_>>();
+        if !panics.is_empty() {
+            std::panic::resume_unwind(panics.swap_remove(0));
         }
     });
     slots
@@ -72,5 +86,22 @@ mod tests {
             i * 10
         });
         assert_eq!(out, vec![0, 10]);
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller_after_the_rest_finish() {
+        let finished = std::sync::atomic::AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map(2, (0..6u32).collect(), |i| {
+                if i == 0 {
+                    panic!("item {i} failed");
+                }
+                finished.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            })
+        }));
+        let payload = caught.expect_err("the panic propagates");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+        assert_eq!(message, "item 0 failed");
+        assert_eq!(finished.into_inner(), 5);
     }
 }

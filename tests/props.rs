@@ -1,6 +1,8 @@
 //! Cross-crate property-based tests (proptest) on serialization and
 //! supervision invariants.
 
+use overton_model::{ServedOutput, ServingResponse};
+use overton_serving::net::wire;
 use overton_store::rowstore::{
     decode_record, encode_record, read_str, read_u64, write_str, write_u64, RowStore,
 };
@@ -9,6 +11,7 @@ use overton_store::{
 };
 use overton_supervision::{majority_vote, LabelMatrix, LabelModel, LabelModelConfig};
 use proptest::prelude::*;
+use serde_json::{Map, Value};
 
 fn arb_payload() -> impl Strategy<Value = PayloadValue> {
     prop_oneof![
@@ -46,8 +49,90 @@ fn arb_record() -> impl Strategy<Value = Record> {
         .prop_map(|(payloads, tasks, tags)| Record { payloads, tasks, tags })
 }
 
+/// Strings over controls, `"`, `\\`, ASCII, Latin and IPA letters, and
+/// one astral emoji: everything the JSON escaper treats differently.
+fn arb_text() -> impl Strategy<Value = String> {
+    prop::collection::vec(0u32..0x300, 0..10).prop_map(|cs| {
+        cs.into_iter()
+            .map(|c| if c >= 0x2F0 { '\u{1F600}' } else { char::from_u32(c).expect("BMP") })
+            .collect()
+    })
+}
+
+/// Any bit pattern (NaN, infinities, subnormals, `-0.0`) plus the
+/// ordinary probabilities the serving path emits.
+fn arb_f32() -> impl Strategy<Value = f32> {
+    prop_oneof![any::<u32>().prop_map(f32::from_bits), 0.0f32..1.0]
+}
+
+fn arb_served_output() -> impl Strategy<Value = ServedOutput> {
+    prop_oneof![
+        (arb_text(), prop::collection::vec((arb_text(), arb_f32()), 0..4))
+            .prop_map(|(class, dist)| ServedOutput::Multiclass { class, dist }),
+        prop::collection::vec(arb_text(), 0..4)
+            .prop_map(|classes| ServedOutput::MulticlassSeq { classes }),
+        prop::collection::vec(arb_text(), 0..4).prop_map(|set| ServedOutput::Bits { set }),
+        prop::collection::vec(prop::collection::vec(arb_text(), 0..3), 0..3)
+            .prop_map(|rows| ServedOutput::BitsSeq { rows }),
+        (any::<usize>(), arb_text()).prop_map(|(index, id)| ServedOutput::Select { index, id }),
+    ]
+}
+
+fn arb_serving_result() -> impl Strategy<Value = Result<ServingResponse, StoreError>> {
+    prop_oneof![
+        (
+            prop::collection::btree_map(arb_text(), arb_served_output(), 0..4),
+            prop::collection::vec((arb_text(), arb_f32()), 0..4),
+            arb_f32(),
+        )
+            .prop_map(|(tasks, slices, confidence)| Ok(ServingResponse {
+                tasks,
+                slices,
+                confidence
+            })),
+        arb_text().prop_map(|msg| Err(StoreError::Validation(msg))),
+    ]
+}
+
+/// The wire body as the `Value` tree renders it: `{key: [items...]}`.
+fn value_path_body(key: &str, items: Vec<Value>) -> String {
+    Value::Object(Map::from([(key.to_string(), Value::Array(items))])).to_string()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn wire_request_encoder_matches_the_value_path(
+        records in prop::collection::vec(
+            (arb_record(), prop::collection::btree_set(arb_text(), 0..3)),
+            0..6,
+        ),
+    ) {
+        let records: Vec<Record> = records
+            .into_iter()
+            .map(|(record, tags)| Record { tags, ..record })
+            .collect();
+        let tree = records.iter().map(|r| serde_json::to_value(r).unwrap()).collect();
+        prop_assert_eq!(wire::encode_predict_request(&records), value_path_body("records", tree));
+    }
+
+    #[test]
+    fn wire_response_encoder_matches_the_value_path(
+        results in prop::collection::vec(arb_serving_result(), 0..6),
+    ) {
+        let tree = results
+            .iter()
+            .map(|r| {
+                let (key, value) = match r {
+                    Ok(response) => ("ok", serde_json::to_value(response).unwrap()),
+                    Err(e) => ("err", Value::String(e.to_string())),
+                };
+                Value::Object(Map::from([(key.to_string(), value)]))
+            })
+            .collect();
+        prop_assert_eq!(wire::encode_predict_response(&results), value_path_body("results", tree));
+    }
 
     #[test]
     fn varint_roundtrip(v in any::<u64>()) {
