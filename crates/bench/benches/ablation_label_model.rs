@@ -1,6 +1,6 @@
 //! **A1** — ablation of the supervision combiner: generative label model
-//! (EM) vs. majority vote vs. trusting the single best source, plus the
-//! closed-form triplet estimator's accuracy recovery.
+//! (EM) vs. majority vote vs. trusting the single best source, plus how
+//! closely EM recovers each source's true accuracy.
 //!
 //! This isolates the design decision of §2.2 ("Overton learns the accuracy
 //! of these sources ... and uses these accuracies to compute a probability
@@ -12,9 +12,7 @@ use overton::{OvertonOptions, Project};
 use overton_bench::print_row;
 use overton_model::TrainConfig;
 use overton_nlp::{generate_workload, SourceSpec, WorkloadConfig};
-use overton_supervision::{
-    triplet_accuracies, CombineMethod, LabelMatrix, LabelModel, LabelModelConfig,
-};
+use overton_supervision::{CombineMethod, LabelMatrix, LabelModel, LabelModelConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,32 +58,11 @@ fn main() {
     print_row(&["label model (EM)".into(), format!("{:.3}", acc_of(&lm_preds))], &widths);
 
     println!("\nestimated source accuracies:");
-    let binary_matrix = {
-        // Binary projection for the triplet method: class 0 vs rest.
-        let mut m = LabelMatrix::new(true_accs.len());
-        let mut rng = SmallRng::seed_from_u64(56);
-        for _ in 0..6000 {
-            let y = u32::from(rng.gen_bool(0.5));
-            let votes: Vec<Option<u32>> = true_accs
-                .iter()
-                .map(|&a| Some(if rng.gen::<f32>() < a { y } else { 1 - y }))
-                .collect();
-            m.push_item(2, &votes);
-        }
-        m
-    };
-    let triplet = triplet_accuracies(&binary_matrix);
-    let em_binary = LabelModel::fit(&binary_matrix, &LabelModelConfig::default());
-    print_row(&["source".into(), "true".into(), "EM".into(), "triplet".into()], &[10, 8, 8, 8]);
+    print_row(&["source".into(), "true".into(), "EM".into()], &[10, 8, 8]);
     for (j, true_acc) in true_accs.iter().enumerate() {
         print_row(
-            &[
-                format!("source{j}"),
-                format!("{true_acc:.2}"),
-                format!("{:.3}", em_binary.accuracies()[j]),
-                format!("{:.3}", triplet.accuracies[j]),
-            ],
-            &[10, 8, 8, 8],
+            &[format!("source{j}"), format!("{true_acc:.2}"), format!("{:.3}", lm.accuracies()[j])],
+            &[10, 8, 8],
         );
     }
 

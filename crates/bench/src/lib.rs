@@ -5,6 +5,7 @@
 //! composite end-to-end error metric.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use overton::{OvertonOptions, Project, Run};
 use overton_model::{

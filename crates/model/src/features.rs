@@ -101,7 +101,7 @@ impl FeatureSpace {
 }
 
 /// Encoded set payload elements: `(entity id, span)` per element.
-pub type EncodedSet = Vec<(usize, (usize, usize))>;
+pub(crate) type EncodedSet = Vec<(usize, (usize, usize))>;
 
 /// One model-ready example: encoded payloads plus (optionally) training
 /// targets per task and slice membership.

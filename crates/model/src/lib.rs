@@ -9,6 +9,7 @@
 //! signature, large/small model pairs, and a content-addressed registry.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod compiler;
 mod config;

@@ -7,6 +7,7 @@
 //! ([`stats`]) the automated loop gates on.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod accum;
 mod calibration;

@@ -13,6 +13,7 @@
 //! controllable here.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod corpus;
 mod hostile;

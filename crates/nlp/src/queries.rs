@@ -39,7 +39,7 @@ pub const SLICE_COMPLEX_DISAMBIGUATION: &str = "complex-disambiguation";
 /// explains these; the model must learn entity-specific behaviour from the
 /// few slice examples. This is what makes the complex-disambiguation slice
 /// genuinely hard (paper §2.2).
-pub const EDITORIAL_GOLD: &[(&str, &str, &str)] = &[
+pub(crate) const EDITORIAL_GOLD: &[(&str, &str, &str)] = &[
     ("washington", "Population", "washington_state"),
     ("georgia", "Population", "georgia_state"),
     ("georgia", "Capital", "georgia_state"),

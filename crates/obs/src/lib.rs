@@ -41,6 +41,7 @@
 //! happens on the monitor's thread via [`Monitor::pump`].
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod alert;
 mod drift;

@@ -39,6 +39,7 @@
 //! (`bench/`) for the batching win.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod cascade;
 mod deploy;

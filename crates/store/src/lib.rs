@@ -18,6 +18,7 @@
 //! like the serving signature) stays fixed.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod dataset;
 mod error;

@@ -61,7 +61,7 @@ impl LiveManifest {
     }
 
     /// Renders the manifest as its JSON document.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let deltas = self
             .deltas
             .iter()
@@ -84,7 +84,7 @@ impl LiveManifest {
     }
 
     /// Parses and verifies a manifest document (self-checksum included).
-    pub fn parse(text: &str) -> Result<Self> {
+    pub(crate) fn parse(text: &str) -> Result<Self> {
         let corrupt = |what: &str| StoreError::Corrupt(format!("live manifest: {what}"));
         let serde_json::Value::Object(map) = serde_json::from_str_value(text)? else {
             return Err(corrupt("not an object"));
@@ -141,7 +141,7 @@ impl LiveManifest {
 
     /// Reads `dir/LIVE.json`. A missing file says "not a live store"
     /// instead of a bare I/O error.
-    pub fn read(dir: &Path) -> Result<Self> {
+    pub(crate) fn read(dir: &Path) -> Result<Self> {
         let path = dir.join(LIVE_MANIFEST);
         let text = std::fs::read_to_string(&path).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
@@ -159,7 +159,7 @@ impl LiveManifest {
     /// Atomically commits the manifest: writes `LIVE.json.tmp`, then
     /// renames it over `LIVE.json`. The rename is the commit point of
     /// every sealed-set mutation.
-    pub fn write_atomic(&self, dir: &Path) -> Result<()> {
+    pub(crate) fn write_atomic(&self, dir: &Path) -> Result<()> {
         let staged = dir.join(format!("{LIVE_MANIFEST}.tmp"));
         std::fs::write(&staged, self.to_json())?;
         std::fs::rename(&staged, dir.join(LIVE_MANIFEST))?;

@@ -62,7 +62,7 @@ pub fn read_str_borrowed<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
 }
 
 /// The FNV-1a offset basis (hash of the empty input).
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a over a byte slice (integrity check for store files).
 pub fn fnv1a(bytes: &[u8]) -> u64 {

@@ -103,8 +103,8 @@ impl Schema {
     }
 
     /// Checks internal consistency: payload references resolve, no reference
-    /// cycles, tasks point at payloads, select tasks point at sets, and
-    /// label vocabularies are non-empty and duplicate-free.
+    /// cycles, tasks point at payloads, select tasks and only select tasks
+    /// point at sets, and label vocabularies are non-empty and duplicate-free.
     pub fn validate(&self) -> Result<()> {
         if self.payloads.is_empty() {
             return Err(StoreError::Schema("schema has no payloads".into()));
@@ -155,6 +155,14 @@ impl Schema {
                 ))
             })?;
             match &t.kind {
+                TaskKind::Multiclass { .. } | TaskKind::Bitvector { .. }
+                    if matches!(payload.kind, PayloadKind::Set) =>
+                {
+                    return Err(StoreError::Schema(format!(
+                        "task '{name}' cannot read set payload '{}': only select tasks read sets",
+                        t.payload
+                    )));
+                }
                 TaskKind::Multiclass { classes } => {
                     check_vocab(name, "classes", classes)?;
                 }
@@ -417,6 +425,22 @@ mod tests {
         }"#;
         let err = Schema::from_json(json).unwrap_err();
         assert!(err.to_string().contains("must read a set payload"), "{err}");
+    }
+
+    #[test]
+    fn non_select_task_over_set_payload_rejected() {
+        for task in
+            [r#""type": "multiclass", "classes": ["x"]"#, r#""type": "bitvector", "labels": ["x"]"#]
+        {
+            let json = format!(
+                r#"{{
+                  "payloads": {{ "ents": {{ "type": "set" }} }},
+                  "tasks": {{ "t": {{ "payload": "ents", {task} }} }}
+                }}"#
+            );
+            let err = Schema::from_json(&json).unwrap_err();
+            assert!(err.to_string().contains("only select tasks read sets"), "{err}");
+        }
     }
 
     #[test]

@@ -5,22 +5,19 @@
 //! at the task's granularity, a combiner resolves them, and the resulting
 //! probabilistic labels are attached back to records for training.
 //!
-//! Two drivers share the combiners: [`combine_task`] traverses an eager
-//! [`Dataset`] (the editable builder view), while [`combine_all`] /
-//! [`combine_task_store`] scan a sealed [`ShardedStore`] — every shard
-//! builds its partial label matrices from zero-copy row views in parallel,
-//! the partials merge in shard order (bit-for-bit the same matrices the
-//! eager path builds), and the combiner runs once on the merged matrix.
-//! One store scan covers *all* tasks, where the eager path re-traverses
-//! the records once per task.
+//! [`combine_all`] is the one driver: it scans a sealed [`ShardedStore`]
+//! once for every task — each shard builds its partial label matrices from
+//! zero-copy row views in parallel, the partials merge in shard order, and
+//! each task's combiner runs once on its merged matrix. An eager per-task
+//! traversal of a [`Dataset`] is compiled only under `#[cfg(test)]`, as
+//! the reference the store path must match bit for bit.
 
 use crate::label_model::{LabelModel, LabelModelConfig};
 use crate::majority::majority_vote;
 use crate::matrix::LabelMatrix;
 use crate::prob::ProbLabel;
 use overton_store::{
-    par_map, Dataset, LabelView, PayloadKind, PayloadValue, Record, RowView, ShardedStore,
-    StoreError, TaskKind, TaskLabel,
+    par_map, Dataset, LabelView, PayloadKind, RowView, ShardedStore, StoreError, TaskKind,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -125,53 +122,6 @@ impl CombinedSupervision {
     }
 }
 
-/// Combines supervision for `task` across the whole dataset.
-pub fn combine_task(
-    dataset: &Dataset,
-    task: &str,
-    method: &CombineMethod,
-) -> Result<CombinedSupervision, CombineError> {
-    let schema = dataset.schema();
-    let task_def =
-        schema.tasks.get(task).ok_or_else(|| CombineError::UnknownTask(task.to_string()))?;
-    let payload_kind = schema
-        .payloads
-        .get(&task_def.payload)
-        .map(|p| p.kind.clone())
-        .unwrap_or(PayloadKind::Singleton);
-
-    let sources = dataset.sources_for_task(task);
-    if let CombineMethod::SingleSource(name) = method {
-        if !sources.iter().any(|s| s == name) {
-            return Err(CombineError::UnknownSource {
-                task: task.to_string(),
-                source: name.clone(),
-            });
-        }
-    }
-
-    match (&task_def.kind, &payload_kind) {
-        (TaskKind::Multiclass { classes }, PayloadKind::Singleton) => {
-            combine_multiclass_singleton(dataset, task, classes, &sources, method)
-        }
-        (TaskKind::Multiclass { classes }, PayloadKind::Sequence { .. }) => {
-            combine_multiclass_sequence(dataset, task, classes, &sources, method)
-        }
-        (TaskKind::Bitvector { labels }, PayloadKind::Singleton) => {
-            combine_bitvector(dataset, task, labels, &sources, method, false)
-        }
-        (TaskKind::Bitvector { labels }, PayloadKind::Sequence { .. }) => {
-            combine_bitvector(dataset, task, labels, &sources, method, true)
-        }
-        (TaskKind::Select, _) => combine_select(dataset, task, &task_def.payload, &sources, method),
-        (kind, payload) => {
-            // Multiclass/bitvector over a set payload is not used by the
-            // paper's schema; treat per-element like a sequence if needed.
-            unreachable!("unsupported task/payload combination: {kind:?} over {payload:?}")
-        }
-    }
-}
-
 /// What one task's extraction needs to know, resolved once per scan from
 /// the schema and the store's seal-time index (no per-task re-scan).
 struct TaskSpec {
@@ -223,8 +173,8 @@ impl TaskPartial {
                 sequence: matches!(payload, PayloadKind::Sequence { .. }),
             },
             (kind, payload) => {
-                // Mirror the eager driver: these combinations are not used
-                // by the paper's schema and are a programming error.
+                // `Schema::validate` rejects multiclass and bitvector tasks
+                // over a set payload, so a sealed store never holds one.
                 unreachable!("unsupported task/payload combination: {kind:?} over {payload:?}")
             }
         }
@@ -262,7 +212,7 @@ impl TaskPartial {
     }
 }
 
-fn class_index_view(classes: &[String], name: &str, task: &str) -> Result<u32, CombineError> {
+fn class_index(classes: &[String], name: &str, task: &str) -> Result<u32, CombineError> {
     classes.iter().position(|c| c == name).map(|i| i as u32).ok_or_else(|| {
         CombineError::UnknownClass { task: task.to_string(), class: name.to_string() }
     })
@@ -288,7 +238,7 @@ fn resolve_sources<'v, 'a>(
 
 /// The set bits of one bitvector label as a mask over the task's bit
 /// vocabulary (bit names outside the vocabulary are ignored, as in the
-/// eager path).
+/// eager reference).
 fn bit_mask(bits: &[&str], labels: &[String]) -> u64 {
     let mut mask = 0u64;
     for bit in bits {
@@ -300,11 +250,11 @@ fn bit_mask(bits: &[&str], labels: &[String]) -> u64 {
 }
 
 /// Extracts one row's votes for one task from a zero-copy view into the
-/// task's partial. Mirrors the eager per-kind extraction in
-/// `combine_multiclass_singleton` & co. exactly — wrong granularity is an
-/// abstain, unknown classes are errors — but resolves the row's source
-/// labels once up front instead of per matrix item, and turns bitvector
-/// labels into bit masks so per-(element, bit) votes are mask tests.
+/// task's partial. Wrong granularity is an abstain and unknown classes are
+/// errors, exactly as in the test-only eager reference; the row's source
+/// labels are resolved once up front instead of per matrix item, and
+/// bitvector labels become bit masks so per-(element, bit) votes are mask
+/// tests.
 fn extract_row(
     spec: &TaskSpec,
     row: u32,
@@ -321,9 +271,7 @@ fn extract_row(
                 votes.clear();
                 for label in &labels {
                     votes.push(match label {
-                        Some(LabelView::MulticlassOne(c)) => {
-                            Some(class_index_view(classes, c, task)?)
-                        }
+                        Some(LabelView::MulticlassOne(c)) => Some(class_index(classes, c, task)?),
                         _ => None,
                     });
                 }
@@ -382,7 +330,7 @@ fn extract_row(
                 votes.clear();
                 for seq in &seqs {
                     votes.push(match seq.and_then(|cs| cs.get(t)) {
-                        Some(c) => Some(class_index_view(classes, c, task)?),
+                        Some(c) => Some(class_index(classes, c, task)?),
                         None => None,
                     });
                 }
@@ -440,7 +388,7 @@ fn extract_row(
                 }
             } else {
                 // Wide vocabularies (> 64 bits): scan each label's set
-                // bits directly, as the eager path does.
+                // bits directly, as the eager reference does.
                 for t in 0..elements {
                     for (b, matrix) in matrices.iter_mut().enumerate() {
                         let bit = bit_names[b].as_str();
@@ -614,35 +562,8 @@ fn scan_partials(
     Ok(merged)
 }
 
-/// Combines supervision for one task by scanning a sealed store
-/// (shard-parallel). Produces exactly the result of [`combine_task`] over
-/// the equivalent dataset.
-pub fn combine_task_store(
-    store: &ShardedStore,
-    task: &str,
-    method: &CombineMethod,
-) -> Result<CombinedSupervision, CombineError> {
-    let spec = task_spec(store, task)?;
-    if let CombineMethod::SingleSource(name) = method {
-        if !spec.sources.iter().any(|s| s == name) {
-            return Err(CombineError::UnknownSource {
-                task: task.to_string(),
-                source: name.clone(),
-            });
-        }
-    }
-    if spec.sources.is_empty() {
-        // Nothing votes for this task: no combined supervision.
-        return Ok(CombinedSupervision { labels: vec![None; store.len()], sources: Vec::new() });
-    }
-    let specs = vec![spec];
-    let mut partials = scan_partials(store, &specs)?;
-    Ok(finish_task(&specs[0], partials.pop().expect("one partial"), store.len(), method))
-}
-
 /// Combines supervision for **every** schema task in one shard-parallel
-/// scan of the store — the eager path re-traverses the dataset once per
-/// task; this decodes each row exactly once for all of them.
+/// scan of the store, decoding each row exactly once for all of them.
 ///
 /// Tasks with no weak supervision sources (gold-only or unsupervised)
 /// appear in the result with all-`None` labels and empty diagnostics —
@@ -747,255 +668,6 @@ fn run_combiner(
     }
 }
 
-fn class_index(classes: &[String], name: &str, task: &str) -> Result<u32, CombineError> {
-    classes.iter().position(|c| c == name).map(|i| i as u32).ok_or_else(|| {
-        CombineError::UnknownClass { task: task.to_string(), class: name.to_string() }
-    })
-}
-
-fn combine_multiclass_singleton(
-    dataset: &Dataset,
-    task: &str,
-    classes: &[String],
-    sources: &[String],
-    method: &CombineMethod,
-) -> Result<CombinedSupervision, CombineError> {
-    let k = classes.len() as u32;
-    let mut matrix = LabelMatrix::new(sources.len());
-    let mut item_record: Vec<usize> = Vec::new();
-    for (ri, record) in dataset.records().iter().enumerate() {
-        let votes = collect_votes(record, task, sources, |label| match label {
-            TaskLabel::MulticlassOne(c) => Some(class_index(classes, c, task)),
-            _ => None,
-        });
-        let votes = transpose_errors(votes)?;
-        if votes.iter().any(Option::is_some) {
-            matrix.push_item(k, &votes);
-            item_record.push(ri);
-        }
-    }
-    let (dists, diags) = run_combiner(&matrix, sources, method);
-    let mut labels = vec![None; dataset.len()];
-    for (item, ri) in item_record.iter().enumerate() {
-        if let Some(dist) = &dists[item] {
-            labels[*ri] = Some(ProbLabel::Dist(dist.clone()));
-        }
-    }
-    Ok(CombinedSupervision { labels, sources: diags })
-}
-
-fn combine_multiclass_sequence(
-    dataset: &Dataset,
-    task: &str,
-    classes: &[String],
-    sources: &[String],
-    method: &CombineMethod,
-) -> Result<CombinedSupervision, CombineError> {
-    let k = classes.len() as u32;
-    let payload_name = &dataset.schema().tasks[task].payload;
-    let mut matrix = LabelMatrix::new(sources.len());
-    // (record, token) per item.
-    let mut item_pos: Vec<(usize, usize)> = Vec::new();
-    let mut record_len: BTreeMap<usize, usize> = BTreeMap::new();
-    for (ri, record) in dataset.records().iter().enumerate() {
-        let Some(PayloadValue::Sequence(tokens)) = record.payloads.get(payload_name) else {
-            continue;
-        };
-        if record.weak_sources(task).next().is_none() {
-            continue;
-        }
-        record_len.insert(ri, tokens.len());
-        for t in 0..tokens.len() {
-            let votes = collect_votes(record, task, sources, |label| match label {
-                TaskLabel::MulticlassSeq(cs) => cs.get(t).map(|c| class_index(classes, c, task)),
-                _ => None,
-            });
-            let votes = transpose_errors(votes)?;
-            matrix.push_item(k, &votes);
-            item_pos.push((ri, t));
-        }
-    }
-    let (dists, diags) = run_combiner(&matrix, sources, method);
-    let mut per_record: BTreeMap<usize, Vec<Vec<f32>>> = BTreeMap::new();
-    let mut skipped: std::collections::BTreeSet<usize> = Default::default();
-    for (ri, len) in &record_len {
-        per_record.insert(*ri, vec![Vec::new(); *len]);
-    }
-    for (item, (ri, t)) in item_pos.iter().enumerate() {
-        match &dists[item] {
-            Some(dist) => per_record.get_mut(ri).expect("record registered")[*t] = dist.clone(),
-            // A source labels a whole sequence or nothing; one missing
-            // element means the combiner had nothing for this record.
-            None => {
-                skipped.insert(*ri);
-            }
-        }
-    }
-    let mut labels = vec![None; dataset.len()];
-    for (ri, rows) in per_record {
-        if !skipped.contains(&ri) {
-            labels[ri] = Some(ProbLabel::SeqDist(rows));
-        }
-    }
-    Ok(CombinedSupervision { labels, sources: diags })
-}
-
-fn combine_bitvector(
-    dataset: &Dataset,
-    task: &str,
-    bit_names: &[String],
-    sources: &[String],
-    method: &CombineMethod,
-    sequence: bool,
-) -> Result<CombinedSupervision, CombineError> {
-    let payload_name = &dataset.schema().tasks[task].payload;
-    // One binary matrix per bit; items align across bits.
-    let mut matrices: Vec<LabelMatrix> =
-        (0..bit_names.len()).map(|_| LabelMatrix::new(sources.len())).collect();
-    // item -> (record, element index or 0)
-    let mut item_pos: Vec<(usize, usize)> = Vec::new();
-    let mut record_len: BTreeMap<usize, usize> = BTreeMap::new();
-
-    for (ri, record) in dataset.records().iter().enumerate() {
-        if record.weak_sources(task).next().is_none() {
-            continue;
-        }
-        let elements = if sequence {
-            match record.payloads.get(payload_name) {
-                Some(PayloadValue::Sequence(tokens)) => tokens.len(),
-                _ => continue,
-            }
-        } else {
-            1
-        };
-        record_len.insert(ri, elements);
-        for t in 0..elements {
-            for (b, bit) in bit_names.iter().enumerate() {
-                let votes = collect_votes(record, task, sources, |label| {
-                    let bits: Option<&Vec<String>> = match (label, sequence) {
-                        (TaskLabel::BitvectorOne(bits), false) => Some(bits),
-                        (TaskLabel::BitvectorSeq(rows), true) => rows.get(t),
-                        _ => None,
-                    };
-                    bits.map(|bits| Ok(u32::from(bits.iter().any(|x| x == bit))))
-                });
-                let votes = transpose_errors(votes)?;
-                matrices[b].push_item(2, &votes);
-            }
-            item_pos.push((ri, t));
-        }
-    }
-
-    // Combine each bit independently; diagnostics averaged over bits.
-    let mut per_bit_dists: Vec<Vec<Option<Vec<f32>>>> = Vec::with_capacity(bit_names.len());
-    let mut acc_sums: Vec<(f32, usize)> = vec![(0.0, 0); sources.len()];
-    let mut coverage: Vec<f32> = vec![0.0; sources.len()];
-    for matrix in &matrices {
-        let (dists, diags) = run_combiner(matrix, sources, method);
-        for (j, d) in diags.iter().enumerate() {
-            if let Some(a) = d.estimated_accuracy {
-                acc_sums[j].0 += a;
-                acc_sums[j].1 += 1;
-            }
-            coverage[j] = d.coverage;
-        }
-        per_bit_dists.push(dists);
-    }
-    let diags = sources
-        .iter()
-        .enumerate()
-        .map(|(j, n)| SourceDiagnostics {
-            name: n.clone(),
-            estimated_accuracy: (acc_sums[j].1 > 0).then(|| acc_sums[j].0 / acc_sums[j].1 as f32),
-            coverage: coverage[j],
-        })
-        .collect();
-
-    let mut per_record: BTreeMap<usize, Vec<Vec<f32>>> = BTreeMap::new();
-    let mut skipped: std::collections::BTreeSet<usize> = Default::default();
-    for (ri, len) in &record_len {
-        per_record.insert(*ri, vec![vec![0.0; bit_names.len()]; *len]);
-    }
-    for (item, (ri, t)) in item_pos.iter().enumerate() {
-        for (b, bit_dists) in per_bit_dists.iter().enumerate() {
-            // P(bit = 1) is the posterior mass on class 1.
-            match &bit_dists[item] {
-                Some(dist) => per_record.get_mut(ri).expect("registered")[*t][b] = dist[1],
-                None => {
-                    skipped.insert(*ri);
-                }
-            }
-        }
-    }
-    let mut labels = vec![None; dataset.len()];
-    for (ri, rows) in per_record {
-        if skipped.contains(&ri) {
-            continue;
-        }
-        labels[ri] = Some(if sequence {
-            ProbLabel::SeqBits(rows)
-        } else {
-            ProbLabel::Bits(rows.into_iter().next().expect("one element"))
-        });
-    }
-    Ok(CombinedSupervision { labels, sources: diags })
-}
-
-fn combine_select(
-    dataset: &Dataset,
-    task: &str,
-    payload_name: &str,
-    sources: &[String],
-    method: &CombineMethod,
-) -> Result<CombinedSupervision, CombineError> {
-    let mut matrix = LabelMatrix::new(sources.len());
-    let mut item_record: Vec<(usize, usize)> = Vec::new(); // (record, set size)
-    for (ri, record) in dataset.records().iter().enumerate() {
-        let Some(PayloadValue::Set(items)) = record.payloads.get(payload_name) else { continue };
-        if items.is_empty() {
-            continue;
-        }
-        let votes = collect_votes(record, task, sources, |label| match label {
-            TaskLabel::Select(idx) => Some(Ok(*idx as u32)),
-            _ => None,
-        });
-        let votes = transpose_errors(votes)?;
-        if votes.iter().any(Option::is_some) {
-            matrix.push_item(items.len() as u32, &votes);
-            item_record.push((ri, items.len()));
-        }
-    }
-    let (dists, diags) = run_combiner(&matrix, sources, method);
-    let mut labels = vec![None; dataset.len()];
-    for (item, (ri, _)) in item_record.iter().enumerate() {
-        if let Some(dist) = &dists[item] {
-            labels[*ri] = Some(ProbLabel::Dist(dist.clone()));
-        }
-    }
-    Ok(CombinedSupervision { labels, sources: diags })
-}
-
-/// Extracts one vote per source from a record, using `extract` to map a
-/// label to a class index (None = wrong granularity = abstain).
-fn collect_votes(
-    record: &Record,
-    task: &str,
-    sources: &[String],
-    extract: impl Fn(&TaskLabel) -> Option<Result<u32, CombineError>>,
-) -> Vec<Option<Result<u32, CombineError>>> {
-    sources
-        .iter()
-        .map(|source| record.tasks.get(task).and_then(|m| m.get(source)).and_then(&extract))
-        .collect()
-}
-
-/// Turns per-vote `Option<Result<..>>` into `Result<Vec<Option<..>>>`.
-fn transpose_errors(
-    votes: Vec<Option<Result<u32, CombineError>>>,
-) -> Result<Vec<Option<u32>>, CombineError> {
-    votes.into_iter().map(Option::transpose).collect()
-}
-
 /// The fraction of supervised training records for a task whose supervision
 /// is weak-only (no gold label) — the "Amount of Weak Supervision" column of
 /// Figure 3.
@@ -1022,10 +694,323 @@ pub fn weak_supervision_fraction(dataset: &Dataset, task: &str) -> f32 {
     }
 }
 
+/// The eager per-task traversal of a [`Dataset`], the test reference that
+/// [`combine_all`] must match: one pass over the records per task,
+/// building the same label matrices the store scan builds.
+#[cfg(test)]
+mod eager {
+    use super::{
+        class_index, run_combiner, CombineError, CombineMethod, CombinedSupervision,
+        SourceDiagnostics,
+    };
+    use crate::matrix::LabelMatrix;
+    use crate::prob::ProbLabel;
+    use overton_store::{Dataset, PayloadKind, PayloadValue, Record, TaskKind, TaskLabel};
+    use std::collections::BTreeMap;
+
+    /// Combines supervision for `task` across the whole dataset.
+    pub(super) fn combine_task(
+        dataset: &Dataset,
+        task: &str,
+        method: &CombineMethod,
+    ) -> Result<CombinedSupervision, CombineError> {
+        let schema = dataset.schema();
+        let task_def =
+            schema.tasks.get(task).ok_or_else(|| CombineError::UnknownTask(task.to_string()))?;
+        let payload_kind = schema
+            .payloads
+            .get(&task_def.payload)
+            .map(|p| p.kind.clone())
+            .unwrap_or(PayloadKind::Singleton);
+
+        let sources = dataset.sources_for_task(task);
+        if let CombineMethod::SingleSource(name) = method {
+            if !sources.iter().any(|s| s == name) {
+                return Err(CombineError::UnknownSource {
+                    task: task.to_string(),
+                    source: name.clone(),
+                });
+            }
+        }
+
+        match (&task_def.kind, &payload_kind) {
+            (TaskKind::Multiclass { classes }, PayloadKind::Singleton) => {
+                combine_multiclass_singleton(dataset, task, classes, &sources, method)
+            }
+            (TaskKind::Multiclass { classes }, PayloadKind::Sequence { .. }) => {
+                combine_multiclass_sequence(dataset, task, classes, &sources, method)
+            }
+            (TaskKind::Bitvector { labels }, PayloadKind::Singleton) => {
+                combine_bitvector(dataset, task, labels, &sources, method, false)
+            }
+            (TaskKind::Bitvector { labels }, PayloadKind::Sequence { .. }) => {
+                combine_bitvector(dataset, task, labels, &sources, method, true)
+            }
+            (TaskKind::Select, _) => {
+                combine_select(dataset, task, &task_def.payload, &sources, method)
+            }
+            (kind, payload) => {
+                // `Schema::validate` rejects multiclass and bitvector tasks over
+                // a set payload.
+                unreachable!("unsupported task/payload combination: {kind:?} over {payload:?}")
+            }
+        }
+    }
+
+    fn combine_multiclass_singleton(
+        dataset: &Dataset,
+        task: &str,
+        classes: &[String],
+        sources: &[String],
+        method: &CombineMethod,
+    ) -> Result<CombinedSupervision, CombineError> {
+        let k = classes.len() as u32;
+        let mut matrix = LabelMatrix::new(sources.len());
+        let mut item_record: Vec<usize> = Vec::new();
+        for (ri, record) in dataset.records().iter().enumerate() {
+            let votes = collect_votes(record, task, sources, |label| match label {
+                TaskLabel::MulticlassOne(c) => Some(class_index(classes, c, task)),
+                _ => None,
+            });
+            let votes = transpose_errors(votes)?;
+            if votes.iter().any(Option::is_some) {
+                matrix.push_item(k, &votes);
+                item_record.push(ri);
+            }
+        }
+        let (dists, diags) = run_combiner(&matrix, sources, method);
+        let mut labels = vec![None; dataset.len()];
+        for (item, ri) in item_record.iter().enumerate() {
+            if let Some(dist) = &dists[item] {
+                labels[*ri] = Some(ProbLabel::Dist(dist.clone()));
+            }
+        }
+        Ok(CombinedSupervision { labels, sources: diags })
+    }
+
+    fn combine_multiclass_sequence(
+        dataset: &Dataset,
+        task: &str,
+        classes: &[String],
+        sources: &[String],
+        method: &CombineMethod,
+    ) -> Result<CombinedSupervision, CombineError> {
+        let k = classes.len() as u32;
+        let payload_name = &dataset.schema().tasks[task].payload;
+        let mut matrix = LabelMatrix::new(sources.len());
+        // (record, token) per item.
+        let mut item_pos: Vec<(usize, usize)> = Vec::new();
+        let mut record_len: BTreeMap<usize, usize> = BTreeMap::new();
+        for (ri, record) in dataset.records().iter().enumerate() {
+            let Some(PayloadValue::Sequence(tokens)) = record.payloads.get(payload_name) else {
+                continue;
+            };
+            if record.weak_sources(task).next().is_none() {
+                continue;
+            }
+            record_len.insert(ri, tokens.len());
+            for t in 0..tokens.len() {
+                let votes = collect_votes(record, task, sources, |label| match label {
+                    TaskLabel::MulticlassSeq(cs) => {
+                        cs.get(t).map(|c| class_index(classes, c, task))
+                    }
+                    _ => None,
+                });
+                let votes = transpose_errors(votes)?;
+                matrix.push_item(k, &votes);
+                item_pos.push((ri, t));
+            }
+        }
+        let (dists, diags) = run_combiner(&matrix, sources, method);
+        let mut per_record: BTreeMap<usize, Vec<Vec<f32>>> = BTreeMap::new();
+        let mut skipped: std::collections::BTreeSet<usize> = Default::default();
+        for (ri, len) in &record_len {
+            per_record.insert(*ri, vec![Vec::new(); *len]);
+        }
+        for (item, (ri, t)) in item_pos.iter().enumerate() {
+            match &dists[item] {
+                Some(dist) => per_record.get_mut(ri).expect("record registered")[*t] = dist.clone(),
+                // A source labels a whole sequence or nothing; one missing
+                // element means the combiner had nothing for this record.
+                None => {
+                    skipped.insert(*ri);
+                }
+            }
+        }
+        let mut labels = vec![None; dataset.len()];
+        for (ri, rows) in per_record {
+            if !skipped.contains(&ri) {
+                labels[ri] = Some(ProbLabel::SeqDist(rows));
+            }
+        }
+        Ok(CombinedSupervision { labels, sources: diags })
+    }
+
+    fn combine_bitvector(
+        dataset: &Dataset,
+        task: &str,
+        bit_names: &[String],
+        sources: &[String],
+        method: &CombineMethod,
+        sequence: bool,
+    ) -> Result<CombinedSupervision, CombineError> {
+        let payload_name = &dataset.schema().tasks[task].payload;
+        // One binary matrix per bit; items align across bits.
+        let mut matrices: Vec<LabelMatrix> =
+            (0..bit_names.len()).map(|_| LabelMatrix::new(sources.len())).collect();
+        // item -> (record, element index or 0)
+        let mut item_pos: Vec<(usize, usize)> = Vec::new();
+        let mut record_len: BTreeMap<usize, usize> = BTreeMap::new();
+
+        for (ri, record) in dataset.records().iter().enumerate() {
+            if record.weak_sources(task).next().is_none() {
+                continue;
+            }
+            let elements = if sequence {
+                match record.payloads.get(payload_name) {
+                    Some(PayloadValue::Sequence(tokens)) => tokens.len(),
+                    _ => continue,
+                }
+            } else {
+                1
+            };
+            record_len.insert(ri, elements);
+            for t in 0..elements {
+                for (b, bit) in bit_names.iter().enumerate() {
+                    let votes = collect_votes(record, task, sources, |label| {
+                        let bits: Option<&Vec<String>> = match (label, sequence) {
+                            (TaskLabel::BitvectorOne(bits), false) => Some(bits),
+                            (TaskLabel::BitvectorSeq(rows), true) => rows.get(t),
+                            _ => None,
+                        };
+                        bits.map(|bits| Ok(u32::from(bits.iter().any(|x| x == bit))))
+                    });
+                    let votes = transpose_errors(votes)?;
+                    matrices[b].push_item(2, &votes);
+                }
+                item_pos.push((ri, t));
+            }
+        }
+
+        // Combine each bit independently; diagnostics averaged over bits.
+        let mut per_bit_dists: Vec<Vec<Option<Vec<f32>>>> = Vec::with_capacity(bit_names.len());
+        let mut acc_sums: Vec<(f32, usize)> = vec![(0.0, 0); sources.len()];
+        let mut coverage: Vec<f32> = vec![0.0; sources.len()];
+        for matrix in &matrices {
+            let (dists, diags) = run_combiner(matrix, sources, method);
+            for (j, d) in diags.iter().enumerate() {
+                if let Some(a) = d.estimated_accuracy {
+                    acc_sums[j].0 += a;
+                    acc_sums[j].1 += 1;
+                }
+                coverage[j] = d.coverage;
+            }
+            per_bit_dists.push(dists);
+        }
+        let diags = sources
+            .iter()
+            .enumerate()
+            .map(|(j, n)| SourceDiagnostics {
+                name: n.clone(),
+                estimated_accuracy: (acc_sums[j].1 > 0)
+                    .then(|| acc_sums[j].0 / acc_sums[j].1 as f32),
+                coverage: coverage[j],
+            })
+            .collect();
+
+        let mut per_record: BTreeMap<usize, Vec<Vec<f32>>> = BTreeMap::new();
+        let mut skipped: std::collections::BTreeSet<usize> = Default::default();
+        for (ri, len) in &record_len {
+            per_record.insert(*ri, vec![vec![0.0; bit_names.len()]; *len]);
+        }
+        for (item, (ri, t)) in item_pos.iter().enumerate() {
+            for (b, bit_dists) in per_bit_dists.iter().enumerate() {
+                // P(bit = 1) is the posterior mass on class 1.
+                match &bit_dists[item] {
+                    Some(dist) => per_record.get_mut(ri).expect("registered")[*t][b] = dist[1],
+                    None => {
+                        skipped.insert(*ri);
+                    }
+                }
+            }
+        }
+        let mut labels = vec![None; dataset.len()];
+        for (ri, rows) in per_record {
+            if skipped.contains(&ri) {
+                continue;
+            }
+            labels[ri] = Some(if sequence {
+                ProbLabel::SeqBits(rows)
+            } else {
+                ProbLabel::Bits(rows.into_iter().next().expect("one element"))
+            });
+        }
+        Ok(CombinedSupervision { labels, sources: diags })
+    }
+
+    fn combine_select(
+        dataset: &Dataset,
+        task: &str,
+        payload_name: &str,
+        sources: &[String],
+        method: &CombineMethod,
+    ) -> Result<CombinedSupervision, CombineError> {
+        let mut matrix = LabelMatrix::new(sources.len());
+        let mut item_record: Vec<(usize, usize)> = Vec::new(); // (record, set size)
+        for (ri, record) in dataset.records().iter().enumerate() {
+            let Some(PayloadValue::Set(items)) = record.payloads.get(payload_name) else {
+                continue;
+            };
+            if items.is_empty() {
+                continue;
+            }
+            let votes = collect_votes(record, task, sources, |label| match label {
+                TaskLabel::Select(idx) => Some(Ok(*idx as u32)),
+                _ => None,
+            });
+            let votes = transpose_errors(votes)?;
+            if votes.iter().any(Option::is_some) {
+                matrix.push_item(items.len() as u32, &votes);
+                item_record.push((ri, items.len()));
+            }
+        }
+        let (dists, diags) = run_combiner(&matrix, sources, method);
+        let mut labels = vec![None; dataset.len()];
+        for (item, (ri, _)) in item_record.iter().enumerate() {
+            if let Some(dist) = &dists[item] {
+                labels[*ri] = Some(ProbLabel::Dist(dist.clone()));
+            }
+        }
+        Ok(CombinedSupervision { labels, sources: diags })
+    }
+
+    /// Extracts one vote per source from a record, using `extract` to map a
+    /// label to a class index (None = wrong granularity = abstain).
+    fn collect_votes(
+        record: &Record,
+        task: &str,
+        sources: &[String],
+        extract: impl Fn(&TaskLabel) -> Option<Result<u32, CombineError>>,
+    ) -> Vec<Option<Result<u32, CombineError>>> {
+        sources
+            .iter()
+            .map(|source| record.tasks.get(task).and_then(|m| m.get(source)).and_then(&extract))
+            .collect()
+    }
+
+    /// Turns per-vote `Option<Result<..>>` into `Result<Vec<Option<..>>>`.
+    fn transpose_errors(
+        votes: Vec<Option<Result<u32, CombineError>>>,
+    ) -> Result<Vec<Option<u32>>, CombineError> {
+        votes.into_iter().map(Option::transpose).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::eager::combine_task;
     use super::*;
-    use overton_store::{example_schema, Record, SetElement};
+    use overton_store::{example_schema, PayloadValue, Record, SetElement, TaskLabel};
 
     fn dataset_with_intent_votes() -> Dataset {
         let mut ds = Dataset::new(example_schema());
@@ -1199,8 +1184,6 @@ mod tests {
         let eager = combine_task(ds, task, method).unwrap();
         for shards in [1, 3] {
             let store = ds.seal_shards(shards).with_scan_workers(2);
-            let sharded = combine_task_store(&store, task, method).unwrap();
-            assert_eq!(eager, sharded, "task {task}, {shards} shards");
             let all = combine_all(&store, method).unwrap();
             assert_eq!(eager, all[task], "combine_all, task {task}, {shards} shards");
         }
@@ -1300,9 +1283,6 @@ mod tests {
     fn store_combine_unknown_task_and_source_error() {
         let ds = dataset_with_intent_votes();
         let store = ds.seal_shards(2);
-        assert!(combine_task_store(&store, "NotATask", &CombineMethod::MajorityVote).is_err());
-        let err = combine_task_store(&store, "Intent", &CombineMethod::SingleSource("nope".into()));
-        assert!(matches!(err, Err(CombineError::UnknownSource { .. })));
         // combine_all skips tasks lacking the single source instead of
         // erroring; tasks with no weak sources at all appear as empty
         // placeholders (no combiner ran).
@@ -1314,8 +1294,7 @@ mod tests {
     #[test]
     fn gold_only_tasks_get_empty_placeholder() {
         // A task supervised only by gold: present in combine_all's result
-        // with all-None labels and no diagnostics, and combinable via
-        // combine_task_store without running a combiner.
+        // with all-None labels and no diagnostics.
         let mut ds = Dataset::new(example_schema());
         for i in 0..5 {
             ds.push(
@@ -1332,8 +1311,6 @@ mod tests {
         assert_eq!(intent.supervised_count(), 0);
         assert!(intent.sources.is_empty());
         assert_eq!(intent.labels.len(), 5);
-        let single = combine_task_store(&store, "Intent", &CombineMethod::default()).unwrap();
-        assert_eq!(&single, intent);
     }
 
     #[test]

@@ -75,13 +75,8 @@ impl LabelMatrix {
         self.cardinalities[i]
     }
 
-    /// The maximum cardinality across items (0 when empty).
-    pub fn max_cardinality(&self) -> u32 {
-        self.cardinalities.iter().copied().max().unwrap_or(0)
-    }
-
     /// True if every item has the same cardinality.
-    pub fn uniform_cardinality(&self) -> Option<u32> {
+    pub(crate) fn uniform_cardinality(&self) -> Option<u32> {
         let first = *self.cardinalities.first()?;
         self.cardinalities.iter().all(|&k| k == first).then_some(first)
     }
@@ -103,34 +98,6 @@ impl LabelMatrix {
         }
         let n = (0..self.n_items()).filter(|&i| self.vote(i, j).is_some()).count();
         n as f32 / self.n_items() as f32
-    }
-
-    /// Fraction of items with at least one non-abstain vote.
-    pub fn labeled_fraction(&self) -> f32 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let n = (0..self.n_items()).filter(|&i| self.votes(i).iter().any(Option::is_some)).count();
-        n as f32 / self.n_items() as f32
-    }
-
-    /// Fraction of items where two given sources disagree (both voting).
-    pub fn disagreement(&self, a: usize, b: usize) -> f32 {
-        let mut both = 0usize;
-        let mut diff = 0usize;
-        for i in 0..self.n_items() {
-            if let (Some(x), Some(y)) = (self.vote(i, a), self.vote(i, b)) {
-                both += 1;
-                if x != y {
-                    diff += 1;
-                }
-            }
-        }
-        if both == 0 {
-            0.0
-        } else {
-            diff as f32 / both as f32
-        }
     }
 }
 
@@ -159,7 +126,6 @@ mod tests {
         m.push_item(5, &[Some(4), None]);
         assert_eq!(m.cardinality(0), 2);
         assert_eq!(m.cardinality(1), 5);
-        assert_eq!(m.max_cardinality(), 5);
         assert_eq!(m.uniform_cardinality(), None);
     }
 
@@ -190,16 +156,6 @@ mod tests {
         );
         assert!((m.coverage(0) - 0.75).abs() < 1e-6);
         assert!((m.coverage(1) - 0.25).abs() < 1e-6);
-        assert!((m.labeled_fraction() - 0.75).abs() < 1e-6);
-    }
-
-    #[test]
-    fn disagreement_counts_only_cooccurring() {
-        let m = LabelMatrix::from_rows(
-            2,
-            &[vec![Some(0), Some(0)], vec![Some(0), Some(1)], vec![Some(1), None]],
-        );
-        assert!((m.disagreement(0, 1) - 0.5).abs() < 1e-6);
     }
 
     #[test]
@@ -207,7 +163,5 @@ mod tests {
         let m = LabelMatrix::new(3);
         assert!(m.is_empty());
         assert_eq!(m.coverage(0), 0.0);
-        assert_eq!(m.labeled_fraction(), 0.0);
-        assert_eq!(m.max_cardinality(), 0);
     }
 }

@@ -43,18 +43,6 @@ impl ProbLabel {
         }
     }
 
-    /// Largest probability in the label (confidence proxy).
-    pub fn max_prob(&self) -> f32 {
-        let fold = |xs: &[f32]| xs.iter().copied().fold(0.0f32, f32::max);
-        match self {
-            ProbLabel::Dist(d) => fold(d),
-            ProbLabel::Bits(b) => fold(b),
-            ProbLabel::SeqDist(rows) | ProbLabel::SeqBits(rows) => {
-                rows.iter().map(|r| fold(r)).fold(0.0f32, f32::max)
-            }
-        }
-    }
-
     /// Whether all contained probabilities are within `[0, 1]` and (for
     /// distributions) rows sum to ~1.
     pub fn is_valid(&self) -> bool {
@@ -78,7 +66,6 @@ mod tests {
         let l = ProbLabel::one_hot(2, 4);
         assert_eq!(l.argmax(), Some(2));
         assert!(l.is_valid());
-        assert_eq!(l.max_prob(), 1.0);
     }
 
     #[test]

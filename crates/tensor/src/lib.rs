@@ -39,6 +39,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod graph;
 mod kernels;
