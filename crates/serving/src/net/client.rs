@@ -133,7 +133,8 @@ impl NetClient {
     /// `POST /predict` carrying an `x-overton-trace` header when
     /// `trace_id` is given. Returns the outcome plus the trace id the
     /// server echoed back (`None` when the server has tracing off or the
-    /// request was refused before tracing).
+    /// request was refused before tracing). An answer with more or fewer
+    /// results than `records` is a [`ClientError::Protocol`].
     pub fn predict_traced(
         &mut self,
         records: &[Record],
@@ -148,9 +149,20 @@ impl NetClient {
         let response = self.read_response()?;
         let echoed = response.header("x-overton-trace").map(str::to_string);
         let outcome = match response.status {
-            200 => wire::decode_predict_response(&response.body)
-                .map(PredictOutcome::Answered)
-                .map_err(ClientError::Protocol)?,
+            200 => {
+                let results =
+                    wire::decode_predict_response(&response.body).map_err(ClientError::Protocol)?;
+                // `results[i]` answers `records[i]`: a short or long answer
+                // cannot be matched up.
+                if results.len() != records.len() {
+                    return Err(ClientError::Protocol(format!(
+                        "{} results answer {} records",
+                        results.len(),
+                        records.len()
+                    )));
+                }
+                PredictOutcome::Answered(results)
+            }
             503 => PredictOutcome::Shed {
                 retry_after_secs: response.header("retry-after").and_then(|v| v.parse().ok()),
             },
@@ -348,4 +360,51 @@ fn frame_request(
         out.extend_from_slice(body);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// Serves one canned `200` answer to one request, read in full first.
+    fn canned_server(body: &'static str) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = Vec::new();
+            let mut chunk = [0u8; 4096];
+            let complete = |request: &[u8]| {
+                let text = String::from_utf8_lossy(request);
+                let Some((head, rest)) = text.split_once("\r\n\r\n") else { return false };
+                let length = head
+                    .lines()
+                    .find_map(|l| l.strip_prefix("content-length: "))
+                    .map_or(0, |v| v.trim().parse::<usize>().unwrap());
+                rest.len() >= length
+            };
+            while !complete(&request) {
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "client closed mid-request");
+                request.extend_from_slice(&chunk[..n]);
+            }
+            write!(stream, "HTTP/1.1 200 OK\r\ncontent-length: {}\r\n\r\n{body}", body.len())
+                .unwrap();
+            // Hold the connection until the client has read the answer.
+            let _ = stream.read(&mut chunk);
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn predict_rejects_a_result_count_mismatch() {
+        let (addr, server) = canned_server(r#"{"results":[{"err":"only one"}]}"#);
+        let mut client = NetClient::connect(addr).unwrap();
+        let err = client.predict(&[Record::new(), Record::new()]).unwrap_err();
+        drop(client);
+        server.join().unwrap();
+        let ClientError::Protocol(msg) = err else { panic!("expected a protocol error: {err}") };
+        assert!(msg.contains("1 results") && msg.contains("2 records"), "{msg}");
+    }
 }

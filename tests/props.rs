@@ -99,8 +99,130 @@ fn value_path_body(key: &str, items: Vec<Value>) -> String {
     Value::Object(Map::from([(key.to_string(), Value::Array(items))])).to_string()
 }
 
+/// What `record` reads back as from JSON. The untagged `PayloadValue` and
+/// `TaskLabel` unions resolve to their first variant that reads, so an
+/// empty `Set` comes back as an empty `Sequence` and a `BitvectorOne` as
+/// a `MulticlassSeq` (a schema tells them apart: `normalize_labels`).
+fn as_read_back(mut record: Record) -> Record {
+    for payload in record.payloads.values_mut() {
+        if matches!(payload, PayloadValue::Set(elements) if elements.is_empty()) {
+            *payload = PayloadValue::Sequence(Vec::new());
+        }
+    }
+    for label in record.tasks.values_mut().flat_map(|sources| sources.values_mut()) {
+        if let TaskLabel::BitvectorOne(bits) = label {
+            *label = TaskLabel::MulticlassSeq(std::mem::take(bits));
+        }
+    }
+    record
+}
+
+/// `got` is `sent` after a wire round trip, bit for bit: non-finite
+/// floats write a lossy `null`, which reads back as NaN.
+fn same_f32(sent: f32, got: f32) -> bool {
+    if sent.is_finite() {
+        sent.to_bits() == got.to_bits()
+    } else {
+        got.is_nan()
+    }
+}
+
+fn same_response(sent: &ServingResponse, got: &ServingResponse) -> bool {
+    let same_pairs = |a: &[(String, f32)], b: &[(String, f32)]| {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.0 == y.0 && same_f32(x.1, y.1))
+    };
+    let same_output = |a: &ServedOutput, b: &ServedOutput| match (a, b) {
+        (
+            ServedOutput::Multiclass { class, dist },
+            ServedOutput::Multiclass { class: got_class, dist: got_dist },
+        ) => class == got_class && same_pairs(dist, got_dist),
+        _ => a == b,
+    };
+    same_f32(sent.confidence, got.confidence)
+        && same_pairs(&sent.slices, &got.slices)
+        && sent.tasks.len() == got.tasks.len()
+        && sent.tasks.iter().zip(&got.tasks).all(|(a, b)| a.0 == b.0 && same_output(a.1, b.1))
+}
+
+/// The writer renders a `usize` above `i64::MAX` as the `f64` it rounds
+/// to, which no integer reads back; keep `Select` indices below it.
+fn with_readable_indices(
+    mut results: Vec<Result<ServingResponse, StoreError>>,
+) -> Vec<Result<ServingResponse, StoreError>> {
+    for response in results.iter_mut().flatten() {
+        for output in response.tasks.values_mut() {
+            if let ServedOutput::Select { index, .. } = output {
+                *index &= i64::MAX as usize;
+            }
+        }
+    }
+    results
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn wire_request_decode_inverts_encode(
+        records in prop::collection::vec(
+            (arb_record(), prop::collection::btree_set(arb_text(), 0..3)),
+            1..6,
+        ),
+    ) {
+        let records: Vec<Record> = records
+            .into_iter()
+            .map(|(record, tags)| Record { tags, ..record })
+            .collect();
+        let body = wire::encode_predict_request(&records);
+        let back = wire::decode_predict_request(body.as_bytes(), records.len()).unwrap();
+        let expected: Vec<Record> = records.into_iter().map(as_read_back).collect();
+        prop_assert_eq!(back, expected);
+    }
+
+    #[test]
+    fn wire_response_decode_inverts_encode_bit_for_bit(
+        results in prop::collection::vec(arb_serving_result(), 0..6),
+    ) {
+        let results = with_readable_indices(results);
+        let body = wire::encode_predict_response(&results);
+        let back = wire::decode_predict_response(body.as_bytes()).unwrap();
+        prop_assert_eq!(back.len(), results.len());
+        for (sent, got) in results.iter().zip(&back) {
+            match (sent, got) {
+                (Ok(sent), Ok(got)) => prop_assert!(same_response(sent, got), "{:?} vs {:?}", sent, got),
+                (Err(sent), Err(got)) => prop_assert_eq!(&sent.to_string(), got),
+                _ => prop_assert!(false, "{:?} came back as {:?}", sent, got),
+            }
+        }
+    }
+
+    #[test]
+    fn wire_request_decode_rejects_what_the_value_reader_rejects(
+        records in prop::collection::vec(arb_record(), 1..4),
+        mutations in prop::collection::vec((0u8..3, any::<u64>(), any::<u8>()), 1..4),
+    ) {
+        // Flip, overwrite or truncate bytes of a valid body. Whenever the
+        // result is not JSON, the typed decoder must not accept it either.
+        let mut body = wire::encode_predict_request(&records).into_bytes();
+        for (kind, pos_pick, byte) in mutations {
+            if body.is_empty() {
+                break;
+            }
+            let pos = (pos_pick % body.len() as u64) as usize;
+            match kind {
+                0 => body[pos] ^= 1 << (byte % 8),
+                1 => body[pos] = byte,
+                _ => body.truncate(pos),
+            }
+        }
+        if serde_json::from_slice::<Value>(&body).is_err() {
+            prop_assert!(
+                wire::decode_predict_request(&body, 4096).is_err(),
+                "accepted {:?}",
+                String::from_utf8_lossy(&body)
+            );
+        }
+    }
 
     #[test]
     fn wire_request_encoder_matches_the_value_path(
