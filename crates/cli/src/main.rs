@@ -373,11 +373,7 @@ fn serve(dir: &Path, flags: &Flags) -> Result<(), String> {
     };
     let id = run_id(dir, flags)?;
     let run_dir = dir.join("runs").join(&id);
-    let artifact_path = run_dir.join("artifact.model.json");
-    let bytes = std::fs::read(&artifact_path)
-        .map_err(|e| format!("cannot read {}: {e}", artifact_path.display()))?;
-    let artifact = DeployableModel::from_bytes(&bytes).map_err(|e| e.to_string())?;
-    let server = Server::load(&artifact);
+    let server = load_server(&run_dir)?;
 
     // The run's persisted traffic baseline (written at evaluate) arms the
     // drift detectors; older runs serve without one. A baseline that
@@ -492,6 +488,15 @@ fn serve(dir: &Path, flags: &Flags) -> Result<(), String> {
     }
     pool.shutdown();
     Ok(())
+}
+
+/// Loads the run's deployable artifact into a [`Server`].
+fn load_server(run_dir: &Path) -> Result<Server, String> {
+    let artifact_path = run_dir.join("artifact.model.json");
+    let bytes = std::fs::read(&artifact_path)
+        .map_err(|e| format!("cannot read {}: {e}", artifact_path.display()))?;
+    let artifact = DeployableModel::from_bytes(&bytes).map_err(|e| e.to_string())?;
+    Ok(Server::load(&artifact))
 }
 
 /// Starts the worker pool over the run's artifact and, under `--obs`,
@@ -626,7 +631,8 @@ fn serve_listen(
 
 /// One loopback round-trip through the socket with records from the
 /// run's test split — proves bind/accept/parse/route/predict/drain all
-/// work without any external client (the CI smoke path).
+/// work without any external client (the CI smoke path), and that every
+/// answer equals the artifact's in-process `predict_batch`.
 fn probe(dir: &Path, flags: &Flags, addr: std::net::SocketAddr) -> Result<(), String> {
     let id = run_id(dir, flags)?;
     let run_dir = dir.join("runs").join(&id);
@@ -652,6 +658,14 @@ fn probe(dir: &Path, flags: &Flags, addr: std::net::SocketAddr) -> Result<(), St
             }
             if let Some(err) = results.iter().find_map(|r| r.as_ref().err()) {
                 return Err(format!("probe record failed: {err}"));
+            }
+            // Every answer must be the one the artifact gives in process,
+            // whichever path (queued or inline) served it.
+            let want = load_server(&run_dir)?.predict_batch(&records);
+            for (i, (got, want)) in results.iter().zip(&want).enumerate() {
+                if got.as_ref().ok() != want.as_ref().ok() {
+                    return Err(format!("probe record {i}: socket answer differs from in-process"));
+                }
             }
             println!("probe round-trip ok ({n} records answered)");
         }

@@ -4,11 +4,12 @@
 //!
 //! - `POST /predict` — decode a batched JSON prediction request, pass it
 //!   through admission control ([`ShedPolicy`] over the live pool queue
-//!   depth), feed the admitted batch to the pool, answer with the
-//!   per-record results in submission order. When tracing is on, the
-//!   request gets a [`RequestTrace`] (id from `x-overton-trace` or
-//!   generated, echoed back in the same header) with spans stamped at
-//!   every stage boundary.
+//!   depth), feed the admitted batch to the pool (a full `max_batch`
+//!   batch meeting an empty queue and a free forward slot runs on the
+//!   connection thread), answer with the per-record results in submission
+//!   order. When tracing is on, the request gets a [`RequestTrace`] (id
+//!   from `x-overton-trace` or generated, echoed back in the same header)
+//!   with spans stamped at every stage boundary.
 //! - `GET /healthz` — liveness + drain state.
 //! - `GET /telemetry` — the pool's `TelemetrySnapshot` as JSON, the
 //!   same serialization the CLI and obslog use.
@@ -167,9 +168,9 @@ fn predict(
     // Canonicalize JSON-ambiguous label variants exactly as file ingest
     // does, so a record means the same thing over the wire and in
     // data.jsonl.
-    let schema = shared.pool.engine().schema().clone();
+    let engine = shared.pool.engine();
     for record in &mut records {
-        record.normalize_labels(&schema);
+        record.normalize_labels(engine.schema());
     }
     if let Some(t) = &trace {
         t.set_records(records.len() as u64);
