@@ -11,7 +11,7 @@
 
 use overton_bench::{build_overton, print_row, retarget, single_task_schema};
 use overton_model::{
-    evaluate, prepare_store, train_model, CompiledModel, ModelConfig, TrainConfig,
+    evaluate_store, prepare_store, train_model, CompiledModel, ModelConfig, TrainConfig,
 };
 use overton_nlp::{generate_workload, WorkloadConfig};
 use overton_supervision::CombineMethod;
@@ -35,8 +35,8 @@ fn main() {
     for task in dataset.schema().tasks.keys() {
         let sub_schema = single_task_schema(dataset.schema(), task);
         let sub_dataset = retarget(&dataset, &sub_schema);
-        let prepared =
-            prepare_store(&sub_dataset.seal(), &CombineMethod::default()).expect("prepare");
+        let store = sub_dataset.seal();
+        let prepared = prepare_store(&store, &CombineMethod::default()).expect("prepare");
         let mut model =
             CompiledModel::compile(&sub_schema, &prepared.space, &ModelConfig::default(), None);
         train_model(
@@ -45,7 +45,8 @@ fn main() {
             &prepared.dev,
             &TrainConfig { epochs, early_stop_patience: 0, ..Default::default() },
         );
-        let eval = evaluate(&model, &sub_dataset, &sub_dataset.test_indices(), &prepared.space);
+        let eval = evaluate_store(&model, &store, store.index().test_rows(), &prepared.space)
+            .expect("evaluate");
         single.insert(task.clone(), eval.accuracy(task));
     }
 

@@ -85,7 +85,7 @@ fn training_examples() -> (overton_store::Dataset, FeatureSpace, Vec<CompiledExa
         seed: 17,
         ..Default::default()
     });
-    let space = FeatureSpace::build(&ds);
+    let space = FeatureSpace::build_from_store(&ds.seal()).expect("feature space");
     let train: Vec<CompiledExample> = ds
         .train_indices()
         .iter()

@@ -9,7 +9,8 @@
 
 use overton::{OvertonOptions, Project, Run};
 use overton_model::{
-    evaluate, prepare_store, train_model, CompiledModel, EncoderKind, ModelConfig, TrainConfig,
+    evaluate_store, prepare_store, train_model, CompiledModel, EncoderKind, ModelConfig,
+    TrainConfig,
 };
 use overton_nlp::{SourceSpec, WorkloadConfig};
 use overton_store::{Dataset, Schema, TaskKind};
@@ -131,7 +132,8 @@ pub fn build_baseline(dataset: &Dataset, epochs: usize) -> BTreeMap<String, f64>
         } else {
             CombineMethod::MajorityVote
         };
-        let prepared = prepare_store(&sub_dataset.seal(), &method).expect("baseline prepare");
+        let store = sub_dataset.seal();
+        let prepared = prepare_store(&store, &method).expect("baseline prepare");
         let config =
             ModelConfig { encoder: EncoderKind::MeanBag, slice_heads: false, ..Default::default() };
         let mut model = CompiledModel::compile(&sub_schema, &prepared.space, &config, None);
@@ -141,7 +143,8 @@ pub fn build_baseline(dataset: &Dataset, epochs: usize) -> BTreeMap<String, f64>
             &prepared.dev,
             &TrainConfig { epochs, early_stop_patience: 0, ..Default::default() },
         );
-        let eval = evaluate(&model, &sub_dataset, &sub_dataset.test_indices(), &prepared.space);
+        let eval = evaluate_store(&model, &store, store.index().test_rows(), &prepared.space)
+            .expect("baseline evaluate");
         per_task.insert(task.clone(), eval.accuracy(task));
     }
     per_task

@@ -8,10 +8,8 @@
 use crate::features::{CompiledExample, FeatureSpace};
 use crate::infer::MAX_BATCH;
 use crate::network::{CompiledModel, Prediction, TaskOutput};
-use overton_monitor::{
-    multiclass_metrics, Metrics, MetricsAccumulator, QualityReport, SLICE_PREFIX,
-};
-use overton_store::{Dataset, Record, ShardedStore, TaskKind, TaskLabel};
+use overton_monitor::{Metrics, MetricsAccumulator, QualityReport, SLICE_PREFIX};
+use overton_store::{Record, ShardedStore, TaskKind, TaskLabel};
 use std::collections::BTreeMap;
 
 /// Evaluation output: one report per task plus the raw predictions.
@@ -53,63 +51,12 @@ enum Scored {
     Correct(bool),
 }
 
-/// Evaluates `model` on the given record indices of `dataset`, scoring
-/// against gold labels (records without gold for a task are skipped for
-/// that task).
-pub fn evaluate(
-    model: &CompiledModel,
-    dataset: &Dataset,
-    indices: &[usize],
-    space: &FeatureSpace,
-) -> Evaluation {
-    let schema = dataset.schema();
-    let mut predictions = Vec::with_capacity(indices.len());
-    // Per task, per group: accumulated scored pairs.
-    let mut grouped: BTreeMap<String, BTreeMap<String, Vec<Scored>>> = BTreeMap::new();
-
-    let examples: Vec<CompiledExample> = indices
-        .iter()
-        .map(|&i| CompiledExample::from_record(&dataset.records()[i], i, space, schema))
-        .collect();
-    for (&i, prediction) in indices.iter().zip(model.predict_batch(&examples)) {
-        let record = &dataset.records()[i];
-        for (task, def) in &schema.tasks {
-            let Some(output) = prediction.tasks.get(task) else { continue };
-            let Some(gold) = record.gold(task) else { continue };
-            let Some(scored) = score_one(def.kind.clone(), output, gold) else { continue };
-            let groups = record_groups(record);
-            let per_task = grouped.entry(task.clone()).or_default();
-            for group in groups {
-                per_task.entry(group).or_default().push(clone_scored(&scored));
-            }
-            per_task.entry("overall".into()).or_default().push(scored);
-        }
-        predictions.push((i, prediction));
-    }
-
-    let mut reports = BTreeMap::new();
-    for (task, groups) in grouped {
-        let mut report = QualityReport::new(&task);
-        // `overall` first, then the rest sorted.
-        if let Some(scored) = groups.get("overall") {
-            report.push("overall", reduce(scored));
-        }
-        for (group, scored) in &groups {
-            if group != "overall" {
-                report.push(group, reduce(scored));
-            }
-        }
-        reports.insert(task, report);
-    }
-    Evaluation { reports, predictions }
-}
-
 /// Evaluates `model` on the given **sorted** global rows of a sealed
 /// store, shard-parallel: every shard decodes its rows, runs the batched
 /// forward over them a micro-batch at a time, and scores into mergeable per-group
 /// [`MetricsAccumulator`] partials; the partials reduce in shard order, so
-/// the reports (and the prediction order) are identical to the sequential
-/// [`evaluate`] over the equivalent dataset.
+/// the reports (and the prediction order) do not depend on the shard
+/// count. Records without gold for a task are skipped for that task.
 pub fn evaluate_store(
     model: &CompiledModel,
     store: &ShardedStore,
@@ -138,8 +85,8 @@ pub fn evaluate_store(
                     let Some(gold) = record.gold(task) else { continue };
                     let Some(scored) = score_one(def.kind.clone(), output, gold) else { continue };
                     let per_task = grouped.entry(task.clone()).or_default();
-                    for group in record_groups(record) {
-                        accumulate(per_task, group, &scored);
+                    for group in &record.tags {
+                        accumulate(per_task, group.clone(), &scored);
                     }
                     accumulate(per_task, "overall".to_string(), &scored);
                 }
@@ -194,18 +141,6 @@ fn accumulate(per_task: &mut BTreeMap<String, MetricsAccumulator>, group: String
         Scored::Multiclass(pairs, _) => acc.record_multiclass(pairs),
         Scored::Bits(rows) => acc.record_bits(rows),
         Scored::Correct(c) => acc.record_binary(*c),
-    }
-}
-
-fn record_groups(record: &overton_store::Record) -> Vec<String> {
-    record.tags.iter().cloned().collect()
-}
-
-fn clone_scored(s: &Scored) -> Scored {
-    match s {
-        Scored::Multiclass(pairs, k) => Scored::Multiclass(pairs.clone(), *k),
-        Scored::Bits(rows) => Scored::Bits(rows.clone()),
-        Scored::Correct(c) => Scored::Correct(*c),
     }
 }
 
@@ -269,57 +204,15 @@ fn score_one(kind: TaskKind, output: &TaskOutput, gold: &TaskLabel) -> Option<Sc
     }
 }
 
-fn reduce(scored: &[Scored]) -> Metrics {
-    // All entries of one task share a variant; reduce accordingly.
-    match scored.first() {
-        None => Metrics::empty(),
-        Some(Scored::Multiclass(_, k)) => {
-            let k = *k;
-            let mut preds = Vec::new();
-            let mut golds = Vec::new();
-            for s in scored {
-                if let Scored::Multiclass(pairs, _) = s {
-                    for (p, g) in pairs {
-                        preds.push(*p);
-                        golds.push(*g);
-                    }
-                }
-            }
-            let mut m = multiclass_metrics(k, &preds, &golds);
-            m.count = scored.len();
-            m
-        }
-        Some(Scored::Bits(_)) => {
-            let mut preds = Vec::new();
-            let mut golds = Vec::new();
-            for s in scored {
-                if let Scored::Bits(rows) = s {
-                    for (p, g) in rows {
-                        preds.push(p.clone());
-                        golds.push(g.clone());
-                    }
-                }
-            }
-            let mut m = overton_monitor::bitvector_metrics(&preds, &golds);
-            m.count = scored.len();
-            m
-        }
-        Some(Scored::Correct(_)) => {
-            let correct = scored.iter().filter(|s| matches!(s, Scored::Correct(true))).count();
-            let accuracy = correct as f64 / scored.len() as f64;
-            Metrics { count: scored.len(), accuracy, macro_f1: accuracy, micro_f1: accuracy }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
     use crate::network::CompiledModel;
     use overton_nlp::{generate_workload, WorkloadConfig};
+    use overton_store::Dataset;
 
-    fn setup() -> (Dataset, FeatureSpace, CompiledModel) {
+    fn setup() -> (Dataset, ShardedStore, FeatureSpace, CompiledModel) {
         let ds = generate_workload(&WorkloadConfig {
             n_train: 50,
             n_dev: 20,
@@ -328,28 +221,37 @@ mod tests {
             slice_rate: 0.25,
             ..Default::default()
         });
-        let space = FeatureSpace::build(&ds);
+        let store = ds.seal();
+        let space = FeatureSpace::build_from_store(&store).unwrap();
         let model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
-        (ds, space, model)
+        (ds, store, space, model)
+    }
+
+    fn evaluate_test(
+        store: &ShardedStore,
+        space: &FeatureSpace,
+        model: &CompiledModel,
+    ) -> Evaluation {
+        evaluate_store(model, store, store.index().test_rows(), space).unwrap()
     }
 
     #[test]
     fn untrained_model_produces_reports_for_all_tasks() {
-        let (ds, space, model) = setup();
-        let eval = evaluate(&model, &ds, &ds.test_indices(), &space);
+        let (_, store, space, model) = setup();
+        let eval = evaluate_test(&store, &space, &model);
         for task in ["Intent", "POS", "EntityType", "IntentArg"] {
             let report = &eval.reports[task];
             let overall = report.overall().expect("overall row");
             assert!(overall.count > 0);
             assert!((0.0..=1.0).contains(&overall.accuracy));
         }
-        assert_eq!(eval.predictions.len(), ds.test_indices().len());
+        assert_eq!(eval.predictions.len(), store.index().test_rows().len());
     }
 
     #[test]
     fn slice_rows_appear() {
-        let (ds, space, model) = setup();
-        let eval = evaluate(&model, &ds, &ds.test_indices(), &space);
+        let (_, store, space, model) = setup();
+        let eval = evaluate_test(&store, &space, &model);
         let report = &eval.reports["IntentArg"];
         assert!(
             report.group("slice:complex-disambiguation").is_some(),
@@ -365,10 +267,10 @@ mod tests {
         // spells with its prefix; the lookups spell the key with the
         // monitor's. The two must agree for every declared slice.
         assert_eq!(SLICE_PREFIX, overton_store::SLICE_PREFIX);
-        let (ds, space, model) = setup();
-        let eval = evaluate(&model, &ds, &ds.test_indices(), &space);
+        let (_, store, space, model) = setup();
+        let eval = evaluate_test(&store, &space, &model);
         let report = &eval.reports["IntentArg"];
-        for slice in ds.slice_names() {
+        for slice in store.index().slice_names() {
             let tag = format!("{}{slice}", overton_store::SLICE_PREFIX);
             let metrics = eval.slice_metrics("IntentArg", &slice);
             assert_eq!(metrics.as_ref(), report.group(&tag), "{slice}");
@@ -380,31 +282,64 @@ mod tests {
 
     #[test]
     fn train_tag_rows_appear_when_training_records_evaluated() {
-        let (ds, space, model) = setup();
+        let (_, store, space, model) = setup();
         // Train records lack gold labels, so evaluating them adds nothing.
-        let eval = evaluate(&model, &ds, &ds.train_indices(), &space);
+        let eval = evaluate_store(&model, &store, store.index().train_rows(), &space).unwrap();
         assert!(eval.reports.is_empty() || eval.accuracy("Intent") == 0.0);
     }
 
     #[test]
-    fn store_evaluation_matches_sequential() {
-        let (ds, space, model) = setup();
-        let sequential = evaluate(&model, &ds, &ds.test_indices(), &space);
-        for shards in [1, 4] {
+    fn evaluation_is_shard_count_invariant() {
+        let (ds, _, space, model) = setup();
+        let reference = evaluate_test(&ds.seal_shards(1), &space, &model);
+        let order =
+            |eval: &Evaluation| eval.predictions.iter().map(|(i, _)| *i).collect::<Vec<_>>();
+        for shards in [4, 7] {
             let store = ds.seal_shards(shards).with_scan_workers(2);
-            let rows: Vec<u32> = store.index().test_rows().to_vec();
-            let sharded = evaluate_store(&model, &store, &rows, &space).unwrap();
-            assert_eq!(sharded.reports, sequential.reports, "{shards} shards");
-            let seq_order: Vec<usize> = sequential.predictions.iter().map(|(i, _)| *i).collect();
-            let par_order: Vec<usize> = sharded.predictions.iter().map(|(i, _)| *i).collect();
-            assert_eq!(seq_order, par_order);
+            let sharded = evaluate_test(&store, &space, &model);
+            assert_eq!(sharded.reports, reference.reports, "{shards} shards");
+            assert_eq!(order(&sharded), order(&reference), "{shards} shards");
+        }
+    }
+
+    #[test]
+    fn evaluation_matches_a_per_row_recount() {
+        // Recount IntentArg (a select task) overall and per slice straight
+        // from the returned predictions against each record's gold index.
+        let (ds, store, space, model) = setup();
+        let eval = evaluate_test(&store, &space, &model);
+        let mut counts: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+        for (i, prediction) in &eval.predictions {
+            let record = &ds.records()[*i];
+            let Some(TaskLabel::Select(gold)) = record.gold("IntentArg") else { continue };
+            let Some(TaskOutput::Select { index, .. }) = prediction.tasks.get("IntentArg") else {
+                panic!("row {i}: no IntentArg output")
+            };
+            let groups = std::iter::once("overall".to_string())
+                .chain(record.slices().map(|s| s.to_string()));
+            for group in groups {
+                let (correct, total) = counts.entry(group).or_default();
+                *correct += usize::from(index == gold);
+                *total += 1;
+            }
+        }
+        assert!(counts.len() > 1, "the workload must put test rows in a slice: {counts:?}");
+        for (group, (correct, total)) in counts {
+            let metrics = if group == "overall" {
+                eval.reports["IntentArg"].overall().copied()
+            } else {
+                eval.slice_metrics("IntentArg", &group)
+            }
+            .unwrap_or_else(|| panic!("no {group} row"));
+            assert_eq!(metrics.count, total, "{group}");
+            assert!((metrics.accuracy - correct as f64 / total as f64).abs() < 1e-12, "{group}");
         }
     }
 
     #[test]
     fn accuracy_accessor_defaults_to_zero() {
-        let (ds, space, model) = setup();
-        let eval = evaluate(&model, &ds, &ds.test_indices(), &space);
+        let (_, store, space, model) = setup();
+        let eval = evaluate_test(&store, &space, &model);
         assert_eq!(eval.accuracy("NoSuchTask"), 0.0);
     }
 }

@@ -2,8 +2,7 @@
 
 use overton_nlp::Vocab;
 use overton_store::{
-    Dataset, PayloadKind, PayloadValue, PayloadView, Record, Schema, ShardedStore, TaskKind,
-    TaskLabel,
+    PayloadKind, PayloadValue, PayloadView, Record, Schema, ShardedStore, TaskKind, TaskLabel,
 };
 use overton_supervision::ProbLabel;
 use std::collections::BTreeMap;
@@ -21,32 +20,11 @@ pub struct FeatureSpace {
 }
 
 impl FeatureSpace {
-    /// Builds the feature space from a dataset (typically train + dev).
-    pub fn build(dataset: &Dataset) -> Self {
-        let mut tokens: Vec<String> = Vec::new();
-        let mut entity_vocab = Vocab::reserved();
-        for record in dataset.records() {
-            for value in record.payloads.values() {
-                match value {
-                    PayloadValue::Sequence(ts) => tokens.extend(ts.iter().cloned()),
-                    PayloadValue::Singleton(_) => {}
-                    PayloadValue::Set(els) => {
-                        for el in els {
-                            entity_vocab.intern(&el.id);
-                        }
-                    }
-                }
-            }
-        }
-        let token_vocab = Vocab::build(tokens.iter().map(String::as_str), 1);
-        Self { token_vocab, entity_vocab, slice_names: dataset.slice_names() }
-    }
-
     /// Builds the feature space from a sealed store: every shard collects
     /// its token/entity occurrences in parallel from zero-copy views, the
-    /// per-shard lists concatenate in shard order (so the vocabularies are
-    /// bit-for-bit those of [`FeatureSpace::build`] on the equivalent
-    /// dataset), and slice names come from the seal-time index.
+    /// per-shard lists concatenate in shard order (so the vocabularies do
+    /// not depend on the shard count), and slice names come from the
+    /// seal-time index.
     pub fn build_from_store(store: &ShardedStore) -> overton_store::Result<Self> {
         let partials = store.par_scan(|scan| {
             let mut tokens: Vec<String> = Vec::new();
@@ -205,7 +183,7 @@ pub fn gold_to_prob(schema: &Schema, record: &Record, task: &str) -> Option<Prob
 mod tests {
     use super::*;
     use overton_nlp::{generate_workload, WorkloadConfig};
-    use overton_store::GOLD_SOURCE;
+    use overton_store::{Dataset, GOLD_SOURCE};
 
     fn tiny() -> Dataset {
         generate_workload(&WorkloadConfig {
@@ -221,7 +199,7 @@ mod tests {
     #[test]
     fn feature_space_covers_data() {
         let ds = tiny();
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         assert!(space.token_vocab.len() > 20);
         assert!(space.entity_vocab.len() > 10);
         assert!(space.slice_names.contains(&"complex-disambiguation".to_string()));
@@ -230,7 +208,7 @@ mod tests {
     #[test]
     fn example_encoding_shapes() {
         let ds = tiny();
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         let ex = CompiledExample::from_record(&ds.records()[0], 0, &space, ds.schema());
         let tokens = &ex.sequences["tokens"];
         assert!(!tokens.is_empty() && tokens.len() <= 16);

@@ -624,7 +624,7 @@ mod tests {
             slice_rate: 0.3,
             ..Default::default()
         });
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         (ds, space)
     }
 

@@ -31,7 +31,7 @@ pub use config::{
     AggregationKind, EmbeddingKind, EncoderKind, ModelConfig, TrainConfig, TuningSpec,
 };
 pub use distill::{distill, soften_targets};
-pub use evaluate::{evaluate, evaluate_store, Evaluation};
+pub use evaluate::{evaluate_store, Evaluation};
 pub use features::{gold_to_prob, CompiledExample, FeatureSpace};
 pub use network::{CompiledModel, Prediction, TaskOutput};
 pub use pretrained::{pretrain, PretrainConfig, PretrainedEncoder};

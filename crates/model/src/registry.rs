@@ -149,7 +149,7 @@ mod tests {
             seed,
             ..Default::default()
         });
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         let model = CompiledModel::compile(
             ds.schema(),
             &space,

@@ -297,7 +297,7 @@ mod tests {
             seed: 51,
             ..Default::default()
         });
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         let model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
         (ds, space, model)
     }

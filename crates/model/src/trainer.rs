@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn training_improves_dev_agreement() {
         let ds = workload();
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         let train = gold_examples(&ds, &ds.train_indices(), &space);
         let dev = gold_examples(&ds, &ds.dev_indices(), &space);
         let mut model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn early_stopping_restores_best_params() {
         let ds = workload();
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         let train = gold_examples(&ds, &ds.train_indices()[..60], &space);
         let dev = gold_examples(&ds, &ds.dev_indices(), &space);
         let mut model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
@@ -387,7 +387,7 @@ mod tests {
     #[test]
     fn grad_workers_do_not_change_the_trajectory() {
         let ds = workload();
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         let train = gold_examples(&ds, &ds.train_indices()[..48], &space);
         let dev = gold_examples(&ds, &ds.dev_indices(), &space);
         // batch_size 7 does not divide 48, so windows hit both the
@@ -513,7 +513,7 @@ mod tests {
     #[test]
     fn stacked_trainer_is_bit_identical_to_the_per_example_oracle() {
         let ds = workload();
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         let schema = oracle::every_branch_schema();
         let train = soft_training_set(&ds, &space);
         let dev = {
@@ -599,7 +599,7 @@ mod tests {
     #[should_panic(expected = "no training examples")]
     fn empty_training_set_rejected() {
         let ds = workload();
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         let mut model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
         let _ = train_model(&mut model, &[], &[], &TrainConfig::default());
     }

@@ -185,8 +185,8 @@ impl MetricsAccumulator {
             }
             MetricsAccumulator::Bits { tp, fp, fn_, correct, total, examples } => {
                 // Keyed on examples, not bits: a scored example with zero
-                // bits (empty sequence) still counts, matching the eager
-                // reduce which sets count = scored examples.
+                // bits (empty sequence) still counts, so `count` is the
+                // number of scored examples as for the other task kinds.
                 if *examples == 0 {
                     return Metrics::empty();
                 }
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn bits_example_with_zero_bits_still_counts() {
         // A scored example whose rows are empty (e.g. a gold label over an
-        // empty sequence) contributes to count, as in the eager reduce.
+        // empty sequence) still contributes to count.
         let mut a = MetricsAccumulator::bits();
         a.record_bits(&[]);
         let m = a.finalize();

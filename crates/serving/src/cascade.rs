@@ -172,7 +172,7 @@ mod tests {
             seed: 61,
             ..Default::default()
         });
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         let large = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
         let small_cfg = ModelConfig { hidden_dim: 16, token_dim: 16, ..Default::default() };
         let small = CompiledModel::compile(ds.schema(), &space, &small_cfg, None);
@@ -231,7 +231,7 @@ mod tests {
         // not a drop-in for the small one.
         let mut schema = ds.schema().clone();
         schema.tasks.remove("POS");
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         let model = CompiledModel::compile(&schema, &space, &ModelConfig::default(), None);
         let bad = ModelPair {
             large: DeployableModel::package(&model, &space, BTreeMap::new()),

@@ -430,7 +430,7 @@ mod tests {
             seed,
             ..Default::default()
         });
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         let model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
         let artifact = DeployableModel::package(&model, &space, BTreeMap::new());
         let records = ds.test_indices().iter().map(|&i| ds.records()[i].clone()).collect();
@@ -526,14 +526,14 @@ mod tests {
         });
         let mut schema = other.schema().clone();
         schema.tasks.remove("Intent");
-        let space = FeatureSpace::build(&other);
+        let space = FeatureSpace::build_from_store(&other.seal()).unwrap();
         let model = CompiledModel::compile(&schema, &space, &ModelConfig::default(), None);
         let artifact = DeployableModel::package(&model, &space, BTreeMap::new());
         let incompatible = Arc::new(CascadeEngine::single(Server::load(&artifact)));
         assert!(pool.swap_engine(incompatible).is_err());
         // Same signature but a different slice space is also rejected:
         // telemetry indexes slice probabilities positionally.
-        let mut resliced_space = FeatureSpace::build(&other);
+        let mut resliced_space = FeatureSpace::build_from_store(&other.seal()).unwrap();
         resliced_space.slice_names.push("brand-new-slice".into());
         let resliced =
             CompiledModel::compile(other.schema(), &resliced_space, &ModelConfig::default(), None);
@@ -553,7 +553,7 @@ mod tests {
             seed,
             ..Default::default()
         });
-        let space = FeatureSpace::build(&ds);
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         let engine = |model_seed| {
             let config = ModelConfig { seed: model_seed, ..ModelConfig::default() };
             let model = CompiledModel::compile(ds.schema(), &space, &config, None);

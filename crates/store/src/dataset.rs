@@ -5,50 +5,28 @@
 //! quality work — adding labeling functions, correcting labels, defining
 //! slices — happens by editing this file, never model code.
 
-use crate::error::{Result, StoreError};
-use crate::record::{Record, SLICE_PREFIX, TAG_DEV, TAG_TEST, TAG_TRAIN};
+use crate::error::Result;
+use crate::record::{for_each_jsonl_record, Record};
 use crate::rowstore::{ShardedStore, StoreIndex};
 use crate::schema::Schema;
-use crate::tags::TagIndex;
-use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::sync::OnceLock;
-
-/// The lazily-built query index a [`Dataset`] caches: the tag index plus
-/// the per-task supervision source names. Rebuilt on first query after any
-/// mutation.
-#[derive(Debug, Clone)]
-struct DatasetIndex {
-    tags: TagIndex,
-    sources: BTreeMap<String, Vec<String>>,
-}
-
-impl DatasetIndex {
-    fn build(records: &[Record]) -> Self {
-        // The task → non-gold-source rule is StoreIndex's (one collector
-        // for both the eager and sealed paths).
-        let mut store_index = StoreIndex::default();
-        for (i, record) in records.iter().enumerate() {
-            store_index.note_record(i as u32, record);
-        }
-        Self { tags: TagIndex::from_records(records), sources: store_index.into_sources() }
-    }
-}
 
 /// An in-memory dataset: a [`Schema`] and the [`Record`]s conforming to it.
 ///
 /// This is the *editable builder* side of the data layer: records are
 /// validated as they enter, and engineers refine labels in place. Tag,
-/// slice and source queries are answered from a cached index that is
-/// invalidated on mutation, so repeated `tagged()`/`in_slice()` calls cost
-/// an index lookup instead of a full scan. For the scan-heavy build loop,
+/// slice and source queries are answered from a cached [`StoreIndex`] —
+/// the same index a sealed store builds — that is invalidated on mutation,
+/// so repeated `tagged()`/`in_slice()` calls cost an index lookup instead
+/// of a full scan. For the scan-heavy build loop,
 /// [`Dataset::seal`] freezes the records into a [`ShardedStore`].
 #[derive(Debug, Clone)]
 pub struct Dataset {
     schema: Schema,
     records: Vec<Record>,
-    index: OnceLock<DatasetIndex>,
+    index: OnceLock<StoreIndex>,
 }
 
 impl Dataset {
@@ -57,8 +35,11 @@ impl Dataset {
         Self { schema, records: Vec::new(), index: OnceLock::new() }
     }
 
-    fn index(&self) -> &DatasetIndex {
-        self.index.get_or_init(|| DatasetIndex::build(&self.records))
+    /// The tag/slice/source index over the current records, built on first
+    /// use after a mutation (the Pandas export is
+    /// [`StoreIndex::write_csv`]).
+    pub fn index(&self) -> &StoreIndex {
+        self.index.get_or_init(|| StoreIndex::from_records(&self.records))
     }
 
     /// Seals the dataset into a [`ShardedStore`] with one shard per
@@ -121,76 +102,45 @@ impl Dataset {
 
     /// Indices of records carrying `tag` (a cached-index lookup).
     pub fn tagged(&self, tag: &str) -> Vec<usize> {
-        self.index().tags.rows(tag).iter().map(|&i| i as usize).collect()
+        as_indices(self.index().rows(tag))
     }
 
     /// Indices of records in the named slice (a cached-index lookup).
     pub fn in_slice(&self, slice: &str) -> Vec<usize> {
-        self.tagged(&format!("{SLICE_PREFIX}{slice}"))
-    }
-
-    /// The cached [`TagIndex`] over the current records.
-    pub fn tag_index(&self) -> &TagIndex {
-        &self.index().tags
+        as_indices(self.index().slice_rows(slice))
     }
 
     /// All slice names present in the data, sorted.
     pub fn slice_names(&self) -> Vec<String> {
-        self.index()
-            .tags
-            .tags()
-            .filter_map(|t| t.strip_prefix(SLICE_PREFIX))
-            .map(str::to_string)
-            .collect()
-    }
-
-    /// All tags present in the data, sorted.
-    pub fn tag_names(&self) -> Vec<String> {
-        self.index().tags.tags().map(str::to_string).collect()
+        self.index().slice_names()
     }
 
     /// Indices of the train split.
     pub fn train_indices(&self) -> Vec<usize> {
-        self.tagged(TAG_TRAIN)
+        as_indices(self.index().train_rows())
     }
 
     /// Indices of the dev split.
     pub fn dev_indices(&self) -> Vec<usize> {
-        self.tagged(TAG_DEV)
+        as_indices(self.index().dev_rows())
     }
 
     /// Indices of the test split.
     pub fn test_indices(&self) -> Vec<usize> {
-        self.tagged(TAG_TEST)
+        as_indices(self.index().test_rows())
     }
 
     /// Names of all supervision sources appearing for `task`, sorted,
     /// excluding gold (a cached-index lookup).
     pub fn sources_for_task(&self, task: &str) -> Vec<String> {
-        self.index().sources.get(task).cloned().unwrap_or_default()
+        self.index().sources_for_task(task)
     }
 
     /// Reads a dataset from a JSON-lines reader (one record per line; blank
     /// lines are skipped). Every record is normalized and validated.
     pub fn from_jsonl_reader(schema: Schema, reader: impl Read) -> Result<Self> {
         let mut ds = Dataset::new(schema);
-        let mut line = String::new();
-        let mut reader = BufReader::new(reader);
-        let mut lineno = 0usize;
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                break;
-            }
-            lineno += 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let record = Record::from_json(trimmed)
-                .map_err(|e| StoreError::Validation(format!("line {lineno}: {e}")))?;
-            ds.push(record).map_err(|e| StoreError::Validation(format!("line {lineno}: {e}")))?;
-        }
+        for_each_jsonl_record(reader, |record| ds.push(record))?;
         Ok(ds)
     }
 
@@ -226,9 +176,14 @@ impl Dataset {
     }
 }
 
+fn as_indices(rows: &[u32]) -> Vec<usize> {
+    rows.iter().map(|&i| i as usize).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StoreError;
     use crate::record::{PayloadValue, TaskLabel};
     use crate::schema::example_schema;
 
@@ -261,7 +216,7 @@ mod tests {
         assert_eq!(ds.dev_indices(), Vec::<usize>::new());
         assert_eq!(ds.in_slice("nutrition"), vec![0]);
         assert_eq!(ds.slice_names(), vec!["nutrition".to_string()]);
-        assert!(ds.tag_names().contains(&"train".to_string()));
+        assert!(ds.index().tag_names().contains(&"train".to_string()));
     }
 
     #[test]
@@ -278,6 +233,14 @@ mod tests {
     fn jsonl_reports_line_numbers() {
         let text = "{\"payloads\": {}}\nnot json\n";
         let err = Dataset::from_jsonl_reader(example_schema(), text.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn jsonl_read_errors_carry_line_numbers() {
+        let text = b"{\"payloads\": {}}\n\xff\n";
+        let err = Dataset::from_jsonl_reader(example_schema(), &text[..]).unwrap_err();
+        assert!(matches!(err, StoreError::Io(_)), "{err:?}");
         assert!(err.to_string().contains("line 2"), "{err}");
     }
 
@@ -324,7 +287,7 @@ mod tests {
         ds.get_mut(1).unwrap().tags.insert("slice:nutrition".into());
         assert_eq!(ds.in_slice("nutrition"), vec![0, 1]);
         assert!(ds.sources_for_task("Intent").contains(&"weak1".to_string()));
-        assert_eq!(ds.tag_index().count("train"), 3);
+        assert_eq!(ds.index().count("train"), 3);
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! tags/slices (paper §2.2), a compact binary **row store** sealed into a
 //! **sharded store** with zero-copy rows, per-shard checksums, a seal-time
 //! tag/slice/source index and parallel scans (the paper's memory-mapped
-//! row store, footnote 5), and a **tag index** with Pandas-compatible CSV
-//! export.
+//! row store, footnote 5). That one [`StoreIndex`] answers every tag,
+//! slice and source query and exports the tags as Pandas-compatible CSV.
 //!
 //! The [`Dataset`] is the editable builder view (validating, JSON-lines
-//! backed); [`Dataset::seal`] freezes it into a [`ShardedStore`] that the
-//! build pipeline scans shard-parallel end-to-end.
+//! backed, its queries answered from a cached [`StoreIndex`]);
+//! [`Dataset::seal`] freezes it into a [`ShardedStore`] that the build
+//! pipeline scans shard-parallel end-to-end.
 //!
 //! The central design idea reproduced here is *model independence*: the
 //! schema describes what the model computes — never how — so supervision
@@ -26,7 +27,6 @@ mod par;
 mod record;
 mod schema;
 mod stats;
-mod tags;
 
 pub mod live;
 pub mod rowstore;
@@ -43,7 +43,6 @@ pub use schema::{
     SignatureOutput, TaskDef, TaskKind,
 };
 pub use stats::{DatasetStats, TaskStats};
-pub use tags::TagIndex;
 
 // The sharded store is the pipeline's spine; lift its types to the crate
 // root alongside `Dataset`.

@@ -45,7 +45,7 @@ pub use snapshot::StoreSnapshot;
 pub use verify::{verify_dir, SegmentStatus, VerifyReport};
 
 use crate::error::{Result, StoreError};
-use crate::record::Record;
+use crate::record::{for_each_jsonl_record, Record};
 use crate::rowstore::{approx_record_bytes, RowStore, ShardedStore, StoreIndex};
 use crate::schema::Schema;
 use manifest::{DeltaEntry, LiveManifest};
@@ -335,31 +335,7 @@ impl LiveStore {
     /// were appended. Call [`flush`](Self::flush) afterwards to seal a
     /// partial buffer.
     pub fn append_jsonl(&self, reader: impl std::io::Read) -> Result<usize> {
-        use std::io::BufRead;
-        let mut reader = std::io::BufReader::new(reader);
-        let mut line = String::new();
-        let mut lineno = 0usize;
-        let mut appended = 0usize;
-        loop {
-            line.clear();
-            let read = reader.read_line(&mut line).map_err(|e| {
-                StoreError::Io(std::io::Error::new(e.kind(), format!("line {}: {e}", lineno + 1)))
-            })?;
-            if read == 0 {
-                break;
-            }
-            lineno += 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let record = Record::from_json(trimmed)
-                .map_err(|e| StoreError::Validation(format!("line {lineno}: {e}")))?;
-            self.append(record)
-                .map_err(|e| StoreError::Validation(format!("line {lineno}: {e}")))?;
-            appended += 1;
-        }
-        Ok(appended)
+        for_each_jsonl_record(reader, |record| self.append(record))
     }
 
     /// Seals any buffered rows into a delta segment and commits it.
@@ -377,10 +353,7 @@ impl LiveStore {
         let records = std::mem::take(&mut state.buffer);
         state.buffer_bytes = 0;
         let segment = RowStore::build(records.iter());
-        let mut index = StoreIndex::default();
-        for (i, record) in records.iter().enumerate() {
-            index.note_record(i as u32, record);
-        }
+        let index = StoreIndex::from_records(&records);
         let file = delta_file_name(state.next_delta);
         let staged = self.dir.join(format!("{file}.tmp"));
         let entry = DeltaEntry {
@@ -582,6 +555,23 @@ mod tests {
         let err = live.append_jsonl(bad.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn append_jsonl_keeps_flush_io_errors_as_io() {
+        let dir = temp("jsonl-io");
+        let live = LiveStore::create_from_with(
+            &dir,
+            ShardedStore::from_records(example_schema(), &[], 1),
+            LiveStoreConfig { delta_rows: 1, ..Default::default() },
+        )
+        .unwrap();
+        // The first record fills the delta buffer, so its flush writes a
+        // segment into a directory that is gone.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let err = live.append_jsonl(format!("{}\n", record(0).to_json()).as_bytes()).unwrap_err();
+        assert!(matches!(err, StoreError::Io(_)), "{err:?}");
+        assert!(err.to_string().contains("line 1"), "{err}");
     }
 
     #[test]

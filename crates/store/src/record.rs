@@ -346,6 +346,43 @@ impl Record {
     }
 }
 
+/// Streams a JSON-lines reader one record at a time into `accept` (blank
+/// lines are skipped) and returns how many records it took. Every failure
+/// is prefixed with its 1-based `line N`: a read error (a non-UTF-8 byte, a
+/// disk error) or an I/O error from `accept` stays [`StoreError::Io`] with
+/// its kind, anything else surfaces as [`StoreError::Validation`].
+pub(crate) fn for_each_jsonl_record(
+    reader: impl std::io::Read,
+    mut accept: impl FnMut(Record) -> Result<()>,
+) -> Result<usize> {
+    use std::io::BufRead;
+    let at_line = |lineno: usize, e: StoreError| match e {
+        StoreError::Io(e) => {
+            StoreError::Io(std::io::Error::new(e.kind(), format!("line {lineno}: {e}")))
+        }
+        other => StoreError::Validation(format!("line {lineno}: {other}")),
+    };
+    let mut reader = std::io::BufReader::new(reader);
+    let mut line = String::new();
+    let mut lineno = 0usize;
+    let mut accepted = 0usize;
+    loop {
+        line.clear();
+        let read = reader.read_line(&mut line).map_err(|e| at_line(lineno + 1, e.into()))?;
+        if read == 0 {
+            break;
+        }
+        lineno += 1;
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            continue;
+        }
+        Record::from_json(trimmed).and_then(&mut accept).map_err(|e| at_line(lineno, e))?;
+        accepted += 1;
+    }
+    Ok(accepted)
+}
+
 fn check_class(vocab: &[String], c: &str, ctx: &impl Fn() -> String) -> Result<()> {
     if !vocab.iter().any(|v| v == c) {
         return Err(StoreError::Validation(format!("{}: unknown label '{c}'", ctx())));

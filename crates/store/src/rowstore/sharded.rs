@@ -18,21 +18,23 @@
 use crate::dataset::Dataset;
 use crate::error::{Result, StoreError};
 use crate::par::par_map;
-use crate::record::{Record, SLICE_PREFIX, TAG_DEV, TAG_TEST, TAG_TRAIN};
+use crate::record::{for_each_jsonl_record, Record, SLICE_PREFIX, TAG_DEV, TAG_TEST, TAG_TRAIN};
 use crate::rowstore::encode::{approx_record_bytes, encode_record, RowView};
 use crate::rowstore::store::RowStore;
 use crate::schema::Schema;
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::Path;
 
 /// Default target size of one shard produced by the streaming
 /// [`ShardedStoreBuilder`] (4 MiB of encoded rows).
 pub const DEFAULT_SHARD_BYTES: usize = 4 << 20;
 
-/// The persistent inverted index a [`ShardedStore`] builds at seal time:
-/// tag → sorted global row ids, plus the per-task supervision source
-/// names. Everything downstream answers split/slice/source queries from
-/// here instead of scanning rows.
+/// The persistent inverted index a [`ShardedStore`] builds at seal time
+/// (and a [`Dataset`] caches over its records): tag → sorted global row
+/// ids, plus the per-task supervision source names. Everything downstream
+/// answers split/slice/source queries from here instead of scanning rows,
+/// and [`write_csv`](Self::write_csv) exports the tags for Pandas.
 #[derive(Debug, Clone, Default)]
 pub struct StoreIndex {
     tags: BTreeMap<String, Vec<u32>>,
@@ -41,6 +43,15 @@ pub struct StoreIndex {
 }
 
 impl StoreIndex {
+    /// Indexes `records` as rows `0..records.len()`.
+    pub(crate) fn from_records(records: &[Record]) -> Self {
+        let mut index = StoreIndex { num_rows: records.len(), ..StoreIndex::default() };
+        for (row, record) in records.iter().enumerate() {
+            index.note_record(row as u32, record);
+        }
+        index
+    }
+
     fn note_tags_and_sources<'a>(
         &mut self,
         row: u32,
@@ -81,13 +92,6 @@ impl StoreIndex {
             view.tags.iter().copied(),
             view.tasks.iter().flat_map(|(t, sources)| sources.iter().map(move |(s, _)| (*t, *s))),
         );
-    }
-
-    /// Consumes the index, keeping only the task → sorted non-gold source
-    /// map (shared with `Dataset`'s cached query index so the gold-source
-    /// exclusion rule lives in one place).
-    pub(crate) fn into_sources(self) -> BTreeMap<String, Vec<String>> {
-        self.sources
     }
 
     /// Merges `other`'s entries into `self` with every row id shifted by
@@ -163,6 +167,40 @@ impl StoreIndex {
     /// Tasks that carry at least one non-gold supervision source.
     pub fn supervised_tasks(&self) -> impl Iterator<Item = &str> {
         self.sources.keys().map(String::as_str)
+    }
+
+    /// Writes a Pandas-loadable CSV with one row per example and one 0/1
+    /// column per tag (`pd.read_csv(..., index_col="row")`): the paper's
+    /// "tags are stored in a format that is compatible with Pandas"
+    /// (§2.2).
+    pub fn write_csv(&self, mut writer: impl Write) -> std::io::Result<()> {
+        write!(writer, "row")?;
+        for tag in self.tags.keys() {
+            write!(writer, ",{}", csv_escape(tag))?;
+        }
+        writeln!(writer)?;
+        // Row-major sweep over membership.
+        let mut cursors = vec![0usize; self.tags.len()];
+        for row in 0..self.num_rows as u32 {
+            write!(writer, "{row}")?;
+            for (rows, cursor) in self.tags.values().zip(&mut cursors) {
+                let member = *cursor < rows.len() && rows[*cursor] == row;
+                if member {
+                    *cursor += 1;
+                }
+                write!(writer, ",{}", u8::from(member))?;
+            }
+            writeln!(writer)?;
+        }
+        Ok(())
+    }
+}
+
+fn csv_escape(field: &str) -> String {
+    if field.contains([',', '"', '\n']) {
+        format!("\"{}\"", field.replace('"', "\"\""))
+    } else {
+        field.to_string()
     }
 }
 
@@ -327,12 +365,7 @@ impl ShardedStore {
         // Encode shards in parallel; each one owns one contiguous range.
         let ranges: Vec<&[Record]> = bounds.windows(2).map(|w| &records[w[0]..w[1]]).collect();
         let shards = par_map(Self::default_shards(), ranges, RowStore::build);
-
-        let mut index = StoreIndex { num_rows: records.len(), ..StoreIndex::default() };
-        for (row, record) in records.iter().enumerate() {
-            index.note_record(row as u32, record);
-        }
-        Self::assemble(schema, shards, index)
+        Self::assemble(schema, shards, StoreIndex::from_records(records))
     }
 
     pub(crate) fn assemble(schema: Schema, shards: Vec<RowStore>, index: StoreIndex) -> Self {
@@ -630,14 +663,7 @@ impl ShardedStore {
         let mut row = 0u32;
         for shard in &shards {
             for view in shard.scan_views() {
-                let view = view?;
-                index.note_tags_and_sources(
-                    row,
-                    view.tags.iter().copied(),
-                    view.tasks
-                        .iter()
-                        .flat_map(|(t, sources)| sources.iter().map(move |(s, _)| (*t, *s))),
-                );
+                index.note_view(row, &view?);
                 row += 1;
             }
         }
@@ -708,32 +734,7 @@ impl ShardedStoreBuilder {
     /// surface as a precise [`StoreError`], never a panic). Returns how
     /// many records were ingested.
     pub fn ingest_jsonl(&mut self, reader: impl std::io::Read) -> Result<usize> {
-        use std::io::BufRead;
-        let mut reader = std::io::BufReader::new(reader);
-        let mut line = String::new();
-        let mut lineno = 0usize;
-        let mut ingested = 0usize;
-        loop {
-            line.clear();
-            // Read failures (a non-UTF-8 byte, a disk error) carry the
-            // line number too, not just parse/validation failures.
-            let read = reader.read_line(&mut line).map_err(|e| {
-                StoreError::Io(std::io::Error::new(e.kind(), format!("line {}: {e}", lineno + 1)))
-            })?;
-            if read == 0 {
-                break;
-            }
-            lineno += 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let record = Record::from_json(trimmed)
-                .map_err(|e| StoreError::Validation(format!("line {lineno}: {e}")))?;
-            self.push(record).map_err(|e| StoreError::Validation(format!("line {lineno}: {e}")))?;
-            ingested += 1;
-        }
-        Ok(ingested)
+        for_each_jsonl_record(reader, |record| self.push(record))
     }
 
     /// Appends a record without validation (for trusted generators).
@@ -824,6 +825,95 @@ mod tests {
         assert_eq!(idx.sources_for_task("Intent"), vec!["weak1".to_string(), "weak2".into()]);
         assert!(idx.sources_for_task("POS").is_empty());
         assert_eq!(idx.supervised_tasks().collect::<Vec<_>>(), vec!["Intent"]);
+    }
+
+    fn csv(index: &StoreIndex) -> String {
+        let mut buf = Vec::new();
+        index.write_csv(&mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
+    fn assert_same_index(a: &StoreIndex, b: &StoreIndex, what: &str) {
+        assert_eq!(a.num_rows(), b.num_rows(), "{what}");
+        assert_eq!(a.tag_names(), b.tag_names(), "{what}");
+        for tag in a.tag_names() {
+            assert_eq!(a.rows(&tag), b.rows(&tag), "{what}: {tag}");
+        }
+        assert_eq!(a.slice_names(), b.slice_names(), "{what}");
+        for task in example_schema().tasks.keys() {
+            assert_eq!(a.sources_for_task(task), b.sources_for_task(task), "{what}: {task}");
+        }
+        assert_eq!(csv(a), csv(b), "{what}");
+    }
+
+    #[test]
+    fn every_index_builder_agrees() {
+        let mut ds = Dataset::new(example_schema());
+        for (i, r) in records(40).into_iter().enumerate() {
+            let r = if i == 7 {
+                r.with_label("Intent", "gold", TaskLabel::MulticlassOne("Age".into()))
+            } else {
+                r
+            };
+            ds.push(r).unwrap();
+        }
+        let dir = std::env::temp_dir().join(format!("overton-index-agree-{}", std::process::id()));
+        for n in [1, 3, 7] {
+            let sealed = ds.seal_shards(n);
+            assert_same_index(ds.index(), sealed.index(), &format!("seal_shards({n})"));
+            let shard_dir = dir.join(n.to_string());
+            sealed.write_dir(&shard_dir).unwrap();
+            let back = ShardedStore::read_dir(&shard_dir).unwrap();
+            assert_same_index(ds.index(), back.index(), &format!("read_dir of {n} shards"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+
+        // The cached index is rebuilt after each kind of mutation.
+        ds.push(Record::new().with_tag("dev").with_slice("late")).unwrap();
+        assert_eq!(ds.index().num_rows(), 41);
+        assert_same_index(ds.index(), ds.seal_shards(3).index(), "after push");
+        ds.get_mut(2).unwrap().tags.insert("slice:late".into());
+        assert_eq!(ds.index().slice_rows("late"), &[2, 40]);
+        assert_same_index(ds.index(), ds.seal_shards(3).index(), "after get_mut");
+    }
+
+    fn three_rows() -> Dataset {
+        let mut ds = Dataset::new(example_schema());
+        let mk = |i: usize| {
+            Record::new().with_payload("query", PayloadValue::Singleton(format!("q{i}")))
+        };
+        ds.push(mk(0).with_tag("train").with_slice("hard")).unwrap();
+        ds.push(mk(1).with_tag("train")).unwrap();
+        ds.push(mk(2).with_tag("test").with_slice("hard")).unwrap();
+        ds
+    }
+
+    #[test]
+    fn counts_and_rows() {
+        let ds = three_rows();
+        let idx = ds.index();
+        assert_eq!(idx.count("train"), 2);
+        assert_eq!(idx.rows("train"), &[0, 1]);
+        assert_eq!(idx.rows("slice:hard"), &[0, 2]);
+        assert_eq!(idx.count("missing"), 0);
+        assert!(idx.rows("missing").is_empty());
+    }
+
+    #[test]
+    fn csv_shape() {
+        let text = csv(three_rows().index());
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4); // header + 3 rows
+        assert_eq!(lines[0], "row,slice:hard,test,train");
+        assert_eq!(lines[1], "0,1,0,1");
+        assert_eq!(lines[3], "2,1,1,0");
+    }
+
+    #[test]
+    fn csv_escaping() {
+        assert_eq!(csv_escape("plain"), "plain");
+        assert_eq!(csv_escape("a,b"), "\"a,b\"");
+        assert_eq!(csv_escape("q\"x"), "\"q\"\"x\"");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use overton::{OvertonOptions, Project};
 use overton_model::{ModelConfig, ModelPair, ModelRegistry, Server, TrainConfig};
 use overton_nlp::{generate_workload, WorkloadConfig};
-use overton_store::{rowstore::RowStore, TagIndex};
+use overton_store::rowstore::RowStore;
 
 fn main() {
     let dataset = generate_workload(&WorkloadConfig {
@@ -93,10 +93,9 @@ fn main() {
         loaded.blob_len() / 1024,
         loaded.get(0).expect("decode") == dataset.records()[0]
     );
-    let tags = TagIndex::build(&dataset);
     let csv_path = std::env::temp_dir().join("overton-example-tags.csv");
     let mut csv = Vec::new();
-    tags.write_csv(&mut csv).expect("csv");
+    dataset.index().write_csv(&mut csv).expect("csv");
     std::fs::write(&csv_path, csv).expect("write csv");
     println!("tag CSV written to {} (load with pandas.read_csv)", csv_path.display());
 }

@@ -99,7 +99,7 @@ fn registry_publish_latest_fetch_hotswap_rollback_roundtrip() {
     use overton_model::{DeployableModel, FeatureSpace};
 
     let ds = workload(95);
-    let space = FeatureSpace::build(&ds);
+    let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
     let v1_model = CompiledModel::compile(
         ds.schema(),
         &space,

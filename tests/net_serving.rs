@@ -30,7 +30,7 @@ fn workload(seed: u64) -> Dataset {
 /// plus the workload's test split.
 fn engine_and_records(seed: u64) -> (Arc<CascadeEngine>, Vec<Record>) {
     let ds = workload(seed);
-    let space = FeatureSpace::build(&ds);
+    let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
     let model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
     let artifact = DeployableModel::package(&model, &space, BTreeMap::new());
     let records = ds.test_indices().iter().map(|&i| ds.records()[i].clone()).collect();
@@ -245,7 +245,7 @@ fn drain_completes_in_flight_requests_and_refuses_new_work() {
 #[test]
 fn engine_hot_swap_under_live_socket_traffic() {
     let ds = workload(304);
-    let space = FeatureSpace::build(&ds);
+    let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
     let small = CompiledModel::compile(
         ds.schema(),
         &space,

@@ -482,7 +482,7 @@ fn slow_observer_drops_samples_without_inflating_latency() {
         seed: 91,
         ..Default::default()
     });
-    let space = FeatureSpace::build(&ds);
+    let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
     let model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
     let artifact = DeployableModel::package(&model, &space, std::collections::BTreeMap::new());
     let records: Vec<overton::store::Record> =

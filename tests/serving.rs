@@ -231,7 +231,7 @@ fn canary_promotion_and_auto_rollback() {
 #[test]
 fn unservable_promotion_leaves_the_registry_untouched() {
     let ds = workload(203);
-    let space = overton_model::FeatureSpace::build(&ds);
+    let space = overton_model::FeatureSpace::build_from_store(&ds.seal()).unwrap();
     let package = |schema: &overton_store::Schema, config: &ModelConfig| {
         let model = CompiledModel::compile(schema, &space, config, None);
         DeployableModel::package(&model, &space, BTreeMap::new())

@@ -31,7 +31,7 @@ fn workload(seed: u64) -> Dataset {
 
 fn engine_and_records(seed: u64) -> (Arc<CascadeEngine>, Vec<Record>) {
     let ds = workload(seed);
-    let space = FeatureSpace::build(&ds);
+    let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
     let model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
     let artifact = DeployableModel::package(&model, &space, BTreeMap::new());
     let records = ds.test_indices().iter().map(|&i| ds.records()[i].clone()).collect();
