@@ -935,9 +935,7 @@ fn open_or_create_live(dir: &Path) -> Result<LiveStore, String> {
 fn append(dir: &Path, file: &Path) -> Result<(), String> {
     let live = open_or_create_live(dir)?;
     let reader = std::fs::File::open(file).map_err(|e| format!("{}: {e}", file.display()))?;
-    let appended = live
-        .append_jsonl(std::io::BufReader::new(reader))
-        .map_err(|e| format!("{}: {e}", file.display()))?;
+    let appended = live.append_jsonl(reader).map_err(|e| format!("{}: {e}", file.display()))?;
     let generation = live.flush().map_err(|e| e.to_string())?;
     println!(
         "appended {appended} records to {} (generation {generation}, {} sealed rows, {} deltas)",

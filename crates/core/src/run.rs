@@ -35,9 +35,9 @@ use crate::error::Error;
 use crate::project::OvertonOptions;
 use crate::workflows::{diagnose_reports, mean_accuracy, scored_accuracies, SliceDiagnosis};
 use overton_model::{
-    evaluate_store, prepare_store, prepare_store_with_space, search, train_model, CompiledModel,
-    DeployableModel, Evaluation, FeatureSpace, ModelConfig, PreparedData, Server, TrainReport,
-    TrialResult,
+    evaluate_store, prepare_store, prepare_store_with_space, search, train_chosen, train_model,
+    CompiledModel, DeployableModel, Evaluation, FeatureSpace, ModelConfig, PreparedData, Server,
+    TrainReport, TrialResult, Winner,
 };
 use overton_serving::{Span, TrafficBaseline};
 use overton_store::{ShardedStore, StoreError};
@@ -243,6 +243,11 @@ pub struct Run {
     pub(crate) dev_examples: usize,
     pub(crate) chosen_config: Option<ModelConfig>,
     pub(crate) trials: Vec<TrialResult>,
+    /// The search winner's training state, held from search to train so
+    /// the final train continues it instead of retraining from epoch 0.
+    /// Never persisted: a run without it (a resume) trains from scratch
+    /// and gets the same bits.
+    pub(crate) winner: Option<Winner>,
     pub(crate) model: Option<CompiledModel>,
     pub(crate) space: Option<FeatureSpace>,
     pub(crate) train_report: Option<TrainReport>,
@@ -295,6 +300,7 @@ impl Run {
             dev_examples: 0,
             chosen_config: None,
             trials: Vec::new(),
+            winner: None,
             model: None,
             space: None,
             train_report: None,
@@ -527,19 +533,22 @@ impl Run {
         // trained under — searching a new one would orphan them — so the
         // previous artifact's config wins over both the tuning spec and
         // the base model.
-        let (chosen, trials) = match (&self.warm, &self.options.tuning) {
-            (Some(warm), _) => (warm.config.clone(), Vec::new()),
-            (None, Some(spec)) => search(
-                self.store.schema(),
-                &prepared.space,
-                &prepared.train,
-                &prepared.dev,
-                spec,
-                &self.options.base_model,
-                self.options.pretrained.as_ref(),
-                &self.options.search,
-            ),
-            (None, None) => (self.options.base_model.clone(), Vec::new()),
+        let (chosen, trials, winner) = match (&self.warm, &self.options.tuning) {
+            (Some(warm), _) => (warm.config.clone(), Vec::new(), None),
+            (None, Some(spec)) => {
+                let (winner, trials) = search(
+                    self.store.schema(),
+                    &prepared.space,
+                    &prepared.train,
+                    &prepared.dev,
+                    spec,
+                    &self.options.base_model,
+                    self.options.pretrained.as_ref(),
+                    &self.options.search,
+                );
+                (winner.config().clone(), trials, Some(winner))
+            }
+            (None, None) => (self.options.base_model.clone(), Vec::new(), None),
         };
         self.write_json(
             "search.json",
@@ -548,6 +557,7 @@ impl Run {
         let records = trials.len();
         self.chosen_config = Some(chosen);
         self.trials = trials;
+        self.winner = winner;
         Ok(records)
     }
 
@@ -560,18 +570,27 @@ impl Run {
             .clone()
             .ok_or_else(|| Error::run(Stage::Train, "no architecture chosen (run search first)"))?;
         // Warm start: reinstantiate the previous run's weights and keep
-        // training; otherwise compile fresh.
-        let mut model = match &self.warm {
-            Some(warm) => warm.instantiate(),
-            None => CompiledModel::compile(
+        // training; otherwise train the chosen architecture, continuing
+        // the search winner's training when that gives the same bits.
+        let winner = self.winner.take();
+        let (model, train_report) = match &self.warm {
+            Some(warm) => {
+                let mut model = warm.instantiate();
+                let report =
+                    train_model(&mut model, &prepared.train, &prepared.dev, &self.options.train);
+                (model, report)
+            }
+            None => train_chosen(
                 self.store.schema(),
                 &prepared.space,
+                &prepared.train,
+                &prepared.dev,
                 &chosen,
                 self.options.pretrained.as_ref(),
+                &self.options.train,
+                winner,
             ),
         };
-        let train_report =
-            train_model(&mut model, &prepared.train, &prepared.dev, &self.options.train);
         self.write_json("train.json", &train_report)?;
         // The weights snapshot is itself a loadable artifact, which is what
         // makes the run resumable from `package` without retraining.

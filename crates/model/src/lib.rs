@@ -36,6 +36,6 @@ pub use features::{gold_to_prob, CompiledExample, FeatureSpace};
 pub use network::{CompiledModel, Prediction, TaskOutput};
 pub use pretrained::{pretrain, PretrainConfig, PretrainedEncoder};
 pub use registry::{ArtifactEntry, ArtifactId, ModelRegistry};
-pub use search::{search, SearchConfig, TrialResult};
+pub use search::{search, train_chosen, SearchConfig, TrialResult, Winner};
 pub use serve::{DeployableModel, ModelPair, ServedOutput, Server, ServingResponse};
 pub use trainer::{dev_agreement, train_model, TrainReport};

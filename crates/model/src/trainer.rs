@@ -1,5 +1,10 @@
 //! Minibatch training with early stopping on a dev split.
 //!
+//! Everything the loop carries from one epoch to the next is one
+//! `TrainState`. [`train_model`] runs a fresh one; the search's final
+//! train continues the winning trial's instead, when its
+//! `continue_under` proves the result is the bits a fresh run gives.
+//!
 //! # Determinism contract
 //!
 //! A window's examples are recorded on row-stacked tapes: the window is
@@ -34,7 +39,7 @@ use crate::infer::argmax;
 use crate::network::CompiledModel;
 use overton_store::par_map;
 use overton_tensor::optim::{Adam, Optimizer};
-use overton_tensor::{Graph, Matrix, NodeId, ParamId};
+use overton_tensor::{Graph, Matrix, NodeId, ParamId, ParamStore};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,7 +64,7 @@ pub fn train_model(
     dev: &[CompiledExample],
     config: &TrainConfig,
 ) -> TrainReport {
-    train_with(model, train, dev, config, stacked_gradients)
+    TrainState::new(model, train.len(), config).run(model, train, dev)
 }
 
 /// How a run of examples' gradients are computed: on one stacked tape, or
@@ -67,84 +72,201 @@ pub fn train_model(
 type Gradients =
     fn(&CompiledModel, &[&CompiledExample], &[u64], &TrainConfig) -> Vec<Option<ExampleGrad>>;
 
-/// [`train_model`]'s loop, over a given gradient computation.
-fn train_with(
-    model: &mut CompiledModel,
-    train: &[CompiledExample],
-    dev: &[CompiledExample],
-    config: &TrainConfig,
-    gradients: Gradients,
-) -> TrainReport {
-    assert!(!train.is_empty(), "no training examples");
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let mut opt = Adam::new(config.learning_rate).with_weight_decay(config.weight_decay);
-    let mut order: Vec<usize> = (0..train.len()).collect();
-    let mut best_dev = f64::NEG_INFINITY;
-    let mut best_params = model.params.clone();
-    let mut since_best = 0usize;
-    let mut history = Vec::with_capacity(config.epochs);
-    let mut epochs_run = 0;
+/// Everything the training loop carries from one epoch to the next. A
+/// fresh state is epoch 0 of a run; [`run`](Self::run) trains it to its
+/// config's epoch budget and can be called again after
+/// [`continue_under`](Self::continue_under) raised that budget. Starting
+/// from scratch is resuming from the fresh state: there is one loop.
+pub(crate) struct TrainState {
+    /// The configuration the epochs ran (or will run) under.
+    config: TrainConfig,
+    /// The latest epoch's weights. The model holds them while the loop
+    /// runs and the best epoch's weights between runs.
+    params: ParamStore,
+    opt: Adam,
+    rng: SmallRng,
+    order: Vec<usize>,
+    best_dev: f64,
+    best_params: ParamStore,
+    since_best: usize,
+    /// Per-epoch `(mean train loss, dev score)`; its length is the number
+    /// of epochs run.
+    history: Vec<(f64, f64)>,
+    stopped_early: bool,
+}
 
-    for _epoch in 0..config.epochs {
-        epochs_run += 1;
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.gen_range(0..=i));
-        }
-        let mut epoch_loss = 0.0f64;
-        let mut batch_count = 0usize;
-        let mut in_batch = 0usize;
-        let mut cursor = 0usize;
-        while cursor < order.len() {
-            // Step-aligned window: take exactly as many examples as the
-            // current minibatch still needs. Some may contribute no loss,
-            // in which case the next window tops the batch up — a step
-            // can therefore only ever land on a window boundary, exactly
-            // where the serial loop would have stepped.
-            let needed = config.batch_size.saturating_sub(in_batch).max(1);
-            let take = needed.min(order.len() - cursor);
-            let window = &order[cursor..cursor + take];
-            cursor += take;
-            // Per-example dropout seeds come off the main RNG in shuffle
-            // order, so the stream is identical for any worker count.
-            let seeds: Vec<u64> = window.iter().map(|_| rng.gen()).collect();
-            for result in window_gradients(model, train, window, &seeds, config, gradients) {
-                let Some(partial) = result else { continue };
-                epoch_loss += f64::from(partial.loss);
-                for (pid, grad) in &partial.grads {
-                    model.params.grad_mut(*pid).add_assign(grad);
-                }
-                in_batch += 1;
-            }
-            if in_batch >= config.batch_size {
-                model.params.clip_grad_norm(config.clip_norm);
-                opt.step(&mut model.params);
-                model.params.zero_grads();
-                batch_count += in_batch;
-                in_batch = 0;
-            }
-        }
-        if in_batch > 0 {
-            model.params.clip_grad_norm(config.clip_norm);
-            opt.step(&mut model.params);
-            model.params.zero_grads();
-            batch_count += in_batch;
-        }
-        let mean_loss = if batch_count == 0 { 0.0 } else { epoch_loss / batch_count as f64 };
-        let dev_score = if dev.is_empty() { -mean_loss } else { dev_agreement(model, dev) };
-        history.push((mean_loss, dev_score));
-        if dev_score > best_dev {
-            best_dev = dev_score;
-            best_params = model.params.clone();
-            since_best = 0;
-        } else {
-            since_best += 1;
-            if config.early_stop_patience > 0 && since_best >= config.early_stop_patience {
-                break;
-            }
+impl TrainState {
+    /// Epoch 0 of a run of `config` over `train_len` examples from
+    /// `model`'s current weights.
+    pub(crate) fn new(model: &CompiledModel, train_len: usize, config: &TrainConfig) -> Self {
+        assert!(train_len > 0, "no training examples");
+        Self {
+            config: config.clone(),
+            params: model.params.clone(),
+            opt: Adam::new(config.learning_rate).with_weight_decay(config.weight_decay),
+            rng: SmallRng::seed_from_u64(config.seed),
+            order: (0..train_len).collect(),
+            best_dev: f64::NEG_INFINITY,
+            best_params: model.params.clone(),
+            since_best: 0,
+            history: Vec::with_capacity(config.epochs),
+            stopped_early: false,
         }
     }
-    model.params = best_params;
-    TrainReport { epochs_run, best_dev_score: best_dev, history }
+
+    /// The state a fresh run under `config` would be in after this
+    /// state's epochs, or `None` when that run's bits could differ. It
+    /// continues only when every field that shapes the trajectory is
+    /// equal (the epoch budget, `grad_workers` and the patience do not:
+    /// workers never change the bits, and the patience only decides
+    /// when the loop breaks), the budget reaches the epochs already run,
+    /// and neither this run's patience nor `config`'s would have stopped
+    /// before its last epoch. If `config`'s patience stops exactly there,
+    /// the continued state is finished: a fresh run ends where this one
+    /// did.
+    pub(crate) fn continue_under(mut self, config: &TrainConfig) -> Option<Self> {
+        let epochs_run = self.history.len();
+        if !same_trajectory(&self.config, config)
+            || config.epochs < epochs_run
+            || self.stopped_early
+        {
+            return None;
+        }
+        let (mut best_dev, mut since_best) = (f64::NEG_INFINITY, 0usize);
+        for (epoch, &(_, dev_score)) in self.history.iter().enumerate() {
+            if dev_score > best_dev {
+                (best_dev, since_best) = (dev_score, 0);
+            } else {
+                since_best += 1;
+                if patience_exhausted(config.early_stop_patience, since_best) {
+                    if epoch + 1 < epochs_run {
+                        return None;
+                    }
+                    self.stopped_early = true;
+                }
+            }
+        }
+        self.config = config.clone();
+        Some(self)
+    }
+
+    /// Runs epochs `epochs_run..config.epochs` (fewer if the patience
+    /// runs out), then leaves the best epoch's weights in `model`.
+    pub(crate) fn run(
+        &mut self,
+        model: &mut CompiledModel,
+        train: &[CompiledExample],
+        dev: &[CompiledExample],
+    ) -> TrainReport {
+        self.run_with(model, train, dev, stacked_gradients)
+    }
+
+    /// [`run`](Self::run), over a given gradient computation.
+    fn run_with(
+        &mut self,
+        model: &mut CompiledModel,
+        train: &[CompiledExample],
+        dev: &[CompiledExample],
+        gradients: Gradients,
+    ) -> TrainReport {
+        assert_eq!(train.len(), self.order.len(), "training set changed between runs");
+        let config = &self.config;
+        model.params = std::mem::take(&mut self.params);
+        while !self.stopped_early && self.history.len() < config.epochs {
+            let order = &mut self.order;
+            for i in (1..order.len()).rev() {
+                order.swap(i, self.rng.gen_range(0..=i));
+            }
+            let mut epoch_loss = 0.0f64;
+            let mut batch_count = 0usize;
+            let mut in_batch = 0usize;
+            let mut cursor = 0usize;
+            while cursor < order.len() {
+                // Step-aligned window: take exactly as many examples as the
+                // current minibatch still needs. Some may contribute no loss,
+                // in which case the next window tops the batch up — a step
+                // can therefore only ever land on a window boundary, exactly
+                // where the serial loop would have stepped.
+                let needed = config.batch_size.saturating_sub(in_batch).max(1);
+                let take = needed.min(order.len() - cursor);
+                let window = &order[cursor..cursor + take];
+                cursor += take;
+                // Per-example dropout seeds come off the main RNG in shuffle
+                // order, so the stream is identical for any worker count.
+                let seeds: Vec<u64> = window.iter().map(|_| self.rng.gen()).collect();
+                for result in window_gradients(model, train, window, &seeds, config, gradients) {
+                    let Some(partial) = result else { continue };
+                    epoch_loss += f64::from(partial.loss);
+                    for (pid, grad) in &partial.grads {
+                        model.params.grad_mut(*pid).add_assign(grad);
+                    }
+                    in_batch += 1;
+                }
+                if in_batch >= config.batch_size {
+                    model.params.clip_grad_norm(config.clip_norm);
+                    self.opt.step(&mut model.params);
+                    model.params.zero_grads();
+                    batch_count += in_batch;
+                    in_batch = 0;
+                }
+            }
+            if in_batch > 0 {
+                model.params.clip_grad_norm(config.clip_norm);
+                self.opt.step(&mut model.params);
+                model.params.zero_grads();
+                batch_count += in_batch;
+            }
+            let mean_loss = if batch_count == 0 { 0.0 } else { epoch_loss / batch_count as f64 };
+            let dev_score = if dev.is_empty() { -mean_loss } else { dev_agreement(model, dev) };
+            self.history.push((mean_loss, dev_score));
+            if dev_score > self.best_dev {
+                self.best_dev = dev_score;
+                self.best_params = model.params.clone();
+                self.since_best = 0;
+            } else {
+                self.since_best += 1;
+                self.stopped_early =
+                    patience_exhausted(config.early_stop_patience, self.since_best);
+            }
+        }
+        self.params = std::mem::replace(&mut model.params, self.best_params.clone());
+        TrainReport {
+            epochs_run: self.history.len(),
+            best_dev_score: self.best_dev,
+            history: self.history.clone(),
+        }
+    }
+}
+
+/// Whether two configs drive the loop through the same epochs, bit for
+/// bit, up to the shorter budget. The fields are named, not elided, so a
+/// new `TrainConfig` field cannot slip past this without a decision.
+fn same_trajectory(a: &TrainConfig, b: &TrainConfig) -> bool {
+    let TrainConfig {
+        epochs: _,
+        batch_size,
+        learning_rate,
+        weight_decay,
+        clip_norm,
+        early_stop_patience: _,
+        indicator_loss_weight,
+        slice_loss_boost,
+        seed,
+        grad_workers: _,
+    } = a;
+    *batch_size == b.batch_size
+        && learning_rate.to_bits() == b.learning_rate.to_bits()
+        && weight_decay.to_bits() == b.weight_decay.to_bits()
+        && clip_norm.to_bits() == b.clip_norm.to_bits()
+        && indicator_loss_weight.to_bits() == b.indicator_loss_weight.to_bits()
+        && slice_loss_boost.to_bits() == b.slice_loss_boost.to_bits()
+        && *seed == b.seed
+}
+
+/// The early-stop rule: `since_best` epochs without a dev improvement
+/// exhaust a nonzero `patience`.
+fn patience_exhausted(patience: usize, since_best: usize) -> bool {
+    patience > 0 && since_best >= patience
 }
 
 /// One example's contribution to the current minibatch: its scalar loss
@@ -424,6 +546,77 @@ mod tests {
         }
     }
 
+    /// Trains `trial`, continues its state under `last` and checks the
+    /// result against a fresh run of `last`, params and report bit for
+    /// bit. Returns the continued report, or `None` when `continue_under`
+    /// refused and the final train would start over.
+    fn continue_against_fresh(
+        compile: &dyn Fn() -> CompiledModel,
+        train: &[CompiledExample],
+        dev: &[CompiledExample],
+        trial: &TrainConfig,
+        last: &TrainConfig,
+    ) -> Option<TrainReport> {
+        let mut model = compile();
+        let mut state = TrainState::new(&model, train.len(), trial);
+        state.run(&mut model, train, dev);
+        let mut state = state.continue_under(last)?;
+        let mut continued = compile();
+        let report = state.run(&mut continued, train, dev);
+        let mut fresh = compile();
+        let fresh_report = train_model(&mut fresh, train, dev, last);
+        let case = format!("trial {trial:?}, last {last:?}");
+        assert_eq!(report, fresh_report, "{case}: report diverged");
+        for id in fresh.params.ids() {
+            let bits = |m: &CompiledModel| -> Vec<u32> {
+                m.params.value(id).as_slice().iter().map(|x| x.to_bits()).collect()
+            };
+            assert!(bits(&continued) == bits(&fresh), "{case}: {} diverged", fresh.params.name(id));
+        }
+        Some(report)
+    }
+
+    #[test]
+    fn continued_training_is_bit_identical_to_a_fresh_run() {
+        let ds = workload();
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
+        let train = gold_examples(&ds, &ds.train_indices()[..40], &space);
+        let dev = gold_examples(&ds, &ds.dev_indices(), &space);
+        let config =
+            ModelConfig { token_dim: 8, entity_dim: 8, hidden_dim: 8, ..Default::default() };
+        let compile = || CompiledModel::compile(ds.schema(), &space, &config, None);
+        let run = |epochs, early_stop_patience| TrainConfig {
+            epochs,
+            early_stop_patience,
+            batch_size: 7,
+            ..Default::default()
+        };
+        let continues = |trial: &TrainConfig, last: &TrainConfig| {
+            continue_against_fresh(&compile, &train, &dev, trial, last).is_some()
+        };
+        assert!(continues(&run(2, 0), &run(2, 0)), "equal budgets");
+        assert!(continues(&run(2, 0), &run(4, 0)), "a longer final budget");
+        assert!(!continues(&run(3, 0), &run(2, 0)), "a final budget below the trial's");
+        assert!(continues(&run(2, 0), &run(5, 3)), "patience 0 -> 3");
+        let workers = TrainConfig { grad_workers: 3, ..run(4, 0) };
+        assert!(continues(&run(2, 0), &workers), "grad_workers never change the bits");
+        let learning_rate = TrainConfig { learning_rate: 1e-3, ..run(4, 0) };
+        assert!(!continues(&run(2, 0), &learning_rate), "a different learning rate");
+
+        // With no dev targets every epoch scores 0.0, so only the first
+        // improves and patience p stops a run at epoch p + 1.
+        let mut flat_dev = dev.clone();
+        flat_dev.iter_mut().for_each(|ex| ex.targets.clear());
+        let continued = |trial: &TrainConfig, last: &TrainConfig| {
+            continue_against_fresh(&compile, &train, &flat_dev, trial, last)
+                .map(|report| report.epochs_run)
+        };
+        assert_eq!(continued(&run(4, 0), &run(8, 2)), None, "patience fires before the trial ends");
+        assert_eq!(continued(&run(4, 0), &run(8, 3)), Some(4), "patience fires at its last epoch");
+        assert_eq!(continued(&run(4, 0), &run(8, 4)), Some(5), "patience fires after it");
+        assert_eq!(continued(&run(6, 2), &run(8, 4)), None, "the trial stopped early");
+    }
+
     /// Soft targets, as the label model produces: gold mixed with uniform
     /// (bits pulled toward 1/2); unlabeled sequence rows stay all-zero.
     fn soften(label: ProbLabel) -> ProbLabel {
@@ -560,13 +753,13 @@ mod tests {
                         };
                         let mut oracle_model =
                             CompiledModel::compile(&schema, &space, &config, None);
-                        let oracle_report = train_with(
-                            &mut oracle_model,
-                            &train,
-                            &dev,
-                            &train_config(1),
-                            oracle::example_gradients,
-                        );
+                        let oracle_report =
+                            TrainState::new(&oracle_model, train.len(), &train_config(1)).run_with(
+                                &mut oracle_model,
+                                &train,
+                                &dev,
+                                oracle::example_gradients,
+                            );
                         for workers in [1, 2, 3] {
                             let case = format!("{config:?}, batch {batch_size}, {workers} workers");
                             let mut model = CompiledModel::compile(&schema, &space, &config, None);

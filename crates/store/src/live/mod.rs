@@ -325,7 +325,14 @@ impl LiveStore {
         if state.buffer.len() >= self.config.delta_rows
             || state.buffer_bytes >= self.config.delta_bytes
         {
-            self.flush_locked(&mut state)?;
+            if let Err(e) = self.flush_locked(&mut state) {
+                // The failed flush put the buffer back, this record
+                // included; take it out so `Err` means "not stored" and a
+                // retry cannot store it twice.
+                state.buffer.pop();
+                state.buffer_bytes = RowStore::approx_bytes(state.buffer.iter());
+                return Err(e);
+            }
         }
         Ok(())
     }
@@ -569,9 +576,19 @@ mod tests {
         // The first record fills the delta buffer, so its flush writes a
         // segment into a directory that is gone.
         std::fs::remove_dir_all(&dir).unwrap();
-        let err = live.append_jsonl(format!("{}\n", record(0).to_json()).as_bytes()).unwrap_err();
+        let line = format!("{}\n", record(0).to_json());
+        let err = live.append_jsonl(line.as_bytes()).unwrap_err();
         assert!(matches!(err, StoreError::Io(_)), "{err:?}");
         assert!(err.to_string().contains("line 1"), "{err}");
+        // Refused means not stored: nothing stays buffered, and a retry
+        // once the directory is back stores the record exactly once.
+        assert_eq!(live.pending_rows(), 0);
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(live.append_jsonl(line.as_bytes()).unwrap(), 1);
+        let snap = live.snapshot();
+        assert_eq!(snap.len(), 1);
+        assert_eq!(snap.store().get(0).unwrap(), record(0));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -6,7 +6,10 @@
 use overton::serving::{CanaryConfig, CanaryOutcome};
 use overton::store::StoreError;
 use overton::{Error, OvertonOptions, Project, Run, Stage};
-use overton_model::TrainConfig;
+use overton_model::{
+    prepare_store, pretrain, train_model, AggregationKind, CompiledModel, EmbeddingKind,
+    EncoderKind, PretrainConfig, SearchConfig, TrainConfig, TuningSpec,
+};
 use overton_nlp::{
     generate_workload, generate_workload_sealed, write_two_file_workload, WorkloadConfig,
 };
@@ -240,6 +243,76 @@ fn from_store_matches_from_dataset() {
     let store = quick_run(Project::from_store(ds.seal_shards(3)));
     let dataset = quick_run(Project::from_dataset(&ds));
     assert_runs_identical(&store, &dataset, "from_store vs from_dataset");
+}
+
+/// A searched build: two one-epoch trials, then a three-epoch final train
+/// that continues the winning trial.
+fn searched_options() -> OvertonOptions {
+    OvertonOptions {
+        tuning: Some(TuningSpec {
+            sizes: vec![(24, 32)],
+            encoders: vec![EncoderKind::MeanBag, EncoderKind::Cnn],
+            embeddings: vec![EmbeddingKind::Learned],
+            aggregations: vec![AggregationKind::Mean],
+        }),
+        search: SearchConfig {
+            trials: 2,
+            threads: 2,
+            seed: 0,
+            train: TrainConfig { epochs: 1, early_stop_patience: 0, ..Default::default() },
+        },
+        ..quick_options(3)
+    }
+}
+
+#[test]
+fn searched_run_is_shard_count_invariant_and_matches_a_fresh_train() {
+    let ds = seed9_workload();
+    let options = searched_options();
+    let root = temp_root("searched");
+    let searched = |shards: usize| {
+        Project::from_store(ds.seal_shards(shards))
+            .at(root.join(format!("{shards}-shards")))
+            .with_options(options.clone())
+            .run()
+            .unwrap()
+    };
+    let (one, three) = (searched(1), searched(3));
+    assert_eq!(one.trials().len(), 2);
+    let search_json = |run: &Run| std::fs::read(run.dir().unwrap().join("search.json")).unwrap();
+    assert_eq!(search_json(&one), search_json(&three), "search.json diverges");
+    assert_runs_identical(&one, &three, "searched, 1 vs 3 shards");
+
+    // The final train continued the winning trial; a fresh compile and
+    // train of the chosen config on the same prepared data must land on
+    // the same weights and report.
+    let prepared = prepare_store(&ds.seal_shards(1), &options.combine).unwrap();
+    let chosen = one.chosen_config().unwrap();
+    let mut fresh = CompiledModel::compile(ds.schema(), &prepared.space, chosen, None);
+    let report = train_model(&mut fresh, &prepared.train, &prepared.dev, &options.train);
+    assert_eq!(one.train_report(), Some(&report));
+    let trained = one.artifact().unwrap().instantiate();
+    for id in fresh.params.ids() {
+        let bits = |m: &CompiledModel| -> Vec<u32> {
+            m.params.value(id).as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        assert!(bits(&trained) == bits(&fresh), "{} diverges", fresh.params.name(id));
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn searched_learned_winner_ignores_a_supplied_pretrained_artifact() {
+    // The artifact only initializes `Pretrained` candidates; a run whose
+    // spec has none must still train the `Learned` winner it picked.
+    let corpus = overton_nlp::pretraining_corpus(&overton_nlp::KnowledgeBase::standard(), 150, 3);
+    let options = OvertonOptions {
+        pretrained: Some(pretrain(&corpus, &PretrainConfig { epochs: 1, ..Default::default() })),
+        ..searched_options()
+    };
+    let run = Project::from_dataset(&seed9_workload()).with_options(options).run().unwrap();
+    assert_eq!(run.chosen_config().unwrap().embedding, EmbeddingKind::Learned);
+    assert!(run.is_complete());
 }
 
 #[test]
