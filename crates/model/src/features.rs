@@ -122,7 +122,10 @@ impl CompiledExample {
                 _ => {}
             }
         }
-        let slice_membership = space.slice_names.iter().map(|s| record.in_slice(s)).collect();
+        // `record.slices()` reads the tags in place (`in_slice` formats a
+        // tag per call).
+        let slice_membership =
+            space.slice_names.iter().map(|s| record.slices().any(|r| r == s)).collect();
         Self { record_index: index, sequences, sets, targets: BTreeMap::new(), slice_membership }
     }
 

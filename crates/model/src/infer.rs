@@ -1,36 +1,34 @@
-//! The inference forward: the one tape-free path every prediction runs.
+//! The model plan, and its inference executor.
 //!
-//! Training records an autograd tape ([`overton_tensor::Graph`]) per
-//! optimizer window, stacked the same way, because it needs gradients.
-//! Inference does not, so
-//! [`CompiledModel::predict`] — and through it evaluation, dev selection,
-//! search, distillation and serving — runs an [`InferenceModel`] instead:
-//! the same layers lowered to plain matrix arithmetic, with no tape nodes,
-//! no per-node value storage and no weight copies.
+//! [`CompiledModel::compile`] lowers its layers once into a [`Plan`]: a
+//! fixed list of [`Step`]s, each an [`Op`] that reads some slots and writes
+//! one. A slot is a matrix stacked by rows over a batch — one row per
+//! example, per token of a sequence payload, or per element of a set
+//! payload ([`Rows`]) — with a width fixed at compile time. What mixes rows
+//! within an example (aggregation, span means, per-segment `im2row`, the
+//! LSTM recurrence, attention, pairing each set element with its owner's
+//! shared row) is a step of its own that walks the batch's segment bounds;
+//! every affine layer is one step over the whole stack.
 //!
-//! The forward is batched: [`InferenceModel::predict_batch`] stacks the
-//! rows of every example in a micro-batch (token rows per sequence
-//! payload, one row per example for singletons and the shared
-//! representation, one row per set element) and runs each affine layer
-//! once over the stack, with segment bounds recording which rows belong to
-//! which example. Only what mixes rows within an example — the LSTM
-//! recurrence, attention scores, aggregation and decoding — runs per
-//! segment. A single prediction is a batch of one.
+//! The plan has two executors. Inference ([`Plan::predict_batch`], the one
+//! path every prediction runs — evaluation, dev selection, search,
+//! distillation and serving) lays every slot out in one zeroed `f32` arena
+//! per call and runs the steps in place: GEMMs write straight into their
+//! output slot, and segment steps read stacked rows where they lie, so no
+//! step copies an example out. Training replays the same steps onto an
+//! autograd tape (`Plan::record`, in `network.rs`).
 //!
-//! Every affine layer is an `Affine`: parameter handles only, with the
-//! weights read from the model's [`ParamStore`] at call time. It performs
-//! the tape forward's arithmetic op for op, in f32, and GEMM rows are
-//! independent of each other, so its output is **bit-identical** to
-//! decoding a single-example training tape one example at a time (tested
-//! against the per-example tape kept as the test oracle, over every
+//! Each step performs the tape's arithmetic op for op, in f32, and GEMM
+//! rows are independent of each other, so inference is **bit-identical**
+//! to decoding a single-example training tape one example at a time
+//! (tested against the per-example tape kept as the test oracle, over every
 //! encoder, aggregation and head kind, in mixed batches).
 
 use crate::features::CompiledExample;
-use crate::network::{CompiledModel, Encoder, Head, Prediction, SliceModule, TaskOutput};
+use crate::network::{CompiledModel, Prediction, TaskOutput};
 use crate::AggregationKind;
-use overton_store::PayloadKind;
-use overton_tensor::nn::{Linear, Lstm};
-use overton_tensor::{softmax_in_place, stable_sigmoid, Matrix, ParamId, ParamStore};
+use overton_tensor::nn::{Dropout, Lstm, MultiHeadSelfAttention};
+use overton_tensor::{matmul_into, softmax_in_place, stable_sigmoid, ParamId, ParamStore};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -40,25 +38,126 @@ use std::ops::Range;
 /// size, so memory follows the chunk and not the caller's input.
 pub(crate) const MAX_BATCH: usize = 32;
 
-/// One affine layer `y = x W + b`: handles into the model's [`ParamStore`].
-struct Affine {
-    weight: ParamId,
-    bias: Option<ParamId>,
+/// What a slot's rows stack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rows {
+    /// One row per example.
+    Examples,
+    /// One row per token of sequence payload `Plan::sequences[p]`; an
+    /// absent or empty payload reads as a single PAD token.
+    Tokens(usize),
+    /// One row per element of set payload `Plan::sets[s]`.
+    Elements(usize),
 }
 
-impl Affine {
-    fn forward(&self, ps: &ParamStore, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(ps.value(self.weight));
-        if let Some(bias) = self.bias {
-            y.add_row(ps.value(bias));
-        }
-        y
-    }
+/// A slot's shape over any batch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotDef {
+    pub(crate) rows: Rows,
+    pub(crate) cols: usize,
+}
+
+/// Index of a slot in [`Plan::slots`].
+pub(crate) type Slot = usize;
+
+/// The activation an affine step applies in place.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Act {
+    None,
+    Relu,
+    Tanh,
+}
+
+/// Where training brings an affine step's parameters in: which leaves a
+/// single-example tape would make (see `Graph::param_blocks`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Leaves {
+    /// One leaf per example, over its rows.
+    PerExample,
+    /// One leaf per row: a single-example tape projects each set element
+    /// on its own.
+    PerRow,
+    /// One leaf per example whose sequence payload (the input's rows) is
+    /// present; the placeholder rows of the others are dropped first.
+    Present,
+}
+
+/// One step's operation. Widths come from the slots; inputs are listed
+/// per variant.
+#[derive(Debug)]
+pub(crate) enum Op {
+    /// No inputs: rows of an embedding table, by the batch's token ids
+    /// (`Tokens` rows) or entity ids (`Elements` rows).
+    Gather(ParamId),
+    /// `[x]`: `act(x W + b)`.
+    Affine { weight: ParamId, bias: Option<ParamId>, act: Act, leaves: Leaves },
+    /// `[x]`: the width-`k` sliding-window unfold of each segment, with
+    /// `k / 2` rows of zero padding (`Matrix::im2row`).
+    Im2Row(usize),
+    /// `[x W_x]`: the LSTM recurrence over each segment.
+    Recur(Lstm),
+    /// `[x]`: each segment's rows in reverse order.
+    Reverse,
+    /// `[q, k, v]`: multi-head scaled dot-product attention per segment.
+    Attend(MultiHeadSelfAttention),
+    /// `[a, b]`: the two slots side by side.
+    ConcatCols,
+    /// `[x]`, written in place: dropout masks when training, the identity
+    /// at inference.
+    Dropout(Dropout),
+    /// `parts`: per example, the mean or max over its rows of every part,
+    /// stacked in order.
+    Pool(AggregationKind),
+    /// `parts` (one row per example each): their mean, row by row.
+    Mean,
+    /// `[x]` over the tokens of a set's range payload: the mean of each
+    /// element's span, one row per element of set `Plan::sets[s]`.
+    SpanMeans(usize),
+    /// `[shared, indicator logits.., expert reprs..]`: the slice-based
+    /// re-weighting of the shared representation.
+    SliceMix,
+    /// `[shared, elements]`: each element's row joined after its owner's
+    /// shared row.
+    Pair,
+    /// No inputs: zeros.
+    Zeros,
+}
+
+/// One step of a [`Plan`].
+#[derive(Debug)]
+pub(crate) struct Step {
+    pub(crate) op: Op,
+    pub(crate) inputs: Vec<Slot>,
+    pub(crate) out: Slot,
+}
+
+/// A task head's logits slot and how it decodes.
+#[derive(Debug)]
+pub(crate) struct HeadOut {
+    pub(crate) task: String,
+    pub(crate) decode: Decode,
+    pub(crate) logits: Slot,
+}
+
+/// A [`CompiledModel`]'s layers lowered once into steps over slots. Every
+/// step writes a slot created after its inputs' (dropout alone writes its
+/// input in place), so the steps are already in execution order.
+#[derive(Debug, Default)]
+pub(crate) struct Plan {
+    /// Sequence payload names, by [`Rows::Tokens`] index.
+    pub(crate) sequences: Vec<String>,
+    /// Set payload names, by [`Rows::Elements`] index.
+    pub(crate) sets: Vec<String>,
+    pub(crate) slots: Vec<SlotDef>,
+    pub(crate) steps: Vec<Step>,
+    /// Task heads, in task order.
+    pub(crate) heads: Vec<HeadOut>,
+    /// Per slice, the indicator's `[non-member, member]` logits.
+    pub(crate) indicators: Vec<Slot>,
 }
 
 /// Row bounds of a row-stacked batch: example `b` owns rows
-/// `starts[b]..starts[b + 1]` of every matrix stacked over these bounds.
-/// Inference and the training tape stack the same way.
+/// `starts[b]..starts[b + 1]` of every slot stacked over these bounds.
 pub(crate) struct Segments {
     starts: Vec<usize>,
 }
@@ -75,11 +174,6 @@ impl Segments {
     /// Example `b`'s rows.
     pub(crate) fn range(&self, b: usize) -> Range<usize> {
         self.starts[b]..self.starts[b + 1]
-    }
-
-    /// Number of examples.
-    pub(crate) fn len(&self) -> usize {
-        self.starts.len() - 1
     }
 
     pub(crate) fn iter(&self) -> impl Iterator<Item = Range<usize>> + '_ {
@@ -109,246 +203,99 @@ impl Segments {
     pub(crate) fn owners(&self) -> Vec<usize> {
         self.iter().enumerate().flat_map(|(b, rows)| std::iter::repeat_n(b, rows.len())).collect()
     }
+}
 
-    /// `m` with each segment's rows reversed in place (the backward LSTM
-    /// direction, per example).
-    pub(crate) fn reverse_rows(&self, m: &Matrix) -> Matrix {
-        m.select_rows(&self.iter().flat_map(Iterator::rev).collect::<Vec<_>>())
-    }
+/// Each example's items of one payload, and their bounds when stacked.
+pub(crate) struct Stack<'e, T> {
+    pub(crate) items: Vec<&'e [T]>,
+    segs: Segments,
+}
 
-    /// Example `b`'s rows of `m`.
-    pub(crate) fn rows(&self, m: &Matrix, b: usize) -> Matrix {
-        m.select_rows(&self.range(b).collect::<Vec<_>>())
-    }
-
-    /// [`Matrix::im2row`] per segment, stacked: windows never reach across
-    /// an example boundary.
-    pub(crate) fn im2row(&self, m: &Matrix, k: usize) -> Matrix {
-        let parts: Vec<Matrix> =
-            (0..self.len()).map(|b| self.rows(m, b).im2row(k, k / 2)).collect();
-        Matrix::concat_rows(&parts)
+impl<'e, T> Stack<'e, T> {
+    fn new(items: Vec<&'e [T]>) -> Self {
+        let segs = Segments::from_lens(items.iter().map(|items| items.len()));
+        Self { items, segs }
     }
 }
 
-/// Each example's token ids for the sequence payload `name`; an absent or
-/// empty payload reads as a single PAD token.
-pub(crate) fn token_ids<'e>(
-    examples: impl IntoIterator<Item = &'e CompiledExample>,
-    name: &str,
-) -> Vec<&'e [usize]> {
-    examples
-        .into_iter()
-        .map(|ex| match ex.sequences.get(name) {
-            Some(ids) if !ids.is_empty() => ids.as_slice(),
-            _ => &[overton_nlp::PAD],
-        })
-        .collect()
+/// A batch's inputs and the segments of every row space a plan stacks.
+pub(crate) struct Batch<'e> {
+    unit: Segments,
+    /// Per sequence payload: each example's token ids.
+    tokens: Vec<Stack<'e, usize>>,
+    /// Per set payload: each example's `(entity id, span)` elements.
+    pub(crate) elements: Vec<Stack<'e, (usize, (usize, usize))>>,
 }
 
-/// Each example's elements of the set payload `name` (none if absent).
-pub(crate) fn set_elements<'e>(
-    examples: impl IntoIterator<Item = &'e CompiledExample>,
-    name: &str,
-) -> Vec<&'e [(usize, (usize, usize))]> {
-    examples.into_iter().map(|ex| ex.sets.get(name).map_or(&[][..], Vec::as_slice)).collect()
-}
-
-/// One LSTM direction. The gate bias is added after the two projections
-/// (not folded into either), which is the tape's order.
-struct InferLstm {
-    wx: Affine,
-    wh: Affine,
-    bias: ParamId,
-    hidden: usize,
-}
-
-impl InferLstm {
-    /// Runs the recurrence over each segment of the stacked `rows x in_dim`
-    /// input, returning `rows x hidden`. The input projection runs once over
-    /// the whole stack; the recurrence steps through one segment at a time.
-    fn forward(&self, ps: &ParamStore, xs: &Matrix, segs: &Segments) -> Matrix {
-        let h = self.hidden;
-        let bias = ps.value(self.bias).row(0);
-        let xw_all = self.wx.forward(ps, xs);
-        let mut out = Matrix::zeros(xs.rows(), h);
-        for seg in segs.iter() {
-            assert!(!seg.is_empty(), "LSTM over an empty sequence");
-            let mut h_prev = Matrix::zeros(1, h);
-            let mut c_prev = vec![0.0f32; h];
-            for t in seg {
-                // pre = (x_t W_x + h_{t-1} W_h) + b, gate order [i, f, c, o].
-                let mut pre = self.wh.forward(ps, &h_prev);
-                for ((p, &xw), &b) in pre.as_mut_slice().iter_mut().zip(xw_all.row(t)).zip(bias) {
-                    *p = (xw + *p) + b;
-                }
-                let pre = pre.as_slice();
-                let h_t = out.row_mut(t);
-                for j in 0..h {
-                    let i_gate = stable_sigmoid(pre[j]);
-                    let f_gate = stable_sigmoid(pre[h + j]);
-                    let c_cand = pre[2 * h + j].tanh();
-                    let o_gate = stable_sigmoid(pre[3 * h + j]);
-                    let c = f_gate * c_prev[j] + i_gate * c_cand;
-                    c_prev[j] = c;
-                    h_t[j] = o_gate * c.tanh();
-                }
-                h_prev.row_mut(0).copy_from_slice(h_t);
-            }
-        }
-        out
-    }
-}
-
-/// A sequence encoder, mirroring [`Encoder`].
-enum InferEncoder {
-    MeanBag(Affine),
-    Cnn { conv: Affine, kernel: usize },
-    Lstm(InferLstm),
-    BiLstm { fwd: InferLstm, bwd: InferLstm },
-    Attention { input_proj: Affine, wq: Affine, wk: Affine, wv: Affine, wo: Affine, heads: usize },
-}
-
-impl InferEncoder {
-    /// Encodes the row-stacked embeddings of a batch: every affine layer
-    /// runs once over the stack; only what mixes positions (the LSTM
-    /// recurrence, the attention scores) runs per segment.
-    fn forward(&self, ps: &ParamStore, embedded: &Matrix, segs: &Segments) -> Matrix {
-        match self {
-            InferEncoder::MeanBag(proj) => relu(proj.forward(ps, embedded)),
-            InferEncoder::Cnn { conv, kernel } => {
-                relu(conv.forward(ps, &segs.im2row(embedded, *kernel)))
-            }
-            InferEncoder::Lstm(lstm) => lstm.forward(ps, embedded, segs),
-            InferEncoder::BiLstm { fwd, bwd } => {
-                let b_rev = bwd.forward(ps, &segs.reverse_rows(embedded), segs);
-                Matrix::concat_cols([&fwd.forward(ps, embedded, segs), &segs.reverse_rows(&b_rev)])
-            }
-            InferEncoder::Attention { input_proj, wq, wk, wv, wo, heads } => {
-                let x = tanh(input_proj.forward(ps, embedded));
-                let (q, k, v) = (wq.forward(ps, &x), wk.forward(ps, &x), wv.forward(ps, &x));
-                let head_dim = q.cols() / heads;
-                let scale = 1.0 / (head_dim as f32).sqrt();
-                let attended: Vec<Matrix> = (0..segs.len())
-                    .map(|b| {
-                        let (q, k, v) = (segs.rows(&q, b), segs.rows(&k, b), segs.rows(&v, b));
-                        let outputs: Vec<Matrix> = (0..*heads)
-                            .map(|h| {
-                                let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
-                                // The tape's order: an explicit transpose, then the scale.
-                                let mut scores =
-                                    q.slice_cols(lo, hi).matmul(&k.slice_cols(lo, hi).transpose());
-                                scores.map_inplace(|s| s * scale);
-                                for r in 0..scores.rows() {
-                                    softmax_in_place(scores.row_mut(r));
-                                }
-                                scores.matmul(&v.slice_cols(lo, hi))
-                            })
-                            .collect();
-                        Matrix::concat_cols(&outputs)
+impl<'e> Batch<'e> {
+    pub(crate) fn new<I>(plan: &Plan, examples: I) -> Self
+    where
+        I: Iterator<Item = &'e CompiledExample> + Clone,
+    {
+        let tokens = plan.sequences.iter().map(|name| {
+            Stack::new(
+                (examples.clone())
+                    .map(|ex| match ex.sequences.get(name) {
+                        Some(ids) if !ids.is_empty() => ids.as_slice(),
+                        _ => &[overton_nlp::PAD],
                     })
-                    .collect();
-                wo.forward(ps, &Matrix::concat_rows(&attended))
+                    .collect(),
+            )
+        });
+        let elements = plan.sets.iter().map(|name| {
+            Stack::new(
+                (examples.clone())
+                    .map(|ex| ex.sets.get(name).map_or(&[][..], Vec::as_slice))
+                    .collect(),
+            )
+        });
+        Self {
+            unit: Segments::from_lens(examples.clone().map(|_| 1)),
+            tokens: tokens.collect(),
+            elements: elements.collect(),
+        }
+    }
+
+    /// The bounds of a row space.
+    pub(crate) fn segs(&self, rows: Rows) -> &Segments {
+        match rows {
+            Rows::Examples => &self.unit,
+            Rows::Tokens(p) => &self.tokens[p].segs,
+            Rows::Elements(s) => &self.elements[s].segs,
+        }
+    }
+
+    /// The ids a gather over `rows` looks up, in row order.
+    pub(crate) fn ids(&self, rows: Rows) -> Vec<usize> {
+        match rows {
+            Rows::Tokens(p) => self.tokens[p].items.concat(),
+            Rows::Elements(s) => {
+                self.elements[s].items.iter().flat_map(|els| els.iter().map(|e| e.0)).collect()
             }
+            Rows::Examples => unreachable!("gathers stack tokens or elements"),
         }
     }
 }
 
-/// A task head, mirroring [`Head`].
-enum InferHead {
-    PerElement { payload: String, linear: Affine },
-    Single(Affine),
-    Select { payload: String, combine: Affine, score: Affine },
-}
-
-/// A [`CompiledModel`]'s layers lowered for tape-free inference. Everything
-/// else the forward needs (schema, payload order, embedding tables, LSTM
-/// biases) it reads from the model it is run with.
-pub(crate) struct InferenceModel {
-    encoders: Vec<(String, InferEncoder)>,
-    set_proj: Affine,
-    heads: Vec<(String, InferHead, Decode)>,
-    /// `(indicator, expert)` per slice; empty without slice heads.
-    slices: Vec<(Affine, Affine)>,
-}
-
-impl InferenceModel {
-    /// Lowers the layers to parameter handles; nothing is copied.
-    pub(crate) fn lower(
-        encoders: &BTreeMap<String, Encoder>,
-        set_proj: &Linear,
-        heads: &BTreeMap<String, Head>,
-        slices: Option<&SliceModule>,
-    ) -> Self {
-        let linear = |l: &Linear| Affine { weight: l.weight_id(), bias: l.bias_id() };
-        let lstm = |l: &Lstm| InferLstm {
-            wx: Affine { weight: l.wx_id(), bias: None },
-            wh: Affine { weight: l.wh_id(), bias: None },
-            bias: l.bias_id(),
-            hidden: l.hidden(),
-        };
-        let encoders = encoders
-            .iter()
-            .map(|(name, encoder)| {
-                let lowered = match encoder {
-                    Encoder::MeanBag(proj) => InferEncoder::MeanBag(linear(proj)),
-                    Encoder::Cnn(conv) => InferEncoder::Cnn {
-                        conv: Affine { weight: conv.weight_id(), bias: Some(conv.bias_id()) },
-                        kernel: conv.kernel(),
-                    },
-                    Encoder::Lstm(l) => InferEncoder::Lstm(lstm(l)),
-                    Encoder::BiLstm(bi) => {
-                        InferEncoder::BiLstm { fwd: lstm(bi.fwd()), bwd: lstm(bi.bwd()) }
-                    }
-                    Encoder::Attention { input_proj, attention } => InferEncoder::Attention {
-                        input_proj: linear(input_proj),
-                        wq: linear(attention.wq()),
-                        wk: linear(attention.wk()),
-                        wv: linear(attention.wv()),
-                        wo: linear(attention.wo()),
-                        heads: attention.heads(),
-                    },
-                };
-                (name.clone(), lowered)
-            })
-            .collect();
-        let heads = heads
-            .iter()
-            .map(|(task, head)| {
-                let lowered = match head {
-                    Head::PerElement { payload, linear: l, .. } => {
-                        InferHead::PerElement { payload: payload.clone(), linear: linear(l) }
-                    }
-                    Head::Single { linear: l, .. } => InferHead::Single(linear(l)),
-                    Head::Select { payload, combine, score } => InferHead::Select {
-                        payload: payload.clone(),
-                        combine: linear(combine),
-                        score: linear(score),
-                    },
-                };
-                (task.clone(), lowered, head.decode())
-            })
-            .collect();
-        let slices = slices.map_or_else(Vec::new, |s| {
-            s.indicators.iter().zip(&s.experts).map(|(i, e)| (linear(i), linear(e))).collect()
-        });
-        Self { encoders, set_proj: linear(set_proj), heads, slices }
+impl Plan {
+    /// Whether `example` carries sequence payload `p` (else it reads as
+    /// one placeholder PAD row, which has no per-element head output).
+    pub(crate) fn present(&self, p: usize, example: &CompiledExample) -> bool {
+        example.sequences.get(&self.sequences[p]).is_some_and(|ids| !ids.is_empty())
     }
 
-    /// [`InferenceModel::predict_batch`] over a batch of one.
-    pub(crate) fn predict(&self, model: &CompiledModel, example: &CompiledExample) -> Prediction {
-        self.predict_batch(model, std::slice::from_ref(example)).pop().expect("one prediction")
-    }
-
-    /// Runs the forward over a batch and decodes every task output, in
-    /// input order (dropout is off, as in any inference pass). `model` must
-    /// be the model this was lowered from: its store supplies the weights.
+    /// Runs the plan over a batch and decodes every task output, in input
+    /// order (dropout is off, as in any inference pass). `model` must be
+    /// the model this plan was lowered from: its store supplies the
+    /// weights, read in place.
     ///
-    /// The batch's rows are stacked, so every affine layer runs once per
-    /// batch. A row's result does not depend on which rows share the
-    /// product (see `overton_tensor::kernels`), so each prediction is
-    /// bit-identical to running its example alone. Memory grows with the
-    /// batch; [`CompiledModel::predict_batch`] and
-    /// [`crate::Server::predict_batch`] chunk their input to 32 examples.
+    /// Every slot of the batch lives in one zeroed arena, allocated here
+    /// and dropped on return, so no state survives from one call to the
+    /// next. A row's result does not depend on which rows share a product
+    /// (see `overton_tensor::kernels`), so each prediction is bit-identical
+    /// to running its example alone. The arena grows with the batch;
+    /// [`CompiledModel::predict_batch`] and [`crate::Server::predict_batch`]
+    /// chunk their input to 32 examples.
     pub(crate) fn predict_batch(
         &self,
         model: &CompiledModel,
@@ -357,179 +304,275 @@ impl InferenceModel {
         if examples.is_empty() {
             return Vec::new();
         }
-        let ps = &model.params;
-        let schema = model.schema();
-        let (n, hidden) = (examples.len(), model.hidden);
-
-        // 1. Encode every sequence payload over the stacked token rows; an
-        //    absent or empty payload reads as a single PAD token.
-        let tokens = ps.value(model.token_embedding.table());
-        let mut seq_enc: BTreeMap<&str, (Matrix, Segments)> = BTreeMap::new();
-        for (name, encoder) in &self.encoders {
-            let ids = token_ids(examples, name);
-            let segs = Segments::from_lens(ids.iter().map(|ids| ids.len()));
-            let encoded = encoder.forward(ps, &tokens.select_rows(&ids.concat()), &segs);
-            seq_enc.insert(name.as_str(), (encoded, segs));
+        let batch = Batch::new(self, examples.iter());
+        let mut offsets = Vec::with_capacity(self.slots.len() + 1);
+        offsets.push(0);
+        for slot in &self.slots {
+            offsets.push(offsets[offsets.len() - 1] + batch.segs(slot.rows).total() * slot.cols);
         }
+        let mut arena = vec![0.0f32; offsets[self.slots.len()]];
+        for step in &self.steps {
+            // Dropout is the identity here, and zeros are already there.
+            if matches!(step.op, Op::Dropout(_) | Op::Zeros) {
+                continue;
+            }
+            // Every input slot lies before the output's.
+            let (done, rest) = arena.split_at_mut(offsets[step.out]);
+            let (done, out): (&[f32], _) =
+                (done, &mut rest[..offsets[step.out + 1] - offsets[step.out]]);
+            let input = |i: usize| &done[offsets[step.inputs[i]]..offsets[step.inputs[i] + 1]];
+            self.run(step, &model.params, &batch, input, out);
+        }
+        let slot = |s: Slot| &arena[offsets[s]..offsets[s + 1]];
+        let decoded = examples.iter().enumerate().map(|(b, example)| {
+            let heads = self.heads.iter().filter_map(|head| {
+                let SlotDef { rows, cols } = self.slots[head.logits];
+                let range = match rows {
+                    Rows::Tokens(p) => {
+                        Some(batch.segs(rows).range(b)).filter(|_| self.present(p, example))
+                    }
+                    Rows::Examples => Some(b..b + 1),
+                    Rows::Elements(_) => Some(batch.segs(rows).range(b)).filter(|r| !r.is_empty()),
+                }?;
+                Some((
+                    &head.task,
+                    head.decode,
+                    &slot(head.logits)[range.start * cols..range.end * cols],
+                    cols,
+                ))
+            });
+            decode(heads, self.indicators.iter().map(|&s| &slot(s)[2 * b..2 * b + 2]))
+        });
+        decoded.collect()
+    }
 
-        // 2. Singleton payloads aggregate their bases, in dependency order,
-        //    into one `n x hidden` matrix each.
-        let mut single_repr: BTreeMap<&str, Matrix> = BTreeMap::new();
-        for name in &model.singleton_order {
-            let mut repr = Matrix::zeros(n, hidden);
-            for b in 0..n {
-                let parts: Vec<Matrix> = schema.payloads[name]
-                    .base
-                    .iter()
-                    .filter_map(|base| match seq_enc.get(base.as_str()) {
-                        Some((enc, segs)) => Some(segs.rows(enc, b)),
-                        None => single_repr.get(base.as_str()).map(|r| r.select_rows(&[b])),
-                    })
-                    .collect();
-                if parts.is_empty() {
-                    continue;
+    /// Runs one step: reads `input(i)`, the slots of `step.inputs`, and
+    /// writes `out`, its zeroed output slot.
+    fn run<'a>(
+        &self,
+        step: &Step,
+        ps: &ParamStore,
+        batch: &Batch,
+        input: impl Fn(usize) -> &'a [f32],
+        out: &mut [f32],
+    ) {
+        let SlotDef { rows, cols } = self.slots[step.out];
+        let in_cols = |i: usize| self.slots[step.inputs[i]].cols;
+        let segs = batch.segs(rows);
+        match &step.op {
+            Op::Gather(table) => {
+                let table = ps.value(*table);
+                for (row, id) in out.chunks_exact_mut(cols).zip(batch.ids(rows)) {
+                    row.copy_from_slice(table.row(id));
                 }
-                let stacked = Matrix::concat_rows(&parts);
-                let aggregated = match model.config().aggregation {
-                    AggregationKind::Mean => stacked.mean_rows(),
-                    AggregationKind::Max => stacked.max_rows().0,
-                };
-                repr.row_mut(b).copy_from_slice(aggregated.row(0));
             }
-            single_repr.insert(name.as_str(), repr);
+            Op::Affine { weight, bias, act, .. } => {
+                let (x, weight) = (input(0), ps.value(*weight).as_slice());
+                matmul_into(segs.total(), in_cols(0), cols, x, weight, out);
+                let bias = bias.map(|b| ps.value(b).as_slice());
+                for row in out.chunks_exact_mut(cols) {
+                    if let Some(bias) = bias {
+                        row.iter_mut().zip(bias).for_each(|(y, &b)| *y += b);
+                    }
+                    match act {
+                        Act::None => {}
+                        Act::Relu => row.iter_mut().for_each(|y| *y = y.max(0.0)),
+                        Act::Tanh => row.iter_mut().for_each(|y| *y = y.tanh()),
+                    }
+                }
+            }
+            Op::Im2Row(k) => {
+                let (x, d, pad) = (input(0), in_cols(0), k / 2);
+                for seg in segs.iter() {
+                    for t in seg.clone() {
+                        for o in 0..*k {
+                            // Source row `t + o - pad`, if it lies in the segment.
+                            let src = t + o;
+                            if src >= seg.start + pad && src - pad < seg.end {
+                                let src = src - pad;
+                                out[t * cols + o * d..t * cols + (o + 1) * d]
+                                    .copy_from_slice(&x[src * d..(src + 1) * d]);
+                            }
+                        }
+                    }
+                }
+            }
+            Op::Recur(lstm) => {
+                let (xw, h) = (input(0), lstm.hidden());
+                let (wh, bias) =
+                    (ps.value(lstm.wh_id()).as_slice(), ps.value(lstm.bias_id()).row(0));
+                let (mut pre, zeros, mut c) =
+                    (vec![0.0f32; 4 * h], vec![0.0f32; h], vec![0.0f32; h]);
+                for seg in segs.iter() {
+                    assert!(!seg.is_empty(), "LSTM over an empty sequence");
+                    c.fill(0.0);
+                    for t in seg.clone() {
+                        let (done, rest) = out.split_at_mut(t * h);
+                        let h_prev = if t == seg.start { &zeros[..] } else { &done[(t - 1) * h..] };
+                        // pre = (x_t W_x + h_{t-1} W_h) + b, gate order [i, f, c, o].
+                        pre.fill(0.0);
+                        matmul_into(1, h, 4 * h, h_prev, wh, &mut pre);
+                        for ((p, &x), &b) in pre.iter_mut().zip(&xw[t * 4 * h..]).zip(bias) {
+                            *p = (x + *p) + b;
+                        }
+                        for (j, h_t) in rest[..h].iter_mut().enumerate() {
+                            let i_gate = stable_sigmoid(pre[j]);
+                            let f_gate = stable_sigmoid(pre[h + j]);
+                            let c_cand = pre[2 * h + j].tanh();
+                            let o_gate = stable_sigmoid(pre[3 * h + j]);
+                            c[j] = f_gate * c[j] + i_gate * c_cand;
+                            *h_t = o_gate * c[j].tanh();
+                        }
+                    }
+                }
+            }
+            Op::Reverse => {
+                let x = input(0);
+                for seg in segs.iter() {
+                    for (t, src) in seg.clone().zip(seg.clone().rev()) {
+                        out[t * cols..(t + 1) * cols]
+                            .copy_from_slice(&x[src * cols..(src + 1) * cols]);
+                    }
+                }
+            }
+            Op::Attend(attention) => {
+                let (q, k, v) = (input(0), input(1), input(2));
+                let head_dim = cols / attention.heads();
+                let scale = 1.0 / (head_dim as f32).sqrt();
+                let [mut qh, mut kt, mut vh, mut scores, mut head]: [Vec<f32>; 5] =
+                    Default::default();
+                for seg in segs.iter() {
+                    let t = seg.len();
+                    for lo in (0..cols).step_by(head_dim) {
+                        let band =
+                            |m: &'a [f32], r: usize| &m[r * cols + lo..r * cols + lo + head_dim];
+                        qh.clear();
+                        vh.clear();
+                        kt.clear();
+                        for r in seg.clone() {
+                            qh.extend_from_slice(band(q, r));
+                            vh.extend_from_slice(band(v, r));
+                        }
+                        // The tape's order: an explicit transpose, then the scale.
+                        for c in lo..lo + head_dim {
+                            kt.extend(seg.clone().map(|r| k[r * cols + c]));
+                        }
+                        scores.clear();
+                        head.clear();
+                        scores.resize(t * t, 0.0);
+                        head.resize(t * head_dim, 0.0);
+                        matmul_into(t, head_dim, t, &qh, &kt, &mut scores);
+                        scores.iter_mut().for_each(|s| *s *= scale);
+                        scores.chunks_exact_mut(t).for_each(softmax_in_place);
+                        matmul_into(t, t, head_dim, &scores, &vh, &mut head);
+                        for (r, row) in seg.clone().zip(head.chunks_exact(head_dim)) {
+                            out[r * cols + lo..r * cols + lo + head_dim].copy_from_slice(row);
+                        }
+                    }
+                }
+            }
+            Op::ConcatCols => {
+                let (a, b, split) = (input(0), input(1), in_cols(0));
+                for (r, row) in out.chunks_exact_mut(cols).enumerate() {
+                    row[..split].copy_from_slice(&a[r * split..(r + 1) * split]);
+                    row[split..].copy_from_slice(&b[r * (cols - split)..(r + 1) * (cols - split)]);
+                }
+            }
+            Op::Pool(kind) => self.pool(*kind, step, batch, input, out),
+            Op::Mean => self.pool(AggregationKind::Mean, step, batch, input, out),
+            Op::SpanMeans(s) => {
+                let x = input(0);
+                let enc = batch.segs(self.slots[step.inputs[0]].rows);
+                let spans = batch.elements[*s]
+                    .items
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(b, els)| els.iter().map(move |&(_, span)| enc.span(b, span)));
+                for (row, span) in out.chunks_exact_mut(cols).zip(spans) {
+                    mean_into(row, span.clone().map(|r| &x[r * cols..(r + 1) * cols]), span.len());
+                }
+            }
+            Op::SliceMix => {
+                let slices = (step.inputs.len() - 1) / 2;
+                let mut weights = vec![0.0f32; slices + 1];
+                for (b, mixed) in out.chunks_exact_mut(cols).enumerate() {
+                    for (i, w) in weights[1..].iter_mut().enumerate() {
+                        let logits = &input(1 + i)[2 * b..2 * b + 2];
+                        *w = logits[1] - logits[0];
+                    }
+                    weights[0] = 0.0;
+                    softmax_in_place(&mut weights);
+                    // The tape's order: start from repr_0 * w_0, then add each term.
+                    for (i, &w) in weights.iter().enumerate() {
+                        let repr = if i == 0 { input(0) } else { input(1 + slices + i - 1) };
+                        for (o, &x) in mixed.iter_mut().zip(&repr[b * cols..(b + 1) * cols]) {
+                            *o = if i == 0 { x * w } else { *o + x * w };
+                        }
+                    }
+                }
+            }
+            Op::Pair => {
+                let (shared, elements, split) = (input(0), input(1), in_cols(0));
+                for (b, seg) in segs.iter().enumerate() {
+                    for r in seg {
+                        let row = &mut out[r * cols..(r + 1) * cols];
+                        row[..split].copy_from_slice(&shared[b * split..(b + 1) * split]);
+                        row[split..].copy_from_slice(
+                            &elements[r * (cols - split)..(r + 1) * (cols - split)],
+                        );
+                    }
+                }
+            }
+            Op::Dropout(_) | Op::Zeros => {}
         }
+    }
 
-        // 3. Shared example-level representation: mean of singleton reprs
-        //    (or of pooled sequence encodings when none exist).
-        let mut shared = Matrix::zeros(n, hidden);
-        for b in 0..n {
-            let parts: Vec<Matrix> = if !single_repr.is_empty() {
-                single_repr.values().map(|repr| repr.select_rows(&[b])).collect()
-            } else {
-                seq_enc.values().map(|(enc, segs)| segs.rows(enc, b).mean_rows()).collect()
+    /// [`Op::Pool`]: per example, the mean or max over its rows of every
+    /// input, as one stacked `Matrix::mean_rows` / `max_rows` would.
+    fn pool<'a>(
+        &self,
+        kind: AggregationKind,
+        step: &Step,
+        batch: &Batch,
+        input: impl Fn(usize) -> &'a [f32],
+        out: &mut [f32],
+    ) {
+        let (cols, input) = (self.slots[step.out].cols, &input);
+        for (b, pooled) in out.chunks_exact_mut(cols).enumerate() {
+            let rows = || {
+                step.inputs.iter().enumerate().flat_map(move |(i, &s)| {
+                    let x = input(i);
+                    batch
+                        .segs(self.slots[s].rows)
+                        .range(b)
+                        .map(move |r| &x[r * cols..(r + 1) * cols])
+                })
             };
-            if !parts.is_empty() {
-                shared.row_mut(b).copy_from_slice(Matrix::concat_rows(&parts).mean_rows().row(0));
-            }
-        }
-
-        // 4. Slice-based re-weighting of the shared representation.
-        let indicator_logits: Vec<Matrix> =
-            self.slices.iter().map(|(indicator, _)| indicator.forward(ps, &shared)).collect();
-        if !self.slices.is_empty() {
-            let experts: Vec<Matrix> =
-                self.slices.iter().map(|(_, expert)| relu(expert.forward(ps, &shared))).collect();
-            for b in 0..n {
-                let mut weights = vec![0.0f32];
-                weights.extend(indicator_logits.iter().map(|l| l[(b, 1)] - l[(b, 0)]));
-                softmax_in_place(&mut weights);
-                // The tape's order: start from repr_0 * w_0, then add each term.
-                let mixed = shared.row_mut(b);
-                mixed.iter_mut().for_each(|x| *x *= weights[0]);
-                for (w, expert) in weights[1..].iter().zip(&experts) {
-                    for (o, &x) in mixed.iter_mut().zip(expert.row(b)) {
-                        *o += x * w;
+            match kind {
+                AggregationKind::Mean => mean_into(pooled, rows(), rows().count()),
+                AggregationKind::Max => {
+                    pooled.fill(f32::NEG_INFINITY);
+                    for row in rows() {
+                        for (o, &x) in pooled.iter_mut().zip(row) {
+                            if x > *o {
+                                *o = x;
+                            }
+                        }
                     }
                 }
             }
         }
-
-        // 5. Set payloads: one row per element of the whole batch, entity
-        //    embedding joined with the mean encoding of its span in the
-        //    range payload, through one projection.
-        let entities = ps.value(model.entity_embedding.table());
-        let entity_dim = entities.cols();
-        let mut set_repr: BTreeMap<&str, (Matrix, Segments)> = BTreeMap::new();
-        for (name, def) in &schema.payloads {
-            if !matches!(def.kind, PayloadKind::Set) {
-                continue;
-            }
-            let sets = set_elements(examples, name);
-            let segs = Segments::from_lens(sets.iter().map(|els| els.len()));
-            if segs.total() == 0 {
-                continue;
-            }
-            let range_enc = def.range.as_deref().and_then(|r| seq_enc.get(r));
-            let mut joined = Matrix::zeros(segs.total(), entity_dim + hidden);
-            for (b, elements) in sets.iter().enumerate() {
-                for (row, &(entity_id, span)) in segs.range(b).zip(elements.iter()) {
-                    let row = joined.row_mut(row);
-                    row[..entity_dim].copy_from_slice(entities.row(entity_id));
-                    let Some((enc, enc_segs)) = range_enc else { continue };
-                    let span = enc.select_rows(&enc_segs.span(b, span).collect::<Vec<_>>());
-                    row[entity_dim..].copy_from_slice(span.mean_rows().row(0));
-                }
-            }
-            set_repr.insert(name.as_str(), (tanh(self.set_proj.forward(ps, &joined)), segs));
-        }
-
-        // 6. Task heads over the whole batch.
-        let mut task_logits = Vec::with_capacity(self.heads.len());
-        for (task, head, kind) in &self.heads {
-            let (logits, rows) = match head {
-                InferHead::PerElement { payload, linear } => {
-                    let Some((enc, segs)) = seq_enc.get(payload.as_str()) else { continue };
-                    // Skip placeholder-only sequences (payload absent).
-                    let rows = examples
-                        .iter()
-                        .enumerate()
-                        .map(|(b, ex)| {
-                            let present =
-                                ex.sequences.get(payload).is_some_and(|ids| !ids.is_empty());
-                            present.then(|| segs.range(b))
-                        })
-                        .collect();
-                    (linear.forward(ps, enc), rows)
-                }
-                InferHead::Single(linear) => {
-                    (linear.forward(ps, &shared), (0..n).map(|b| Some(b..b + 1)).collect())
-                }
-                InferHead::Select { payload, combine, score } => {
-                    let Some((elements, segs)) = set_repr.get(payload.as_str()) else { continue };
-                    // Pair each element with its example's shared repr, score each pair.
-                    let context = shared.select_rows(&segs.owners());
-                    let activated =
-                        tanh(combine.forward(ps, &Matrix::concat_cols([&context, elements])));
-                    let rows = segs.iter().map(|r| Some(r).filter(|r| !r.is_empty())).collect();
-                    (score.forward(ps, &activated), rows) // [elements, 1]
-                }
-            };
-            task_logits.push(HeadLogits { task, kind: *kind, logits, rows });
-        }
-
-        (0..n)
-            .map(|b| {
-                decode(
-                    task_logits.iter().filter_map(|head| {
-                        let rows = head.rows[b].as_ref()?;
-                        let width = head.logits.cols();
-                        let values = &head.logits.as_slice()[rows.start * width..rows.end * width];
-                        Some((head.task, head.kind, values, width))
-                    }),
-                    indicator_logits.iter().map(|l| l.row(b)),
-                )
-            })
-            .collect()
     }
 }
 
-/// One head's logits over a batch.
-struct HeadLogits<'a> {
-    task: &'a String,
-    kind: Decode,
-    logits: Matrix,
-    /// The logit rows each example owns (`None`: no output for it).
-    rows: Vec<Option<Range<usize>>>,
-}
-
-fn relu(mut m: Matrix) -> Matrix {
-    m.map_inplace(|x| x.max(0.0));
-    m
-}
-
-fn tanh(mut m: Matrix) -> Matrix {
-    m.map_inplace(f32::tanh);
-    m
+/// Adds the mean of `len` rows into the zeroed `out`, as
+/// `Matrix::mean_rows` sums them: each row times `1 / len`, in order.
+fn mean_into<'a>(out: &mut [f32], rows: impl Iterator<Item = &'a [f32]>, len: usize) {
+    assert!(len > 0, "mean over no rows");
+    let inv = 1.0 / len as f32;
+    for row in rows {
+        out.iter_mut().zip(row).for_each(|(o, &x)| *o += x * inv);
+    }
 }
 
 /// How a head's raw logits decode into a [`TaskOutput`].
@@ -544,6 +587,8 @@ pub(crate) enum Decode {
 }
 
 /// Index of the largest value (first on ties), as [`Matrix::row_argmax`].
+///
+/// [`Matrix::row_argmax`]: overton_tensor::Matrix::row_argmax
 pub(crate) fn argmax(xs: &[f32]) -> usize {
     let mut best = 0;
     for (i, &x) in xs.iter().enumerate() {
@@ -689,5 +734,45 @@ mod tests {
             }
         }
         assert_eq!(outputs.len(), 5, "every head kind must be decoded");
+    }
+
+    /// One model over a run of batches of different sizes and contents:
+    /// every answer must be the bits of its example predicted alone, so no
+    /// slot can carry state from an earlier batch or a larger one.
+    #[test]
+    fn slot_reuse_cannot_leak_state() {
+        let ds = generate_workload(&WorkloadConfig {
+            n_train: 60,
+            n_dev: 15,
+            n_test: 70,
+            seed: 5,
+            slice_rate: 0.3,
+            ..Default::default()
+        });
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
+        let schema = oracle::every_branch_schema();
+        let exs = oracle::every_branch_examples(&ds, &ds.test_indices(), &space, &schema);
+        // An absent `tokens` payload, an empty entity set, and two elements
+        // whose spans overlap, side by side.
+        let mut absent = exs[0].clone();
+        absent.sequences.remove("tokens");
+        let mut no_entities = exs[1].clone();
+        no_entities.sets.get_mut("entities").expect("entities").clear();
+        let mut overlapping = exs[2].clone();
+        let entities = overlapping.sets.get_mut("entities").expect("entities");
+        let entity = entities.first().map_or(1, |e| e.0);
+        *entities = vec![(entity, (0, 2)), (entity, (1, 3)), (entity, (0, 3))];
+        let mixed = [absent, no_entities, overlapping, exs[3].clone()];
+        let batches = [&exs[..32], &exs[32..33], &exs[33..65], &mixed[..]];
+        for encoder in ENCODERS {
+            let config = ModelConfig { encoder, ..Default::default() };
+            let model = CompiledModel::compile(&schema, &space, &config, None);
+            for batch in batches {
+                for (ex, pred) in batch.iter().zip(model.predict_batch(batch)) {
+                    let alone = model.predict(ex);
+                    assert_eq!(format!("{pred:?}"), format!("{alone:?}"), "{encoder:?}");
+                }
+            }
+        }
     }
 }

@@ -17,10 +17,17 @@
 //! re-weights the shared representation before the example-level heads read
 //! it. (Per-expert prediction heads from the original paper are folded into
 //! the expert transforms — see DESIGN.md.)
+//!
+//! Compilation builds these layers, registering their parameters, and
+//! lowers them once into the [`Plan`] that both executors run: inference
+//! in place over one arena per batch (`infer.rs`), and training, which
+//! replays the same steps onto an autograd tape ([`Plan::record`]).
 
 use crate::config::{AggregationKind, EmbeddingKind, EncoderKind, ModelConfig};
 use crate::features::{CompiledExample, FeatureSpace};
-use crate::infer::{set_elements, token_ids, Decode, InferenceModel, Segments, MAX_BATCH};
+use crate::infer::{
+    Act, Batch, Decode, HeadOut, Leaves, Op, Plan, Rows, Segments, Slot, SlotDef, Step, MAX_BATCH,
+};
 use crate::pretrained::PretrainedEncoder;
 use overton_store::{PayloadKind, Schema, TaskKind};
 use overton_supervision::ProbLabel;
@@ -120,7 +127,8 @@ pub(crate) struct SliceModule {
     pub(crate) experts: Vec<Linear>,
 }
 
-/// The compiled model: parameters plus the layer graph blueprint.
+/// The compiled model: parameters, the layers that hold them, and the
+/// plan those layers lower to.
 pub struct CompiledModel {
     schema: Schema,
     config: ModelConfig,
@@ -135,11 +143,11 @@ pub struct CompiledModel {
     pub(crate) slices: Option<SliceModule>,
     pub(crate) dropout: Dropout,
     pub(crate) hidden: usize,
-    /// Singleton payloads in dependency order (bases first), computed once
-    /// here so neither forward re-sorts the schema per example.
+    /// Singleton payloads in dependency order (bases first).
     pub(crate) singleton_order: Vec<String>,
-    /// The f32 inference forward over these layers.
-    pub(crate) inference: InferenceModel,
+    /// The layers lowered once into steps: the plan inference runs in
+    /// place and training replays onto its tape.
+    pub(crate) inference: Plan,
 }
 
 /// A decoded prediction for one task.
@@ -343,8 +351,7 @@ impl CompiledModel {
             .into_iter()
             .filter(|name| matches!(schema.payloads[name].kind, PayloadKind::Singleton))
             .collect();
-        let inference = InferenceModel::lower(&encoders, &set_proj, &heads, slices.as_ref());
-        Self {
+        let mut model = Self {
             schema: schema.clone(),
             config: config.clone(),
             params,
@@ -357,8 +364,10 @@ impl CompiledModel {
             dropout: Dropout::new(config.dropout),
             hidden,
             singleton_order,
-            inference,
-        }
+            inference: Plan::default(),
+        };
+        model.inference = model.lower();
+        model
     }
 
     /// The schema this model was compiled from.
@@ -381,320 +390,143 @@ impl CompiledModel {
         self.slices.is_some()
     }
 
-    /// Training's forward over one optimizer window, recorded on `g` with
-    /// the examples' rows stacked: token rows per sequence payload, one row
-    /// per example for singletons and the shared representation, one row
-    /// per set element. Every affine layer runs once over its stack, with
-    /// one parameter leaf per [`Graph::param_blocks`] block wherever a
-    /// single-example tape makes one `param` call (per example, or per set
-    /// element inside the element loop); only what mixes rows within an
-    /// example — aggregation, the LSTM recurrence, attention scores, span
-    /// means and the losses — runs per example, on row views.
-    ///
-    /// Ops go on the tape in a single-example tape's order and each row's
-    /// arithmetic is the same, so every row's value and gradient, and every
-    /// leaf's gradient, is the bits that example's own tape would compute.
-    /// Dropout is on: example `b` draws its masks from `rngs[b]`, in the
-    /// order its own tape would.
-    pub(crate) fn forward_window<'p>(
-        &'p self,
-        g: &mut Graph<'p>,
-        examples: &[&CompiledExample],
-        rngs: &mut [SmallRng],
-    ) -> WindowPass {
-        let ps = &self.params;
-        let (n, hidden) = (examples.len(), self.hidden);
-        let unit = Segments::from_lens(std::iter::repeat_n(1, n));
+    /// Lowers the layers into the plan, step by step in the order a
+    /// single-example tape runs them.
+    fn lower(&self) -> Plan {
+        let (mut plan, hidden) = (Plan::default(), self.hidden);
+        let token_dim = self.token_embedding.dim();
 
-        // 1. Encode every sequence payload; an absent or empty payload
-        //    reads as a single PAD token.
-        let mut seq_enc: BTreeMap<&str, (NodeId, Segments)> = BTreeMap::new();
+        // 1. Encode every sequence payload.
+        let mut seq_enc: BTreeMap<&str, Slot> = BTreeMap::new();
         for (name, encoder) in &self.encoders {
-            let ids = token_ids(examples.iter().copied(), name);
-            let segs = Segments::from_lens(ids.iter().map(|ids| ids.len()));
-            let embedded = gather(g, ps, &self.token_embedding, &ids.concat(), segs.blocks());
-            let encoded = encode(g, ps, encoder, embedded, &segs);
-            let lens: Vec<usize> = segs.iter().map(|rows| rows.len()).collect();
-            let encoded = self.dropout.forward(g, encoded, true, &lens, rngs);
-            seq_enc.insert(name.as_str(), (encoded, segs));
+            let rows = Rows::Tokens(plan.sequences.len());
+            plan.sequences.push(name.clone());
+            let x = plan.step(Op::Gather(self.token_embedding.table()), &[], rows, token_dim);
+            let enc = match encoder {
+                Encoder::MeanBag(proj) => plan.linear(proj, x, Act::Relu, Leaves::PerExample),
+                Encoder::Cnn(conv) => {
+                    // Windows never reach across an example boundary.
+                    let k = conv.kernel();
+                    let unfolded = plan.step(Op::Im2Row(k), &[x], rows, k * conv.in_dim());
+                    let (weight, bias) = (conv.weight_id(), Some(conv.bias_id()));
+                    let op =
+                        Op::Affine { weight, bias, act: Act::Relu, leaves: Leaves::PerExample };
+                    plan.step(op, &[unfolded], rows, conv.out_dim())
+                }
+                Encoder::Lstm(lstm) => plan.lstm(lstm, x),
+                Encoder::BiLstm(bilstm) => {
+                    let f = plan.lstm(bilstm.fwd(), x);
+                    let rev_in = plan.step(Op::Reverse, &[x], rows, token_dim);
+                    let b_rev = plan.lstm(bilstm.bwd(), rev_in);
+                    let b = plan.step(Op::Reverse, &[b_rev], rows, bilstm.bwd().hidden());
+                    plan.step(Op::ConcatCols, &[f, b], rows, bilstm.out_dim())
+                }
+                Encoder::Attention { input_proj, attention } => {
+                    let x = plan.linear(input_proj, x, Act::Tanh, Leaves::PerExample);
+                    let [q, k, v] = [attention.wq(), attention.wk(), attention.wv()]
+                        .map(|l| plan.linear(l, x, Act::None, Leaves::PerExample));
+                    let attended =
+                        plan.step(Op::Attend(attention.clone()), &[q, k, v], rows, attention.dim());
+                    plan.linear(attention.wo(), attended, Act::None, Leaves::PerExample)
+                }
+            };
+            plan.steps.push(Step { op: Op::Dropout(self.dropout), inputs: vec![enc], out: enc });
+            seq_enc.insert(name, enc);
         }
 
-        // 2. Singleton payloads aggregate their base payloads, per example.
-        let mut single_repr: BTreeMap<&str, NodeId> = BTreeMap::new();
+        // 2. Singleton payloads aggregate their bases, in dependency order.
+        let mut single: BTreeMap<&str, Slot> = BTreeMap::new();
         for name in &self.singleton_order {
-            let parts: Vec<(NodeId, &Segments)> = self.schema.payloads[name]
-                .base
-                .iter()
-                .filter_map(|base| match seq_enc.get(base.as_str()) {
-                    Some((enc, segs)) => Some((*enc, segs)),
-                    None => single_repr.get(base.as_str()).map(|&repr| (repr, &unit)),
-                })
+            let parts: Vec<Slot> = (self.schema.payloads[name].base.iter())
+                .filter_map(|base| seq_enc.get(base.as_str()).or(single.get(base.as_str())))
+                .copied()
                 .collect();
-            let repr = if parts.is_empty() {
-                g.constant(Matrix::zeros(n, hidden))
-            } else {
-                let aggregated: Vec<NodeId> = (0..n)
-                    .map(|b| {
-                        let views: Vec<NodeId> = parts
-                            .iter()
-                            .map(|&(node, segs)| view(g, node, segs.range(b)))
-                            .collect();
-                        let stacked = concat_rows(g, &views);
-                        match self.config.aggregation {
-                            AggregationKind::Mean => g.mean_rows(stacked),
-                            AggregationKind::Max => g.max_rows(stacked),
-                        }
-                    })
-                    .collect();
-                concat_rows(g, &aggregated)
-            };
-            single_repr.insert(name.as_str(), repr);
+            let op = if parts.is_empty() { Op::Zeros } else { Op::Pool(self.config.aggregation) };
+            single.insert(name, plan.step(op, &parts, Rows::Examples, hidden));
         }
 
         // 3. Shared example-level representation: mean of singleton reprs
         //    (or of pooled sequence encodings when none exist).
-        let reprs: Vec<NodeId> = if single_repr.is_empty() {
-            seq_enc.values().map(|(enc, segs)| segment_means(g, *enc, segs.iter())).collect()
+        let reprs: Vec<Slot> = if single.is_empty() {
+            let mean = AggregationKind::Mean;
+            seq_enc
+                .values()
+                .map(|&enc| plan.step(Op::Pool(mean), &[enc], Rows::Examples, hidden))
+                .collect()
         } else {
-            single_repr.values().copied().collect()
+            single.values().copied().collect()
         };
-        let shared = if reprs.is_empty() {
-            g.constant(Matrix::zeros(n, hidden))
-        } else {
-            // Row by row, this is `mean_rows` over one row per part: the
-            // same products, summed in the same order.
-            let inv = 1.0 / reprs.len() as f32;
-            let scaled: Vec<NodeId> = reprs.iter().map(|&r| g.scale(r, inv)).collect();
-            sum(g, &scaled).expect("at least one part")
-        };
+        let op = if reprs.is_empty() { Op::Zeros } else { Op::Mean };
+        let mut shared = plan.step(op, &reprs, Rows::Examples, hidden);
 
         // 4. Slice-based re-weighting of the shared representation.
-        let unit_blocks = unit.blocks();
-        let mut indicator_logits = Vec::new();
-        let shared = if let Some(slices) = &self.slices {
-            let mut weight_logits: Vec<NodeId> = vec![g.constant(Matrix::zeros(n, 1))];
-            let mut expert_reprs: Vec<NodeId> = vec![shared];
+        if let Some(slices) = &self.slices {
+            let mut experts = Vec::new();
             for (indicator, expert) in slices.indicators.iter().zip(&slices.experts) {
-                let logits = affine(g, ps, indicator, shared, &unit_blocks);
-                indicator_logits.push(logits);
-                // Membership confidence enters the attention as the logit
-                // margin in favour of membership.
-                let member = g.slice_cols(logits, 1, 2);
-                let non_member = g.slice_cols(logits, 0, 1);
-                let margin = g.sub(member, non_member);
-                weight_logits.push(margin);
-                let r = affine(g, ps, expert, shared, &unit_blocks);
-                expert_reprs.push(g.relu(r));
+                let logits = plan.linear(indicator, shared, Act::None, Leaves::PerExample);
+                plan.indicators.push(logits);
+                experts.push(plan.linear(expert, shared, Act::Relu, Leaves::PerExample));
             }
-            let logits_rows = g.concat_cols(&weight_logits);
-            let attn = g.softmax_rows(logits_rows); // [n, S+1]
-            let scaled: Vec<NodeId> = expert_reprs
-                .iter()
-                .enumerate()
-                .map(|(i, &repr)| {
-                    let w = g.slice_cols(attn, i, i + 1); // [n, 1]
-                    g.mul_row_scalar(repr, w)
-                })
-                .collect();
-            sum(g, &scaled).expect("at least the base repr")
-        } else {
-            shared
-        };
+            let inputs = [&[shared][..], &plan.indicators, &experts].concat();
+            shared = plan.step(Op::SliceMix, &inputs, Rows::Examples, hidden);
+        }
 
-        // 5. Set payloads: one row per element of the whole window, entity
-        //    embedding joined with the mean encoding of its span.
-        let mut set_repr: BTreeMap<&str, (NodeId, Segments)> = BTreeMap::new();
+        // 5. Set payloads: one row per element, entity embedding joined with
+        //    the mean encoding of its span, through one projection.
+        let mut set_repr: BTreeMap<&str, Slot> = BTreeMap::new();
         for (name, def) in &self.schema.payloads {
             if !matches!(def.kind, PayloadKind::Set) {
                 continue;
             }
-            let sets = set_elements(examples.iter().copied(), name);
-            let segs = Segments::from_lens(sets.iter().map(|els| els.len()));
-            if segs.total() == 0 {
-                continue;
-            }
-            // A single-example tape brings the entity table and `set_proj`
-            // in once per element: one block each.
-            let element_blocks: Vec<(usize, Range<usize>)> =
-                segs.owners().into_iter().enumerate().map(|(row, b)| (b, row..row + 1)).collect();
-            let entity_ids: Vec<usize> =
-                sets.iter().flat_map(|els| els.iter().map(|e| e.0)).collect();
-            let emb = gather(g, ps, &self.entity_embedding, &entity_ids, element_blocks.clone());
-            let span_summary = match def.range.as_deref().and_then(|r| seq_enc.get(r)) {
-                Some((enc, enc_segs)) => {
-                    let spans = sets.iter().enumerate().flat_map(|(b, elements)| {
-                        elements.iter().map(move |&(_, span)| enc_segs.span(b, span))
-                    });
-                    segment_means(g, *enc, spans)
-                }
-                None => g.constant(Matrix::zeros(segs.total(), hidden)),
+            let s = plan.sets.len();
+            plan.sets.push(name.clone());
+            let (rows, entity_dim) = (Rows::Elements(s), self.entity_embedding.dim());
+            let entity =
+                plan.step(Op::Gather(self.entity_embedding.table()), &[], rows, entity_dim);
+            let span = match def.range.as_deref().and_then(|r| seq_enc.get(r)) {
+                Some(&enc) => plan.step(Op::SpanMeans(s), &[enc], rows, hidden),
+                None => plan.step(Op::Zeros, &[], rows, hidden),
             };
-            let cat = g.concat_cols(&[emb, span_summary]);
-            let projected = affine(g, ps, &self.set_proj, cat, &element_blocks);
-            set_repr.insert(name.as_str(), (g.tanh(projected), segs));
+            let joined = plan.step(Op::ConcatCols, &[entity, span], rows, entity_dim + hidden);
+            set_repr.insert(name, plan.linear(&self.set_proj, joined, Act::Tanh, Leaves::PerRow));
         }
 
         // 6. Task heads, each over its whole stack.
-        let mut task_logits = BTreeMap::new();
         for (task, head) in &self.heads {
-            let (logits, rows) = match head {
+            let logits = match head {
                 Head::PerElement { payload, linear, .. } => {
-                    let Some((enc, segs)) = seq_enc.get(payload.as_str()) else { continue };
-                    // Skip placeholder-only sequences (payload absent).
-                    let present: Vec<bool> = examples
-                        .iter()
-                        .map(|ex| ex.sequences.get(payload).is_some_and(|ids| !ids.is_empty()))
-                        .collect();
-                    let (x, kept) = if present.iter().all(|&p| p) {
-                        (*enc, Segments::from_lens(segs.iter().map(|r| r.len())))
-                    } else {
-                        let rows: Vec<usize> = segs
-                            .iter()
-                            .zip(&present)
-                            .filter(|(_, &p)| p)
-                            .flat_map(|(r, _)| r)
-                            .collect();
-                        if rows.is_empty() {
-                            continue;
-                        }
-                        let lens =
-                            segs.iter().zip(&present).map(|(r, &p)| if p { r.len() } else { 0 });
-                        (g.select_rows(*enc, &rows), Segments::from_lens(lens))
-                    };
-                    let logits = affine(g, ps, linear, x, &kept.blocks());
-                    (logits, kept.iter().map(|r| Some(r).filter(|r| !r.is_empty())).collect())
+                    let Some(&enc) = seq_enc.get(payload.as_str()) else { continue };
+                    plan.linear(linear, enc, Act::None, Leaves::Present)
                 }
                 Head::Single { linear, .. } => {
-                    let logits = affine(g, ps, linear, shared, &unit_blocks);
-                    (logits, unit.iter().map(Some).collect())
+                    plan.linear(linear, shared, Act::None, Leaves::PerExample)
                 }
                 Head::Select { payload, combine, score } => {
-                    let Some((elements, segs)) = set_repr.get(payload.as_str()) else { continue };
+                    let Some(&elements) = set_repr.get(payload.as_str()) else { continue };
                     // Pair each element with its example's shared repr,
                     // score each pair.
-                    let context = g.select_rows(shared, &segs.owners());
-                    let paired = g.concat_cols(&[context, *elements]);
-                    let blocks = segs.blocks();
-                    let hidden = affine(g, ps, combine, paired, &blocks);
-                    let activated = g.tanh(hidden);
-                    let scores = affine(g, ps, score, activated, &blocks); // [elements, 1]
-                    (scores, segs.iter().map(|r| Some(r).filter(|r| !r.is_empty())).collect())
+                    let rows = plan.slots[elements].rows;
+                    let paired = plan.step(Op::Pair, &[shared, elements], rows, 2 * hidden);
+                    let activated = plan.linear(combine, paired, Act::Tanh, Leaves::PerExample);
+                    // One score per element: `[elements, 1]`.
+                    plan.linear(score, activated, Act::None, Leaves::PerExample)
                 }
             };
-            task_logits.insert(task.clone(), WindowLogits { logits, rows });
+            plan.heads.push(HeadOut { task: task.clone(), decode: head.decode(), logits });
         }
-
-        WindowPass { task_logits, indicator_logits }
-    }
-
-    /// Each example's total training loss over a window's forward: task
-    /// losses against probabilistic targets plus (optionally) slice-indicator
-    /// losses, built on views of that example's logit rows in a
-    /// single-example tape's order. `None` where an example supervises
-    /// nothing.
-    pub(crate) fn window_losses(
-        &self,
-        g: &mut Graph,
-        pass: &WindowPass,
-        examples: &[&CompiledExample],
-        indicator_loss_weight: f32,
-    ) -> Vec<Option<NodeId>> {
-        let mut totals = Vec::with_capacity(examples.len());
-        for (b, example) in examples.iter().enumerate() {
-            let mut terms: Vec<NodeId> = Vec::new();
-            for (task, target) in &example.targets {
-                let Some(WindowLogits { logits, rows }) = pass.task_logits.get(task) else {
-                    continue;
-                };
-                let Some(rows) = rows[b].clone() else { continue };
-                let Some(head) = self.heads.get(task) else { continue };
-                let (t, k) = (rows.len(), g.value(*logits).cols());
-                let term = match (head, target) {
-                    (Head::PerElement { bce: false, .. }, ProbLabel::SeqDist(dists)) => {
-                        if dists.len() != t {
-                            continue;
-                        }
-                        let mut targets = Matrix::zeros(t, k);
-                        let mut weights = vec![0.0f32; t];
-                        for (i, row) in dists.iter().enumerate() {
-                            if row.len() == k && row.iter().sum::<f32>() > 0.0 {
-                                targets.row_mut(i).copy_from_slice(row);
-                                weights[i] = 1.0;
-                            }
-                        }
-                        if weights.iter().all(|&w| w == 0.0) {
-                            continue;
-                        }
-                        let logits = view(g, *logits, rows);
-                        g.cross_entropy(logits, &targets, &weights)
-                    }
-                    (Head::PerElement { bce: true, .. }, ProbLabel::SeqBits(bits)) => {
-                        if bits.len() != t {
-                            continue;
-                        }
-                        let mut targets = Matrix::zeros(t, k);
-                        for (i, row) in bits.iter().enumerate() {
-                            if row.len() == k {
-                                targets.row_mut(i).copy_from_slice(row);
-                            }
-                        }
-                        let logits = view(g, *logits, rows);
-                        g.bce_with_logits(logits, &targets, &Matrix::ones(t, k))
-                    }
-                    (Head::Single { bce: false, .. }, ProbLabel::Dist(dist)) => {
-                        if dist.len() != k {
-                            continue;
-                        }
-                        let logits = view(g, *logits, rows);
-                        g.cross_entropy(logits, &Matrix::row_vector(dist), &[1.0])
-                    }
-                    (Head::Single { bce: true, .. }, ProbLabel::Bits(bits)) => {
-                        if bits.len() != k {
-                            continue;
-                        }
-                        let logits = view(g, *logits, rows);
-                        g.bce_with_logits(logits, &Matrix::row_vector(bits), &Matrix::ones(1, k))
-                    }
-                    (Head::Select { .. }, ProbLabel::Dist(dist)) => {
-                        // The example's element scores, as one `[1, k]` row.
-                        if dist.len() != t {
-                            continue;
-                        }
-                        let scores = view(g, *logits, rows);
-                        let logits = g.transpose(scores);
-                        g.cross_entropy(logits, &Matrix::row_vector(dist), &[1.0])
-                    }
-                    _ => continue,
-                };
-                terms.push(term);
-            }
-            // Indicator supervision comes from slice tags, which are known
-            // on every training record.
-            if indicator_loss_weight > 0.0 {
-                for (s, &logits) in pass.indicator_logits.iter().enumerate() {
-                    let member = example.slice_membership.get(s).copied().unwrap_or(false);
-                    let mut target = Matrix::zeros(1, 2);
-                    target[(0, usize::from(member))] = 1.0;
-                    let logits = g.slice_rows(logits, b, b + 1);
-                    let ce = g.cross_entropy(logits, &target, &[1.0]);
-                    terms.push(g.scale(ce, indicator_loss_weight));
-                }
-            }
-            totals.push(sum(g, &terms));
-        }
-        totals
+        plan
     }
 
     /// [`CompiledModel::predict_batch`] over a batch of one.
     pub fn predict(&self, example: &CompiledExample) -> Prediction {
-        self.inference.predict(self, example)
+        self.predict_batch(std::slice::from_ref(example)).pop().expect("one prediction")
     }
 
     /// Runs inference over a batch and decodes every task output, in input
-    /// order: the tape-free inference forward with f32 weights read in
-    /// place, fed chunks of at most 32 examples so memory stays bounded
-    /// whatever the input length. Outputs are bit-identical to decoding a
-    /// single-example training tape per example.
+    /// order: the plan run in place over one arena per chunk, with f32
+    /// weights read in place, fed chunks of at most 32 examples so memory
+    /// stays bounded whatever the input length. Outputs are bit-identical
+    /// to decoding a single-example training tape per example.
     pub fn predict_batch(&self, examples: &[CompiledExample]) -> Vec<Prediction> {
         examples
             .chunks(MAX_BATCH)
@@ -716,19 +548,369 @@ impl Head {
 
 /// A window forward's outputs (node ids into the caller's graph).
 pub(crate) struct WindowPass {
-    /// Per task, the head's logits over the whole window.
-    task_logits: BTreeMap<String, WindowLogits>,
+    /// Per plan head, its logits (`None`: the head did not run on this
+    /// window).
+    heads: Vec<Option<WindowLogits>>,
     /// Per slice, indicator logits: one `[non-member, member]` row per
     /// example.
-    indicator_logits: Vec<NodeId>,
+    indicators: Vec<NodeId>,
 }
 
 /// One head's row-stacked logits.
+#[derive(Clone)]
 struct WindowLogits {
     logits: NodeId,
     /// The logit rows each example owns (`None`: no output for it). A
     /// select head's rows are its element scores, one per row.
     rows: Vec<Option<Range<usize>>>,
+}
+
+impl Plan {
+    /// Appends a step that writes a new `rows x cols` slot.
+    fn step(&mut self, op: Op, inputs: &[Slot], rows: Rows, cols: usize) -> Slot {
+        let out = self.slots.len();
+        self.slots.push(SlotDef { rows, cols });
+        self.steps.push(Step { op, inputs: inputs.to_vec(), out });
+        out
+    }
+
+    /// Appends `act(x W + b)` through `layer`, over `x`'s rows.
+    fn linear(&mut self, layer: &Linear, x: Slot, act: Act, leaves: Leaves) -> Slot {
+        let op = Op::Affine { weight: layer.weight_id(), bias: layer.bias_id(), act, leaves };
+        self.step(op, &[x], self.slots[x].rows, layer.out_dim())
+    }
+
+    /// Appends an LSTM: its input projection over the whole stack, then
+    /// the recurrence per segment.
+    fn lstm(&mut self, lstm: &Lstm, x: Slot) -> Slot {
+        let rows = self.slots[x].rows;
+        let project = Op::Affine {
+            weight: lstm.wx_id(),
+            bias: None,
+            act: Act::None,
+            leaves: Leaves::PerExample,
+        };
+        let xw = self.step(project, &[x], rows, 4 * lstm.hidden());
+        self.step(Op::Recur(lstm.clone()), &[xw], rows, lstm.hidden())
+    }
+
+    /// The bounds of a window's rows of sequence payload `p` that its
+    /// examples carry: an example without it owns none.
+    fn kept(&self, p: usize, segs: &Segments, examples: &[&CompiledExample]) -> Segments {
+        let lens =
+            segs.iter().zip(examples).map(|(r, ex)| if self.present(p, ex) { r.len() } else { 0 });
+        Segments::from_lens(lens)
+    }
+
+    /// Training's forward over one optimizer window: the plan replayed
+    /// onto `g` with the examples' rows stacked. Every affine step runs
+    /// once over its stack, with one parameter leaf per
+    /// [`Graph::param_blocks`] block wherever a single-example tape makes
+    /// one `param` call (per example, or per set element); only what mixes
+    /// rows within an example runs per example, on row views. A step over
+    /// no rows (a window without set elements) records nothing, nor do the
+    /// steps that read it.
+    ///
+    /// Ops go on the tape in a single-example tape's order and each row's
+    /// arithmetic is the same, so every row's value and gradient, and every
+    /// leaf's gradient, is the bits that example's own tape would compute.
+    /// (The slice-attention margins are recorded after the last expert,
+    /// not after each indicator: every node still meets its consumers in
+    /// the same order, and that order is what fixes the backward sums.)
+    /// Dropout is on: example `b` draws its masks from `rngs[b]`, in the
+    /// order its own tape would.
+    pub(crate) fn record<'p>(
+        &self,
+        ps: &'p ParamStore,
+        g: &mut Graph<'p>,
+        examples: &[&CompiledExample],
+        rngs: &mut [SmallRng],
+    ) -> WindowPass {
+        let batch = Batch::new(self, examples.iter().copied());
+        let mut nodes: Vec<Option<NodeId>> = vec![None; self.slots.len()];
+        for step in &self.steps {
+            let SlotDef { rows, cols } = self.slots[step.out];
+            let segs = batch.segs(rows);
+            let inputs: Option<Vec<NodeId>> = step.inputs.iter().map(|&s| nodes[s]).collect();
+            let Some(x) = inputs.filter(|_| segs.total() > 0) else { continue };
+            let in_segs = |i: usize| batch.segs(self.slots[step.inputs[i]].rows);
+            let node = match &step.op {
+                Op::Gather(table) => {
+                    let ids = batch.ids(rows);
+                    let vocab = ps.value(*table).rows();
+                    assert!(
+                        ids.iter().all(|&i| i < vocab),
+                        "embedding id out of vocabulary (vocab = {vocab})"
+                    );
+                    // A single-example tape looks each set element up alone.
+                    let blocks = if matches!(rows, Rows::Elements(_)) {
+                        per_row(segs)
+                    } else {
+                        segs.blocks()
+                    };
+                    let table = g.param_blocks(ps, *table, blocks);
+                    g.select_rows(table, &ids)
+                }
+                Op::Affine { weight, bias, act, leaves } => {
+                    let (x, blocks) = match (leaves, rows) {
+                        (Leaves::PerExample, _) => (x[0], segs.blocks()),
+                        (Leaves::PerRow, _) => (x[0], per_row(segs)),
+                        (Leaves::Present, Rows::Tokens(p)) => {
+                            let kept = self.kept(p, segs, examples);
+                            if kept.total() == 0 {
+                                continue;
+                            }
+                            if kept.total() == segs.total() {
+                                (x[0], kept.blocks())
+                            } else {
+                                let rows: Vec<usize> = kept
+                                    .blocks()
+                                    .into_iter()
+                                    .flat_map(|(b, _)| segs.range(b))
+                                    .collect();
+                                (g.select_rows(x[0], &rows), kept.blocks())
+                            }
+                        }
+                        (Leaves::Present, _) => unreachable!("per-element heads read tokens"),
+                    };
+                    let w = g.param_blocks(ps, *weight, blocks.iter().cloned());
+                    let y = g.matmul(x, w);
+                    let y = match bias {
+                        Some(bias) => {
+                            let b = g.param_blocks(ps, *bias, blocks);
+                            g.add_row_broadcast(y, b)
+                        }
+                        None => y,
+                    };
+                    match act {
+                        Act::None => y,
+                        Act::Relu => g.relu(y),
+                        Act::Tanh => g.tanh(y),
+                    }
+                }
+                Op::Im2Row(k) => {
+                    let unfolded: Vec<NodeId> = (segs.iter())
+                        .map(|rows| {
+                            let rows = view(g, x[0], rows);
+                            g.im2row(rows, *k, k / 2)
+                        })
+                        .collect();
+                    concat_rows(g, &unfolded)
+                }
+                Op::Recur(lstm) => {
+                    // Each example brings its own recurrent weight and bias in.
+                    let mut outputs = Vec::with_capacity(segs.total());
+                    for (b, rows) in segs.iter().enumerate() {
+                        let wh = g.param_blocks(ps, lstm.wh_id(), [(b, 0..1)]);
+                        let bias = g.param_blocks(ps, lstm.bias_id(), [(b, 0..1)]);
+                        outputs.extend(lstm.recur(g, x[0], rows, wh, bias));
+                    }
+                    g.concat_rows(&outputs)
+                }
+                Op::Reverse => {
+                    let rev: Vec<usize> = segs.iter().flat_map(Iterator::rev).collect();
+                    g.select_rows(x[0], &rev)
+                }
+                Op::Attend(attention) => {
+                    let attended: Vec<NodeId> = (segs.iter())
+                        .map(|rows| {
+                            let [q, k, v] = [0, 1, 2].map(|i| view(g, x[i], rows.clone()));
+                            attention.attend(g, q, k, v)
+                        })
+                        .collect();
+                    concat_rows(g, &attended)
+                }
+                Op::ConcatCols => g.concat_cols(&x),
+                Op::Dropout(dropout) => {
+                    let lens: Vec<usize> = segs.iter().map(|rows| rows.len()).collect();
+                    dropout.forward(g, x[0], true, &lens, rngs)
+                }
+                Op::Pool(kind) => {
+                    let pooled: Vec<NodeId> = (0..examples.len())
+                        .map(|b| {
+                            let views: Vec<NodeId> = (x.iter().enumerate())
+                                .map(|(i, &part)| view(g, part, in_segs(i).range(b)))
+                                .collect();
+                            let stacked = concat_rows(g, &views);
+                            match kind {
+                                AggregationKind::Mean => g.mean_rows(stacked),
+                                AggregationKind::Max => g.max_rows(stacked),
+                            }
+                        })
+                        .collect();
+                    concat_rows(g, &pooled)
+                }
+                Op::Mean => {
+                    // Row by row, this is `mean_rows` over one row per part:
+                    // the same products, summed in the same order.
+                    let inv = 1.0 / x.len() as f32;
+                    let scaled: Vec<NodeId> = x.iter().map(|&part| g.scale(part, inv)).collect();
+                    sum(g, &scaled).expect("at least one part")
+                }
+                Op::SpanMeans(s) => {
+                    // Spans may overlap: the backward sweep adds each span's
+                    // gradient into the encoding in reverse span order, as a
+                    // tape running one span at a time would.
+                    let enc = in_segs(0);
+                    let spans =
+                        batch.elements[*s].items.iter().enumerate().flat_map(|(b, elements)| {
+                            elements.iter().map(move |&(_, span)| enc.span(b, span))
+                        });
+                    let means: Vec<NodeId> = spans
+                        .map(|rows| {
+                            let rows = view(g, x[0], rows);
+                            g.mean_rows(rows)
+                        })
+                        .collect();
+                    concat_rows(g, &means)
+                }
+                Op::SliceMix => {
+                    let slices = (x.len() - 1) / 2;
+                    // Membership confidence enters the attention as the
+                    // logit margin in favour of membership.
+                    let mut weight_logits = vec![g.constant(Matrix::zeros(examples.len(), 1))];
+                    for &logits in &x[1..=slices] {
+                        let member = g.slice_cols(logits, 1, 2);
+                        let non_member = g.slice_cols(logits, 0, 1);
+                        weight_logits.push(g.sub(member, non_member));
+                    }
+                    let logits_rows = g.concat_cols(&weight_logits);
+                    let attn = g.softmax_rows(logits_rows); // [n, S+1]
+                    let reprs = std::iter::once(x[0]).chain(x[slices + 1..].iter().copied());
+                    let scaled: Vec<NodeId> = reprs
+                        .enumerate()
+                        .map(|(i, repr)| {
+                            let w = g.slice_cols(attn, i, i + 1); // [n, 1]
+                            g.mul_row_scalar(repr, w)
+                        })
+                        .collect();
+                    sum(g, &scaled).expect("at least the base repr")
+                }
+                Op::Pair => {
+                    let context = g.select_rows(x[0], &segs.owners());
+                    g.concat_cols(&[context, x[1]])
+                }
+                Op::Zeros => g.constant(Matrix::zeros(segs.total(), cols)),
+            };
+            nodes[step.out] = Some(node);
+        }
+        let heads = (self.heads.iter())
+            .map(|head| {
+                let rows = self.slots[head.logits].rows;
+                let kept = match rows {
+                    Rows::Tokens(p) => self.kept(p, batch.segs(rows), examples),
+                    _ => Segments::from_lens(batch.segs(rows).iter().map(|r| r.len())),
+                };
+                let rows = kept.iter().map(|r| Some(r).filter(|r| !r.is_empty())).collect();
+                Some(WindowLogits { logits: nodes[head.logits]?, rows })
+            })
+            .collect();
+        let indicators = self.indicators.iter().map(|&s| nodes[s].expect("runs on every window"));
+        WindowPass { heads, indicators: indicators.collect() }
+    }
+
+    /// Each example's total training loss over a window's forward: task
+    /// losses against probabilistic targets plus (optionally) slice-indicator
+    /// losses, built on views of that example's logit rows in a
+    /// single-example tape's order. `None` where an example supervises
+    /// nothing.
+    pub(crate) fn losses(
+        &self,
+        g: &mut Graph,
+        pass: &WindowPass,
+        examples: &[&CompiledExample],
+        indicator_loss_weight: f32,
+    ) -> Vec<Option<NodeId>> {
+        let mut totals = Vec::with_capacity(examples.len());
+        for (b, example) in examples.iter().enumerate() {
+            let mut terms: Vec<NodeId> = Vec::new();
+            for (task, target) in &example.targets {
+                let Some(h) = self.heads.iter().position(|head| &head.task == task) else {
+                    continue;
+                };
+                let Some(WindowLogits { logits, rows }) = &pass.heads[h] else { continue };
+                let Some(rows) = rows[b].clone() else { continue };
+                let (t, k) = (rows.len(), g.value(*logits).cols());
+                let term = match (self.heads[h].decode, target) {
+                    (Decode::PerElement { bce: false }, ProbLabel::SeqDist(dists)) => {
+                        if dists.len() != t {
+                            continue;
+                        }
+                        let mut targets = Matrix::zeros(t, k);
+                        let mut weights = vec![0.0f32; t];
+                        for (i, row) in dists.iter().enumerate() {
+                            if row.len() == k && row.iter().sum::<f32>() > 0.0 {
+                                targets.row_mut(i).copy_from_slice(row);
+                                weights[i] = 1.0;
+                            }
+                        }
+                        if weights.iter().all(|&w| w == 0.0) {
+                            continue;
+                        }
+                        let logits = view(g, *logits, rows);
+                        g.cross_entropy(logits, &targets, &weights)
+                    }
+                    (Decode::PerElement { bce: true }, ProbLabel::SeqBits(bits)) => {
+                        if bits.len() != t {
+                            continue;
+                        }
+                        let mut targets = Matrix::zeros(t, k);
+                        for (i, row) in bits.iter().enumerate() {
+                            if row.len() == k {
+                                targets.row_mut(i).copy_from_slice(row);
+                            }
+                        }
+                        let logits = view(g, *logits, rows);
+                        g.bce_with_logits(logits, &targets, &Matrix::ones(t, k))
+                    }
+                    (Decode::Single { bce: false }, ProbLabel::Dist(dist)) => {
+                        if dist.len() != k {
+                            continue;
+                        }
+                        let logits = view(g, *logits, rows);
+                        g.cross_entropy(logits, &Matrix::row_vector(dist), &[1.0])
+                    }
+                    (Decode::Single { bce: true }, ProbLabel::Bits(bits)) => {
+                        if bits.len() != k {
+                            continue;
+                        }
+                        let logits = view(g, *logits, rows);
+                        g.bce_with_logits(logits, &Matrix::row_vector(bits), &Matrix::ones(1, k))
+                    }
+                    (Decode::Select, ProbLabel::Dist(dist)) => {
+                        // The example's element scores, as one `[1, k]` row.
+                        if dist.len() != t {
+                            continue;
+                        }
+                        let scores = view(g, *logits, rows);
+                        let logits = g.transpose(scores);
+                        g.cross_entropy(logits, &Matrix::row_vector(dist), &[1.0])
+                    }
+                    _ => continue,
+                };
+                terms.push(term);
+            }
+            // Indicator supervision comes from slice tags, which are known
+            // on every training record.
+            if indicator_loss_weight > 0.0 {
+                for (s, &logits) in pass.indicators.iter().enumerate() {
+                    let member = example.slice_membership.get(s).copied().unwrap_or(false);
+                    let mut target = Matrix::zeros(1, 2);
+                    target[(0, usize::from(member))] = 1.0;
+                    let logits = g.slice_rows(logits, b, b + 1);
+                    let ce = g.cross_entropy(logits, &target, &[1.0]);
+                    terms.push(g.scale(ce, indicator_loss_weight));
+                }
+            }
+            totals.push(sum(g, &terms));
+        }
+        totals
+    }
+}
+
+/// One parameter block per stacked row, owned by its example.
+fn per_row(segs: &Segments) -> Vec<(usize, Range<usize>)> {
+    segs.owners().into_iter().enumerate().map(|(row, b)| (b, row..row + 1)).collect()
 }
 
 /// Rows `rows` of a node (the node itself when that is all of it).
@@ -751,148 +933,6 @@ fn concat_rows(g: &mut Graph, parts: &[NodeId]) -> NodeId {
 /// `((t0 + t1) + t2) + ...`, or `None` without terms.
 fn sum(g: &mut Graph, terms: &[NodeId]) -> Option<NodeId> {
     terms.iter().copied().reduce(|acc, term| g.add(acc, term))
-}
-
-/// The mean of each span of `x`'s rows, one row per span. Spans may
-/// overlap: the backward sweep adds each span's gradient into `x` in
-/// reverse span order, as a tape running one span at a time would.
-fn segment_means(
-    g: &mut Graph,
-    x: NodeId,
-    spans: impl IntoIterator<Item = Range<usize>>,
-) -> NodeId {
-    let means: Vec<NodeId> = spans
-        .into_iter()
-        .map(|rows| {
-            let rows = view(g, x, rows);
-            g.mean_rows(rows)
-        })
-        .collect();
-    concat_rows(g, &means)
-}
-
-/// `x W + b` over row-stacked `x`, with one weight (and bias) leaf per
-/// `(example, rows)` block.
-fn affine<'p>(
-    g: &mut Graph<'p>,
-    ps: &'p ParamStore,
-    linear: &Linear,
-    x: NodeId,
-    blocks: &[(usize, Range<usize>)],
-) -> NodeId {
-    let w = g.param_blocks(ps, linear.weight_id(), blocks.iter().cloned());
-    let xw = g.matmul(x, w);
-    match linear.bias_id() {
-        Some(b) => {
-            let bn = g.param_blocks(ps, b, blocks.iter().cloned());
-            g.add_row_broadcast(xw, bn)
-        }
-        None => xw,
-    }
-}
-
-/// Embedding lookup of stacked `ids`, with one table leaf per block.
-///
-/// # Panics
-/// Panics if any id is out of vocabulary.
-fn gather<'p>(
-    g: &mut Graph<'p>,
-    ps: &'p ParamStore,
-    embedding: &Embedding,
-    ids: &[usize],
-    blocks: impl IntoIterator<Item = (usize, Range<usize>)>,
-) -> NodeId {
-    assert!(
-        ids.iter().all(|&i| i < embedding.vocab()),
-        "embedding id out of vocabulary (vocab = {})",
-        embedding.vocab()
-    );
-    let table = g.param_blocks(ps, embedding.table(), blocks);
-    g.select_rows(table, ids)
-}
-
-/// A sequence encoder over the row-stacked embeddings `x` of a window:
-/// affine layers once over the stack, the rest per example.
-fn encode<'p>(
-    g: &mut Graph<'p>,
-    ps: &'p ParamStore,
-    encoder: &Encoder,
-    x: NodeId,
-    segs: &Segments,
-) -> NodeId {
-    let blocks = segs.blocks();
-    match encoder {
-        Encoder::MeanBag(proj) => {
-            let h = affine(g, ps, proj, x, &blocks);
-            g.relu(h)
-        }
-        Encoder::Cnn(conv) => {
-            // Windows never reach across an example boundary.
-            let k = conv.kernel();
-            let unfolded: Vec<NodeId> = segs
-                .iter()
-                .map(|rows| {
-                    let rows = view(g, x, rows);
-                    g.im2row(rows, k, k / 2)
-                })
-                .collect();
-            let unfolded = concat_rows(g, &unfolded);
-            let w = g.param_blocks(ps, conv.weight_id(), blocks.iter().cloned());
-            let b = g.param_blocks(ps, conv.bias_id(), blocks);
-            let h = g.matmul(unfolded, w);
-            let h = g.add_row_broadcast(h, b);
-            g.relu(h)
-        }
-        Encoder::Lstm(lstm) => recur(g, ps, lstm, x, segs),
-        Encoder::BiLstm(bilstm) => {
-            let f = recur(g, ps, bilstm.fwd(), x, segs);
-            // Each example's rows reversed in place.
-            let rev: Vec<usize> = segs.iter().flat_map(Iterator::rev).collect();
-            let rev_in = g.select_rows(x, &rev);
-            let b_rev = recur(g, ps, bilstm.bwd(), rev_in, segs);
-            let b = g.select_rows(b_rev, &rev);
-            g.concat_cols(&[f, b])
-        }
-        Encoder::Attention { input_proj, attention } => {
-            let projected = affine(g, ps, input_proj, x, &blocks);
-            let activated = g.tanh(projected);
-            let q = affine(g, ps, attention.wq(), activated, &blocks);
-            let k = affine(g, ps, attention.wk(), activated, &blocks);
-            let v = affine(g, ps, attention.wv(), activated, &blocks);
-            let attended: Vec<NodeId> = segs
-                .iter()
-                .map(|rows| {
-                    let q = view(g, q, rows.clone());
-                    let k = view(g, k, rows.clone());
-                    let v = view(g, v, rows);
-                    attention.attend(g, q, k, v)
-                })
-                .collect();
-            let attended = concat_rows(g, &attended);
-            affine(g, ps, attention.wo(), attended, &blocks)
-        }
-    }
-}
-
-/// An LSTM over a window: the input projection once over the stack, the
-/// recurrence per example with that example's recurrent weight and bias
-/// leaves.
-fn recur<'p>(
-    g: &mut Graph<'p>,
-    ps: &'p ParamStore,
-    lstm: &Lstm,
-    xs: NodeId,
-    segs: &Segments,
-) -> NodeId {
-    let wx = g.param_blocks(ps, lstm.wx_id(), segs.blocks());
-    let xw_all = g.matmul(xs, wx);
-    let mut outputs = Vec::with_capacity(segs.total());
-    for (b, rows) in segs.iter().enumerate() {
-        let wh = g.param_blocks(ps, lstm.wh_id(), [(b, 0..1)]);
-        let bias = g.param_blocks(ps, lstm.bias_id(), [(b, 0..1)]);
-        outputs.extend(lstm.recur(g, xw_all, rows, wh, bias));
-    }
-    g.concat_rows(&outputs)
 }
 
 #[cfg(test)]
@@ -930,19 +970,21 @@ mod tests {
         let window: Vec<&CompiledExample> = exs.iter().collect();
         let mut g = Graph::new();
         let mut rngs: Vec<SmallRng> = (0..3).map(SmallRng::seed_from_u64).collect();
-        let pass = model.forward_window(&mut g, &window, &mut rngs);
-        for task in ["Intent", "POS", "EntityType", "IntentArg"] {
-            assert!(pass.task_logits.contains_key(task), "missing logits for {task}");
-        }
+        let pass = model.inference.record(&model.params, &mut g, &window, &mut rngs);
+        let logits = |task: &str| {
+            let head = model.inference.heads.iter().position(|h| h.task == task).expect(task);
+            pass.heads[head].clone().unwrap_or_else(|| panic!("missing logits for {task}"))
+        };
         for (b, ex) in exs.iter().enumerate() {
-            let rows = |task: &str| pass.task_logits[task].rows[b].clone().expect("has rows");
+            let rows = |task: &str| logits(task).rows[b].clone().expect("has rows");
             assert_eq!(rows("POS").len(), ex.sequences["tokens"].len());
             assert_eq!(rows("Intent").len(), 1);
             assert_eq!(rows("IntentArg").len(), ex.sets["entities"].len());
+            assert!(logits("EntityType").rows[b].is_some());
         }
-        assert_eq!(g.value(pass.task_logits["POS"].logits).cols(), 8);
-        assert_eq!(pass.indicator_logits.len(), space.slice_names.len());
-        assert_eq!(g.value(pass.indicator_logits[0]).shape(), (3, 2));
+        assert_eq!(g.value(logits("POS").logits).cols(), 8);
+        assert_eq!(pass.indicators.len(), space.slice_names.len());
+        assert_eq!(g.value(pass.indicators[0]).shape(), (3, 2));
     }
 
     #[test]
@@ -976,8 +1018,8 @@ mod tests {
         }
         let mut g = Graph::new();
         let mut rngs = [SmallRng::seed_from_u64(0)];
-        let pass = model.forward_window(&mut g, &[&ex], &mut rngs);
-        let loss = model.window_losses(&mut g, &pass, &[&ex], 0.3)[0].expect("has targets");
+        let pass = model.inference.record(&model.params, &mut g, &[&ex], &mut rngs);
+        let loss = model.inference.losses(&mut g, &pass, &[&ex], 0.3)[0].expect("has targets");
         assert!(g.value(loss).scalar_value() > 0.0);
         g.backward(loss);
         let mut params = model.params.clone();
@@ -995,8 +1037,8 @@ mod tests {
         let ex = CompiledExample::from_record(&ds.records()[0], 0, &space, ds.schema());
         let mut g = Graph::new();
         let mut rngs = [SmallRng::seed_from_u64(0)];
-        let pass = model.forward_window(&mut g, &[&ex], &mut rngs);
-        assert!(model.window_losses(&mut g, &pass, &[&ex], 0.0)[0].is_none());
+        let pass = model.inference.record(&model.params, &mut g, &[&ex], &mut rngs);
+        assert!(model.inference.losses(&mut g, &pass, &[&ex], 0.0)[0].is_none());
     }
 
     #[test]

@@ -324,9 +324,10 @@ fn stacked_gradients(
 ) -> Vec<Option<ExampleGrad>> {
     let mut rngs: Vec<SmallRng> = seeds.iter().map(|&seed| SmallRng::seed_from_u64(seed)).collect();
     let mut g = Graph::new();
-    let pass = model.forward_window(&mut g, examples, &mut rngs);
-    let losses: Vec<Option<NodeId>> = model
-        .window_losses(&mut g, &pass, examples, config.indicator_loss_weight)
+    let plan = &model.inference;
+    let pass = plan.record(&model.params, &mut g, examples, &mut rngs);
+    let losses: Vec<Option<NodeId>> = plan
+        .losses(&mut g, &pass, examples, config.indicator_loss_weight)
         .into_iter()
         .zip(examples)
         .map(|(loss, example)| {

@@ -12,7 +12,7 @@
 //! traversal of a [`Dataset`] is compiled only under `#[cfg(test)]`, as
 //! the reference the store path must match bit for bit.
 
-use crate::label_model::{LabelModel, LabelModelConfig};
+use crate::label_model::{LabelModel, LabelModelConfig, Patterns};
 use crate::majority::majority_vote;
 use crate::matrix::LabelMatrix;
 use crate::prob::ProbLabel;
@@ -629,8 +629,9 @@ fn run_combiner(
             (dists, diags)
         }
         CombineMethod::LabelModel(config) => {
-            let model = LabelModel::fit(matrix, config);
-            let dists = model.predict_proba(matrix).into_iter().map(Some).collect();
+            let patterns = Patterns::new(matrix);
+            let model = LabelModel::fit_patterns(matrix, &patterns, config);
+            let dists = model.predict_patterns(matrix, &patterns).into_iter().map(Some).collect();
             let diags = source_names
                 .iter()
                 .enumerate()

@@ -70,6 +70,16 @@ impl LabelModel {
     /// # Panics
     /// Panics if the matrix has no sources.
     pub fn fit(matrix: &LabelMatrix, config: &LabelModelConfig) -> Self {
+        Self::fit_patterns(matrix, &Patterns::new(matrix), config)
+    }
+
+    /// [`LabelModel::fit`] over the matrix's vote patterns, built once by
+    /// the caller.
+    pub(crate) fn fit_patterns(
+        matrix: &LabelMatrix,
+        patterns: &Patterns,
+        config: &LabelModelConfig,
+    ) -> Self {
         assert!(matrix.n_sources() > 0, "label model needs at least one source");
         let m = matrix.n_sources();
         let uniform_k = matrix.uniform_cardinality();
@@ -80,13 +90,17 @@ impl LabelModel {
         };
         let propensities: Vec<f32> = (0..m).map(|j| matrix.coverage(j)).collect();
 
-        let patterns = Patterns::new(matrix);
         let mut posteriors = vec![0.0f32; patterns.width];
-        // Per-source vote counts do not change between iterations.
+        // What the M-step reads does not change between iterations: per
+        // source, the posterior entry each of its votes reads, in item
+        // order, and its vote count; per item, its posterior's offset.
+        let mut reads: Vec<Vec<u32>> = vec![Vec::new(); m];
         let mut votes = vec![0.0f32; m];
-        for i in 0..matrix.n_items() {
+        for (i, &offset) in patterns.offsets.iter().enumerate() {
             for (j, vote) in matrix.votes(i).iter().enumerate() {
-                if vote.is_some() {
+                if let Some(v) = vote {
+                    reads[j]
+                        .push(offset.checked_add(*v).expect("posterior buffer indexable by u32"));
                     votes[j] += 1.0;
                 }
             }
@@ -97,19 +111,13 @@ impl LabelModel {
             iterations += 1;
             patterns.e_step(matrix, &accuracies, balance.as_deref(), &mut posteriors);
 
-            // M-step: accuracy_j = E[#correct votes] / #votes (+ smoothing).
-            let mut new_acc = vec![0.0f32; m];
-            for (i, &id) in patterns.ids.iter().enumerate() {
-                let post = patterns.posterior(id, &posteriors);
-                for (j, vote) in matrix.votes(i).iter().enumerate() {
-                    if let Some(v) = vote {
-                        new_acc[j] += post[*v as usize];
-                    }
-                }
-            }
+            // M-step: accuracy_j = E[#correct votes] / #votes (+ smoothing),
+            // the posteriors of source j's votes summed in item order.
             let mut max_delta = 0.0f32;
             for j in 0..m {
-                let est = (new_acc[j] + config.smoothing) / (votes[j] + 2.0 * config.smoothing);
+                let correct =
+                    reads[j].iter().fold(0.0f32, |acc, &at| acc + posteriors[at as usize]);
+                let est = (correct + config.smoothing) / (votes[j] + 2.0 * config.smoothing);
                 let est = est.clamp(0.01, 0.99);
                 max_delta = max_delta.max((est - accuracies[j]).abs());
                 accuracies[j] = est;
@@ -117,8 +125,9 @@ impl LabelModel {
             if let Some(bal) = &mut balance {
                 let k = bal.len();
                 let mut new_bal = vec![config.smoothing; k];
-                for &id in &patterns.ids {
-                    for (c, &p) in patterns.posterior(id, &posteriors).iter().enumerate() {
+                for &offset in &patterns.offsets {
+                    let post = &posteriors[offset as usize..offset as usize + k];
+                    for (c, &p) in post.iter().enumerate() {
                         new_bal[c] += p;
                     }
                 }
@@ -158,10 +167,23 @@ impl LabelModel {
 
     /// Posterior distribution over each item's true label.
     pub fn predict_proba(&self, matrix: &LabelMatrix) -> Vec<Vec<f32>> {
-        let patterns = Patterns::new(matrix);
+        self.predict_patterns(matrix, &Patterns::new(matrix))
+    }
+
+    /// [`LabelModel::predict_proba`] over the matrix's vote patterns.
+    pub(crate) fn predict_patterns(
+        &self,
+        matrix: &LabelMatrix,
+        patterns: &Patterns,
+    ) -> Vec<Vec<f32>> {
         let mut posteriors = vec![0.0f32; patterns.width];
         patterns.e_step(matrix, &self.accuracies, self.class_balance.as_deref(), &mut posteriors);
-        patterns.ids.iter().map(|&id| patterns.posterior(id, &posteriors).to_vec()).collect()
+        (patterns.offsets.iter().enumerate())
+            .map(|(i, &offset)| {
+                let offset = offset as usize;
+                posteriors[offset..offset + matrix.cardinality(i) as usize].to_vec()
+            })
+            .collect()
     }
 
     /// Hard posterior predictions (argmax; first class on ties).
@@ -184,9 +206,11 @@ impl LabelModel {
 /// The matrix's items grouped by distinct `(cardinality, votes)` row. Ids
 /// are assigned in first-appearance order; the hash map only serves
 /// lookups while indexing, so its iteration order never reaches a result.
-struct Patterns {
-    /// Pattern id of each item, in item order.
-    ids: Vec<u32>,
+/// A combiner builds it once per task, for both the fit and the posteriors.
+pub(crate) struct Patterns {
+    /// Each item's offset into the flat posterior buffer (its pattern's),
+    /// in item order.
+    offsets: Vec<u32>,
     /// Per pattern: its first item, cardinality, and offset into the flat
     /// posterior buffer.
     patterns: Vec<Pattern>,
@@ -201,9 +225,9 @@ struct Pattern {
 }
 
 impl Patterns {
-    fn new(matrix: &LabelMatrix) -> Self {
+    pub(crate) fn new(matrix: &LabelMatrix) -> Self {
         let mut lookup: HashMap<(u32, &[Option<u32>]), u32> = HashMap::new();
-        let mut ids = Vec::with_capacity(matrix.n_items());
+        let mut offsets = Vec::with_capacity(matrix.n_items());
         let mut patterns: Vec<Pattern> = Vec::new();
         let mut width = 0;
         for i in 0..matrix.n_items() {
@@ -213,15 +237,10 @@ impl Patterns {
                 width += k as usize;
                 (patterns.len() - 1) as u32
             });
-            ids.push(id);
+            let offset = patterns[id as usize].offset;
+            offsets.push(u32::try_from(offset).expect("posterior buffer indexable by u32"));
         }
-        Self { ids, patterns, width }
-    }
-
-    /// Pattern `id`'s slice of the flat posterior buffer.
-    fn posterior<'a>(&self, id: u32, posteriors: &'a [f32]) -> &'a [f32] {
-        let p = &self.patterns[id as usize];
-        &posteriors[p.offset..p.offset + p.k]
+        Self { offsets, patterns, width }
     }
 
     /// E-step: `P(y = c | votes, params)` in log space, once per pattern,

@@ -53,5 +53,5 @@ pub mod optim;
 pub mod schedule;
 
 pub use graph::{softmax_in_place, stable_sigmoid, Graph, NodeId, LN_CLAMP};
-pub use matrix::{dot, Matrix};
+pub use matrix::{dot, matmul_into, Matrix};
 pub use params::{ParamId, ParamStore};

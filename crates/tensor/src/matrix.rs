@@ -158,13 +158,6 @@ impl Matrix {
         Self { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
     }
 
-    /// In-place element-wise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Element-wise combine with another matrix of the same shape.
     ///
     /// # Panics
@@ -225,11 +218,7 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = vec![0.0f32; m * n];
-        if kernels::use_blocked(m, k, n) {
-            kernels::gemm(m, k, n, &self.data, &other.data, &mut out);
-        } else {
-            kernels::gemm_rows(m, k, n, &self.data, (k, 1), &other.data, &mut out);
-        }
+        matmul_into(m, k, n, &self.data, &other.data, &mut out);
         Self::from_vec(m, n, out)
     }
 
@@ -495,6 +484,25 @@ impl Matrix {
     /// True if all elements are finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
+    }
+}
+
+/// `out += a * b` over row-major slices: `a` is `m x k`, `b` is `k x n`
+/// and `out` is `m x n`. This is [`Matrix::matmul`]'s kernel dispatch
+/// writing into a caller's buffer, such as a slot of an inference arena:
+/// onto a zeroed `out` it is the bits `matmul` returns.
+///
+/// # Panics
+/// Panics if a slice length disagrees with the shape.
+pub fn matmul_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert!(
+        a.len() == m * k && b.len() == k * n && out.len() == m * n,
+        "matmul_into shape mismatch: {m}x{k} * {k}x{n}"
+    );
+    if kernels::use_blocked(m, k, n) {
+        kernels::gemm(m, k, n, a, b, out);
+    } else {
+        kernels::gemm_rows(m, k, n, a, (k, 1), b, out);
     }
 }
 

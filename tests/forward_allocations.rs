@@ -1,0 +1,87 @@
+//! An allocation budget for the inference forward. A warm 32-record
+//! `CompiledModel::predict_batch` on a fixed workload makes a fixed number
+//! of heap allocations (the forward runs on the calling thread), and the
+//! budget below pins that number: a change that brings back per-example
+//! copies into the forward fails here. Only the calling thread's
+//! allocations are counted, so tests running alongside cannot move it.
+
+use overton_model::{CompiledExample, CompiledModel, FeatureSpace, ModelConfig};
+use overton_nlp::{generate_workload, WorkloadConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Allocations of one warm 32-record forward over the fixture below:
+/// about one per decoded output (task maps, names, per-element rows) plus
+/// a fixed few for the batch's bounds and its arena.
+const BUDGET: usize = 546;
+
+/// The system allocator, counting the calling thread's allocations while
+/// [`allocations_of`] is armed.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn note() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get().map(|n| n + 1)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; counting only
+// touches a thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Runs `f`, returning how many allocations this thread made meanwhile.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    ALLOCATIONS.with(|count| count.set(Some(0)));
+    let out = f();
+    (out, ALLOCATIONS.with(|count| count.replace(None)).expect("armed above"))
+}
+
+#[test]
+fn warm_forward_stays_within_its_allocation_budget() {
+    let ds = generate_workload(&WorkloadConfig {
+        n_train: 60,
+        n_dev: 10,
+        n_test: 40,
+        seed: 17,
+        ..Default::default()
+    });
+    let space = FeatureSpace::build_from_store(&ds.seal()).expect("feature space");
+    let model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
+    let examples: Vec<CompiledExample> = ds.test_indices()[..32]
+        .iter()
+        .map(|&i| CompiledExample::from_record(&ds.records()[i], i, &space, ds.schema()))
+        .collect();
+    let warm = model.predict_batch(&examples);
+    let (predictions, allocations) = allocations_of(|| model.predict_batch(&examples));
+    assert_eq!(predictions, warm, "a warm forward answers as the first one did");
+    println!("{allocations} allocations for 32 records");
+    assert!(
+        allocations <= BUDGET,
+        "a warm 32-record forward made {allocations} allocations, over its budget of {BUDGET}"
+    );
+}
