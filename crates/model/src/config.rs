@@ -108,7 +108,7 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Threads sharing each optimizer window's gradient computation
     /// (`0` or `1` = single-threaded): the window splits into this many
-    /// contiguous sub-windows, one stacked tape each. Any value produces
+    /// contiguous sub-windows, one slot arena each. Any value produces
     /// bit-identical weights: per-example gradients are merged in example
     /// order, so workers change wall-time only, never the trajectory.
     /// Defaults low because training often runs alongside serving.

@@ -2,7 +2,7 @@
 //!
 //! [`CompiledModel::compile`] lowers its layers once into a [`Plan`]: a
 //! fixed list of [`Step`]s, each an [`Op`] that reads some slots and writes
-//! one. A slot is a matrix stacked by rows over a batch — one row per
+//! a new one. A slot is a matrix stacked by rows over a batch — one row per
 //! example, per token of a sequence payload, or per element of a set
 //! payload ([`Rows`]) — with a width fixed at compile time. What mixes rows
 //! within an example (aggregation, span means, per-segment `im2row`, the
@@ -15,14 +15,16 @@
 //! distillation and serving) lays every slot out in one zeroed `f32` arena
 //! per call and runs the steps in place: GEMMs write straight into their
 //! output slot, and segment steps read stacked rows where they lie, so no
-//! step copies an example out. Training replays the same steps onto an
-//! autograd tape (`Plan::record`, in `network.rs`).
+//! step copies an example out. Training runs the same steps forward, then
+//! each step's hand-written vector-Jacobian product backward, over arenas
+//! of the same layout (`backprop.rs`).
 //!
-//! Each step performs the tape's arithmetic op for op, in f32, and GEMM
-//! rows are independent of each other, so inference is **bit-identical**
-//! to decoding a single-example training tape one example at a time
-//! (tested against the per-example tape kept as the test oracle, over every
-//! encoder, aggregation and head kind, in mixed batches).
+//! Each step performs the per-example tape's arithmetic op for op, in f32,
+//! and GEMM rows are independent of each other, so inference is
+//! **bit-identical** to decoding a single-example training tape one
+//! example at a time (tested against the per-example tape kept as the test
+//! oracle, over every encoder, aggregation and head kind, in mixed
+//! batches).
 
 use crate::features::CompiledExample;
 use crate::network::{CompiledModel, Prediction, TaskOutput};
@@ -68,8 +70,9 @@ pub(crate) enum Act {
     Tanh,
 }
 
-/// Where training brings an affine step's parameters in: which leaves a
-/// single-example tape would make (see `Graph::param_blocks`).
+/// How training splits an affine step's parameter gradient into partials:
+/// one wherever a single-example tape would make a parameter leaf, each
+/// summed from zero over that leaf's rows only.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Leaves {
     /// One leaf per example, over its rows.
@@ -102,14 +105,12 @@ pub(crate) enum Op {
     Attend(MultiHeadSelfAttention),
     /// `[a, b]`: the two slots side by side.
     ConcatCols,
-    /// `[x]`, written in place: dropout masks when training, the identity
-    /// at inference.
+    /// `[x]`: dropout masks when training. At inference it is the identity,
+    /// and its slot is its input's.
     Dropout(Dropout),
     /// `parts`: per example, the mean or max over its rows of every part,
     /// stacked in order.
     Pool(AggregationKind),
-    /// `parts` (one row per example each): their mean, row by row.
-    Mean,
     /// `[x]` over the tokens of a set's range payload: the mean of each
     /// element's span, one row per element of set `Plan::sets[s]`.
     SpanMeans(usize),
@@ -128,7 +129,6 @@ pub(crate) enum Op {
 pub(crate) struct Step {
     pub(crate) op: Op,
     pub(crate) inputs: Vec<Slot>,
-    pub(crate) out: Slot,
 }
 
 /// A task head's logits slot and how it decodes.
@@ -139,9 +139,9 @@ pub(crate) struct HeadOut {
     pub(crate) logits: Slot,
 }
 
-/// A [`CompiledModel`]'s layers lowered once into steps over slots. Every
-/// step writes a slot created after its inputs' (dropout alone writes its
-/// input in place), so the steps are already in execution order.
+/// A [`CompiledModel`]'s layers lowered once into steps over slots. Step
+/// `i` writes slot `i`, created after its inputs', so the steps are
+/// already in execution order.
 #[derive(Debug, Default)]
 pub(crate) struct Plan {
     /// Sequence payload names, by [`Rows::Tokens`] index.
@@ -191,17 +191,6 @@ impl Segments {
         let lo = lo.min(seg.len().saturating_sub(1));
         let hi = hi.clamp(lo + 1, seg.len());
         seg.start + lo..seg.start + hi
-    }
-
-    /// `(example, rows)` for every example that owns rows: the parameter
-    /// blocks of an op over this stack (see `Graph::param_blocks`).
-    pub(crate) fn blocks(&self) -> Vec<(usize, Range<usize>)> {
-        self.iter().enumerate().filter(|(_, rows)| !rows.is_empty()).collect()
-    }
-
-    /// The example each stacked row belongs to.
-    pub(crate) fn owners(&self) -> Vec<usize> {
-        self.iter().enumerate().flat_map(|(b, rows)| std::iter::repeat_n(b, rows.len())).collect()
     }
 }
 
@@ -305,25 +294,20 @@ impl Plan {
             return Vec::new();
         }
         let batch = Batch::new(self, examples.iter());
-        let mut offsets = Vec::with_capacity(self.slots.len() + 1);
-        offsets.push(0);
-        for slot in &self.slots {
-            offsets.push(offsets[offsets.len() - 1] + batch.segs(slot.rows).total() * slot.cols);
-        }
-        let mut arena = vec![0.0f32; offsets[self.slots.len()]];
-        for step in &self.steps {
+        let mut regions = Vec::with_capacity(self.slots.len());
+        let mut arena = vec![0.0f32; self.layout(&batch, false, &mut regions)];
+        for (s, step) in self.steps.iter().enumerate() {
             // Dropout is the identity here, and zeros are already there.
             if matches!(step.op, Op::Dropout(_) | Op::Zeros) {
                 continue;
             }
             // Every input slot lies before the output's.
-            let (done, rest) = arena.split_at_mut(offsets[step.out]);
-            let (done, out): (&[f32], _) =
-                (done, &mut rest[..offsets[step.out + 1] - offsets[step.out]]);
-            let input = |i: usize| &done[offsets[step.inputs[i]]..offsets[step.inputs[i] + 1]];
-            self.run(step, &model.params, &batch, input, out);
+            let (done, rest) = arena.split_at_mut(regions[s].start);
+            let (done, out): (&[f32], _) = (done, &mut rest[..regions[s].len()]);
+            let input = |i: usize| &done[regions[step.inputs[i]].clone()];
+            self.run(s, &model.params, &batch, input, out, None);
         }
-        let slot = |s: Slot| &arena[offsets[s]..offsets[s + 1]];
+        let slot = |s: Slot| &arena[regions[s].clone()];
         let decoded = examples.iter().enumerate().map(|(b, example)| {
             let heads = self.heads.iter().filter_map(|head| {
                 let SlotDef { rows, cols } = self.slots[head.logits];
@@ -346,17 +330,39 @@ impl Plan {
         decoded.collect()
     }
 
-    /// Runs one step: reads `input(i)`, the slots of `step.inputs`, and
-    /// writes `out`, its zeroed output slot.
-    fn run<'a>(
+    /// Each slot's range in an arena over `batch`, in slot order, and the
+    /// arena's length. At inference (`train` false) dropout is the
+    /// identity, so its slot shares its input's range.
+    pub(crate) fn layout(&self, batch: &Batch, train: bool, out: &mut Vec<Range<usize>>) -> usize {
+        out.clear();
+        let mut end = 0;
+        for (step, slot) in self.steps.iter().zip(&self.slots) {
+            out.push(match step.op {
+                Op::Dropout(_) if !train => out[step.inputs[0]].clone(),
+                _ => {
+                    let start = end;
+                    end += batch.segs(slot.rows).total() * slot.cols;
+                    start..end
+                }
+            });
+        }
+        end
+    }
+
+    /// Runs step `s`: reads `input(i)`, the slots of its `inputs`, and
+    /// writes `out`, its zeroed output slot `s`. With `save`, the LSTM appends
+    /// per row and unit its gates, cell and tanh, and attention its weights
+    /// per segment and head: what their backward reads.
+    pub(crate) fn run<'a>(
         &self,
-        step: &Step,
+        s: Slot,
         ps: &ParamStore,
         batch: &Batch,
         input: impl Fn(usize) -> &'a [f32],
         out: &mut [f32],
+        mut save: Option<&mut Vec<f32>>,
     ) {
-        let SlotDef { rows, cols } = self.slots[step.out];
+        let (step, SlotDef { rows, cols }) = (&self.steps[s], self.slots[s]);
         let in_cols = |i: usize| self.slots[step.inputs[i]].cols;
         let segs = batch.segs(rows);
         match &step.op {
@@ -421,7 +427,11 @@ impl Plan {
                             let c_cand = pre[2 * h + j].tanh();
                             let o_gate = stable_sigmoid(pre[3 * h + j]);
                             c[j] = f_gate * c[j] + i_gate * c_cand;
-                            *h_t = o_gate * c[j].tanh();
+                            let c_tanh = c[j].tanh();
+                            *h_t = o_gate * c_tanh;
+                            if let Some(save) = save.as_deref_mut() {
+                                save.extend([i_gate, f_gate, c_cand, o_gate, c[j], c_tanh]);
+                            }
                         }
                     }
                 }
@@ -464,6 +474,9 @@ impl Plan {
                         matmul_into(t, head_dim, t, &qh, &kt, &mut scores);
                         scores.iter_mut().for_each(|s| *s *= scale);
                         scores.chunks_exact_mut(t).for_each(softmax_in_place);
+                        if let Some(save) = save.as_deref_mut() {
+                            save.extend_from_slice(&scores);
+                        }
                         matmul_into(t, t, head_dim, &scores, &vh, &mut head);
                         for (r, row) in seg.clone().zip(head.chunks_exact(head_dim)) {
                             out[r * cols + lo..r * cols + lo + head_dim].copy_from_slice(row);
@@ -479,11 +492,10 @@ impl Plan {
                 }
             }
             Op::Pool(kind) => self.pool(*kind, step, batch, input, out),
-            Op::Mean => self.pool(AggregationKind::Mean, step, batch, input, out),
-            Op::SpanMeans(s) => {
+            Op::SpanMeans(set) => {
                 let x = input(0);
                 let enc = batch.segs(self.slots[step.inputs[0]].rows);
-                let spans = batch.elements[*s]
+                let spans = batch.elements[*set]
                     .items
                     .iter()
                     .enumerate()
@@ -537,7 +549,7 @@ impl Plan {
         input: impl Fn(usize) -> &'a [f32],
         out: &mut [f32],
     ) {
-        let (cols, input) = (self.slots[step.out].cols, &input);
+        let (cols, input) = (self.slots[step.inputs[0]].cols, &input);
         for (b, pooled) in out.chunks_exact_mut(cols).enumerate() {
             let rows = || {
                 step.inputs.iter().enumerate().flat_map(move |(i, &s)| {
@@ -643,7 +655,7 @@ pub(crate) fn decode<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{EncoderKind, ModelConfig};
+    use crate::config::ModelConfig;
     use crate::features::FeatureSpace;
     use crate::oracle;
     use overton_nlp::{generate_workload, WorkloadConfig};
@@ -651,14 +663,6 @@ mod tests {
     use overton_tensor::Graph;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
-
-    const ENCODERS: [EncoderKind; 5] = [
-        EncoderKind::MeanBag,
-        EncoderKind::Cnn,
-        EncoderKind::Lstm,
-        EncoderKind::BiLstm,
-        EncoderKind::Attention,
-    ];
 
     fn setup() -> (Dataset, FeatureSpace) {
         let ds = generate_workload(&WorkloadConfig {
@@ -704,7 +708,7 @@ mod tests {
         assert!(exs.len() <= MAX_BATCH, "one forward over the whole batch");
 
         let mut outputs = std::collections::HashSet::new();
-        for encoder in ENCODERS {
+        for encoder in oracle::ENCODERS {
             for slice_heads in [true, false] {
                 for aggregation in [AggregationKind::Mean, AggregationKind::Max] {
                     let config =
@@ -764,7 +768,7 @@ mod tests {
         *entities = vec![(entity, (0, 2)), (entity, (1, 3)), (entity, (0, 3))];
         let mixed = [absent, no_entities, overlapping, exs[3].clone()];
         let batches = [&exs[..32], &exs[32..33], &exs[33..65], &mixed[..]];
-        for encoder in ENCODERS {
+        for encoder in oracle::ENCODERS {
             let config = ModelConfig { encoder, ..Default::default() };
             let model = CompiledModel::compile(&schema, &space, &config, None);
             for batch in batches {

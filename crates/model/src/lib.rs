@@ -11,6 +11,7 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
+mod backprop;
 mod compiler;
 mod config;
 mod distill;

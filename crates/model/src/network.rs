@@ -21,24 +21,21 @@
 //! Compilation builds these layers, registering their parameters, and
 //! lowers them once into the [`Plan`] that both executors run: inference
 //! in place over one arena per batch (`infer.rs`), and training, which
-//! replays the same steps onto an autograd tape ([`Plan::record`]).
+//! runs the same steps forward and their vector-Jacobian products
+//! backward over slot arenas (`backprop.rs`).
 
 use crate::config::{AggregationKind, EmbeddingKind, EncoderKind, ModelConfig};
 use crate::features::{CompiledExample, FeatureSpace};
-use crate::infer::{
-    Act, Batch, Decode, HeadOut, Leaves, Op, Plan, Rows, Segments, Slot, SlotDef, Step, MAX_BATCH,
-};
+use crate::infer::{Act, Decode, HeadOut, Leaves, Op, Plan, Rows, Slot, SlotDef, Step, MAX_BATCH};
 use crate::pretrained::PretrainedEncoder;
 use overton_store::{PayloadKind, Schema, TaskKind};
-use overton_supervision::ProbLabel;
 use overton_tensor::nn::{
     BiLstm, Conv1d, Dropout, Embedding, Linear, Lstm, MultiHeadSelfAttention,
 };
-use overton_tensor::{Graph, Matrix, NodeId, ParamStore};
+use overton_tensor::ParamStore;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// A sequence encoder producing `[T, hidden]` from `[T, token_dim]`.
 #[derive(Debug, Clone)]
@@ -145,8 +142,7 @@ pub struct CompiledModel {
     pub(crate) hidden: usize,
     /// Singleton payloads in dependency order (bases first).
     pub(crate) singleton_order: Vec<String>,
-    /// The layers lowered once into steps: the plan inference runs in
-    /// place and training replays onto its tape.
+    /// The layers lowered once into steps: the plan both executors run.
     pub(crate) inference: Plan,
 }
 
@@ -430,8 +426,8 @@ impl CompiledModel {
                     plan.linear(attention.wo(), attended, Act::None, Leaves::PerExample)
                 }
             };
-            plan.steps.push(Step { op: Op::Dropout(self.dropout), inputs: vec![enc], out: enc });
-            seq_enc.insert(name, enc);
+            let cols = plan.slots[enc].cols;
+            seq_enc.insert(name, plan.step(Op::Dropout(self.dropout), &[enc], rows, cols));
         }
 
         // 2. Singleton payloads aggregate their bases, in dependency order.
@@ -456,7 +452,7 @@ impl CompiledModel {
         } else {
             single.values().copied().collect()
         };
-        let op = if reprs.is_empty() { Op::Zeros } else { Op::Mean };
+        let op = if reprs.is_empty() { Op::Zeros } else { Op::Pool(AggregationKind::Mean) };
         let mut shared = plan.step(op, &reprs, Rows::Examples, hidden);
 
         // 4. Slice-based re-weighting of the shared representation.
@@ -546,31 +542,12 @@ impl Head {
     }
 }
 
-/// A window forward's outputs (node ids into the caller's graph).
-pub(crate) struct WindowPass {
-    /// Per plan head, its logits (`None`: the head did not run on this
-    /// window).
-    heads: Vec<Option<WindowLogits>>,
-    /// Per slice, indicator logits: one `[non-member, member]` row per
-    /// example.
-    indicators: Vec<NodeId>,
-}
-
-/// One head's row-stacked logits.
-#[derive(Clone)]
-struct WindowLogits {
-    logits: NodeId,
-    /// The logit rows each example owns (`None`: no output for it). A
-    /// select head's rows are its element scores, one per row.
-    rows: Vec<Option<Range<usize>>>,
-}
-
 impl Plan {
     /// Appends a step that writes a new `rows x cols` slot.
     fn step(&mut self, op: Op, inputs: &[Slot], rows: Rows, cols: usize) -> Slot {
         let out = self.slots.len();
         self.slots.push(SlotDef { rows, cols });
-        self.steps.push(Step { op, inputs: inputs.to_vec(), out });
+        self.steps.push(Step { op, inputs: inputs.to_vec() });
         out
     }
 
@@ -593,352 +570,15 @@ impl Plan {
         let xw = self.step(project, &[x], rows, 4 * lstm.hidden());
         self.step(Op::Recur(lstm.clone()), &[xw], rows, lstm.hidden())
     }
-
-    /// The bounds of a window's rows of sequence payload `p` that its
-    /// examples carry: an example without it owns none.
-    fn kept(&self, p: usize, segs: &Segments, examples: &[&CompiledExample]) -> Segments {
-        let lens =
-            segs.iter().zip(examples).map(|(r, ex)| if self.present(p, ex) { r.len() } else { 0 });
-        Segments::from_lens(lens)
-    }
-
-    /// Training's forward over one optimizer window: the plan replayed
-    /// onto `g` with the examples' rows stacked. Every affine step runs
-    /// once over its stack, with one parameter leaf per
-    /// [`Graph::param_blocks`] block wherever a single-example tape makes
-    /// one `param` call (per example, or per set element); only what mixes
-    /// rows within an example runs per example, on row views. A step over
-    /// no rows (a window without set elements) records nothing, nor do the
-    /// steps that read it.
-    ///
-    /// Ops go on the tape in a single-example tape's order and each row's
-    /// arithmetic is the same, so every row's value and gradient, and every
-    /// leaf's gradient, is the bits that example's own tape would compute.
-    /// (The slice-attention margins are recorded after the last expert,
-    /// not after each indicator: every node still meets its consumers in
-    /// the same order, and that order is what fixes the backward sums.)
-    /// Dropout is on: example `b` draws its masks from `rngs[b]`, in the
-    /// order its own tape would.
-    pub(crate) fn record<'p>(
-        &self,
-        ps: &'p ParamStore,
-        g: &mut Graph<'p>,
-        examples: &[&CompiledExample],
-        rngs: &mut [SmallRng],
-    ) -> WindowPass {
-        let batch = Batch::new(self, examples.iter().copied());
-        let mut nodes: Vec<Option<NodeId>> = vec![None; self.slots.len()];
-        for step in &self.steps {
-            let SlotDef { rows, cols } = self.slots[step.out];
-            let segs = batch.segs(rows);
-            let inputs: Option<Vec<NodeId>> = step.inputs.iter().map(|&s| nodes[s]).collect();
-            let Some(x) = inputs.filter(|_| segs.total() > 0) else { continue };
-            let in_segs = |i: usize| batch.segs(self.slots[step.inputs[i]].rows);
-            let node = match &step.op {
-                Op::Gather(table) => {
-                    let ids = batch.ids(rows);
-                    let vocab = ps.value(*table).rows();
-                    assert!(
-                        ids.iter().all(|&i| i < vocab),
-                        "embedding id out of vocabulary (vocab = {vocab})"
-                    );
-                    // A single-example tape looks each set element up alone.
-                    let blocks = if matches!(rows, Rows::Elements(_)) {
-                        per_row(segs)
-                    } else {
-                        segs.blocks()
-                    };
-                    let table = g.param_blocks(ps, *table, blocks);
-                    g.select_rows(table, &ids)
-                }
-                Op::Affine { weight, bias, act, leaves } => {
-                    let (x, blocks) = match (leaves, rows) {
-                        (Leaves::PerExample, _) => (x[0], segs.blocks()),
-                        (Leaves::PerRow, _) => (x[0], per_row(segs)),
-                        (Leaves::Present, Rows::Tokens(p)) => {
-                            let kept = self.kept(p, segs, examples);
-                            if kept.total() == 0 {
-                                continue;
-                            }
-                            if kept.total() == segs.total() {
-                                (x[0], kept.blocks())
-                            } else {
-                                let rows: Vec<usize> = kept
-                                    .blocks()
-                                    .into_iter()
-                                    .flat_map(|(b, _)| segs.range(b))
-                                    .collect();
-                                (g.select_rows(x[0], &rows), kept.blocks())
-                            }
-                        }
-                        (Leaves::Present, _) => unreachable!("per-element heads read tokens"),
-                    };
-                    let w = g.param_blocks(ps, *weight, blocks.iter().cloned());
-                    let y = g.matmul(x, w);
-                    let y = match bias {
-                        Some(bias) => {
-                            let b = g.param_blocks(ps, *bias, blocks);
-                            g.add_row_broadcast(y, b)
-                        }
-                        None => y,
-                    };
-                    match act {
-                        Act::None => y,
-                        Act::Relu => g.relu(y),
-                        Act::Tanh => g.tanh(y),
-                    }
-                }
-                Op::Im2Row(k) => {
-                    let unfolded: Vec<NodeId> = (segs.iter())
-                        .map(|rows| {
-                            let rows = view(g, x[0], rows);
-                            g.im2row(rows, *k, k / 2)
-                        })
-                        .collect();
-                    concat_rows(g, &unfolded)
-                }
-                Op::Recur(lstm) => {
-                    // Each example brings its own recurrent weight and bias in.
-                    let mut outputs = Vec::with_capacity(segs.total());
-                    for (b, rows) in segs.iter().enumerate() {
-                        let wh = g.param_blocks(ps, lstm.wh_id(), [(b, 0..1)]);
-                        let bias = g.param_blocks(ps, lstm.bias_id(), [(b, 0..1)]);
-                        outputs.extend(lstm.recur(g, x[0], rows, wh, bias));
-                    }
-                    g.concat_rows(&outputs)
-                }
-                Op::Reverse => {
-                    let rev: Vec<usize> = segs.iter().flat_map(Iterator::rev).collect();
-                    g.select_rows(x[0], &rev)
-                }
-                Op::Attend(attention) => {
-                    let attended: Vec<NodeId> = (segs.iter())
-                        .map(|rows| {
-                            let [q, k, v] = [0, 1, 2].map(|i| view(g, x[i], rows.clone()));
-                            attention.attend(g, q, k, v)
-                        })
-                        .collect();
-                    concat_rows(g, &attended)
-                }
-                Op::ConcatCols => g.concat_cols(&x),
-                Op::Dropout(dropout) => {
-                    let lens: Vec<usize> = segs.iter().map(|rows| rows.len()).collect();
-                    dropout.forward(g, x[0], true, &lens, rngs)
-                }
-                Op::Pool(kind) => {
-                    let pooled: Vec<NodeId> = (0..examples.len())
-                        .map(|b| {
-                            let views: Vec<NodeId> = (x.iter().enumerate())
-                                .map(|(i, &part)| view(g, part, in_segs(i).range(b)))
-                                .collect();
-                            let stacked = concat_rows(g, &views);
-                            match kind {
-                                AggregationKind::Mean => g.mean_rows(stacked),
-                                AggregationKind::Max => g.max_rows(stacked),
-                            }
-                        })
-                        .collect();
-                    concat_rows(g, &pooled)
-                }
-                Op::Mean => {
-                    // Row by row, this is `mean_rows` over one row per part:
-                    // the same products, summed in the same order.
-                    let inv = 1.0 / x.len() as f32;
-                    let scaled: Vec<NodeId> = x.iter().map(|&part| g.scale(part, inv)).collect();
-                    sum(g, &scaled).expect("at least one part")
-                }
-                Op::SpanMeans(s) => {
-                    // Spans may overlap: the backward sweep adds each span's
-                    // gradient into the encoding in reverse span order, as a
-                    // tape running one span at a time would.
-                    let enc = in_segs(0);
-                    let spans =
-                        batch.elements[*s].items.iter().enumerate().flat_map(|(b, elements)| {
-                            elements.iter().map(move |&(_, span)| enc.span(b, span))
-                        });
-                    let means: Vec<NodeId> = spans
-                        .map(|rows| {
-                            let rows = view(g, x[0], rows);
-                            g.mean_rows(rows)
-                        })
-                        .collect();
-                    concat_rows(g, &means)
-                }
-                Op::SliceMix => {
-                    let slices = (x.len() - 1) / 2;
-                    // Membership confidence enters the attention as the
-                    // logit margin in favour of membership.
-                    let mut weight_logits = vec![g.constant(Matrix::zeros(examples.len(), 1))];
-                    for &logits in &x[1..=slices] {
-                        let member = g.slice_cols(logits, 1, 2);
-                        let non_member = g.slice_cols(logits, 0, 1);
-                        weight_logits.push(g.sub(member, non_member));
-                    }
-                    let logits_rows = g.concat_cols(&weight_logits);
-                    let attn = g.softmax_rows(logits_rows); // [n, S+1]
-                    let reprs = std::iter::once(x[0]).chain(x[slices + 1..].iter().copied());
-                    let scaled: Vec<NodeId> = reprs
-                        .enumerate()
-                        .map(|(i, repr)| {
-                            let w = g.slice_cols(attn, i, i + 1); // [n, 1]
-                            g.mul_row_scalar(repr, w)
-                        })
-                        .collect();
-                    sum(g, &scaled).expect("at least the base repr")
-                }
-                Op::Pair => {
-                    let context = g.select_rows(x[0], &segs.owners());
-                    g.concat_cols(&[context, x[1]])
-                }
-                Op::Zeros => g.constant(Matrix::zeros(segs.total(), cols)),
-            };
-            nodes[step.out] = Some(node);
-        }
-        let heads = (self.heads.iter())
-            .map(|head| {
-                let rows = self.slots[head.logits].rows;
-                let kept = match rows {
-                    Rows::Tokens(p) => self.kept(p, batch.segs(rows), examples),
-                    _ => Segments::from_lens(batch.segs(rows).iter().map(|r| r.len())),
-                };
-                let rows = kept.iter().map(|r| Some(r).filter(|r| !r.is_empty())).collect();
-                Some(WindowLogits { logits: nodes[head.logits]?, rows })
-            })
-            .collect();
-        let indicators = self.indicators.iter().map(|&s| nodes[s].expect("runs on every window"));
-        WindowPass { heads, indicators: indicators.collect() }
-    }
-
-    /// Each example's total training loss over a window's forward: task
-    /// losses against probabilistic targets plus (optionally) slice-indicator
-    /// losses, built on views of that example's logit rows in a
-    /// single-example tape's order. `None` where an example supervises
-    /// nothing.
-    pub(crate) fn losses(
-        &self,
-        g: &mut Graph,
-        pass: &WindowPass,
-        examples: &[&CompiledExample],
-        indicator_loss_weight: f32,
-    ) -> Vec<Option<NodeId>> {
-        let mut totals = Vec::with_capacity(examples.len());
-        for (b, example) in examples.iter().enumerate() {
-            let mut terms: Vec<NodeId> = Vec::new();
-            for (task, target) in &example.targets {
-                let Some(h) = self.heads.iter().position(|head| &head.task == task) else {
-                    continue;
-                };
-                let Some(WindowLogits { logits, rows }) = &pass.heads[h] else { continue };
-                let Some(rows) = rows[b].clone() else { continue };
-                let (t, k) = (rows.len(), g.value(*logits).cols());
-                let term = match (self.heads[h].decode, target) {
-                    (Decode::PerElement { bce: false }, ProbLabel::SeqDist(dists)) => {
-                        if dists.len() != t {
-                            continue;
-                        }
-                        let mut targets = Matrix::zeros(t, k);
-                        let mut weights = vec![0.0f32; t];
-                        for (i, row) in dists.iter().enumerate() {
-                            if row.len() == k && row.iter().sum::<f32>() > 0.0 {
-                                targets.row_mut(i).copy_from_slice(row);
-                                weights[i] = 1.0;
-                            }
-                        }
-                        if weights.iter().all(|&w| w == 0.0) {
-                            continue;
-                        }
-                        let logits = view(g, *logits, rows);
-                        g.cross_entropy(logits, &targets, &weights)
-                    }
-                    (Decode::PerElement { bce: true }, ProbLabel::SeqBits(bits)) => {
-                        if bits.len() != t {
-                            continue;
-                        }
-                        let mut targets = Matrix::zeros(t, k);
-                        for (i, row) in bits.iter().enumerate() {
-                            if row.len() == k {
-                                targets.row_mut(i).copy_from_slice(row);
-                            }
-                        }
-                        let logits = view(g, *logits, rows);
-                        g.bce_with_logits(logits, &targets, &Matrix::ones(t, k))
-                    }
-                    (Decode::Single { bce: false }, ProbLabel::Dist(dist)) => {
-                        if dist.len() != k {
-                            continue;
-                        }
-                        let logits = view(g, *logits, rows);
-                        g.cross_entropy(logits, &Matrix::row_vector(dist), &[1.0])
-                    }
-                    (Decode::Single { bce: true }, ProbLabel::Bits(bits)) => {
-                        if bits.len() != k {
-                            continue;
-                        }
-                        let logits = view(g, *logits, rows);
-                        g.bce_with_logits(logits, &Matrix::row_vector(bits), &Matrix::ones(1, k))
-                    }
-                    (Decode::Select, ProbLabel::Dist(dist)) => {
-                        // The example's element scores, as one `[1, k]` row.
-                        if dist.len() != t {
-                            continue;
-                        }
-                        let scores = view(g, *logits, rows);
-                        let logits = g.transpose(scores);
-                        g.cross_entropy(logits, &Matrix::row_vector(dist), &[1.0])
-                    }
-                    _ => continue,
-                };
-                terms.push(term);
-            }
-            // Indicator supervision comes from slice tags, which are known
-            // on every training record.
-            if indicator_loss_weight > 0.0 {
-                for (s, &logits) in pass.indicators.iter().enumerate() {
-                    let member = example.slice_membership.get(s).copied().unwrap_or(false);
-                    let mut target = Matrix::zeros(1, 2);
-                    target[(0, usize::from(member))] = 1.0;
-                    let logits = g.slice_rows(logits, b, b + 1);
-                    let ce = g.cross_entropy(logits, &target, &[1.0]);
-                    terms.push(g.scale(ce, indicator_loss_weight));
-                }
-            }
-            totals.push(sum(g, &terms));
-        }
-        totals
-    }
-}
-
-/// One parameter block per stacked row, owned by its example.
-fn per_row(segs: &Segments) -> Vec<(usize, Range<usize>)> {
-    segs.owners().into_iter().enumerate().map(|(row, b)| (b, row..row + 1)).collect()
-}
-
-/// Rows `rows` of a node (the node itself when that is all of it).
-fn view(g: &mut Graph, node: NodeId, rows: Range<usize>) -> NodeId {
-    if rows == (0..g.value(node).rows()) {
-        node
-    } else {
-        g.slice_rows(node, rows.start, rows.end)
-    }
-}
-
-/// `parts` stacked by rows (a single part as it is).
-fn concat_rows(g: &mut Graph, parts: &[NodeId]) -> NodeId {
-    match parts {
-        [part] => *part,
-        _ => g.concat_rows(parts),
-    }
-}
-
-/// `((t0 + t1) + t2) + ...`, or `None` without terms.
-fn sum(g: &mut Graph, terms: &[NodeId]) -> Option<NodeId> {
-    terms.iter().copied().reduce(|acc, term| g.add(acc, term))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::{gold_to_prob, FeatureSpace};
+    use crate::backprop::Workspace;
+    use crate::config::TrainConfig;
+    use crate::features::gold_to_prob;
+    use crate::infer::Batch;
     use overton_nlp::{generate_workload, WorkloadConfig};
     use overton_store::Dataset;
 
@@ -960,6 +600,14 @@ mod tests {
         CompiledModel::compile(ds.schema(), space, &config, None)
     }
 
+    /// Runs the training executor over `exs` as one window.
+    fn window(model: &CompiledModel, exs: &[&CompiledExample], weight: f32) -> Workspace {
+        let config = TrainConfig { indicator_loss_weight: weight, ..Default::default() };
+        let mut ws = Workspace::default();
+        crate::backprop::gradients(model, exs, &vec![0; exs.len()], &config, &mut ws);
+        ws
+    }
+
     #[test]
     fn forward_produces_all_task_logits() {
         let (ds, space) = setup();
@@ -967,36 +615,31 @@ mod tests {
         let exs: Vec<CompiledExample> = (0..3)
             .map(|i| CompiledExample::from_record(&ds.records()[i], i, &space, ds.schema()))
             .collect();
-        let window: Vec<&CompiledExample> = exs.iter().collect();
-        let mut g = Graph::new();
-        let mut rngs: Vec<SmallRng> = (0..3).map(SmallRng::seed_from_u64).collect();
-        let pass = model.inference.record(&model.params, &mut g, &window, &mut rngs);
-        let logits = |task: &str| {
-            let head = model.inference.heads.iter().position(|h| h.task == task).expect(task);
-            pass.heads[head].clone().unwrap_or_else(|| panic!("missing logits for {task}"))
-        };
+        let ws = window(&model, &exs.iter().collect::<Vec<_>>(), 0.3);
+        let (plan, batch) = (&model.inference, Batch::new(&model.inference, exs.iter()));
+        let slot =
+            |task: &str| plan.slots[plan.heads.iter().find(|h| h.task == task).unwrap().logits];
+        let rows = |task: &str, b: usize| batch.segs(slot(task).rows).range(b).len();
         for (b, ex) in exs.iter().enumerate() {
-            let rows = |task: &str| logits(task).rows[b].clone().expect("has rows");
-            assert_eq!(rows("POS").len(), ex.sequences["tokens"].len());
-            assert_eq!(rows("Intent").len(), 1);
-            assert_eq!(rows("IntentArg").len(), ex.sets["entities"].len());
-            assert!(logits("EntityType").rows[b].is_some());
+            assert_eq!(rows("POS", b), ex.sequences["tokens"].len());
+            assert_eq!(rows("Intent", b), 1);
+            assert_eq!(rows("IntentArg", b), ex.sets["entities"].len());
+            assert_eq!(rows("EntityType", b), ex.sequences["tokens"].len());
         }
-        assert_eq!(g.value(logits("POS").logits).cols(), 8);
-        assert_eq!(pass.indicators.len(), space.slice_names.len());
-        assert_eq!(g.value(pass.indicators[0]).shape(), (3, 2));
+        for head in &plan.heads {
+            let SlotDef { rows, cols } = plan.slots[head.logits];
+            assert!(cols > 0, "{} has no logits", head.task);
+            assert_eq!(ws.regions[head.logits].len(), batch.segs(rows).total() * cols);
+        }
+        assert_eq!(slot("POS").cols, 8);
+        assert_eq!(plan.indicators.len(), space.slice_names.len());
+        assert_eq!(ws.regions[plan.indicators[0]].len(), 3 * 2);
     }
 
     #[test]
     fn every_encoder_kind_compiles_and_runs() {
         let (ds, space) = setup();
-        for kind in [
-            EncoderKind::MeanBag,
-            EncoderKind::Cnn,
-            EncoderKind::Lstm,
-            EncoderKind::BiLstm,
-            EncoderKind::Attention,
-        ] {
+        for kind in crate::oracle::ENCODERS {
             let model = compile(&ds, &space, kind);
             let ex = CompiledExample::from_record(&ds.records()[0], 0, &space, ds.schema());
             let pred = model.predict(&ex);
@@ -1016,16 +659,10 @@ mod tests {
                 ex.targets.insert(task.to_string(), p);
             }
         }
-        let mut g = Graph::new();
-        let mut rngs = [SmallRng::seed_from_u64(0)];
-        let pass = model.inference.record(&model.params, &mut g, &[&ex], &mut rngs);
-        let loss = model.inference.losses(&mut g, &pass, &[&ex], 0.3)[0].expect("has targets");
-        assert!(g.value(loss).scalar_value() > 0.0);
-        g.backward(loss);
+        let ws = window(&model, &[&ex], 0.3);
+        assert!(ws.partials.losses[0].expect("has targets") > 0.0);
         let mut params = model.params.clone();
-        for (pid, grad) in g.take_param_grads().into_iter().flatten() {
-            params.grad_mut(pid).add_assign(&grad);
-        }
+        ws.partials.merge_into(&mut params);
         assert!(params.grad_norm() > 0.0, "gradients must flow");
     }
 
@@ -1035,10 +672,7 @@ mod tests {
         let config = ModelConfig { slice_heads: false, ..Default::default() };
         let model = CompiledModel::compile(ds.schema(), &space, &config, None);
         let ex = CompiledExample::from_record(&ds.records()[0], 0, &space, ds.schema());
-        let mut g = Graph::new();
-        let mut rngs = [SmallRng::seed_from_u64(0)];
-        let pass = model.inference.record(&model.params, &mut g, &[&ex], &mut rngs);
-        assert!(model.inference.losses(&mut g, &pass, &[&ex], 0.0)[0].is_none());
+        assert!(window(&model, &[&ex], 0.0).partials.losses[0].is_none());
     }
 
     #[test]

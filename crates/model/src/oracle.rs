@@ -5,13 +5,13 @@
 //! trainer must reproduce its weights bit for bit. Also the fixtures the
 //! bit-identity tests share.
 
-use crate::config::{AggregationKind, TrainConfig};
-use crate::features::{CompiledExample, FeatureSpace};
+use crate::backprop::Workspace;
+use crate::config::{AggregationKind, EncoderKind, TrainConfig};
+use crate::features::{gold_to_prob, CompiledExample, FeatureSpace};
 use crate::network::{CompiledModel, Encoder, Head};
-use crate::trainer::ExampleGrad;
 use overton_store::{Dataset, PayloadDef, PayloadKind, Schema, TaskDef, TaskKind};
 use overton_supervision::ProbLabel;
-use overton_tensor::{Graph, Matrix, NodeId, ParamStore};
+use overton_tensor::{Graph, Matrix, NodeId, ParamId, ParamStore};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -68,8 +68,7 @@ pub(crate) fn forward<'p>(
         };
         let embedded = model.token_embedding.forward(g, ps, ids);
         let encoded = encoder.forward(g, ps, embedded);
-        let rows = g.value(encoded).rows();
-        let encoded = model.dropout.forward(g, encoded, train, &[rows], std::slice::from_mut(rng));
+        let encoded = model.dropout.forward(g, encoded, train, rng);
         seq_enc.insert(name.as_str(), encoded);
     }
 
@@ -309,14 +308,15 @@ pub(crate) fn loss(
 
 /// Forward + backward for a single example on its own tape, using a
 /// private RNG so dropout draws are independent of which worker runs it.
-/// Returns `None` when the example contributes no loss (no usable
-/// targets), mirroring the serial loop's `continue`.
+/// Returns its loss and its parameter-leaf gradients in leaf order, or
+/// `None` when the example contributes no loss (no usable targets),
+/// mirroring the serial loop's `continue`.
 fn example_gradient(
     model: &CompiledModel,
     example: &CompiledExample,
     seed: u64,
     config: &TrainConfig,
-) -> Option<ExampleGrad> {
+) -> Option<(f32, Vec<(ParamId, Matrix)>)> {
     let mut ex_rng = SmallRng::seed_from_u64(seed);
     let mut g = Graph::new();
     let pass = forward(model, &mut g, example, true, &mut ex_rng);
@@ -331,25 +331,37 @@ fn example_gradient(
     }
     let loss_value = g.value(loss).scalar_value();
     g.backward(loss);
-    Some(ExampleGrad {
-        loss: loss_value,
-        grads: g.take_param_grads().into_iter().flatten().collect(),
-    })
+    Some((loss_value, g.take_param_grads()))
 }
 
-/// Each example's gradients on a tape of its own, in order.
+/// Each example's gradients on a tape of its own, in order, as the
+/// workspace's partials.
 pub(crate) fn example_gradients(
     model: &CompiledModel,
     examples: &[&CompiledExample],
     seeds: &[u64],
     config: &TrainConfig,
-) -> Vec<Option<ExampleGrad>> {
-    examples
-        .iter()
-        .zip(seeds)
-        .map(|(example, &seed)| example_gradient(model, example, seed, config))
-        .collect()
+    ws: &mut Workspace,
+) {
+    ws.partials.clear(examples.len());
+    for (b, (example, &seed)) in examples.iter().zip(seeds).enumerate() {
+        let result = example_gradient(model, example, seed, config);
+        ws.partials.losses.push(result.as_ref().map(|(loss, _)| *loss));
+        // The merge walks an example's partials back to front.
+        for (param, grad) in result.into_iter().flat_map(|(_, grads)| grads).rev() {
+            ws.partials.push(b, param, 0, grad.len()).copy_from_slice(grad.as_slice());
+        }
+    }
 }
+
+/// Every encoder kind.
+pub(crate) const ENCODERS: [EncoderKind; 5] = [
+    EncoderKind::MeanBag,
+    EncoderKind::Cnn,
+    EncoderKind::Lstm,
+    EncoderKind::BiLstm,
+    EncoderKind::Attention,
+];
 
 /// The workload schema plus what it lacks to reach every forward
 /// branch: a singleton bitvector head, a singleton built on another
@@ -401,4 +413,90 @@ pub(crate) fn every_branch_examples(
             CompiledExample::from_record(&record, i, space, schema)
         })
         .collect()
+}
+
+/// Soft targets, as the label model produces: gold mixed with uniform
+/// (bits pulled toward 1/2); unlabeled sequence rows stay all-zero.
+fn soften(label: ProbLabel) -> ProbLabel {
+    let mix = |p: &[f32]| -> Vec<f32> {
+        if p.iter().sum::<f32>() == 0.0 {
+            return p.to_vec();
+        }
+        let uniform = 1.0 / p.len() as f32;
+        p.iter().map(|&x| 0.8 * x + 0.2 * uniform).collect()
+    };
+    let pull = |b: &[f32]| -> Vec<f32> { b.iter().map(|&x| 0.8 * x + 0.1).collect() };
+    match label {
+        ProbLabel::Dist(d) => ProbLabel::Dist(mix(&d)),
+        ProbLabel::SeqDist(rows) => ProbLabel::SeqDist(rows.iter().map(|r| mix(r)).collect()),
+        ProbLabel::Bits(b) => ProbLabel::Bits(pull(&b)),
+        ProbLabel::SeqBits(rows) => ProbLabel::SeqBits(rows.iter().map(|r| pull(r)).collect()),
+    }
+}
+
+/// A soft distribution over `k` choices favouring `favourite`.
+fn leaning(k: usize, favourite: usize) -> ProbLabel {
+    let mut d = vec![0.4 / k as f32; k];
+    d[favourite % k] += 0.6;
+    ProbLabel::Dist(d)
+}
+
+/// Training examples over the every-branch schema with soft targets on
+/// every task, plus the edge cases a stacked tape must line up around.
+pub(crate) fn soft_training_set(ds: &Dataset, space: &FeatureSpace) -> Vec<CompiledExample> {
+    let schema = every_branch_schema();
+    let indices = &ds.train_indices()[..14];
+    let mut exs = every_branch_examples(ds, indices, space, &schema);
+    for (n, ex) in exs.iter_mut().enumerate() {
+        let record = &ds.records()[ex.record_index];
+        for task in ds.schema().tasks.keys() {
+            if let Some(p) = gold_to_prob(ds.schema(), record, task) {
+                ex.targets.insert(task.clone(), soften(p));
+            }
+        }
+        let flags = [0.9, 0.2, 0.6].iter().map(|&p: &f32| (p + 0.05 * n as f32).min(1.0));
+        ex.targets.insert("Flags".into(), ProbLabel::Bits(flags.collect()));
+        ex.targets.insert("Topic".into(), leaning(2, n));
+        let mentions = ex.sets["mentions"].len();
+        if mentions > 0 {
+            ex.targets.insert("MentionArg".into(), leaning(mentions, n));
+        }
+        // Slice members (and so the loss boost) on every third example.
+        ex.slice_membership.iter_mut().for_each(|m| *m = n % 3 == 0);
+    }
+    let base = exs[0].clone();
+    let mut edge = Vec::new();
+    // The PAD path: an absent and an empty sequence payload.
+    let mut absent = base.clone();
+    absent.sequences.remove("tokens");
+    edge.push(absent);
+    let mut empty = exs[1].clone();
+    empty.sequences.get_mut("tokens").expect("tokens").clear();
+    edge.push(empty);
+    // Empty and single-element entity sets.
+    let mut no_entities = exs[2].clone();
+    no_entities.sets.get_mut("entities").expect("entities").clear();
+    edge.push(no_entities);
+    let mut one_entity = exs[3].clone();
+    one_entity.sets.get_mut("entities").expect("entities").truncate(1);
+    one_entity.targets.insert("IntentArg".into(), ProbLabel::Dist(vec![1.0]));
+    edge.push(one_entity);
+    // Overlapping spans: the span gradients must add in a fixed order.
+    let mut overlapping = exs[4].clone();
+    let entities = overlapping.sets.get_mut("entities").expect("entities");
+    let (id, (lo, hi)) = entities[0];
+    entities.push((id, (lo, hi + 1)));
+    entities.push((id, (lo.saturating_sub(1), hi)));
+    let k = entities.len();
+    overlapping.targets.insert("IntentArg".into(), leaning(k, 1));
+    edge.push(overlapping);
+    // No targets at all: the window tops itself up past it.
+    let mut unsupervised = exs[5].clone();
+    unsupervised.targets.clear();
+    edge.push(unsupervised);
+    // Interleave the edge cases so they land in different windows.
+    for (at, ex) in edge.into_iter().enumerate() {
+        exs.insert(1 + 3 * at, ex);
+    }
+    exs
 }

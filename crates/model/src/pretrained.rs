@@ -140,7 +140,7 @@ pub fn pretrain(corpus: &[Vec<String>], config: &PretrainConfig) -> PretrainedEn
             epoch_loss += f64::from(g.value(loss).scalar_value());
             batches += 1;
             g.backward(loss);
-            for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+            for (pid, grad) in g.take_param_grads() {
                 params.grad_mut(pid).add_assign(&grad);
             }
             params.clip_grad_norm(5.0);

@@ -7,39 +7,41 @@
 //!
 //! # Determinism contract
 //!
-//! A window's examples are recorded on row-stacked tapes: the window is
-//! split into [`TrainConfig::grad_workers`] contiguous sub-windows, one
-//! tape each, on scoped threads. The trajectory is nonetheless
-//! worker-count-invariant, and equal to recording one tape per example:
-//! final weights are bit-identical whether a window ran on 1 tape or 8.
+//! A window's examples run through the training executor
+//! (`backprop.rs`) row-stacked: the window is split into
+//! [`TrainConfig::grad_workers`] contiguous sub-windows, one slot arena
+//! each, on scoped threads. The trajectory is nonetheless
+//! worker-count-invariant, and equal to training one example per tape:
+//! final weights are bit-identical whether a window ran on 1 arena or 8.
 //! Four properties make that hold:
 //!
 //! 1. Every example draws a private dropout seed from the main RNG *in
 //!    shuffle order*, before dispatch — the main RNG stream never
 //!    depends on scheduling, and an example's masks never depend on
-//!    which tape it shares.
+//!    which arena it shares.
 //! 2. Windows are aligned to optimizer steps: forwards never mutate
 //!    parameters, and a window never extends past the example that
 //!    completes a minibatch, so every forward sees exactly the
 //!    parameters the serial loop would have shown it.
-//! 3. A stacked tape changes no example's bits. GEMM rows are
-//!    independent; what mixes rows runs per example, in a
-//!    single-example tape's op order; and each example gets its own
-//!    parameter leaves, one wherever its own tape would make one, each
-//!    summed from zero over that example's rows only. So each example's
-//!    loss and gradient partials are the bits its own tape computes.
-//! 4. Per-example gradient partials are merged into the store in
-//!    example order (and, per parameter, in tape order within an
-//!    example), so the f32 accumulation order — and thus every rounding
-//!    — is fixed.
+//! 3. Stacking changes no example's bits. GEMM rows are independent;
+//!    what mixes rows runs per example; each step's backward adds its
+//!    deltas in the order a single-example tape's reverse sweep does; and
+//!    each example's parameter gradient comes out as partials, one
+//!    wherever its own tape would make a parameter leaf, each summed from
+//!    zero over that example's rows only. So each example's loss and
+//!    partials are the bits its own tape computes.
+//! 4. The partials are merged into the store in example order (and, per
+//!    parameter, in step order within an example) on the calling thread,
+//!    so the f32 accumulation order — and thus every rounding — is fixed.
 
+use crate::backprop::{self, Workspace};
 use crate::config::TrainConfig;
 use crate::features::CompiledExample;
 use crate::infer::argmax;
 use crate::network::CompiledModel;
 use overton_store::par_map;
 use overton_tensor::optim::{Adam, Optimizer};
-use overton_tensor::{Graph, Matrix, NodeId, ParamId, ParamStore};
+use overton_tensor::ParamStore;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -67,10 +69,10 @@ pub fn train_model(
     TrainState::new(model, train.len(), config).run(model, train, dev)
 }
 
-/// How a run of examples' gradients are computed: on one stacked tape, or
-/// (in tests) on the per-example oracle tapes it must match bit for bit.
-type Gradients =
-    fn(&CompiledModel, &[&CompiledExample], &[u64], &TrainConfig) -> Vec<Option<ExampleGrad>>;
+/// How a run of examples' gradients are computed into a workspace's
+/// partials: by the training executor over one stacked arena, or (in
+/// tests) on the per-example oracle tapes it must match bit for bit.
+type Gradients = fn(&CompiledModel, &[&CompiledExample], &[u64], &TrainConfig, &mut Workspace);
 
 /// Everything the training loop carries from one epoch to the next. A
 /// fresh state is epoch 0 of a run; [`run`](Self::run) trains it to its
@@ -158,7 +160,7 @@ impl TrainState {
         train: &[CompiledExample],
         dev: &[CompiledExample],
     ) -> TrainReport {
-        self.run_with(model, train, dev, stacked_gradients)
+        self.run_with(model, train, dev, backprop::gradients)
     }
 
     /// [`run`](Self::run), over a given gradient computation.
@@ -171,6 +173,8 @@ impl TrainState {
     ) -> TrainReport {
         assert_eq!(train.len(), self.order.len(), "training set changed between runs");
         let config = &self.config;
+        let mut workspaces: Vec<Workspace> =
+            (0..config.grad_workers.max(1)).map(|_| Workspace::default()).collect();
         model.params = std::mem::take(&mut self.params);
         while !self.stopped_early && self.history.len() < config.epochs {
             let order = &mut self.order;
@@ -194,13 +198,15 @@ impl TrainState {
                 // Per-example dropout seeds come off the main RNG in shuffle
                 // order, so the stream is identical for any worker count.
                 let seeds: Vec<u64> = window.iter().map(|_| self.rng.gen()).collect();
-                for result in window_gradients(model, train, window, &seeds, config, gradients) {
-                    let Some(partial) = result else { continue };
-                    epoch_loss += f64::from(partial.loss);
-                    for (pid, grad) in &partial.grads {
-                        model.params.grad_mut(*pid).add_assign(grad);
+                let workers = &mut workspaces[..];
+                let used =
+                    window_gradients(model, train, window, &seeds, config, gradients, workers);
+                for partials in workspaces[..used].iter().map(|ws| &ws.partials) {
+                    for &loss in partials.losses.iter().flatten() {
+                        epoch_loss += f64::from(loss);
+                        in_batch += 1;
                     }
-                    in_batch += 1;
+                    partials.merge_into(&mut model.params);
                 }
                 if in_batch >= config.batch_size {
                     model.params.clip_grad_norm(config.clip_norm);
@@ -269,21 +275,12 @@ fn patience_exhausted(patience: usize, since_best: usize) -> bool {
     patience > 0 && since_best >= patience
 }
 
-/// One example's contribution to the current minibatch: its scalar loss
-/// and its parameter-gradient partials, in the order its own tape would
-/// create them per parameter.
-pub(crate) struct ExampleGrad {
-    pub(crate) loss: f32,
-    pub(crate) grads: Vec<(ParamId, Matrix)>,
-}
-
-/// The window's per-example gradients, in window order. The window is
-/// split into `config.grad_workers` contiguous sub-windows — sizes differ
-/// by at most one, larger first: 16 over 3 is 6/5/5 — each recorded on
-/// one stacked tape over scoped threads. Results are flattened in window
-/// order, so the caller merges them in example order no matter which
-/// worker produced which — this is what keeps the trajectory
-/// bit-identical across worker counts.
+/// Computes a window's gradients into `workspaces`, returning how many it
+/// used: one per contiguous sub-window of `config.grad_workers` (sizes
+/// differ by at most one, larger first: 16 over 3 is 6/5/5), on scoped
+/// threads. The caller merges them in order, so examples merge in window
+/// order whichever worker ran them: the trajectory is bit-identical
+/// across worker counts.
 fn window_gradients(
     model: &CompiledModel,
     train: &[CompiledExample],
@@ -291,70 +288,23 @@ fn window_gradients(
     seeds: &[u64],
     config: &TrainConfig,
     gradients: Gradients,
-) -> Vec<Option<ExampleGrad>> {
+    workspaces: &mut [Workspace],
+) -> usize {
     let parts = config.grad_workers.clamp(1, window.len().max(1));
     let (base, extra) = (window.len() / parts, window.len() % parts);
-    let mut sub_windows = Vec::with_capacity(parts);
+    let mut jobs = Vec::with_capacity(parts);
     let mut start = 0;
-    for part in 0..parts {
+    for (part, ws) in workspaces[..parts].iter_mut().enumerate() {
         let end = start + base + usize::from(part < extra);
-        sub_windows.push(start..end);
+        jobs.push((start..end, ws));
         start = end;
     }
-    par_map(config.grad_workers, sub_windows, |rows| {
+    par_map(config.grad_workers, jobs, |(rows, ws)| {
         let examples: Vec<&CompiledExample> =
             window[rows.clone()].iter().map(|&i| &train[i]).collect();
-        gradients(model, &examples, &seeds[rows], config)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Forward + backward for a run of examples on one stacked tape, each
-/// example with a private RNG seeded from `seeds` so its dropout draws do
-/// not depend on which tape it lands on. An example's entry is `None` when
-/// it contributes no loss (no usable targets), mirroring the serial
-/// loop's `continue`.
-fn stacked_gradients(
-    model: &CompiledModel,
-    examples: &[&CompiledExample],
-    seeds: &[u64],
-    config: &TrainConfig,
-) -> Vec<Option<ExampleGrad>> {
-    let mut rngs: Vec<SmallRng> = seeds.iter().map(|&seed| SmallRng::seed_from_u64(seed)).collect();
-    let mut g = Graph::new();
-    let plan = &model.inference;
-    let pass = plan.record(&model.params, &mut g, examples, &mut rngs);
-    let losses: Vec<Option<NodeId>> = plan
-        .losses(&mut g, &pass, examples, config.indicator_loss_weight)
-        .into_iter()
-        .zip(examples)
-        .map(|(loss, example)| {
-            let loss = loss?;
-            // Declared slices get extra training focus (the loss-side half
-            // of slice-based learning).
-            let boosted = model.has_slice_heads()
-                && config.slice_loss_boost != 1.0
-                && example.slice_membership.iter().any(|&m| m);
-            Some(if boosted { g.scale(loss, config.slice_loss_boost) } else { loss })
-        })
-        .collect();
-    // One backward for the whole tape: every example's loss receives
-    // gradient exactly 1 through the sum, as its own tape would seed it.
-    let Some(root) = losses.iter().flatten().copied().reduce(|acc, loss| g.add(acc, loss)) else {
-        return examples.iter().map(|_| None).collect();
-    };
-    g.backward(root);
-    let mut grads = g.take_param_grads();
-    grads.resize_with(examples.len(), Vec::new);
-    losses
-        .into_iter()
-        .zip(grads)
-        .map(|(loss, grads)| {
-            loss.map(|loss| ExampleGrad { loss: g.value(loss).scalar_value(), grads })
-        })
-        .collect()
+        gradients(model, &examples, &seeds[rows], config, ws);
+    });
+    parts
 }
 
 /// Mean per-task agreement of model predictions with example targets
@@ -426,10 +376,9 @@ mod tests {
     use super::*;
     use crate::config::{AggregationKind, EncoderKind, ModelConfig};
     use crate::features::{gold_to_prob, FeatureSpace};
-    use crate::oracle;
+    use crate::oracle::{self, soft_training_set};
     use overton_nlp::{generate_workload, WorkloadConfig};
     use overton_store::Dataset;
-    use overton_supervision::ProbLabel;
 
     fn workload() -> Dataset {
         generate_workload(&WorkloadConfig {
@@ -616,92 +565,6 @@ mod tests {
         assert_eq!(continued(&run(4, 0), &run(8, 3)), Some(4), "patience fires at its last epoch");
         assert_eq!(continued(&run(4, 0), &run(8, 4)), Some(5), "patience fires after it");
         assert_eq!(continued(&run(6, 2), &run(8, 4)), None, "the trial stopped early");
-    }
-
-    /// Soft targets, as the label model produces: gold mixed with uniform
-    /// (bits pulled toward 1/2); unlabeled sequence rows stay all-zero.
-    fn soften(label: ProbLabel) -> ProbLabel {
-        let mix = |p: &[f32]| -> Vec<f32> {
-            if p.iter().sum::<f32>() == 0.0 {
-                return p.to_vec();
-            }
-            let uniform = 1.0 / p.len() as f32;
-            p.iter().map(|&x| 0.8 * x + 0.2 * uniform).collect()
-        };
-        let pull = |b: &[f32]| -> Vec<f32> { b.iter().map(|&x| 0.8 * x + 0.1).collect() };
-        match label {
-            ProbLabel::Dist(d) => ProbLabel::Dist(mix(&d)),
-            ProbLabel::SeqDist(rows) => ProbLabel::SeqDist(rows.iter().map(|r| mix(r)).collect()),
-            ProbLabel::Bits(b) => ProbLabel::Bits(pull(&b)),
-            ProbLabel::SeqBits(rows) => ProbLabel::SeqBits(rows.iter().map(|r| pull(r)).collect()),
-        }
-    }
-
-    /// A soft distribution over `k` choices favouring `favourite`.
-    fn leaning(k: usize, favourite: usize) -> ProbLabel {
-        let mut d = vec![0.4 / k as f32; k];
-        d[favourite % k] += 0.6;
-        ProbLabel::Dist(d)
-    }
-
-    /// Training examples over the every-branch schema with soft targets on
-    /// every task, plus the edge cases a stacked tape must line up around.
-    fn soft_training_set(ds: &Dataset, space: &FeatureSpace) -> Vec<CompiledExample> {
-        let schema = oracle::every_branch_schema();
-        let indices = &ds.train_indices()[..14];
-        let mut exs = oracle::every_branch_examples(ds, indices, space, &schema);
-        for (n, ex) in exs.iter_mut().enumerate() {
-            let record = &ds.records()[ex.record_index];
-            for task in ds.schema().tasks.keys() {
-                if let Some(p) = gold_to_prob(ds.schema(), record, task) {
-                    ex.targets.insert(task.clone(), soften(p));
-                }
-            }
-            let flags = [0.9, 0.2, 0.6].iter().map(|&p: &f32| (p + 0.05 * n as f32).min(1.0));
-            ex.targets.insert("Flags".into(), ProbLabel::Bits(flags.collect()));
-            ex.targets.insert("Topic".into(), leaning(2, n));
-            let mentions = ex.sets["mentions"].len();
-            if mentions > 0 {
-                ex.targets.insert("MentionArg".into(), leaning(mentions, n));
-            }
-            // Slice members (and so the loss boost) on every third example.
-            ex.slice_membership.iter_mut().for_each(|m| *m = n % 3 == 0);
-        }
-        let base = exs[0].clone();
-        let mut edge = Vec::new();
-        // The PAD path: an absent and an empty sequence payload.
-        let mut absent = base.clone();
-        absent.sequences.remove("tokens");
-        edge.push(absent);
-        let mut empty = exs[1].clone();
-        empty.sequences.get_mut("tokens").expect("tokens").clear();
-        edge.push(empty);
-        // Empty and single-element entity sets.
-        let mut no_entities = exs[2].clone();
-        no_entities.sets.get_mut("entities").expect("entities").clear();
-        edge.push(no_entities);
-        let mut one_entity = exs[3].clone();
-        one_entity.sets.get_mut("entities").expect("entities").truncate(1);
-        one_entity.targets.insert("IntentArg".into(), ProbLabel::Dist(vec![1.0]));
-        edge.push(one_entity);
-        // Overlapping spans: the span gradients must add in a fixed order.
-        let mut overlapping = exs[4].clone();
-        let entities = overlapping.sets.get_mut("entities").expect("entities");
-        let (id, (lo, hi)) = entities[0];
-        entities.push((id, (lo, hi + 1)));
-        entities.push((id, (lo.saturating_sub(1), hi)));
-        let k = entities.len();
-        overlapping.targets.insert("IntentArg".into(), leaning(k, 1));
-        edge.push(overlapping);
-        // No targets at all: the window tops itself up past it.
-        let mut unsupervised = exs[5].clone();
-        unsupervised.targets.clear();
-        edge.push(unsupervised);
-        // Interleave the edge cases so they land in different windows.
-        for (at, ex) in edge.into_iter().enumerate() {
-            exs.insert(1 + 3 * at, ex);
-        }
-        exs
     }
 
     #[test]

@@ -3,28 +3,21 @@
 //! A [`Graph`] is a define-by-run tape: every operation appends a node that
 //! records its inputs, so nodes are already in topological order and
 //! [`Graph::backward`] is a single reverse sweep. The tape exists for
-//! training. Learnable parameters live outside it in a
+//! gradients. Learnable parameters live outside it in a
 //! [`ParamStore`](crate::params::ParamStore) that the graph borrows, and
-//! enter as leaf nodes that read the stored matrix in place:
-//! [`Graph::param`] is one leaf, [`Graph::param_blocks`] one leaf per row
-//! block of a row-stacked op. Inference needs no gradients, so it runs
-//! tape-free on plain [`Matrix`] arithmetic instead (the model crate's
-//! inference forward), using the same `Matrix` ops the tape records so both
-//! compute identical values.
+//! enter as leaf nodes ([`Graph::param`]) that read the stored matrix in
+//! place.
 //!
-//! One tape may carry several independent examples stacked by rows (the
-//! model crate records one per optimizer window). Row-wise ops and GEMM
-//! rows never mix examples, and the caller runs ops that mix rows on
-//! per-example [`Graph::slice_rows`] views, so each row's value and
-//! gradient are the bits a single-example tape would compute. A blocked
-//! parameter keeps one gradient per block, each summed from zero over that
-//! block's rows only, and [`Graph::take_param_grads`] hands them back per
-//! example.
+//! The model crate trains without it: its plan runs forward and backward
+//! over slot arenas with a hand-written vector-Jacobian product per step.
+//! The tape serves masked-token pretraining, the finite-difference checks
+//! in [`gradcheck`](crate::gradcheck), the `nn` layers' tests, and the
+//! per-example test oracle the model's trainer and inference are checked
+//! against bit for bit.
 
 use crate::matrix::{dot, Matrix};
 use crate::params::{ParamId, ParamStore};
 use std::borrow::Cow;
-use std::ops::Range;
 
 /// Handle to a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,18 +37,10 @@ enum Op {
     Leaf {
         param: Option<ParamId>,
     },
-    /// A parameter leaf split by rows: each block stands for one leaf of a
-    /// single-example tape and collects its own gradient.
-    Blocks {
-        param: ParamId,
-        blocks: Vec<Block>,
-    },
     Add(NodeId, NodeId),
     Sub(NodeId, NodeId),
     Mul(NodeId, NodeId),
     Scale(NodeId, f32),
-    AddScalar(NodeId),
-    Neg(NodeId),
     Matmul(NodeId, NodeId),
     /// `out = a + broadcast(bias)` where `bias` is `1 x n`.
     AddRowBroadcast(NodeId, NodeId),
@@ -131,14 +116,6 @@ enum Op {
 /// to keep the op total.
 pub const LN_CLAMP: f32 = 1e-12;
 
-/// One block of a [`Graph::param_blocks`] leaf: the rows `rows` of the op
-/// that consumes the parameter, on behalf of example `owner`.
-struct Block {
-    owner: usize,
-    rows: Range<usize>,
-    grad: Option<Matrix>,
-}
-
 struct Node<'p> {
     /// Parameter leaves borrow their value from the store.
     value: Cow<'p, Matrix>,
@@ -211,44 +188,9 @@ impl<'p> Graph<'p> {
 
     /// Brings a parameter from `store` into the graph as a leaf node that
     /// reads the stored matrix in place. After [`backward`](Self::backward),
-    /// [`take_param_grads`](Self::take_param_grads) returns its gradient
-    /// (as example 0's).
+    /// [`take_param_grads`](Self::take_param_grads) returns its gradient.
     pub fn param(&mut self, store: &'p ParamStore, id: ParamId) -> NodeId {
         self.push_value(Cow::Borrowed(store.value(id)), Op::Leaf { param: Some(id) }, true)
-    }
-
-    /// Brings a parameter in as one leaf per `(owner, rows)` block, for a
-    /// row-stacked op: the right operand of [`matmul`](Self::matmul), the
-    /// bias of [`add_row_broadcast`](Self::add_row_broadcast) or the table
-    /// of [`select_rows`](Self::select_rows). The blocks must tile the op's
-    /// rows in order. Each block's gradient is that op's gradient computed
-    /// from its own rows only (`X_b^T * G_b`, the column sums of `G_b`, or
-    /// the scatter of `G_b`), exactly as a single-example tape holding just
-    /// those rows would compute it; a node used by several ops sums its
-    /// blocks' gradients in backward order, as a leaf does.
-    /// [`take_param_grads`](Self::take_param_grads) returns each block's
-    /// gradient as its owner's.
-    pub fn param_blocks(
-        &mut self,
-        store: &'p ParamStore,
-        id: ParamId,
-        blocks: impl IntoIterator<Item = (usize, Range<usize>)>,
-    ) -> NodeId {
-        let blocks =
-            blocks.into_iter().map(|(owner, rows)| Block { owner, rows, grad: None }).collect();
-        self.push_value(Cow::Borrowed(store.value(id)), Op::Blocks { param: id, blocks }, true)
-    }
-
-    /// Asserts that a blocked parameter's blocks tile `0..rows`.
-    fn check_blocks(&self, id: NodeId, rows: usize) {
-        if let Op::Blocks { blocks, .. } = &self.nodes[id.idx()].op {
-            let mut next = 0;
-            for block in blocks {
-                assert_eq!(block.rows.start, next, "parameter blocks must tile the op's rows");
-                next = block.rows.end;
-            }
-            assert_eq!(next, rows, "parameter blocks must cover all {rows} rows");
-        }
     }
 
     // ---- arithmetic -------------------------------------------------------
@@ -281,23 +223,8 @@ impl<'p> Graph<'p> {
         self.push(v, Op::Scale(a, c), ng)
     }
 
-    /// Adds a constant to every element.
-    pub fn add_scalar(&mut self, a: NodeId, c: f32) -> NodeId {
-        let v = self.value(a).map(|x| x + c);
-        let ng = self.needs(a);
-        self.push(v, Op::AddScalar(a), ng)
-    }
-
-    /// Element-wise negation.
-    pub fn neg(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(|x| -x);
-        let ng = self.needs(a);
-        self.push(v, Op::Neg(a), ng)
-    }
-
     /// Matrix product `a * b`.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.check_blocks(b, self.value(a).rows());
         let v = self.value(a).matmul(self.value(b));
         let ng = self.needs(a) || self.needs(b);
         self.push(v, Op::Matmul(a, b), ng)
@@ -305,7 +232,6 @@ impl<'p> Graph<'p> {
 
     /// Adds a `1 x n` bias row to every row of an `m x n` node.
     pub fn add_row_broadcast(&mut self, a: NodeId, bias: NodeId) -> NodeId {
-        self.check_blocks(bias, self.value(a).rows());
         let mut v = self.value(a).clone();
         v.add_row(self.value(bias));
         let ng = self.needs(a) || self.needs(bias);
@@ -444,7 +370,6 @@ impl<'p> Graph<'p> {
     /// Gathers rows of `a` by index. Row indices may repeat; gradients
     /// scatter-add. This is also the embedding lookup primitive.
     pub fn select_rows(&mut self, a: NodeId, indices: &[usize]) -> NodeId {
-        self.check_blocks(a, indices.len());
         let av = self.value(a);
         let v = av.select_rows(indices);
         let idx: Vec<u32> = indices.iter().map(|&i| i as u32).collect();
@@ -623,6 +548,11 @@ impl<'p> Graph<'p> {
         }
     }
 
+    /// The node a gradient flows into, if it needs one.
+    fn grad_target(&mut self, id: NodeId) -> Option<&mut Node<'p>> {
+        Some(&mut self.nodes[id.idx()]).filter(|n| n.needs_grad)
+    }
+
     fn accumulate(&mut self, id: NodeId, delta: &Matrix) {
         let Some(node) = self.grad_target(id) else { return };
         match &mut node.grad {
@@ -650,46 +580,13 @@ impl<'p> Graph<'p> {
         }
     }
 
-    /// The node a gradient delta lands on, or `None` if it needs none.
-    fn grad_target(&mut self, id: NodeId) -> Option<&mut Node<'p>> {
-        let node = &mut self.nodes[id.idx()];
-        assert!(
-            !matches!(node.op, Op::Blocks { .. }),
-            "a blocked parameter may only be a matmul right operand, a bias or a gathered table"
-        );
-        node.needs_grad.then_some(node)
-    }
-
-    /// Adds `delta(rows)` to the gradient of every block of the blocked
-    /// parameter `id`.
-    fn accumulate_blocks(&mut self, id: NodeId, delta: impl Fn(&Self, Range<usize>) -> Matrix) {
-        let Op::Blocks { blocks, .. } = &mut self.nodes[id.idx()].op else {
-            unreachable!("accumulate_blocks on a plain node")
-        };
-        let mut blocks = std::mem::take(blocks);
-        for block in &mut blocks {
-            let d = delta(self, block.rows.clone());
-            match &mut block.grad {
-                Some(g) => g.add_assign(&d),
-                None => block.grad = Some(d),
-            }
-        }
-        if let Op::Blocks { blocks: slot, .. } = &mut self.nodes[id.idx()].op {
-            *slot = blocks;
-        }
-    }
-
-    fn is_blocked(&self, id: NodeId) -> bool {
-        matches!(self.nodes[id.idx()].op, Op::Blocks { .. })
-    }
-
     #[allow(clippy::too_many_lines)]
     fn step_backward(&mut self, i: usize, g: &Matrix) {
         // `op` is moved out and restored so we can mutate other nodes while
         // reading the recorded operands.
         let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf { param: None });
         match &op {
-            Op::Leaf { .. } | Op::Blocks { .. } => {}
+            Op::Leaf { .. } => {}
             Op::Add(a, b) => {
                 self.accumulate(*a, g);
                 self.accumulate(*b, g);
@@ -707,34 +604,26 @@ impl<'p> Graph<'p> {
             Op::Scale(a, c) => {
                 self.accumulate_owned(*a, g.map(|x| x * c));
             }
-            Op::AddScalar(a) => {
-                self.accumulate(*a, g);
-            }
-            Op::Neg(a) => {
-                self.accumulate_owned(*a, g.map(|x| -x));
-            }
             Op::Matmul(a, b) => {
                 // d/da (a b) = g b^T ; d/db (a b) = a^T g
                 if self.needs(*a) {
                     let da = g.matmul_transpose_b(self.value(*b));
                     self.accumulate_owned(*a, da);
                 }
-                if self.is_blocked(*b) {
-                    self.accumulate_blocks(*b, |graph, rows| {
-                        graph.value(*a).transpose_a_matmul_rows(g, rows)
-                    });
-                } else if self.needs(*b) {
+                if self.needs(*b) {
                     let db = self.value(*a).transpose_a_matmul(g);
                     self.accumulate_owned(*b, db);
                 }
             }
             Op::AddRowBroadcast(a, bias) => {
                 self.accumulate(*a, g);
-                if self.is_blocked(*bias) {
-                    self.accumulate_blocks(*bias, |_, rows| column_sums(g, rows));
-                } else {
-                    self.accumulate_owned(*bias, column_sums(g, 0..g.rows()));
+                let mut db = Matrix::zeros(1, g.cols());
+                for r in 0..g.rows() {
+                    for (o, &x) in db.row_mut(0).iter_mut().zip(g.row(r)) {
+                        *o += x;
+                    }
                 }
+                self.accumulate_owned(*bias, db);
             }
             Op::MulRowScalar(a, s) => {
                 let sv = self.value(*s).clone();
@@ -843,11 +732,15 @@ impl<'p> Graph<'p> {
                 }
             }
             Op::SelectRows { x, indices } => {
-                let shape = self.value(*x).shape();
-                if self.is_blocked(*x) {
-                    self.accumulate_blocks(*x, |_, rows| scatter_rows(shape, indices, g, rows));
-                } else if self.needs(*x) {
-                    self.accumulate_owned(*x, scatter_rows(shape, indices, g, 0..g.rows()));
+                if self.needs(*x) {
+                    let (rows, cols) = self.value(*x).shape();
+                    let mut da = Matrix::zeros(rows, cols);
+                    for (out_row, &src) in indices.iter().enumerate() {
+                        for (o, &gg) in da.row_mut(src as usize).iter_mut().zip(g.row(out_row)) {
+                            *o += gg;
+                        }
+                    }
+                    self.accumulate_owned(*x, da);
                 }
             }
             Op::SliceCols { x, lo } => {
@@ -949,66 +842,17 @@ impl<'p> Graph<'p> {
         self.nodes[i].op = op;
     }
 
-    /// Drains the parameter-leaf gradients into owned lists, one per
-    /// example: entry `e` holds example `e`'s `(parameter, gradient)`
-    /// partials in node order, which for every parameter is the order its
-    /// leaves were created. [`Graph::param`] leaves belong to example 0;
-    /// [`Graph::param_blocks`] blocks to their owners. Training computes
-    /// these per-example partials on worker threads, then adds them into
-    /// the shared store in a fixed example order — so the accumulated sums
-    /// are bit-identical for any worker count.
-    pub fn take_param_grads(&mut self) -> Vec<Vec<(ParamId, Matrix)>> {
-        let mut out: Vec<Vec<(ParamId, Matrix)>> = Vec::new();
-        let mut give = |owner: usize, param: ParamId, grad: Matrix| {
-            if out.len() <= owner {
-                out.resize_with(owner + 1, Vec::new);
-            }
-            out[owner].push((param, grad));
-        };
-        for node in &mut self.nodes {
-            match &mut node.op {
-                Op::Leaf { param: Some(pid) } => {
-                    if let Some(g) = node.grad.take() {
-                        give(0, *pid, g);
-                    }
-                }
-                Op::Blocks { param, blocks } => {
-                    for block in blocks {
-                        if let Some(g) = block.grad.take() {
-                            give(block.owner, *param, g);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        out
+    /// Drains the parameter-leaf gradients, as `(parameter, gradient)`
+    /// pairs in node order, which for every parameter is the order its
+    /// leaves were created. Add them into the store in that order to sum
+    /// a parameter's uses as one deterministic sequence.
+    pub fn take_param_grads(&mut self) -> Vec<(ParamId, Matrix)> {
+        let leaves = self.nodes.iter_mut().filter_map(|node| match node.op {
+            Op::Leaf { param: Some(pid) } => Some((pid, node.grad.take()?)),
+            _ => None,
+        });
+        leaves.collect()
     }
-}
-
-/// Column sums of `g[rows]`, from zero in row order: a bias gradient.
-fn column_sums(g: &Matrix, rows: Range<usize>) -> Matrix {
-    let mut db = Matrix::zeros(1, g.cols());
-    for r in rows {
-        for (o, &x) in db.row_mut(0).iter_mut().zip(g.row(r)) {
-            *o += x;
-        }
-    }
-    db
-}
-
-/// The gradient of a `shape` table gathered by `indices`, from the output
-/// rows `rows` of `g` only: a zero table with those rows scatter-added in
-/// order.
-fn scatter_rows(shape: (usize, usize), indices: &[u32], g: &Matrix, rows: Range<usize>) -> Matrix {
-    let mut da = Matrix::zeros(shape.0, shape.1);
-    for out_row in rows {
-        let src = indices[out_row] as usize;
-        for (o, &gg) in da.row_mut(src).iter_mut().zip(g.row(out_row)) {
-            *o += gg;
-        }
-    }
-    da
 }
 
 /// Numerically stable logistic sigmoid.
@@ -1090,86 +934,11 @@ mod tests {
         assert_eq!(g.value(f).scalar_value(), 6.0);
         g.backward(f);
         let grads = g.take_param_grads();
-        assert_eq!(grads.len(), 1, "plain leaves belong to example 0");
-        assert_eq!(grads[0].len(), 2, "one partial per leaf");
-        for (pid, grad) in grads.into_iter().flatten() {
+        assert_eq!(grads.len(), 2, "one partial per leaf");
+        for (pid, grad) in grads {
             store.grad_mut(pid).add_assign(&grad);
         }
         assert_eq!(store.grad(w).scalar_value(), 2.0);
-    }
-
-    /// A blocked parameter's per-block gradients are the bits separate
-    /// single-example tapes over each block's rows compute, for all three
-    /// ops that accept one.
-    #[test]
-    fn param_blocks_match_one_tape_per_block() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Matrix::from_rows(&[vec![0.3, -1.2], vec![0.7, 0.1]]));
-        let b = store.add("b", Matrix::row_vector(&[0.05, -0.4]));
-        let table = store.add("t", Matrix::from_rows(&[vec![1.5, -0.5], vec![0.2, 0.9]]));
-        let ids = [1usize, 0, 1, 1, 0];
-        let x_rows =
-            [vec![0.4f32, -0.3], vec![1.1, 0.6], vec![-0.8, 0.25], vec![0.5, 0.5], vec![0.9, -1.0]];
-        // One tape per block, as a single-example trainer would build.
-        let mut expected = Vec::new();
-        for (owner, rows) in [(0usize, 0..2usize), (1, 2..5)] {
-            let mut g = Graph::new();
-            let t = g.param(&store, table);
-            let e = g.select_rows(t, &ids[rows.clone()]);
-            let x = g.constant(Matrix::from_rows(&x_rows[rows]));
-            let xe = g.mul(x, e);
-            let wn = g.param(&store, w);
-            let y = g.matmul(xe, wn);
-            let bn = g.param(&store, b);
-            let z = g.add_row_broadcast(y, bn);
-            let t = g.tanh(z);
-            let loss = g.sum_all(t);
-            g.backward(loss);
-            let grads = g.take_param_grads().pop().unwrap();
-            expected.push((owner, grads));
-        }
-        // One stacked tape with a leaf per block.
-        let mut g = Graph::new();
-        let blocks = || [(0usize, 0..2usize), (1, 2..5)];
-        let t = g.param_blocks(&store, table, blocks());
-        let e = g.select_rows(t, &ids);
-        let x = g.constant(Matrix::from_rows(&x_rows));
-        let xe = g.mul(x, e);
-        let wn = g.param_blocks(&store, w, blocks());
-        let y = g.matmul(xe, wn);
-        let bn = g.param_blocks(&store, b, blocks());
-        let z = g.add_row_broadcast(y, bn);
-        let t = g.tanh(z);
-        let parts: Vec<NodeId> = [0..2, 2..5]
-            .into_iter()
-            .map(|rows| {
-                let view = g.slice_rows(t, rows.start, rows.end);
-                g.sum_all(view)
-            })
-            .collect();
-        let loss = g.add(parts[0], parts[1]);
-        g.backward(loss);
-        let stacked = g.take_param_grads();
-        assert_eq!(stacked.len(), 2);
-        for (owner, grads) in expected {
-            let bits = |list: &[(ParamId, Matrix)]| -> Vec<(ParamId, Vec<u32>)> {
-                list.iter()
-                    .map(|(p, m)| (*p, m.as_slice().iter().map(|x| x.to_bits()).collect()))
-                    .collect()
-            };
-            assert_eq!(bits(&stacked[owner]), bits(&grads), "example {owner}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "must tile")]
-    fn param_blocks_must_tile_the_rows() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Matrix::ones(2, 2));
-        let mut g = Graph::new();
-        let x = g.constant(Matrix::ones(3, 2));
-        let wn = g.param_blocks(&store, w, [(0, 1..3)]);
-        let _ = g.matmul(x, wn);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! dispatches to. It follows that rows are independent: row `i` of
 //! `A * B` is the same bits whichever other rows share the product, so
 //! stacking several inputs into one GEMM (as batched inference and the
-//! window training tape do) changes no output.
+//! row-stacked training executor do) changes no output.
 
 /// Microkernel tile rows (register-blocked rows of `A`).
 const MR: usize = 4;
@@ -41,7 +41,7 @@ const NC: usize = 256;
 /// Everything else runs [`gemm_rows`], which holds output rows in
 /// registers and needs no packing: scalar heads, single-row LSTM steps,
 /// batch-of-one forwards, the per-example weight gradients `X_e^T * G_e`
-/// of a row-stacked tape (`k` is a sequence length), and any product
+/// of row-stacked training (`k` is a sequence length), and any product
 /// narrower than one `NR`-column microkernel tile, which the blocked path
 /// could only run on its edge kernel. Measured with AVX2 (best of 7, µs,
 /// blocked vs rows): `8x96x48` 4.4 vs 2.1, `24x96x48` 6.7 vs 6.1,

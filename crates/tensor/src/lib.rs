@@ -29,7 +29,7 @@
 //!     let err = g.sub(pred, six);
 //!     let loss = g.mul(err, err);
 //!     g.backward(loss);
-//!     for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+//!     for (pid, grad) in g.take_param_grads() {
 //!         ps.grad_mut(pid).add_assign(&grad);
 //!     }
 //!     opt.step(&mut ps);
@@ -53,5 +53,5 @@ pub mod optim;
 pub mod schedule;
 
 pub use graph::{softmax_in_place, stable_sigmoid, Graph, NodeId, LN_CLAMP};
-pub use matrix::{dot, matmul_into, Matrix};
+pub use matrix::{dot, matmul_at_into, matmul_into, Matrix};
 pub use params::{ParamId, ParamStore};

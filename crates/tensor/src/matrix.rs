@@ -9,7 +9,6 @@
 use crate::kernels;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::Range;
 
 /// A dense row-major matrix of `f32` values.
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
@@ -123,11 +122,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning its flat buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Borrows row `r` as a slice.
@@ -266,24 +260,9 @@ impl Matrix {
             "transpose_a_matmul shape mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        self.transpose_a_matmul_rows(other, 0..self.rows)
-    }
-
-    /// `self[rows]^T * other[rows]`: [`Matrix::transpose_a_matmul`] over a
-    /// band of rows of both operands, read in place. This is one block's
-    /// weight gradient `X_b^T * G_b` in a row-stacked tape; it is the same
-    /// bits as copying the rows out first.
-    pub(crate) fn transpose_a_matmul_rows(&self, other: &Self, rows: Range<usize>) -> Self {
-        debug_assert_eq!(self.rows, other.rows);
-        let (m, k, n) = (self.cols, rows.len(), other.cols);
-        let at = &self.data[rows.start * m..rows.end * m];
-        let b = &other.data[rows.start * n..rows.end * n];
+        let (m, k, n) = (self.cols, self.rows, other.cols);
         let mut out = vec![0.0f32; m * n];
-        if kernels::use_blocked(m, k, n) {
-            kernels::gemm_at(m, k, n, at, b, &mut out);
-        } else {
-            kernels::gemm_rows(m, k, n, at, (1, m), b, &mut out);
-        }
+        matmul_at_into(m, k, n, &self.data, &other.data, &mut out);
         Self::from_vec(m, n, out)
     }
 
@@ -383,11 +362,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
     /// Largest absolute difference against another matrix of the same shape.
@@ -503,6 +477,27 @@ pub fn matmul_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
         kernels::gemm(m, k, n, a, b, out);
     } else {
         kernels::gemm_rows(m, k, n, a, (k, 1), b, out);
+    }
+}
+
+/// `out += a^T * b` over row-major slices: `at` is `a` stored `k x m`,
+/// `b` is `k x n` and `out` is `m x n`. This is
+/// [`Matrix::transpose_a_matmul`]'s kernel dispatch writing into a caller's
+/// buffer, such as one example's weight gradient `X_b^T * G_b` read in
+/// place from a training arena: onto a zeroed `out` it is the bits
+/// `transpose_a_matmul` returns.
+///
+/// # Panics
+/// Panics if a slice length disagrees with the shape.
+pub fn matmul_at_into(m: usize, k: usize, n: usize, at: &[f32], b: &[f32], out: &mut [f32]) {
+    assert!(
+        at.len() == k * m && b.len() == k * n && out.len() == m * n,
+        "matmul_at_into shape mismatch: ({k}x{m})^T * {k}x{n}"
+    );
+    if kernels::use_blocked(m, k, n) {
+        kernels::gemm_at(m, k, n, at, b, out);
+    } else {
+        kernels::gemm_rows(m, k, n, at, (1, m), b, out);
     }
 }
 
@@ -631,7 +626,6 @@ mod tests {
         assert_eq!(a.mean(), 1.5);
         assert_eq!(a.row_argmax(0), 0);
         assert_eq!(a.row_argmax(1), 1);
-        assert!((a.frobenius_norm() - 30.0f32.sqrt()).abs() < 1e-6);
     }
 
     #[test]

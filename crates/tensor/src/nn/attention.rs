@@ -93,16 +93,6 @@ impl MultiHeadSelfAttention {
         let q = self.wq.forward(g, store, queries_from);
         let k = self.wk.forward(g, store, context);
         let v = self.wv.forward(g, store, context);
-        let concat = self.attend(g, q, k, v);
-        self.wo.forward(g, store, concat)
-    }
-
-    /// The attention between the projections: per head, scaled
-    /// dot-product scores of the `q` rows against the `k` rows, softmaxed,
-    /// then applied to `v`; the heads joined side by side (the input of
-    /// the output projection). A row-stacked tape projects all its
-    /// sequences at once, then runs this per sequence on its rows.
-    pub fn attend(&self, g: &mut Graph, q: NodeId, k: NodeId, v: NodeId) -> NodeId {
         let head_dim = self.dim / self.heads;
         let scale = 1.0 / (head_dim as f32).sqrt();
         let mut head_outputs = Vec::with_capacity(self.heads);
@@ -118,7 +108,8 @@ impl MultiHeadSelfAttention {
             let out = g.matmul(attn, vh);
             head_outputs.push(out);
         }
-        g.concat_cols(&head_outputs)
+        let concat = g.concat_cols(&head_outputs);
+        self.wo.forward(g, store, concat)
     }
 }
 
@@ -197,7 +188,7 @@ mod tests {
             target[(0, class)] = 1.0;
             let loss = g.cross_entropy(logits, &target, &[1.0]);
             g.backward(loss);
-            for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+            for (pid, grad) in g.take_param_grads() {
                 ps.grad_mut(pid).add_assign(&grad);
             }
             opt.step(&mut ps);

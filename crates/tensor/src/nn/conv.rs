@@ -128,7 +128,7 @@ mod tests {
             }
             let loss = g.cross_entropy(logits, &targets, &[1.0; 6]);
             g.backward(loss);
-            for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+            for (pid, grad) in g.take_param_grads() {
                 ps.grad_mut(pid).add_assign(&grad);
             }
             opt.step(&mut ps);

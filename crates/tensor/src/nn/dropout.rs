@@ -24,43 +24,28 @@ impl Dropout {
         self.p
     }
 
-    /// Applies dropout to `x`, whose rows form consecutive blocks: block
-    /// `b` is `block_rows[b]` rows and draws its mask, row-major, from
-    /// `rngs[b]`. One block over all of `x`'s rows is plain dropout; a
-    /// row-stacked batch passes one block (and one RNG) per example, so
-    /// each example's mask is the one it would draw alone. When `train` is
-    /// false (or `p == 0`) this is the identity and draws nothing.
-    ///
-    /// # Panics
-    /// Panics if the blocks do not cover `x`'s rows exactly, or if there
-    /// are fewer RNGs than blocks.
-    pub fn forward<R: Rng>(
-        &self,
-        g: &mut Graph,
-        x: NodeId,
-        train: bool,
-        block_rows: &[usize],
-        rngs: &mut [R],
-    ) -> NodeId {
+    /// Applies dropout to `x`, drawing its mask row-major from `rng`.
+    /// When `train` is false (or `p == 0`) this is the identity and draws
+    /// nothing.
+    pub fn forward<R: Rng>(&self, g: &mut Graph, x: NodeId, train: bool, rng: &mut R) -> NodeId {
         if !train || self.p == 0.0 {
             return x;
         }
         let (rows, cols) = g.value(x).shape();
-        assert_eq!(block_rows.iter().sum::<usize>(), rows, "dropout blocks must cover the rows");
-        assert!(rngs.len() >= block_rows.len(), "one dropout RNG per block");
-        let keep_scale = 1.0 / (1.0 - self.p);
-        let mut data = Vec::with_capacity(rows * cols);
-        for (&block, rng) in block_rows.iter().zip(rngs) {
-            data.extend((0..block * cols).map(|_| {
-                if rng.gen::<f32>() < self.p {
-                    0.0
-                } else {
-                    keep_scale
-                }
-            }));
-        }
-        let mask = g.constant(Matrix::from_vec(rows, cols, data));
+        let mut mask = vec![0.0; rows * cols];
+        self.mask(rng, &mut mask);
+        let mask = g.constant(Matrix::from_vec(rows, cols, mask));
         g.mul(x, mask)
+    }
+
+    /// Fills `mask` from `rng`, in order: each element is 0 with
+    /// probability `p` and `1/(1-p)` otherwise. [`forward`](Self::forward)
+    /// multiplies its input by such a mask.
+    pub fn mask<R: Rng>(&self, rng: &mut R, mask: &mut [f32]) {
+        let keep_scale = 1.0 / (1.0 - self.p);
+        for m in mask {
+            *m = if rng.gen::<f32>() < self.p { 0.0 } else { keep_scale };
+        }
     }
 }
 
@@ -76,7 +61,7 @@ mod tests {
         let d = Dropout::new(0.5);
         let mut g = Graph::new();
         let x = g.constant(Matrix::ones(3, 3));
-        let y = d.forward(&mut g, x, false, &[3], std::slice::from_mut(&mut rng));
+        let y = d.forward(&mut g, x, false, &mut rng);
         assert_eq!(x, y);
     }
 
@@ -86,7 +71,7 @@ mod tests {
         let d = Dropout::new(0.3);
         let mut g = Graph::new();
         let x = g.constant(Matrix::ones(100, 100));
-        let y = d.forward(&mut g, x, true, &[100], std::slice::from_mut(&mut rng));
+        let y = d.forward(&mut g, x, true, &mut rng);
         let mean = g.value(y).mean();
         assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
     }
@@ -97,29 +82,8 @@ mod tests {
         let d = Dropout::new(0.0);
         let mut g = Graph::new();
         let x = g.constant(Matrix::ones(2, 2));
-        let y = d.forward(&mut g, x, true, &[2], std::slice::from_mut(&mut rng));
+        let y = d.forward(&mut g, x, true, &mut rng);
         assert_eq!(x, y);
-    }
-
-    #[test]
-    fn each_block_draws_the_mask_it_would_draw_alone() {
-        let d = Dropout::new(0.4);
-        let alone: Vec<Matrix> = [(2, 7u64), (0, 8), (3, 9)]
-            .iter()
-            .map(|&(rows, seed)| {
-                let mut g = Graph::new();
-                let x = g.constant(Matrix::ones(rows, 5));
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let y = d.forward(&mut g, x, true, &[rows], std::slice::from_mut(&mut rng));
-                g.value(y).clone()
-            })
-            .collect();
-        let mut g = Graph::new();
-        let x = g.constant(Matrix::ones(5, 5));
-        let mut rngs: Vec<SmallRng> = (7..10).map(SmallRng::seed_from_u64).collect();
-        let y = d.forward(&mut g, x, true, &[2, 0, 3], &mut rngs);
-        let stacked = Matrix::concat_rows(&alone);
-        assert_eq!(g.value(y), &stacked);
     }
 
     #[test]

@@ -110,7 +110,7 @@ mod tests {
         let out = emb.forward(&mut g, &ps, &[1, 3]);
         let loss = g.sum_all(out);
         g.backward(loss);
-        for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+        for (pid, grad) in g.take_param_grads() {
             ps.grad_mut(pid).add_assign(&grad);
         }
         let grad = ps.grad(emb.table());
@@ -131,7 +131,7 @@ mod tests {
         let out = emb.forward(&mut g, &ps, &[0, 1, 2]);
         let loss = g.sum_all(out);
         g.backward(loss);
-        for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+        for (pid, grad) in g.take_param_grads() {
             ps.grad_mut(pid).add_assign(&grad);
         }
         let mut opt = Sgd::new(1.0);

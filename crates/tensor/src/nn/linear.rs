@@ -134,7 +134,7 @@ mod tests {
             let loss = g.mean_all(sq);
             last = g.value(loss).scalar_value();
             g.backward(loss);
-            for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+            for (pid, grad) in g.take_param_grads() {
                 ps.grad_mut(pid).add_assign(&grad);
             }
             opt.step(&mut ps);

@@ -5,7 +5,6 @@ use crate::init;
 use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
 use rand::Rng;
-use std::ops::Range;
 
 /// A single-layer LSTM over a `T x in_dim` sequence, producing `T x hidden`.
 ///
@@ -77,33 +76,11 @@ impl Lstm {
 
         // Pre-compute x_t W_x for the whole sequence in one matmul.
         let xw_all = g.matmul(xs, wx);
-        let outputs = self.recur(g, xw_all, 0..t_len, wh, bias);
-        g.concat_rows(&outputs)
-    }
-
-    /// The recurrence alone, over rows `rows` of a precomputed input
-    /// projection `xw_all` (`x W_x`, possibly row-stacked over several
-    /// sequences), with recurrent weight and gate bias leaves `wh` and
-    /// `bias`. Returns the `1 x hidden` state of each step, in order. A
-    /// row-stacked tape runs one projection for all its sequences, then
-    /// this once per sequence with that sequence's rows and leaves.
-    ///
-    /// # Panics
-    /// Panics if `rows` is empty.
-    pub fn recur(
-        &self,
-        g: &mut Graph,
-        xw_all: NodeId,
-        rows: Range<usize>,
-        wh: NodeId,
-        bias: NodeId,
-    ) -> Vec<NodeId> {
-        assert!(!rows.is_empty(), "LSTM over an empty sequence");
         let h = self.hidden;
         let mut h_prev = g.constant(Matrix::zeros(1, h));
         let mut c_prev = g.constant(Matrix::zeros(1, h));
-        let mut outputs = Vec::with_capacity(rows.len());
-        for t in rows {
+        let mut outputs = Vec::with_capacity(t_len);
+        for t in 0..t_len {
             let xw = g.slice_rows(xw_all, t, t + 1);
             let hw = g.matmul(h_prev, wh);
             let pre0 = g.add(xw, hw);
@@ -133,7 +110,7 @@ impl Lstm {
             h_prev = h_t;
             c_prev = c;
         }
-        outputs
+        g.concat_rows(&outputs)
     }
 }
 
@@ -257,7 +234,7 @@ mod tests {
             target[(0, label)] = 1.0;
             let loss = g.cross_entropy(logits, &target, &[1.0]);
             g.backward(loss);
-            for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+            for (pid, grad) in g.take_param_grads() {
                 ps.grad_mut(pid).add_assign(&grad);
             }
             ps.clip_grad_norm(5.0);

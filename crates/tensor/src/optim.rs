@@ -122,13 +122,6 @@ impl Adam {
         self.weight_decay = wd;
         self
     }
-
-    /// Overrides the exponential decay rates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
 }
 
 impl Optimizer for Adam {
@@ -192,7 +185,7 @@ mod tests {
             let d = g.sub(wn, c);
             let loss = g.mul(d, d);
             g.backward(loss);
-            for (pid, grad) in g.take_param_grads().into_iter().flatten() {
+            for (pid, grad) in g.take_param_grads() {
                 ps.grad_mut(pid).add_assign(&grad);
             }
             opt.step(&mut ps);

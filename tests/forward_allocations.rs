@@ -1,12 +1,19 @@
-//! An allocation budget for the inference forward. A warm 32-record
-//! `CompiledModel::predict_batch` on a fixed workload makes a fixed number
-//! of heap allocations (the forward runs on the calling thread), and the
-//! budget below pins that number: a change that brings back per-example
-//! copies into the forward fails here. Only the calling thread's
-//! allocations are counted, so tests running alongside cannot move it.
+//! Allocation budgets for the two executors of the model plan, on a fixed
+//! workload: a warm 32-record `CompiledModel::predict_batch` (the inference
+//! forward) and a warm one-epoch `train_model` over 32 examples with one
+//! gradient worker (the training forward and backward). Both run on the
+//! calling thread and make a fixed number of heap allocations, and the
+//! budgets below pin those numbers: a change that brings back per-example
+//! copies into the forward, or per-node matrices into the backward, fails
+//! here. Only the calling thread's allocations are counted, so tests
+//! running alongside cannot move them.
 
-use overton_model::{CompiledExample, CompiledModel, FeatureSpace, ModelConfig};
+use overton_model::{
+    gold_to_prob, train_model, CompiledExample, CompiledModel, FeatureSpace, ModelConfig,
+    TrainConfig,
+};
 use overton_nlp::{generate_workload, WorkloadConfig};
+use overton_store::Dataset;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -61,8 +68,8 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, ALLOCATIONS.with(|count| count.replace(None)).expect("armed above"))
 }
 
-#[test]
-fn warm_forward_stays_within_its_allocation_budget() {
+/// The workload both budgets run on.
+fn fixture() -> (Dataset, FeatureSpace) {
     let ds = generate_workload(&WorkloadConfig {
         n_train: 60,
         n_dev: 10,
@@ -71,6 +78,12 @@ fn warm_forward_stays_within_its_allocation_budget() {
         ..Default::default()
     });
     let space = FeatureSpace::build_from_store(&ds.seal()).expect("feature space");
+    (ds, space)
+}
+
+#[test]
+fn warm_forward_stays_within_its_allocation_budget() {
+    let (ds, space) = fixture();
     let model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
     let examples: Vec<CompiledExample> = ds.test_indices()[..32]
         .iter()
@@ -83,5 +96,42 @@ fn warm_forward_stays_within_its_allocation_budget() {
     assert!(
         allocations <= BUDGET,
         "a warm 32-record forward made {allocations} allocations, over its budget of {BUDGET}"
+    );
+}
+
+/// Allocations of one warm training epoch over the fixture's first 32
+/// training records with gold targets: default model, no dev split, one
+/// gradient worker. About a dozen per window for its bounds and queue, a
+/// few per optimizer step for the gradients it touches, plus the run's
+/// own state (two copies of the weights, the optimizer's moments) and the
+/// growth of its one workspace.
+const TRAIN_BUDGET: usize = 415;
+
+#[test]
+fn warm_training_epoch_stays_within_its_allocation_budget() {
+    let (ds, space) = fixture();
+    let train: Vec<CompiledExample> = ds.train_indices()[..32]
+        .iter()
+        .map(|&i| {
+            let record = &ds.records()[i];
+            let mut ex = CompiledExample::from_record(record, i, &space, ds.schema());
+            for task in ds.schema().tasks.keys() {
+                if let Some(p) = gold_to_prob(ds.schema(), record, task) {
+                    ex.targets.insert(task.clone(), p);
+                }
+            }
+            ex
+        })
+        .collect();
+    let config = TrainConfig { epochs: 1, grad_workers: 1, ..Default::default() };
+    let compile = || CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
+    let warm = train_model(&mut compile(), &train, &[], &config);
+    let mut model = compile();
+    let (report, allocations) = allocations_of(|| train_model(&mut model, &train, &[], &config));
+    assert_eq!(report, warm, "a warm epoch trains as the first one did");
+    println!("{allocations} allocations for one 32-example epoch");
+    assert!(
+        allocations <= TRAIN_BUDGET,
+        "a warm training epoch made {allocations} allocations, over its budget of {TRAIN_BUDGET}"
     );
 }
