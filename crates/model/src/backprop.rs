@@ -4,28 +4,27 @@
 //! [`gradients`] runs a gradient worker's share of a window in three
 //! passes over one [`Workspace`]: the inference steps with dropout on,
 //! each saving what its backward reads (masks, LSTM gates and cells,
-//! attention weights); the tape's fused losses, seeding each example's
+//! attention weights); the fused losses, seeding each example's
 //! logit adjoints; and one hand-written vector-Jacobian product per [`Op`]
 //! in reverse over an adjoint arena of the same layout, which hands each
 //! example's parameter gradients to the trainer as [`Partials`].
 //!
-//! The weights are **bit-identical** to one tape per example (the
-//! `oracle.rs` test oracle) by construction. Rows mix only in steps that
-//! walk segments, and each step does the tape's f32 arithmetic. A slot's
-//! adjoint collects its consumers' deltas in reverse step order, as the
-//! tape's sweep does, and where the tape sums a step's contributions to an
-//! element before adding them (a GEMM, an `im2row` window, a pair's shared
-//! row), so does the VJP. An example's partial of a parameter is summed
-//! from zero over its rows, one wherever its tape makes a leaf, and
-//! partials merge in example order, then step order. Skipping a partial of
-//! zeros changes no bit. Signs of zero may differ from the tape's; no
-//! nonzero value depends on one, and the merge (zeros plus partials)
-//! erases them.
+//! Stacking changes no bit: the weights are **bit-identical** to running
+//! each example as a batch of one and merging in order (the
+//! stacked-vs-per-example test in `trainer.rs`). Rows mix only in steps
+//! that walk segments, one example at a time. A slot's adjoint collects its
+//! consumers' deltas in reverse step order, and where a step sums its
+//! contributions to an element before adding them (a GEMM, an `im2row`
+//! window, a pair's shared row), that sum starts from zero per example. An
+//! example's partial of a parameter is summed from zero over its rows
+//! only, and partials merge in example order, then step order. Skipping a
+//! partial of zeros changes no bit, and the merge (zeros plus partials)
+//! erases any sign of zero. Each VJP is checked against finite differences
+//! of the executor's own loss (the tests below).
 
 use crate::config::{AggregationKind, TrainConfig};
 use crate::features::CompiledExample;
 use crate::infer::{Act, Batch, Decode, Leaves, Op, Plan, Rows, SlotDef};
-use crate::network::CompiledModel;
 use overton_supervision::ProbLabel;
 use overton_tensor::{dot, matmul_at_into, matmul_into, softmax_in_place, stable_sigmoid};
 use overton_tensor::{ParamId, ParamStore};
@@ -108,28 +107,28 @@ impl Partials {
     }
 }
 
-/// Forward, losses and backward for a run of examples over `ws`, each
-/// example drawing its dropout masks from a private RNG seeded from
-/// `seeds`; fills `ws.partials`.
+/// Forward, losses and backward of `plan` over `ps`'s weights for a run of
+/// examples over `ws`, each example drawing its dropout masks from a
+/// private RNG seeded from `seeds`; fills `ws.partials`.
 pub(crate) fn gradients(
-    model: &CompiledModel,
+    plan: &Plan,
+    ps: &ParamStore,
     examples: &[&CompiledExample],
     seeds: &[u64],
     config: &TrainConfig,
     ws: &mut Workspace,
 ) {
-    let plan = &model.inference;
     let batch = Batch::new(plan, examples.iter().copied());
     ws.rngs.clear();
     ws.rngs.extend(seeds.iter().map(|&seed| SmallRng::seed_from_u64(seed)));
-    plan.forward(&model.params, &batch, ws);
+    plan.forward(ps, &batch, ws);
     zeroed(&mut ws.adjoints, ws.values.len());
     ws.seen.clear();
     ws.seen.resize(plan.slots.len(), false);
     ws.partials.clear(examples.len());
     plan.losses(&batch, examples, config, ws);
     if ws.partials.losses.iter().any(Option::is_some) {
-        plan.backward(&model.params, &batch, examples, ws);
+        plan.backward(ps, &batch, examples, ws);
     }
 }
 
@@ -160,7 +159,7 @@ fn zeroed(buf: &mut Vec<f32>, len: usize) -> &mut Vec<f32> {
     buf
 }
 
-/// Adds a delta the tape sums from zero before adding it: `fill` writes it
+/// Adds a delta that is summed from zero before it is added: `fill` writes it
 /// into `adj` itself while no delta has reached it (`seen`), else into
 /// zeroed scratch that is then added.
 fn add_summed(adj: &mut [f32], seen: &mut bool, buf: &mut Vec<f32>, fill: impl FnOnce(&mut [f32])) {
@@ -171,8 +170,9 @@ fn add_summed(adj: &mut [f32], seen: &mut bool, buf: &mut Vec<f32>, fill: impl F
     add(adj, buf);
 }
 
-/// The tape's fused loss of `k`-wide logit rows against target rows:
-/// softmax cross-entropy, weight 1 per row (`None`: 0), over `weight_sum`;
+/// The fused loss of `k`-wide logit rows against target rows: softmax
+/// cross-entropy, weight 1 per row (`None`: 0, so the row is skipped and
+/// its gradient stays zero), over `weight_sum`;
 /// or with `bce` sigmoid cross-entropy averaged over every element (`None`
 /// reads as zeros). Returns it; writes its gradient times `seed` to `grad`.
 fn fused_loss<'t>(
@@ -221,7 +221,7 @@ impl Plan {
                 Op::Dropout(dropout) => {
                     out.copy_from_slice(input(0));
                     if dropout.p() > 0.0 {
-                        // Example `b` draws its mask from `rngs[b]`, as its tape would.
+                        // Example `b` draws its mask from `rngs[b]`, whatever it shares.
                         let SlotDef { rows, cols } = self.slots[s];
                         saved.resize(out.len(), 0.0);
                         for (seg, rng) in batch.segs(rows).iter().zip(rngs.iter_mut()) {
@@ -457,7 +457,7 @@ impl Plan {
                                 dwh.chunks_exact_mut(4 * h)
                                     .zip(h_prev)
                                     .for_each(|(dw, &h)| add_scaled(dw, dpre, h));
-                                // `dpre W_h^T`, summed as the tape's one-row product.
+                                // `dpre W_h^T`, each element summed in increasing `k` order.
                                 for (c, wh_row) in carry_h.iter_mut().zip(wh.chunks_exact(4 * h)) {
                                     *c = dpre
                                         .iter()
@@ -582,7 +582,7 @@ impl Plan {
                 }
                 Op::SpanMeans(s) => {
                     let (enc, dx) = (batch.segs(self.slots[input(0)].rows), adj!(0));
-                    // Spans may overlap: the tape adds them in reverse order.
+                    // Spans may overlap: their deltas add in reverse order.
                     let items = batch.elements[*s].items.iter().enumerate().rev();
                     let spans = items.flat_map(|(b, els)| {
                         els.iter().rev().map(move |&(_, span)| enc.span(b, span))
@@ -624,19 +624,99 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ModelConfig;
+    use crate::config::{EncoderKind, ModelConfig};
+    use crate::network::CompiledModel;
     use crate::{features::FeatureSpace, oracle};
     use overton_nlp::{generate_workload, WorkloadConfig};
+    use overton_tensor::nn::{Embedding, Lstm};
+    use overton_tensor::Matrix;
     use rand::Rng;
+    use std::collections::BTreeMap;
 
-    /// The executor's gradient of every parameter over a window matches
-    /// central differences of its own window loss along two directions (the
-    /// gradient's signs, then seeded random signs), for every encoder on a
-    /// small every-branch model. It needs no tape. With relu swapped for
-    /// tanh and dropout off the loss is smooth; the bit-identity test
-    /// covers relu's mask.
-    #[test]
-    fn gradients_match_finite_differences() {
+    /// Which side of every kink the forward in `ws` sits on: each relu
+    /// output's sign, and the row each max-pooled column takes its value from.
+    fn kinks(plan: &Plan, batch: &Batch, ws: &Workspace) -> Vec<usize> {
+        let slot = |s: usize| &ws.values[ws.regions[s].clone()];
+        let mut sides = Vec::new();
+        for (s, step) in plan.steps.iter().enumerate() {
+            let cols = plan.slots[s].cols;
+            match step.op {
+                Op::Affine { act: Act::Relu, .. } => {
+                    sides.extend(slot(s).iter().map(|&y| usize::from(y > 0.0)));
+                }
+                Op::Pool(AggregationKind::Max) => {
+                    for (b, pooled) in slot(s).chunks_exact(cols).enumerate() {
+                        for (j, &v) in pooled.iter().enumerate() {
+                            let mut rows = step.inputs.iter().flat_map(|&i| {
+                                batch.segs(plan.slots[i].rows).range(b).map(move |r| (i, r))
+                            });
+                            sides.push(rows.position(|(i, r)| slot(i)[r * cols + j] == v).unwrap());
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        sides
+    }
+
+    /// The executor's gradient of every parameter of `model` over `window`
+    /// matches central differences of its own window loss along two
+    /// directions (the gradient's signs, then seeded random signs). A step
+    /// counts only if the forwards at plus and minus it sit on the same side
+    /// of every kink as the unmoved one, so the loss is smooth along it; one
+    /// such step must exist. With dropout off the loss is deterministic.
+    fn assert_gradients_match(mut model: CompiledModel, window: &[&CompiledExample]) {
+        let (config, mut ws) = (TrainConfig::default(), Workspace::default());
+        let batch = Batch::new(&model.inference, window.iter().copied());
+        let mut run = |model: &CompiledModel| -> (f64, Vec<usize>, Partials) {
+            let (plan, ps) = (&model.inference, &model.params);
+            gradients(plan, ps, window, &vec![0; window.len()], &config, &mut ws);
+            let loss = ws.partials.losses.iter().flatten().map(|&l| f64::from(l)).sum();
+            (loss, kinks(plan, &batch, &ws), std::mem::take(&mut ws.partials))
+        };
+        let (_, sides, partials) = run(&model);
+        let mut store = model.params.clone();
+        partials.merge_into(&mut store);
+        let mut rng = SmallRng::seed_from_u64(5);
+        for id in model.params.ids().collect::<Vec<_>>() {
+            let (grad, x) = (store.grad(id), model.params.value(id).clone());
+            let scale: f64 = grad.as_slice().iter().map(|&g| f64::from(g.abs())).sum();
+            for random in [false, true] {
+                let mut sign = |g: f32| if random { rng.gen::<bool>() } else { g >= 0.0 };
+                let dir: Vec<f32> =
+                    grad.as_slice().iter().map(|&g| if sign(g) { 1.0 } else { -1.0 }).collect();
+                let mut run_at = |t: f32| {
+                    let moved = x.as_slice().iter().zip(&dir).map(|(&x, &d)| x + t * d);
+                    let value = model.params.value_mut(id).as_mut_slice();
+                    value.iter_mut().zip(moved).for_each(|(v, m)| *v = m);
+                    run(&model)
+                };
+                // f32 losses round near 1e-6, so a step `eps` errs by about
+                // 1e-6 / eps: the closest of the smooth steps counts.
+                let numeric: Vec<f64> = [3e-3f32, 1e-3, 3e-4, 1e-4, 3e-5]
+                    .into_iter()
+                    .filter_map(|eps| {
+                        let ((up, up_sides, _), (down, down_sides, _)) =
+                            (run_at(eps), run_at(-eps));
+                        let smooth = up_sides == sides && down_sides == sides;
+                        smooth.then(|| (up - down) / (2.0 * f64::from(eps)))
+                    })
+                    .collect();
+                run_at(0.0);
+                let exact: f64 =
+                    grad.as_slice().iter().zip(&dir).map(|(&g, &d)| f64::from(g * d)).sum();
+                let error = numeric.iter().map(|n| (n - exact).abs()).fold(f64::MAX, f64::min);
+                let (config, name) = (model.config(), model.params.name(id));
+                assert!(
+                    error <= 1e-3 + 1e-2 * scale,
+                    "{config:?} {name} ({random}): {numeric:?} vs {exact}"
+                );
+            }
+        }
+    }
+
+    fn fixture() -> (Vec<CompiledExample>, FeatureSpace) {
         let workload = WorkloadConfig {
             n_train: 20,
             seed: 23,
@@ -645,65 +725,96 @@ mod tests {
         };
         let ds = generate_workload(&workload);
         let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
-        let exs = oracle::soft_training_set(&ds, &space);
-        let (window, config) = (exs[..8].iter().collect::<Vec<_>>(), TrainConfig::default());
-        let loss = |model: &CompiledModel, ws: &mut Workspace| -> f64 {
-            gradients(model, &window, &[0; 8], &config, ws);
-            ws.partials.losses.iter().flatten().map(|&l| f64::from(l)).sum()
-        };
-        let (mut rng, mut ws) = (SmallRng::seed_from_u64(5), Workspace::default());
+        (oracle::soft_training_set(&ds, &space), space)
+    }
+
+    fn small(encoder: EncoderKind, aggregation: AggregationKind) -> ModelConfig {
+        let (token_dim, entity_dim, hidden_dim, dropout) = (8, 8, 8, 0.0);
+        ModelConfig {
+            encoder,
+            aggregation,
+            token_dim,
+            entity_dim,
+            hidden_dim,
+            dropout,
+            ..Default::default()
+        }
+    }
+
+    /// Every encoder's and head's VJPs on a small every-branch model, with
+    /// relu swapped for tanh so the loss is smooth everywhere.
+    #[test]
+    fn gradients_match_finite_differences() {
+        let (exs, space) = fixture();
         for encoder in oracle::ENCODERS {
-            let (token_dim, entity_dim, hidden_dim, dropout) = (8, 8, 8, 0.0);
-            let small = ModelConfig {
-                encoder,
-                token_dim,
-                entity_dim,
-                hidden_dim,
-                dropout,
-                ..Default::default()
-            };
+            let config = small(encoder, AggregationKind::Mean);
             let mut model =
-                CompiledModel::compile(&oracle::every_branch_schema(), &space, &small, None);
+                CompiledModel::compile(&oracle::every_branch_schema(), &space, &config, None);
             for step in &mut model.inference.steps {
                 if let Op::Affine { act: act @ Act::Relu, .. } = &mut step.op {
                     *act = Act::Tanh;
                 }
             }
-            let mut store = model.params.clone();
-            loss(&model, &mut ws);
-            ws.partials.merge_into(&mut store);
-            for id in model.params.ids().collect::<Vec<_>>() {
-                let (grad, x) = (store.grad(id), model.params.value(id).clone());
-                let scale: f64 = grad.as_slice().iter().map(|&g| f64::from(g.abs())).sum();
-                for random in [false, true] {
-                    let mut sign = |g: f32| if random { rng.gen::<bool>() } else { g >= 0.0 };
-                    let dir: Vec<f32> =
-                        grad.as_slice().iter().map(|&g| if sign(g) { 1.0 } else { -1.0 }).collect();
-                    let mut loss_at = |t: f32| {
-                        let moved = x.as_slice().iter().zip(&dir).map(|(&x, &d)| x + t * d);
-                        model
-                            .params
-                            .value_mut(id)
-                            .as_mut_slice()
-                            .iter_mut()
-                            .zip(moved)
-                            .for_each(|(v, m)| *v = m);
-                        loss(&model, &mut ws)
-                    };
-                    // f32 losses round near 1e-6, so steps stay large.
-                    let numeric = [3e-3f32, 1e-3]
-                        .map(|eps| (loss_at(eps) - loss_at(-eps)) / (2.0 * f64::from(eps)));
-                    loss_at(0.0);
-                    let exact: f64 =
-                        grad.as_slice().iter().zip(&dir).map(|(&g, &d)| f64::from(g * d)).sum();
-                    let error = numeric.iter().map(|n| (n - exact).abs()).fold(f64::MAX, f64::min);
-                    let name = model.params.name(id);
-                    assert!(
-                        error <= 1e-3 + 1e-2 * scale,
-                        "{encoder:?} {name} ({random}): {numeric:?} vs {exact}"
-                    );
-                }
-            }
+            assert_gradients_match(model, &exs[..8].iter().collect::<Vec<_>>());
         }
+    }
+
+    /// relu's mask in the `Affine` VJP and the routing of max pooling's
+    /// VJP to each column's winning row, on the encoders that use relu.
+    #[test]
+    fn relu_and_max_pool_gradients_match_finite_differences() {
+        let (exs, space) = fixture();
+        for encoder in [EncoderKind::MeanBag, EncoderKind::Cnn] {
+            let config = small(encoder, AggregationKind::Max);
+            let model =
+                CompiledModel::compile(&oracle::every_branch_schema(), &space, &config, None);
+            assert_gradients_match(model, &exs[..4].iter().collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn cross_entropy_zero_weight_rows_are_skipped() {
+        // The second row is badly wrong but has no target: it adds no loss
+        // and gets no gradient, so the loss is the first row's alone.
+        let (logits, target) = ([5.0, 0.0, 0.0, 5.0], [1.0, 0.0]);
+        let mut grad = [0.0; 4];
+        let rows = [Some(&target[..]), None].into_iter();
+        let loss = fused_loss(false, (&logits, 2), rows, 1.0, 1.0, &mut grad);
+        let mut alone = [0.0; 2];
+        let one_row = fused_loss(
+            false,
+            (&logits[..2], 2),
+            [Some(&target[..])].into_iter(),
+            1.0,
+            1.0,
+            &mut alone,
+        );
+        assert!(loss < 0.1 && loss == one_row, "{loss} vs {one_row}");
+        assert_eq!((&grad[..2], &grad[2..]), (&alone[..], &[0.0, 0.0][..]));
+    }
+
+    #[test]
+    fn lstm_hidden_states_are_bounded() {
+        // h = o * tanh(c) with o in (0, 1): |h| < 1 in exact arithmetic, and
+        // f32 saturation (sigmoid or tanh rounding to 1.0) makes equality
+        // attainable on huge inputs.
+        let (mut ps, mut rng) = (ParamStore::new(), SmallRng::seed_from_u64(2));
+        let table = Embedding::from_pretrained(&mut ps, "e", Matrix::full(2, 2, 100.0));
+        let lstm = Lstm::new(&mut ps, "l", 2, 3, &mut rng);
+        let mut plan = Plan { sequences: vec!["tokens".into()], ..Plan::default() };
+        let x = plan.step(Op::Gather(table.table()), &[], Rows::Tokens(0), 2);
+        let h = plan.lstm(&lstm, x);
+        let example = CompiledExample {
+            record_index: 0,
+            sequences: BTreeMap::from([("tokens".into(), vec![1; 10])]),
+            sets: BTreeMap::new(),
+            targets: BTreeMap::new(),
+            slice_membership: Vec::new(),
+        };
+        let mut ws = Workspace::default();
+        gradients(&plan, &ps, &[&example], &[0], &TrainConfig::default(), &mut ws);
+        let states = &ws.values[ws.regions[h].clone()];
+        assert_eq!(states.len(), 10 * 3);
+        assert!(states.iter().all(|v| v.is_finite() && v.abs() <= 1.0), "{states:?}");
     }
 }

@@ -19,12 +19,10 @@
 //! each step's hand-written vector-Jacobian product backward, over arenas
 //! of the same layout (`backprop.rs`).
 //!
-//! Each step performs the per-example tape's arithmetic op for op, in f32,
-//! and GEMM rows are independent of each other, so inference is
-//! **bit-identical** to decoding a single-example training tape one
-//! example at a time (tested against the per-example tape kept as the test
-//! oracle, over every encoder, aggregation and head kind, in mixed
-//! batches).
+//! What mixes rows runs per example and GEMM rows are independent of each
+//! other, so a batched prediction is **bit-identical** to predicting each
+//! example alone (tested over every encoder, aggregation and head kind, in
+//! mixed batches).
 
 use crate::features::CompiledExample;
 use crate::network::{CompiledModel, Prediction, TaskOutput};
@@ -70,15 +68,14 @@ pub(crate) enum Act {
     Tanh,
 }
 
-/// How training splits an affine step's parameter gradient into partials:
-/// one wherever a single-example tape would make a parameter leaf, each
-/// summed from zero over that leaf's rows only.
+/// How training splits an affine step's parameter gradient into partials,
+/// each summed from zero over its own rows only. The split fixes the f32
+/// summation order of the merged gradient, so it is part of the bits.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Leaves {
     /// One leaf per example, over its rows.
     PerExample,
-    /// One leaf per row: a single-example tape projects each set element
-    /// on its own.
+    /// One leaf per row: each set element is projected on its own.
     PerRow,
     /// One leaf per example whose sequence payload (the input's rows) is
     /// present; the placeholder rows of the others are dropped first.
@@ -95,7 +92,7 @@ pub(crate) enum Op {
     /// `[x]`: `act(x W + b)`.
     Affine { weight: ParamId, bias: Option<ParamId>, act: Act, leaves: Leaves },
     /// `[x]`: the width-`k` sliding-window unfold of each segment, with
-    /// `k / 2` rows of zero padding (`Matrix::im2row`).
+    /// `k / 2` rows of zero padding: row `t` joins rows `t - k/2 ..= t + k/2`.
     Im2Row(usize),
     /// `[x W_x]`: the LSTM recurrence over each segment.
     Recur(Lstm),
@@ -463,7 +460,7 @@ impl Plan {
                             qh.extend_from_slice(band(q, r));
                             vh.extend_from_slice(band(v, r));
                         }
-                        // The tape's order: an explicit transpose, then the scale.
+                        // Keys transposed explicitly, then the scores scaled.
                         for c in lo..lo + head_dim {
                             kt.extend(seg.clone().map(|r| k[r * cols + c]));
                         }
@@ -514,7 +511,7 @@ impl Plan {
                     }
                     weights[0] = 0.0;
                     softmax_in_place(&mut weights);
-                    // The tape's order: start from repr_0 * w_0, then add each term.
+                    // Start from repr_0 * w_0, then add each term in order.
                     for (i, &w) in weights.iter().enumerate() {
                         let repr = if i == 0 { input(0) } else { input(1 + slices + i - 1) };
                         for (o, &x) in mixed.iter_mut().zip(&repr[b * cols..(b + 1) * cols]) {
@@ -540,7 +537,7 @@ impl Plan {
     }
 
     /// [`Op::Pool`]: per example, the mean or max over its rows of every
-    /// input, as one stacked `Matrix::mean_rows` / `max_rows` would.
+    /// input, taken as one stack of those rows.
     fn pool<'a>(
         &self,
         kind: AggregationKind,
@@ -577,8 +574,8 @@ impl Plan {
     }
 }
 
-/// Adds the mean of `len` rows into the zeroed `out`, as
-/// `Matrix::mean_rows` sums them: each row times `1 / len`, in order.
+/// Adds the mean of `len` rows into the zeroed `out`: each row times
+/// `1 / len`, in order.
 fn mean_into<'a>(out: &mut [f32], rows: impl Iterator<Item = &'a [f32]>, len: usize) {
     assert!(len > 0, "mean over no rows");
     let inv = 1.0 / len as f32;
@@ -598,9 +595,7 @@ pub(crate) enum Decode {
     Select,
 }
 
-/// Index of the largest value (first on ties), as [`Matrix::row_argmax`].
-///
-/// [`Matrix::row_argmax`]: overton_tensor::Matrix::row_argmax
+/// Index of the largest value (first on ties).
 pub(crate) fn argmax(xs: &[f32]) -> usize {
     let mut best = 0;
     for (i, &x) in xs.iter().enumerate() {
@@ -660,7 +655,6 @@ mod tests {
     use crate::oracle;
     use overton_nlp::{generate_workload, WorkloadConfig};
     use overton_store::Dataset;
-    use overton_tensor::Graph;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -677,20 +671,8 @@ mod tests {
         (ds, space)
     }
 
-    /// The per-example training tape's forward (the test oracle), decoded.
-    fn tape_predict(model: &CompiledModel, example: &CompiledExample) -> Prediction {
-        let mut g = Graph::new();
-        let pass = oracle::forward(model, &mut g, example, false, &mut SmallRng::seed_from_u64(0));
-        decode(
-            pass.task_logits.iter().map(|(task, &l)| {
-                (task, model.heads[task].decode(), g.value(l).as_slice(), g.value(l).cols())
-            }),
-            pass.indicator_logits.iter().map(|&l| g.value(l).as_slice()),
-        )
-    }
-
     #[test]
-    fn batched_forward_is_bit_identical_to_the_tape() {
+    fn batched_forward_is_bit_identical_to_per_example_runs() {
         let (ds, space) = setup();
         let schema = oracle::every_branch_schema();
         let mut exs = oracle::every_branch_examples(&ds, &ds.test_indices(), &space, &schema);
@@ -728,8 +710,8 @@ mod tests {
                     for (ex, fast) in exs.iter().zip(&batch) {
                         assert_eq!(
                             format!("{fast:?}"),
-                            format!("{:?}", tape_predict(&model, ex)),
-                            "{config:?} diverged from the tape"
+                            format!("{:?}", model.predict(ex)),
+                            "{config:?} diverged from the example run alone"
                         );
                         assert_eq!(fast.slice_probs.is_empty(), !slice_heads);
                         outputs.extend(fast.tasks.values().map(std::mem::discriminant));

@@ -386,8 +386,7 @@ impl CompiledModel {
         self.slices.is_some()
     }
 
-    /// Lowers the layers into the plan, step by step in the order a
-    /// single-example tape runs them.
+    /// Lowers the layers into the plan, step by step in execution order.
     fn lower(&self) -> Plan {
         let (mut plan, hidden) = (Plan::default(), self.hidden);
         let token_dim = self.token_embedding.dim();
@@ -400,15 +399,7 @@ impl CompiledModel {
             let x = plan.step(Op::Gather(self.token_embedding.table()), &[], rows, token_dim);
             let enc = match encoder {
                 Encoder::MeanBag(proj) => plan.linear(proj, x, Act::Relu, Leaves::PerExample),
-                Encoder::Cnn(conv) => {
-                    // Windows never reach across an example boundary.
-                    let k = conv.kernel();
-                    let unfolded = plan.step(Op::Im2Row(k), &[x], rows, k * conv.in_dim());
-                    let (weight, bias) = (conv.weight_id(), Some(conv.bias_id()));
-                    let op =
-                        Op::Affine { weight, bias, act: Act::Relu, leaves: Leaves::PerExample };
-                    plan.step(op, &[unfolded], rows, conv.out_dim())
-                }
+                Encoder::Cnn(conv) => plan.conv(conv, x),
                 Encoder::Lstm(lstm) => plan.lstm(lstm, x),
                 Encoder::BiLstm(bilstm) => {
                     let f = plan.lstm(bilstm.fwd(), x);
@@ -522,7 +513,7 @@ impl CompiledModel {
     /// order: the plan run in place over one arena per chunk, with f32
     /// weights read in place, fed chunks of at most 32 examples so memory
     /// stays bounded whatever the input length. Outputs are bit-identical
-    /// to decoding a single-example training tape per example.
+    /// to predicting each example alone.
     pub fn predict_batch(&self, examples: &[CompiledExample]) -> Vec<Prediction> {
         examples
             .chunks(MAX_BATCH)
@@ -544,7 +535,7 @@ impl Head {
 
 impl Plan {
     /// Appends a step that writes a new `rows x cols` slot.
-    fn step(&mut self, op: Op, inputs: &[Slot], rows: Rows, cols: usize) -> Slot {
+    pub(crate) fn step(&mut self, op: Op, inputs: &[Slot], rows: Rows, cols: usize) -> Slot {
         let out = self.slots.len();
         self.slots.push(SlotDef { rows, cols });
         self.steps.push(Step { op, inputs: inputs.to_vec() });
@@ -552,14 +543,24 @@ impl Plan {
     }
 
     /// Appends `act(x W + b)` through `layer`, over `x`'s rows.
-    fn linear(&mut self, layer: &Linear, x: Slot, act: Act, leaves: Leaves) -> Slot {
+    pub(crate) fn linear(&mut self, layer: &Linear, x: Slot, act: Act, leaves: Leaves) -> Slot {
         let op = Op::Affine { weight: layer.weight_id(), bias: layer.bias_id(), act, leaves };
         self.step(op, &[x], self.slots[x].rows, layer.out_dim())
     }
 
+    /// Appends `relu(conv(x))`: the unfold per segment, so windows never
+    /// reach across an example boundary, then one affine step.
+    pub(crate) fn conv(&mut self, conv: &Conv1d, x: Slot) -> Slot {
+        let (rows, k) = (self.slots[x].rows, conv.kernel());
+        let unfolded = self.step(Op::Im2Row(k), &[x], rows, k * conv.in_dim());
+        let (weight, bias) = (conv.weight_id(), Some(conv.bias_id()));
+        let op = Op::Affine { weight, bias, act: Act::Relu, leaves: Leaves::PerExample };
+        self.step(op, &[unfolded], rows, conv.out_dim())
+    }
+
     /// Appends an LSTM: its input projection over the whole stack, then
     /// the recurrence per segment.
-    fn lstm(&mut self, lstm: &Lstm, x: Slot) -> Slot {
+    pub(crate) fn lstm(&mut self, lstm: &Lstm, x: Slot) -> Slot {
         let rows = self.slots[x].rows;
         let project = Op::Affine {
             weight: lstm.wx_id(),
@@ -604,7 +605,8 @@ mod tests {
     fn window(model: &CompiledModel, exs: &[&CompiledExample], weight: f32) -> Workspace {
         let config = TrainConfig { indicator_loss_weight: weight, ..Default::default() };
         let mut ws = Workspace::default();
-        crate::backprop::gradients(model, exs, &vec![0; exs.len()], &config, &mut ws);
+        let (plan, ps, seeds) = (&model.inference, &model.params, vec![0; exs.len()]);
+        crate::backprop::gradients(plan, ps, exs, &seeds, &config, &mut ws);
         ws
     }
 

@@ -8,13 +8,19 @@
 //! Pretrained`). Everything else about training stays identical, so any
 //! quality difference is attributable to pretraining.
 
+use crate::backprop::{self, Workspace};
+use crate::config::TrainConfig;
+use crate::features::CompiledExample;
+use crate::infer::{Act, Decode, HeadOut, Leaves, Op, Plan, Rows};
 use overton_nlp::{Vocab, MASK, PAD};
+use overton_supervision::ProbLabel;
 use overton_tensor::nn::{Conv1d, Embedding, Linear};
-use overton_tensor::optim::{Adam, Optimizer};
-use overton_tensor::{Graph, Matrix, ParamStore};
+use overton_tensor::optim::Adam;
+use overton_tensor::{Matrix, ParamStore};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Hyperparameters for [`pretrain`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -84,7 +90,10 @@ impl PretrainedEncoder {
 }
 
 /// Pretrains a contextual encoder with a masked-token objective and returns
-/// the embedding artifact.
+/// the embedding artifact. The encoder (embedding, a width-3 convolution
+/// with relu, a vocabulary head) is lowered into a four-step model plan,
+/// and each sentence runs through the training executor as a batch of one:
+/// cross-entropy at its masked positions, one optimizer step.
 pub fn pretrain(corpus: &[Vec<String>], config: &PretrainConfig) -> PretrainedEncoder {
     assert!(!corpus.is_empty(), "pretraining corpus is empty");
     let vocab = Vocab::build(corpus.iter().flat_map(|s| s.iter().map(String::as_str)), 1);
@@ -94,6 +103,13 @@ pub fn pretrain(corpus: &[Vec<String>], config: &PretrainConfig) -> PretrainedEn
     let encoder = Conv1d::new(&mut params, "mlm.encoder", config.dim, config.dim, 3, &mut rng);
     let head = Linear::new(&mut params, "mlm.head", config.dim, vocab.len(), &mut rng);
     let mut opt = Adam::new(config.learning_rate);
+    let mut plan = Plan { sequences: vec!["tokens".into()], ..Plan::default() };
+    let x = plan.step(Op::Gather(embedding.table()), &[], Rows::Tokens(0), config.dim);
+    let encoded = plan.conv(&encoder, x);
+    let logits = plan.linear(&head, encoded, Act::None, Leaves::PerExample);
+    let decode = Decode::PerElement { bce: false };
+    plan.heads.push(HeadOut { task: "tokens".into(), decode, logits });
+    let (train, mut ws) = (TrainConfig::default(), Workspace::default());
 
     let encoded: Vec<Vec<usize>> = corpus.iter().map(|s| vocab.encode(s)).collect();
     let mut order: Vec<usize> = (0..encoded.len()).collect();
@@ -124,25 +140,23 @@ pub fn pretrain(corpus: &[Vec<String>], config: &PretrainConfig) -> PretrainedEn
                 mask_positions.push(t);
                 masked[t] = MASK;
             }
-            let mut g = Graph::new();
-            let emb = embedding.forward(&mut g, &params, &masked);
-            let enc = encoder.forward(&mut g, &params, emb);
-            let act = g.relu(enc);
-            let logits = head.forward(&mut g, &params, act);
-            let (t_len, v) = g.value(logits).shape();
-            let mut targets = Matrix::zeros(t_len, v);
-            let mut weights = vec![0.0f32; t_len];
+            // One-hot rows at the masked positions; an empty row is no target.
+            let mut targets = vec![Vec::new(); ids.len()];
             for &t in &mask_positions {
-                targets[(t, ids[t])] = 1.0;
-                weights[t] = 1.0;
+                targets[t] = vec![0.0; vocab.len()];
+                targets[t][ids[t]] = 1.0;
             }
-            let loss = g.cross_entropy(logits, &targets, &weights);
-            epoch_loss += f64::from(g.value(loss).scalar_value());
+            let example = CompiledExample {
+                record_index: si,
+                sequences: BTreeMap::from([("tokens".into(), masked)]),
+                sets: BTreeMap::new(),
+                targets: BTreeMap::from([("tokens".into(), ProbLabel::SeqDist(targets))]),
+                slice_membership: Vec::new(),
+            };
+            backprop::gradients(&plan, &params, &[&example], &[0], &train, &mut ws);
+            epoch_loss += f64::from(ws.partials.losses[0].expect("masked positions are targets"));
             batches += 1;
-            g.backward(loss);
-            for (pid, grad) in g.take_param_grads() {
-                params.grad_mut(pid).add_assign(&grad);
-            }
+            ws.partials.merge_into(&mut params);
             params.clip_grad_norm(5.0);
             opt.step(&mut params);
             params.zero_grads();
@@ -155,7 +169,10 @@ pub fn pretrain(corpus: &[Vec<String>], config: &PretrainConfig) -> PretrainedEn
 #[cfg(test)]
 mod tests {
     use super::*;
-    use overton_nlp::{pretraining_corpus, KnowledgeBase};
+    use crate::config::{EmbeddingKind, ModelConfig};
+    use crate::features::{gold_to_prob, FeatureSpace};
+    use crate::{train_model, CompiledModel};
+    use overton_nlp::{generate_workload, pretraining_corpus, KnowledgeBase, WorkloadConfig};
 
     fn small_corpus() -> Vec<Vec<String>> {
         pretraining_corpus(&KnowledgeBase::standard(), 150, 3)
@@ -211,5 +228,62 @@ mod tests {
         let back: PretrainedEncoder = serde_json::from_str(&json).unwrap();
         assert_eq!(back.table, art.table);
         assert_eq!(back.vocab, art.vocab);
+    }
+
+    /// The pretrained path end to end: pretraining is deterministic, a
+    /// `Pretrained` model starts from the artifact's rows for every token
+    /// it shares with the corpus, and its training is bit-identical at 1
+    /// and 3 gradient workers.
+    #[test]
+    fn pretrained_build_is_deterministic_end_to_end() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let config = PretrainConfig { epochs: 1, ..Default::default() };
+        let (art, again) = (pretrain(&small_corpus(), &config), pretrain(&small_corpus(), &config));
+        assert!(bits(&art.table) == bits(&again.table), "pretraining is not deterministic");
+        assert_eq!(art.final_loss.to_bits(), again.final_loss.to_bits());
+
+        let ds = generate_workload(&WorkloadConfig {
+            n_train: 40,
+            n_dev: 10,
+            seed: 3,
+            gold_train_fraction: 1.0,
+            ..Default::default()
+        });
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
+        let gold = |indices: Vec<usize>| -> Vec<CompiledExample> {
+            let examples = indices.into_iter().map(|i| {
+                let record = &ds.records()[i];
+                let mut ex = CompiledExample::from_record(record, i, &space, ds.schema());
+                for task in ds.schema().tasks.keys() {
+                    ex.targets
+                        .extend(gold_to_prob(ds.schema(), record, task).map(|p| (task.clone(), p)));
+                }
+                ex
+            });
+            examples.collect()
+        };
+        let (train, dev) = (gold(ds.train_indices()), gold(ds.dev_indices()));
+        let model_config =
+            ModelConfig { embedding: EmbeddingKind::Pretrained, ..Default::default() };
+        let trained = [1, 3].map(|grad_workers| {
+            let mut model = CompiledModel::compile(ds.schema(), &space, &model_config, Some(&art));
+            let table = model.params.value(model.token_embedding.table());
+            let shared: Vec<(usize, usize)> = (0..space.token_vocab.len())
+                .filter_map(|id| Some((id, art.vocab.id(space.token_vocab.token(id)?))))
+                .filter(|&(_, pre)| pre != overton_nlp::UNK)
+                .collect();
+            assert!(shared.len() > 10, "only {} shared tokens", shared.len());
+            for (id, pre) in shared {
+                assert_eq!(table.row(id), art.table.row(pre), "token {id}");
+            }
+            let train_config = TrainConfig { epochs: 2, grad_workers, ..Default::default() };
+            train_model(&mut model, &train, &dev, &train_config);
+            model
+        });
+        for id in trained[0].params.ids() {
+            let name = trained[0].params.name(id);
+            let [one, three] = trained.each_ref().map(|m| bits(m.params.value(id)));
+            assert!(one == three, "{name} diverged at 3 workers");
+        }
     }
 }

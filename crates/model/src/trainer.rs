@@ -11,8 +11,9 @@
 //! (`backprop.rs`) row-stacked: the window is split into
 //! [`TrainConfig::grad_workers`] contiguous sub-windows, one slot arena
 //! each, on scoped threads. The trajectory is nonetheless
-//! worker-count-invariant, and equal to training one example per tape:
-//! final weights are bit-identical whether a window ran on 1 arena or 8.
+//! worker-count-invariant, and equal to running each example as a batch
+//! of one: final weights are bit-identical whether a window ran on 1
+//! arena or 8.
 //! Four properties make that hold:
 //!
 //! 1. Every example draws a private dropout seed from the main RNG *in
@@ -25,11 +26,10 @@
 //!    parameters the serial loop would have shown it.
 //! 3. Stacking changes no example's bits. GEMM rows are independent;
 //!    what mixes rows runs per example; each step's backward adds its
-//!    deltas in the order a single-example tape's reverse sweep does; and
-//!    each example's parameter gradient comes out as partials, one
-//!    wherever its own tape would make a parameter leaf, each summed from
-//!    zero over that example's rows only. So each example's loss and
-//!    partials are the bits its own tape computes.
+//!    deltas in a fixed order; and each example's parameter gradient
+//!    comes out as partials, each summed from zero over that example's
+//!    rows only. So each example's loss and partials are the bits a batch
+//!    of one computes.
 //! 4. The partials are merged into the store in example order (and, per
 //!    parameter, in step order within an example) on the calling thread,
 //!    so the f32 accumulation order — and thus every rounding — is fixed.
@@ -40,7 +40,7 @@ use crate::features::CompiledExample;
 use crate::infer::argmax;
 use crate::network::CompiledModel;
 use overton_store::par_map;
-use overton_tensor::optim::{Adam, Optimizer};
+use overton_tensor::optim::Adam;
 use overton_tensor::ParamStore;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -68,11 +68,6 @@ pub fn train_model(
 ) -> TrainReport {
     TrainState::new(model, train.len(), config).run(model, train, dev)
 }
-
-/// How a run of examples' gradients are computed into a workspace's
-/// partials: by the training executor over one stacked arena, or (in
-/// tests) on the per-example oracle tapes it must match bit for bit.
-type Gradients = fn(&CompiledModel, &[&CompiledExample], &[u64], &TrainConfig, &mut Workspace);
 
 /// Everything the training loop carries from one epoch to the next. A
 /// fresh state is epoch 0 of a run; [`run`](Self::run) trains it to its
@@ -160,17 +155,6 @@ impl TrainState {
         train: &[CompiledExample],
         dev: &[CompiledExample],
     ) -> TrainReport {
-        self.run_with(model, train, dev, backprop::gradients)
-    }
-
-    /// [`run`](Self::run), over a given gradient computation.
-    fn run_with(
-        &mut self,
-        model: &mut CompiledModel,
-        train: &[CompiledExample],
-        dev: &[CompiledExample],
-        gradients: Gradients,
-    ) -> TrainReport {
         assert_eq!(train.len(), self.order.len(), "training set changed between runs");
         let config = &self.config;
         let mut workspaces: Vec<Workspace> =
@@ -198,9 +182,7 @@ impl TrainState {
                 // Per-example dropout seeds come off the main RNG in shuffle
                 // order, so the stream is identical for any worker count.
                 let seeds: Vec<u64> = window.iter().map(|_| self.rng.gen()).collect();
-                let workers = &mut workspaces[..];
-                let used =
-                    window_gradients(model, train, window, &seeds, config, gradients, workers);
+                let used = window_gradients(model, train, window, &seeds, config, &mut workspaces);
                 for partials in workspaces[..used].iter().map(|ws| &ws.partials) {
                     for &loss in partials.losses.iter().flatten() {
                         epoch_loss += f64::from(loss);
@@ -287,7 +269,6 @@ fn window_gradients(
     window: &[usize],
     seeds: &[u64],
     config: &TrainConfig,
-    gradients: Gradients,
     workspaces: &mut [Workspace],
 ) -> usize {
     let parts = config.grad_workers.clamp(1, window.len().max(1));
@@ -302,7 +283,7 @@ fn window_gradients(
     par_map(config.grad_workers, jobs, |(rows, ws)| {
         let examples: Vec<&CompiledExample> =
             window[rows.clone()].iter().map(|&i| &train[i]).collect();
-        gradients(model, &examples, &seeds[rows], config, ws);
+        backprop::gradients(&model.inference, &model.params, &examples, &seeds[rows], config, ws);
     });
     parts
 }
@@ -374,7 +355,7 @@ fn bit_agreement<B: AsRef<[bool]>>(pred: &[B], gold: &[Vec<bool>]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AggregationKind, EncoderKind, ModelConfig};
+    use crate::config::{AggregationKind, ModelConfig};
     use crate::features::{gold_to_prob, FeatureSpace};
     use crate::oracle::{self, soft_training_set};
     use overton_nlp::{generate_workload, WorkloadConfig};
@@ -567,44 +548,37 @@ mod tests {
         assert_eq!(continued(&run(6, 2), &run(8, 4)), None, "the trial stopped early");
     }
 
+    /// Stacking changes no bit: every window stacked on one arena, or split
+    /// over two or three, trains the weights of the per-example oracle,
+    /// which runs each example as a batch of one (one worker per example)
+    /// and merges them in order. Wide enough that stacked products take
+    /// the blocked GEMM while per-example ones stay on the row kernel.
     #[test]
     fn stacked_trainer_is_bit_identical_to_the_per_example_oracle() {
         let ds = workload();
         let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
         let schema = oracle::every_branch_schema();
         let train = soft_training_set(&ds, &space);
-        let dev = {
-            let mut dev =
-                oracle::every_branch_examples(&ds, &ds.dev_indices()[..8], &space, &schema);
-            for ex in &mut dev {
-                let record = &ds.records()[ex.record_index];
-                for task in ds.schema().tasks.keys() {
-                    if let Some(p) = gold_to_prob(ds.schema(), record, task) {
-                        ex.targets.insert(task.clone(), p);
-                    }
+        let mut dev = oracle::every_branch_examples(&ds, &ds.dev_indices()[..8], &space, &schema);
+        for ex in &mut dev {
+            let record = &ds.records()[ex.record_index];
+            for task in ds.schema().tasks.keys() {
+                if let Some(p) = gold_to_prob(ds.schema(), record, task) {
+                    ex.targets.insert(task.clone(), p);
                 }
             }
-            dev
-        };
-        let encoders = [
-            EncoderKind::MeanBag,
-            EncoderKind::Cnn,
-            EncoderKind::Lstm,
-            EncoderKind::BiLstm,
-            EncoderKind::Attention,
-        ];
-        for encoder in encoders {
+        }
+        for encoder in oracle::ENCODERS {
             for aggregation in [AggregationKind::Mean, AggregationKind::Max] {
                 for slice_heads in [true, false] {
-                    // Wide enough that stacked products take the blocked
-                    // GEMM while per-example ones stay on the row kernel.
+                    let (token_dim, entity_dim, hidden_dim) = (16, 8, 16);
                     let config = ModelConfig {
                         encoder,
                         aggregation,
                         slice_heads,
-                        token_dim: 16,
-                        entity_dim: 8,
-                        hidden_dim: 16,
+                        token_dim,
+                        entity_dim,
+                        hidden_dim,
                         ..Default::default()
                     };
                     for batch_size in [1, 7, 16] {
@@ -615,35 +589,24 @@ mod tests {
                             grad_workers,
                             ..Default::default()
                         };
-                        let mut oracle_model =
-                            CompiledModel::compile(&schema, &space, &config, None);
+                        let compile = || CompiledModel::compile(&schema, &space, &config, None);
+                        let mut oracle_model = compile();
+                        let oracle_config = train_config(batch_size);
                         let oracle_report =
-                            TrainState::new(&oracle_model, train.len(), &train_config(1)).run_with(
-                                &mut oracle_model,
-                                &train,
-                                &dev,
-                                oracle::example_gradients,
-                            );
+                            train_model(&mut oracle_model, &train, &dev, &oracle_config);
                         for workers in [1, 2, 3] {
                             let case = format!("{config:?}, batch {batch_size}, {workers} workers");
-                            let mut model = CompiledModel::compile(&schema, &space, &config, None);
+                            let mut model = compile();
                             let report =
                                 train_model(&mut model, &train, &dev, &train_config(workers));
                             assert_eq!(report, oracle_report, "{case}: report diverged");
                             for id in model.params.ids() {
                                 let bits = |m: &CompiledModel| -> Vec<u32> {
-                                    m.params
-                                        .value(id)
-                                        .as_slice()
-                                        .iter()
-                                        .map(|x| x.to_bits())
-                                        .collect()
+                                    let value = m.params.value(id).as_slice();
+                                    value.iter().map(|x| x.to_bits()).collect()
                                 };
-                                assert!(
-                                    bits(&model) == bits(&oracle_model),
-                                    "{case}: {} diverged",
-                                    model.params.name(id)
-                                );
+                                let name = model.params.name(id);
+                                assert!(bits(&model) == bits(&oracle_model), "{case}: {name}");
                             }
                         }
                     }

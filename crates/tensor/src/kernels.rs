@@ -198,14 +198,6 @@ pub(crate) fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
     gemm_with(m, k, n, |i, p| a[i * k + p], |p, j| b[p * n + j], out);
 }
 
-/// `out += A * B^T` where `A` is `m x k` row-major and `bt` is the
-/// transposed operand stored `n x k` row-major.
-pub(crate) fn gemm_bt(m: usize, k: usize, n: usize, a: &[f32], bt: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(bt.len(), n * k);
-    gemm_with(m, k, n, |i, p| a[i * k + p], |p, j| bt[j * k + p], out);
-}
-
 /// `out += A^T * B` where `at` is the transposed operand stored `k x m`
 /// row-major and `B` is `k x n` row-major.
 pub(crate) fn gemm_at(m: usize, k: usize, n: usize, at: &[f32], b: &[f32], out: &mut [f32]) {
@@ -214,8 +206,8 @@ pub(crate) fn gemm_at(m: usize, k: usize, n: usize, at: &[f32], b: &[f32], out: 
     gemm_with(m, k, n, |i, p| at[p * m + i], |p, j| b[p * n + j], out);
 }
 
-/// Blocked driver, generic over element accessors so all three transpose
-/// variants share one core: packing adapts to the operand layout, the
+/// Blocked driver, generic over element accessors so both operand
+/// layouts share one core: packing adapts to the operand layout, the
 /// macro/micro kernels only ever see packed panels.
 fn gemm_with(
     m: usize,

@@ -2,9 +2,9 @@
 //!
 //! Everything in the Overton tensor engine is a matrix: a scalar is `[1, 1]`,
 //! a vector is `[1, n]`, a token sequence embedded to dimension `d` is
-//! `[seq_len, d]`, and a set of `k` candidate entities is `[k, d]`. Keeping a
-//! single concrete rank makes the autograd rules small and easy to verify by
-//! finite differences.
+//! `[seq_len, d]`, and a set of `k` candidate entities is `[k, d]`. The
+//! model plan's executors read and write matrices as flat row-major slices,
+//! through the GEMM entry points and the row-wise activations below.
 
 use crate::kernels;
 use serde::{Deserialize, Serialize};
@@ -43,19 +43,9 @@ impl Matrix {
         Self::full(rows, cols, 0.0)
     }
 
-    /// Creates a matrix of ones.
-    pub fn ones(rows: usize, cols: usize) -> Self {
-        Self::full(rows, cols, 1.0)
-    }
-
     /// Creates a `1 x 1` matrix holding a single scalar.
     pub fn scalar(value: f32) -> Self {
         Self::from_vec(1, 1, vec![value])
-    }
-
-    /// Creates a `1 x n` row vector.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Self::from_vec(1, values.len(), values.to_vec())
     }
 
     /// Creates an identity matrix of size `n`.
@@ -65,21 +55,6 @@ impl Matrix {
             m[(i, i)] = 1.0;
         }
         m
-    }
-
-    /// Creates a matrix from nested rows.
-    ///
-    /// # Panics
-    /// Panics if rows are ragged or empty.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Self {
-        assert!(!rows.is_empty(), "from_rows requires at least one row");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "ragged rows in from_rows");
-            data.extend_from_slice(r);
-        }
-        Self::from_vec(rows.len(), cols, data)
     }
 
     /// Number of rows.
@@ -147,46 +122,6 @@ impl Matrix {
         self.data[0]
     }
 
-    /// Element-wise map, producing a new matrix.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Self { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
-    }
-
-    /// Element-wise combine with another matrix of the same shape.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn zip(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
-        assert_eq!(self.shape(), other.shape(), "zip shape mismatch");
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect(),
-        }
-    }
-
-    /// `self += other`, element-wise.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn add_assign(&mut self, other: &Self) {
-        assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
-    /// `self += alpha * other`, element-wise (axpy).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn axpy(&mut self, alpha: f32, other: &Self) {
-        assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Scales all elements in place.
     pub fn scale_inplace(&mut self, alpha: f32) {
         for a in &mut self.data {
@@ -216,149 +151,12 @@ impl Matrix {
         Self::from_vec(m, n, out)
     }
 
-    /// Matrix product `self * other^T`.
-    ///
-    /// Kernel dispatch as in [`Matrix::matmul`]; below the cutoff `other`
-    /// is transposed once for the row kernel, except for a single row
-    /// (an LSTM step's `dh * Wh^T`), which is `n` dot products over
-    /// contiguous rows: cheaper than the transpose alone (1.9 vs 2.9 µs at
-    /// `1x128 * (32x128)^T`). Every path sums in increasing `k` order.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != other.cols()`.
-    pub fn matmul_transpose_b(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transpose_b shape mismatch: {}x{} * ({}x{})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = vec![0.0f32; m * n];
-        if kernels::use_blocked(m, k, n) {
-            kernels::gemm_bt(m, k, n, &self.data, &other.data, &mut out);
-        } else if m == 1 {
-            for (j, slot) in out.iter_mut().enumerate() {
-                let b = &other.data[j * k..(j + 1) * k];
-                *slot = self.data.iter().zip(b).fold(0.0, |acc, (&x, &y)| acc + x * y);
-            }
-        } else {
-            let b = other.transpose();
-            kernels::gemm_rows(m, k, n, &self.data, (k, 1), &b.data, &mut out);
-        }
-        Self::from_vec(m, n, out)
-    }
-
-    /// Matrix product `self^T * other`.
-    ///
-    /// Kernel dispatch as in [`Matrix::matmul`].
-    ///
-    /// # Panics
-    /// Panics if `self.rows() != other.rows()`.
-    pub fn transpose_a_matmul(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.rows, other.rows,
-            "transpose_a_matmul shape mismatch: ({}x{})^T * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.cols, self.rows, other.cols);
-        let mut out = vec![0.0f32; m * n];
-        matmul_at_into(m, k, n, &self.data, &other.data, &mut out);
-        Self::from_vec(m, n, out)
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Self {
         let mut out = Self::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
                 out[(j, i)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all elements; `0.0` for an empty matrix.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
-    /// Index of the maximum element within row `r` (first on ties).
-    pub fn row_argmax(&self, r: usize) -> usize {
-        let row = self.row(r);
-        let mut best = 0;
-        for (j, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = j;
-            }
-        }
-        best
-    }
-
-    /// Column-wise mean over rows: `m x n -> 1 x n`.
-    ///
-    /// # Panics
-    /// Panics if the matrix has no rows.
-    pub fn mean_rows(&self) -> Self {
-        assert!(self.rows > 0, "mean_rows over an empty matrix");
-        let inv = 1.0 / self.rows as f32;
-        let mut out = Self::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
-                *o += x * inv;
-            }
-        }
-        out
-    }
-
-    /// Column-wise max over rows: `m x n -> 1 x n`, plus the row each
-    /// column's maximum came from (first on ties).
-    ///
-    /// # Panics
-    /// Panics if the matrix has no rows.
-    pub fn max_rows(&self) -> (Self, Vec<u32>) {
-        assert!(self.rows > 0, "max_rows over an empty matrix");
-        let mut out = Self::zeros(1, self.cols);
-        let mut argmax = vec![0u32; self.cols];
-        for j in 0..self.cols {
-            let mut best = f32::NEG_INFINITY;
-            for r in 0..self.rows {
-                if self[(r, j)] > best {
-                    best = self[(r, j)];
-                    argmax[j] = r as u32;
-                }
-            }
-            out[(0, j)] = best;
-        }
-        (out, argmax)
-    }
-
-    /// The rows in reverse order (used by backward RNN passes).
-    pub fn reverse_rows(&self) -> Self {
-        let rev: Vec<usize> = (0..self.rows).rev().collect();
-        self.select_rows(&rev)
-    }
-
-    /// Sliding-window unfold: row `t` of the result is the concatenation of
-    /// rows `t - pad .. t - pad + k`, with zeros outside the matrix.
-    /// `x.im2row(k, k/2) * W` is a same-length 1-D convolution.
-    pub fn im2row(&self, k: usize, pad: usize) -> Self {
-        let (t_len, d) = self.shape();
-        let mut out = Self::zeros(t_len, k * d);
-        for t in 0..t_len {
-            for o in 0..k {
-                let src = t as isize + o as isize - pad as isize;
-                if src >= 0 && (src as usize) < t_len {
-                    out.row_mut(t)[o * d..(o + 1) * d].copy_from_slice(self.row(src as usize));
-                }
             }
         }
         out
@@ -371,93 +169,6 @@ impl Matrix {
     pub fn max_abs_diff(&self, other: &Self) -> f32 {
         assert_eq!(self.shape(), other.shape(), "max_abs_diff shape mismatch");
         self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max)
-    }
-
-    /// Stacks `parts` top to bottom.
-    ///
-    /// # Panics
-    /// Panics if `parts` is empty or the column counts differ.
-    pub fn concat_rows<'a>(parts: impl IntoIterator<Item = &'a Matrix>) -> Self {
-        let mut parts = parts.into_iter();
-        let first = parts.next().expect("concat_rows needs at least one part");
-        let (mut rows, mut data) = (first.rows, first.data.clone());
-        for p in parts {
-            assert_eq!(first.cols, p.cols, "concat_rows column mismatch");
-            rows += p.rows;
-            data.extend_from_slice(&p.data);
-        }
-        Self::from_vec(rows, first.cols, data)
-    }
-
-    /// Joins `parts` left to right.
-    ///
-    /// # Panics
-    /// Panics if `parts` is empty or the row counts differ.
-    pub fn concat_cols<'a, I>(parts: I) -> Self
-    where
-        I: IntoIterator<Item = &'a Matrix>,
-        I::IntoIter: Clone,
-    {
-        let parts = parts.into_iter();
-        let rows = parts.clone().next().expect("concat_cols needs at least one part").rows;
-        assert!(parts.clone().all(|p| p.rows == rows), "concat_cols row mismatch");
-        let cols = parts.clone().map(|p| p.cols).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for p in parts.clone() {
-                data.extend_from_slice(p.row(r));
-            }
-        }
-        Self::from_vec(rows, cols, data)
-    }
-
-    /// Adds the `1 x cols` row `bias` to every row, in place.
-    ///
-    /// # Panics
-    /// Panics unless `bias` is a row vector as wide as `self`.
-    pub fn add_row(&mut self, bias: &Self) {
-        assert_eq!(bias.rows, 1, "bias must be a row vector");
-        assert_eq!(self.cols, bias.cols, "bias width mismatch");
-        for r in 0..self.rows {
-            for (o, &b) in self.row_mut(r).iter_mut().zip(&bias.data) {
-                *o += b;
-            }
-        }
-    }
-
-    /// Returns a new matrix containing the given rows, in order.
-    ///
-    /// # Panics
-    /// Panics if any index is out of bounds.
-    pub fn select_rows(&self, indices: &[usize]) -> Self {
-        let mut out = Self::zeros(indices.len(), self.cols);
-        for (i, &r) in indices.iter().enumerate() {
-            assert!(r < self.rows, "select_rows index {r} out of {} rows", self.rows);
-            out.row_mut(i).copy_from_slice(self.row(r));
-        }
-        out
-    }
-
-    /// Returns columns `lo..hi` as a new matrix.
-    ///
-    /// # Panics
-    /// Panics if the range is invalid.
-    pub fn slice_cols(&self, lo: usize, hi: usize) -> Self {
-        assert!(
-            lo <= hi && hi <= self.cols,
-            "slice_cols range {lo}..{hi} out of {} cols",
-            self.cols
-        );
-        let mut out = Self::zeros(self.rows, hi - lo);
-        for r in 0..self.rows {
-            out.row_mut(r).copy_from_slice(&self.row(r)[lo..hi]);
-        }
-        out
-    }
-
-    /// True if all elements are finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
     }
 }
 
@@ -481,11 +192,9 @@ pub fn matmul_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
 }
 
 /// `out += a^T * b` over row-major slices: `at` is `a` stored `k x m`,
-/// `b` is `k x n` and `out` is `m x n`. This is
-/// [`Matrix::transpose_a_matmul`]'s kernel dispatch writing into a caller's
-/// buffer, such as one example's weight gradient `X_b^T * G_b` read in
-/// place from a training arena: onto a zeroed `out` it is the bits
-/// `transpose_a_matmul` returns.
+/// `b` is `k x n` and `out` is `m x n`: one example's weight gradient
+/// `X_b^T * G_b`, read in place from a training arena. Kernel dispatch as
+/// in [`matmul_into`], summing every element in increasing `k` order.
 ///
 /// # Panics
 /// Panics if a slice length disagrees with the shape.
@@ -506,6 +215,31 @@ pub fn matmul_at_into(m: usize, k: usize, n: usize, at: &[f32], b: &[f32], out: 
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Numerically stable logistic sigmoid.
+#[inline]
+pub fn stable_sigmoid(x: f32) -> f32 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
+
+/// In-place stable softmax over a slice.
+pub fn softmax_in_place(row: &mut [f32]) {
+    let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    let mut sum = 0.0;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    let inv = 1.0 / sum;
+    for v in row {
+        *v *= inv;
+    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -554,7 +288,7 @@ mod tests {
 
     #[test]
     fn construction_and_indexing() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.shape(), (2, 2));
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m[(1, 0)], 3.0);
@@ -569,8 +303,8 @@ mod tests {
 
     #[test]
     fn matmul_matches_hand_computation() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let b = Matrix::from_rows(&[vec![7.0, 8.0], vec![9.0, 10.0], vec![11.0, 12.0]]);
+        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
         let c = a.matmul(&b);
         assert_eq!(c.shape(), (2, 2));
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
@@ -578,70 +312,30 @@ mod tests {
 
     #[test]
     fn matmul_identity_is_noop() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a.matmul(&Matrix::eye(2)), a);
         assert_eq!(Matrix::eye(2).matmul(&a), a);
     }
 
     #[test]
     fn matmul_transpose_variants_agree_with_explicit_transpose() {
-        let a = Matrix::from_rows(&[vec![1.0, -2.0, 0.5], vec![0.0, 3.0, 1.0]]);
-        let b = Matrix::from_rows(&[vec![2.0, 1.0, -1.0], vec![0.5, 0.0, 4.0]]);
-        assert_eq!(a.matmul_transpose_b(&b), a.matmul(&b.transpose()));
-        let c = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(a.transpose_a_matmul(&c).shape(), (3, 2));
-        assert_eq!(a.transpose_a_matmul(&c), a.transpose().matmul(&c));
+        let a = Matrix::from_vec(2, 3, vec![1.0, -2.0, 0.5, 0.0, 3.0, 1.0]);
+        let c = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let mut out = vec![0.0; 6];
+        matmul_at_into(3, 2, 2, a.as_slice(), c.as_slice(), &mut out);
+        assert_eq!(out, a.transpose().matmul(&c).as_slice());
     }
 
     #[test]
     fn transpose_involution() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn stacking_and_slicing() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
-        let b = Matrix::from_rows(&[vec![3.0, 4.0]]);
-        let v = Matrix::concat_rows([&a, &b]);
-        assert_eq!(v.shape(), (2, 2));
-        assert_eq!(v.row(1), &[3.0, 4.0]);
-        assert_eq!(Matrix::concat_rows([&a, &b, &a]).row(2), &[1.0, 2.0]);
-        let h = Matrix::concat_cols([&a, &b]);
-        assert_eq!(h.shape(), (1, 4));
-        assert_eq!(h.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
-        let h3 = Matrix::concat_cols([&v, &v.slice_cols(0, 1)]);
-        assert_eq!(h3.as_slice(), &[1.0, 2.0, 1.0, 3.0, 4.0, 3.0]);
-        assert_eq!(v.slice_cols(1, 2).as_slice(), &[2.0, 4.0]);
-        assert_eq!(v.select_rows(&[1, 0, 1]).row(0), &[3.0, 4.0]);
-        let mut shifted = v.clone();
-        shifted.add_row(&Matrix::row_vector(&[10.0, 20.0]));
-        assert_eq!(shifted.as_slice(), &[11.0, 22.0, 13.0, 24.0]);
-    }
-
-    #[test]
-    fn reductions() {
-        let a = Matrix::from_rows(&[vec![1.0, -2.0], vec![3.0, 4.0]]);
-        assert_eq!(a.sum(), 6.0);
-        assert_eq!(a.mean(), 1.5);
-        assert_eq!(a.row_argmax(0), 0);
-        assert_eq!(a.row_argmax(1), 1);
-    }
-
-    #[test]
-    fn axpy_and_scale() {
-        let mut a = Matrix::ones(2, 2);
-        let b = Matrix::full(2, 2, 3.0);
-        a.axpy(2.0, &b);
-        assert_eq!(a.as_slice(), &[7.0; 4]);
-        a.scale_inplace(0.5);
-        assert_eq!(a.as_slice(), &[3.5; 4]);
     }
 
     #[test]
     fn scalar_helpers() {
         assert_eq!(Matrix::scalar(4.25).scalar_value(), 4.25);
-        assert_eq!(Matrix::row_vector(&[1.0, 2.0]).shape(), (1, 2));
+        assert_eq!(Matrix::scalar(4.25).shape(), (1, 1));
     }
 
     #[test]
@@ -652,9 +346,38 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.5], vec![-3.0, 0.0]]);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.5, -3.0, 0.0]);
         let json = serde_json::to_string(&a).unwrap();
         let back: Matrix = serde_json::from_str(&json).unwrap();
         assert_eq!(a, back);
+    }
+
+    #[test]
+    fn reductions() {
+        assert_eq!(dot(&[1.0, -2.0, 0.5], &[4.0, 1.0, 2.0]), 3.0);
+        assert_eq!(dot(&[], &[]), 0.0);
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let b = Matrix::from_vec(2, 2, vec![1.5, 2.0, 0.0, 4.25]);
+        assert_eq!(a.max_abs_diff(&b), 3.0);
+        assert_eq!(a.max_abs_diff(&a), 0.0);
+    }
+
+    #[test]
+    fn softmax_rows_sum_to_one() {
+        for mut row in [vec![1.0, 2.0, 3.0], vec![-1.0, 0.0, 1.0], vec![80.0, -80.0, 0.0]] {
+            softmax_in_place(&mut row);
+            assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-6, "{row:?}");
+            assert!(row.iter().all(|p| (0.0..=1.0).contains(p)));
+        }
+    }
+
+    #[test]
+    fn stable_sigmoid_extremes() {
+        assert!(stable_sigmoid(100.0) > 0.999);
+        assert!(stable_sigmoid(-100.0) < 1e-3);
+        assert!((stable_sigmoid(0.0) - 0.5).abs() < 1e-7);
+        // Neither tail overflows to NaN.
+        assert_eq!(stable_sigmoid(f32::MAX), 1.0);
+        assert_eq!(stable_sigmoid(f32::MIN), 0.0);
     }
 }

@@ -1,7 +1,5 @@
 //! Inverted dropout.
 
-use crate::graph::{Graph, NodeId};
-use crate::matrix::Matrix;
 use rand::Rng;
 
 /// Inverted dropout: at train time each element is zeroed with probability
@@ -24,23 +22,9 @@ impl Dropout {
         self.p
     }
 
-    /// Applies dropout to `x`, drawing its mask row-major from `rng`.
-    /// When `train` is false (or `p == 0`) this is the identity and draws
-    /// nothing.
-    pub fn forward<R: Rng>(&self, g: &mut Graph, x: NodeId, train: bool, rng: &mut R) -> NodeId {
-        if !train || self.p == 0.0 {
-            return x;
-        }
-        let (rows, cols) = g.value(x).shape();
-        let mut mask = vec![0.0; rows * cols];
-        self.mask(rng, &mut mask);
-        let mask = g.constant(Matrix::from_vec(rows, cols, mask));
-        g.mul(x, mask)
-    }
-
     /// Fills `mask` from `rng`, in order: each element is 0 with
-    /// probability `p` and `1/(1-p)` otherwise. [`forward`](Self::forward)
-    /// multiplies its input by such a mask.
+    /// probability `p` and `1/(1-p)` otherwise. Training multiplies a
+    /// dropout step's input by such a mask; inference skips the step.
     pub fn mask<R: Rng>(&self, rng: &mut R, mask: &mut [f32]) {
         let keep_scale = 1.0 / (1.0 - self.p);
         for m in mask {
@@ -56,34 +40,21 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn identity_at_inference() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let d = Dropout::new(0.5);
-        let mut g = Graph::new();
-        let x = g.constant(Matrix::ones(3, 3));
-        let y = d.forward(&mut g, x, false, &mut rng);
-        assert_eq!(x, y);
-    }
-
-    #[test]
     fn preserves_expectation_at_train() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let d = Dropout::new(0.3);
-        let mut g = Graph::new();
-        let x = g.constant(Matrix::ones(100, 100));
-        let y = d.forward(&mut g, x, true, &mut rng);
-        let mean = g.value(y).mean();
+        let mut mask = vec![0.0; 100 * 100];
+        Dropout::new(0.3).mask(&mut rng, &mut mask);
+        let mean = mask.iter().sum::<f32>() / mask.len() as f32;
         assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
+        assert!(mask.iter().all(|&m| m == 0.0 || m == 1.0 / 0.7));
     }
 
     #[test]
     fn zero_probability_is_identity_even_at_train() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let d = Dropout::new(0.0);
-        let mut g = Graph::new();
-        let x = g.constant(Matrix::ones(2, 2));
-        let y = d.forward(&mut g, x, true, &mut rng);
-        assert_eq!(x, y);
+        let mut mask = vec![0.0; 4];
+        Dropout::new(0.0).mask(&mut rng, &mut mask);
+        assert_eq!(mask, [1.0; 4]);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Affine layer `y = x W + b`.
 
-use crate::graph::{Graph, NodeId};
 use crate::init;
 use crate::params::{ParamId, ParamStore};
 use rand::Rng;
@@ -10,7 +9,6 @@ use rand::Rng;
 pub struct Linear {
     weight: ParamId,
     bias: Option<ParamId>,
-    in_dim: usize,
     out_dim: usize,
 }
 
@@ -26,7 +24,7 @@ impl Linear {
         let weight =
             store.add(format!("{name}.weight"), init::xavier_uniform(in_dim, out_dim, rng));
         let bias = store.add(format!("{name}.bias"), crate::Matrix::zeros(1, out_dim));
-        Self { weight, bias: Some(bias), in_dim, out_dim }
+        Self { weight, bias: Some(bias), out_dim }
     }
 
     /// A linear map without bias.
@@ -39,12 +37,7 @@ impl Linear {
     ) -> Self {
         let weight =
             store.add(format!("{name}.weight"), init::xavier_uniform(in_dim, out_dim, rng));
-        Self { weight, bias: None, in_dim, out_dim }
-    }
-
-    /// Input feature dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
+        Self { weight, bias: None, out_dim }
     }
 
     /// Handle to the `in_dim x out_dim` weight matrix.
@@ -62,85 +55,44 @@ impl Linear {
     pub fn out_dim(&self) -> usize {
         self.out_dim
     }
-
-    /// Applies the layer to an `m x in_dim` node.
-    pub fn forward<'p>(&self, g: &mut Graph<'p>, store: &'p ParamStore, x: NodeId) -> NodeId {
-        debug_assert_eq!(g.value(x).cols(), self.in_dim, "Linear input width mismatch");
-        let w = g.param(store, self.weight);
-        let xw = g.matmul(x, w);
-        match self.bias {
-            Some(b) => {
-                let bn = g.param(store, b);
-                g.add_row_broadcast(xw, bn)
-            }
-            None => xw,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck::check_gradients;
-    use crate::matrix::Matrix;
-    use crate::optim::{Optimizer, Sgd};
+    use crate::optim::Adam;
+    use crate::{matmul_at_into, matmul_into, Matrix};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     #[test]
-    fn forward_shape() {
-        let mut rng = SmallRng::seed_from_u64(0);
-        let mut ps = ParamStore::new();
-        let lin = Linear::new(&mut ps, "l", 4, 3, &mut rng);
-        let mut g = Graph::new();
-        let x = g.constant(Matrix::ones(5, 4));
-        let y = lin.forward(&mut g, &ps, x);
-        assert_eq!(g.value(y).shape(), (5, 3));
-    }
-
-    #[test]
-    fn gradcheck_through_linear() {
-        let mut rng = SmallRng::seed_from_u64(1);
-        let w = crate::init::xavier_uniform(3, 2, &mut rng);
-        let b = Matrix::row_vector(&[0.1, -0.2]);
-        let x = Matrix::from_rows(&[vec![0.5, -1.0, 0.2], vec![2.0, 0.3, -0.7]]);
-        let r = check_gradients(&[x, w, b], 1e-2, |g, ids| {
-            let xw = g.matmul(ids[0], ids[1]);
-            let y = g.add_row_broadcast(xw, ids[2]);
-            let t = g.tanh(y);
-            g.sum_all(t)
-        });
-        assert!(r.passes(2e-2), "max rel err {}", r.max_rel_error);
-    }
-
-    #[test]
     fn learns_a_linear_function() {
-        // Fit y = 2x1 - x2 with a 2->1 linear layer.
+        // Fit y = 2x1 - x2 with a 2->1 linear layer, from the mean squared
+        // error's hand-computed gradient: dW = X^T G and db = sum of G's rows.
         let mut rng = SmallRng::seed_from_u64(2);
         let mut ps = ParamStore::new();
         let lin = Linear::new(&mut ps, "l", 2, 1, &mut rng);
-        let mut opt = Sgd::new(0.1);
-        let xs =
-            Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0], vec![0.5, -0.5]]);
-        let ys = Matrix::from_rows(&[vec![2.0], vec![-1.0], vec![1.0], vec![1.5]]);
+        let (w, b) = (lin.weight_id(), lin.bias_id().expect("bias"));
+        let mut opt = Adam::new(0.05);
+        let xs = [1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5, -0.5];
+        let ys = [2.0, -1.0, 1.0, 1.5];
+        let n = ys.len();
         let mut last = f32::MAX;
-        for _ in 0..300 {
-            let mut g = Graph::new();
-            let x = g.constant(xs.clone());
-            let target = g.constant(ys.clone());
-            let pred = lin.forward(&mut g, &ps, x);
-            let diff = g.sub(pred, target);
-            let sq = g.mul(diff, diff);
-            let loss = g.mean_all(sq);
-            last = g.value(loss).scalar_value();
-            g.backward(loss);
-            for (pid, grad) in g.take_param_grads() {
-                ps.grad_mut(pid).add_assign(&grad);
-            }
+        for _ in 0..1000 {
+            let bias = ps.value(b).scalar_value();
+            let mut pred = vec![bias; n];
+            matmul_into(n, 2, 1, &xs, ps.value(w).as_slice(), &mut pred);
+            let diff: Vec<f32> = pred.iter().zip(&ys).map(|(p, y)| p - y).collect();
+            last = diff.iter().map(|d| d * d).sum::<f32>() / n as f32;
+            let g: Vec<f32> = diff.iter().map(|d| 2.0 * d / n as f32).collect();
+            matmul_at_into(2, n, 1, &xs, &g, ps.grad_mut(w).as_mut_slice());
+            ps.grad_mut(b).as_mut_slice()[0] = g.iter().sum();
             opt.step(&mut ps);
             ps.zero_grads();
         }
         assert!(last < 1e-4, "final loss {last}");
+        let fitted = ps.value(w);
+        assert!(fitted.max_abs_diff(&Matrix::from_vec(2, 1, vec![2.0, -1.0])) < 1e-2, "{fitted:?}");
     }
 
     #[test]

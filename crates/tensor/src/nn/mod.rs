@@ -1,10 +1,10 @@
-//! Neural-network layers built from graph ops.
+//! Layer parameters.
 //!
-//! Layers own [`ParamId`](crate::params::ParamId)s into a shared
-//! [`ParamStore`](crate::params::ParamStore) and expose a
-//! `forward(&self, graph, store, input) -> NodeId` method. A layer can be
-//! used in any number of graphs; the store is the single source of truth for
-//! weights.
+//! Each layer registers its weights in a shared
+//! [`ParamStore`](crate::params::ParamStore) and holds their
+//! [`ParamId`](crate::params::ParamId)s, shapes and hyperparameters. The
+//! computation is not here: `overton-model` lowers each layer into steps of
+//! its model plan, which run forward and backward over slot arenas.
 
 mod attention;
 mod conv;
@@ -12,7 +12,6 @@ mod dropout;
 mod embedding;
 mod linear;
 mod lstm;
-mod norm;
 
 pub use attention::MultiHeadSelfAttention;
 pub use conv::Conv1d;
@@ -20,4 +19,3 @@ pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use linear::Linear;
 pub use lstm::{BiLstm, Lstm};
-pub use norm::LayerNorm;

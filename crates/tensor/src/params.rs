@@ -1,4 +1,5 @@
-//! Learnable parameter storage, shared across per-step [`Graph`](crate::Graph)s.
+//! Learnable parameter storage: every weight matrix of a model, with the
+//! gradient accumulated for it since the last optimizer step.
 
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
@@ -7,7 +8,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ParamId(pub(crate) u32);
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Serialize, Deserialize)]
 struct ParamEntry {
     name: String,
     value: Matrix,
@@ -20,13 +21,25 @@ struct ParamEntry {
 
 /// Owns every learnable matrix of a model plus its accumulated gradients.
 ///
-/// Graphs reference parameters by [`ParamId`]; after a backward pass, the
-/// leaf gradients from [`Graph::take_param_grads`](crate::Graph::take_param_grads)
-/// are added here (see [`ParamStore::grad_mut`]), and an
-/// [`Optimizer`](crate::optim::Optimizer) consumes them.
-#[derive(Clone, Default, Serialize, Deserialize)]
+/// Layers reference parameters by [`ParamId`]; a backward pass adds its
+/// gradients here (see [`ParamStore::grad_mut`]), and
+/// [`Adam`](crate::optim::Adam) consumes them. Like serialization, a
+/// clone carries values and frozen flags but no gradients.
+#[derive(Default, Serialize, Deserialize)]
 pub struct ParamStore {
     entries: Vec<ParamEntry>,
+}
+
+impl Clone for ParamStore {
+    fn clone(&self) -> Self {
+        let entries = self.entries.iter().map(|e| ParamEntry {
+            name: e.name.clone(),
+            value: e.value.clone(),
+            grad: None,
+            frozen: e.frozen,
+        });
+        Self { entries: entries.collect() }
+    }
 }
 
 impl ParamStore {
@@ -108,10 +121,11 @@ impl ParamStore {
         self.entries[id.0 as usize].frozen
     }
 
-    /// Clears all accumulated gradients.
+    /// Zeroes all accumulated gradients in place, keeping their buffers
+    /// for the next step's accumulation.
     pub fn zero_grads(&mut self) {
-        for e in &mut self.entries {
-            e.grad = None;
+        for grad in self.entries.iter_mut().filter_map(|e| e.grad.as_mut()) {
+            grad.as_mut_slice().fill(0.0);
         }
     }
 
@@ -157,10 +171,14 @@ impl ParamStore {
 mod tests {
     use super::*;
 
+    fn add(ps: &mut ParamStore, id: ParamId, delta: &[f32]) {
+        ps.grad_mut(id).as_mut_slice().iter_mut().zip(delta).for_each(|(g, &d)| *g += d);
+    }
+
     #[test]
     fn add_and_lookup() {
         let mut ps = ParamStore::new();
-        let id = ps.add("w", Matrix::ones(2, 3));
+        let id = ps.add("w", Matrix::full(2, 3, 1.0));
         assert_eq!(ps.name(id), "w");
         assert_eq!(ps.value(id).shape(), (2, 3));
         assert_eq!(ps.len(), 1);
@@ -171,18 +189,21 @@ mod tests {
     fn grads_accumulate_and_zero() {
         let mut ps = ParamStore::new();
         let id = ps.add("w", Matrix::zeros(1, 2));
-        ps.grad_mut(id).add_assign(&Matrix::row_vector(&[1.0, 2.0]));
-        ps.grad_mut(id).add_assign(&Matrix::row_vector(&[1.0, 2.0]));
+        for _ in 0..2 {
+            add(&mut ps, id, &[1.0, 2.0]);
+        }
         assert_eq!(ps.grad(id).as_slice(), &[2.0, 4.0]);
+        let buffer = ps.grad_mut(id).as_slice().as_ptr();
         ps.zero_grads();
         assert_eq!(ps.grad(id).as_slice(), &[0.0, 0.0]);
+        assert_eq!(ps.grad_mut(id).as_slice().as_ptr(), buffer, "zeroed in place");
     }
 
     #[test]
     fn clip_grad_norm_scales_down() {
         let mut ps = ParamStore::new();
         let id = ps.add("w", Matrix::zeros(1, 2));
-        ps.grad_mut(id).add_assign(&Matrix::row_vector(&[3.0, 4.0]));
+        add(&mut ps, id, &[3.0, 4.0]);
         let pre = ps.clip_grad_norm(1.0);
         assert!((pre - 5.0).abs() < 1e-6);
         assert!((ps.grad_norm() - 1.0).abs() < 1e-5);
@@ -192,7 +213,7 @@ mod tests {
     fn clip_grad_norm_leaves_small_grads() {
         let mut ps = ParamStore::new();
         let id = ps.add("w", Matrix::zeros(1, 2));
-        ps.grad_mut(id).add_assign(&Matrix::row_vector(&[0.3, 0.4]));
+        add(&mut ps, id, &[0.3, 0.4]);
         ps.clip_grad_norm(1.0);
         assert_eq!(ps.grad(id).as_slice(), &[0.3, 0.4]);
     }
@@ -209,12 +230,14 @@ mod tests {
     #[test]
     fn serde_roundtrip_drops_grads() {
         let mut ps = ParamStore::new();
-        let id = ps.add("w", Matrix::ones(1, 2));
-        ps.grad_mut(id).add_assign(&Matrix::row_vector(&[5.0, 5.0]));
+        let id = ps.add("w", Matrix::full(1, 2, 1.0));
+        ps.freeze(id);
+        add(&mut ps, id, &[5.0, 5.0]);
         let json = serde_json::to_string(&ps).unwrap();
         let back: ParamStore = serde_json::from_str(&json).unwrap();
         assert_eq!(back.value(id), ps.value(id));
-        assert_eq!(back.grad(id).as_slice(), &[0.0, 0.0]);
+        assert!(back.is_frozen(id));
+        assert!(back.entries[0].grad.is_none() && ps.clone().entries[0].grad.is_none());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! increasing k order as the naive loops, so dispatch must never change
 //! a single bit.
 
-use overton_tensor::Matrix;
+use overton_tensor::{matmul_at_into, Matrix};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -61,6 +61,15 @@ fn naive_transpose_a_matmul(at: &Matrix, b: &Matrix) -> Matrix {
     Matrix::from_vec(m, n, out)
 }
 
+/// `A^T * B` through [`matmul_at_into`], the training executor's weight
+/// gradient product.
+fn transpose_a_matmul(at: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k, n) = (at.cols(), at.rows(), b.cols());
+    let mut out = vec![0.0f32; m * n];
+    matmul_at_into(m, k, n, at.as_slice(), b.as_slice(), &mut out);
+    Matrix::from_vec(m, n, out)
+}
+
 fn random_matrix(rng: &mut SmallRng, rows: usize, cols: usize) -> Matrix {
     Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
 }
@@ -79,6 +88,9 @@ proptest! {
         prop_assert_eq!(a.matmul(&b), naive_matmul(&a, &b));
     }
 
+    // `A * B^T` as the training executor's input gradient `G W^T` forms
+    // it: `matmul` on an explicit transpose, bit-identical to the
+    // per-cell dot product.
     #[test]
     fn matmul_transpose_b_parity(
         m in 1usize..70, k in 1usize..90, n in 1usize..70, seed in 0u64..1_000_000,
@@ -86,7 +98,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let a = random_matrix(&mut rng, m, k);
         let bt = random_matrix(&mut rng, n, k);
-        prop_assert_eq!(a.matmul_transpose_b(&bt), naive_matmul_transpose_b(&a, &bt));
+        prop_assert_eq!(a.matmul(&bt.transpose()), naive_matmul_transpose_b(&a, &bt));
     }
 
     #[test]
@@ -96,7 +108,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let at = random_matrix(&mut rng, k, m);
         let b = random_matrix(&mut rng, k, n);
-        prop_assert_eq!(at.transpose_a_matmul(&b), naive_transpose_a_matmul(&at, &b));
+        prop_assert_eq!(transpose_a_matmul(&at, &b), naive_transpose_a_matmul(&at, &b));
     }
 
     // Mostly-zero operands (one-hot selections, dead activations) go
@@ -115,8 +127,8 @@ proptest! {
         prop_assert_eq!(a.matmul(&b), naive_matmul(&a, &b));
     }
 
-    // Row independence, which batched inference and the window training
-    // tape rely on: each row of `[A1; A2] * B` is bit-identical to the same
+    // Row independence, which batched inference and the stacked training
+    // executor rely on: each row of `[A1; A2] * B` is bit-identical to the same
     // row of `A1 * B` or `A2 * B`, even when stacking moves the product
     // across the blocked cutoff (`sparse` zeroes most of A1 or A2).
     #[test]
@@ -134,7 +146,8 @@ proptest! {
             }
         }
         let b = random_matrix(&mut rng, k, n);
-        let stacked = Matrix::concat_rows(&parts).matmul(&b);
+        let stacked = [parts[0].as_slice(), parts[1].as_slice()].concat();
+        let stacked = Matrix::from_vec(m1 + m2, k, stacked).matmul(&b);
         let alone: Vec<Matrix> = parts.iter().map(|a| a.matmul(&b)).collect();
         let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let alone_rows = alone.iter().flat_map(|c| (0..c.rows()).map(move |r| c.row(r)));
@@ -154,15 +167,9 @@ fn production_shapes_bit_identical() {
         let a = random_matrix(&mut rng, m, k);
         let b = random_matrix(&mut rng, k, n);
         assert_eq!(a.matmul(&b), naive_matmul(&a, &b), "{m}x{k}*{k}x{n}");
-        let bt = random_matrix(&mut rng, n, k);
-        assert_eq!(
-            a.matmul_transpose_b(&bt),
-            naive_matmul_transpose_b(&a, &bt),
-            "{m}x{k}*({n}x{k})^T"
-        );
         let at = random_matrix(&mut rng, k, m);
         assert_eq!(
-            at.transpose_a_matmul(&b),
+            transpose_a_matmul(&at, &b),
             naive_transpose_a_matmul(&at, &b),
             "({k}x{m})^T*{k}x{n}"
         );
@@ -180,15 +187,9 @@ fn serving_shapes_bit_identical() {
         let a = random_matrix(&mut rng, m, 96);
         let b = random_matrix(&mut rng, 96, 48);
         assert_eq!(a.matmul(&b), naive_matmul(&a, &b), "{m}x96*96x48");
-        let bt = random_matrix(&mut rng, 48, 96);
-        assert_eq!(
-            a.matmul_transpose_b(&bt),
-            naive_matmul_transpose_b(&a, &bt),
-            "{m}x96*(48x96)^T"
-        );
         let at = random_matrix(&mut rng, 96, m);
         assert_eq!(
-            at.transpose_a_matmul(&b),
+            transpose_a_matmul(&at, &b),
             naive_transpose_a_matmul(&at, &b),
             "(96x{m})^T*96x48"
         );
