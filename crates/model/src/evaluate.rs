@@ -83,7 +83,7 @@ pub fn evaluate_store(
                 for (task, def) in &schema.tasks {
                     let Some(output) = prediction.tasks.get(task) else { continue };
                     let Some(gold) = record.gold(task) else { continue };
-                    let Some(scored) = score_one(def.kind.clone(), output, gold) else { continue };
+                    let Some(scored) = score_one(&def.kind, output, gold) else { continue };
                     let per_task = grouped.entry(task.clone()).or_default();
                     for group in &record.tags {
                         accumulate(per_task, group.clone(), &scored);
@@ -144,7 +144,7 @@ fn accumulate(per_task: &mut BTreeMap<String, MetricsAccumulator>, group: String
     }
 }
 
-fn score_one(kind: TaskKind, output: &TaskOutput, gold: &TaskLabel) -> Option<Scored> {
+fn score_one(kind: &TaskKind, output: &TaskOutput, gold: &TaskLabel) -> Option<Scored> {
     match (kind, output, gold) {
         (
             TaskKind::Multiclass { classes },

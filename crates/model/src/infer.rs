@@ -10,14 +10,19 @@
 //! shared row) is a step of its own that walks the batch's segment bounds;
 //! every affine layer is one step over the whole stack.
 //!
-//! The plan has two executors. Inference ([`Plan::predict_batch`], the one
-//! path every prediction runs — evaluation, dev selection, search,
+//! The plan has two executors. Inference ([`Plan::infer`], the one path
+//! every prediction runs — evaluation, dev selection, search,
 //! distillation and serving) lays every slot out in one zeroed `f32` arena
 //! per call and runs the steps in place: GEMMs write straight into their
 //! output slot, and segment steps read stacked rows where they lie, so no
-//! step copies an example out. Training runs the same steps forward, then
-//! each step's hand-written vector-Jacobian product backward, over arenas
-//! of the same layout (`backprop.rs`).
+//! step copies an example out. It then hands each example's head and
+//! indicator logits ([`Logits`]) to its caller where they lie in the
+//! arena. [`Plan::predict_batch`] decodes them into a [`Prediction`] for
+//! evaluation, dev selection and distillation; serving builds its
+//! responses from them directly, with no `Prediction` in between
+//! (`serve.rs`). Training runs the same steps forward, then each step's
+//! hand-written vector-Jacobian product backward, over arenas of the same
+//! layout (`backprop.rs`).
 //!
 //! What mixes rows runs per example and GEMM rows are independent of each
 //! other, so a batched prediction is **bit-identical** to predicting each
@@ -271,24 +276,39 @@ impl Plan {
     }
 
     /// Runs the plan over a batch and decodes every task output, in input
-    /// order (dropout is off, as in any inference pass). `model` must be
-    /// the model this plan was lowered from: its store supplies the
-    /// weights, read in place.
-    ///
-    /// Every slot of the batch lives in one zeroed arena, allocated here
-    /// and dropped on return, so no state survives from one call to the
-    /// next. A row's result does not depend on which rows share a product
-    /// (see `overton_tensor::kernels`), so each prediction is bit-identical
-    /// to running its example alone. The arena grows with the batch;
-    /// [`CompiledModel::predict_batch`] and [`crate::Server::predict_batch`]
-    /// chunk their input to 32 examples.
+    /// order: [`Plan::infer`], with each example's logits decoded into a
+    /// [`Prediction`]. `model` must be the model this plan was lowered
+    /// from.
     pub(crate) fn predict_batch(
         &self,
         model: &CompiledModel,
         examples: &[CompiledExample],
     ) -> Vec<Prediction> {
+        let mut predictions = Vec::with_capacity(examples.len());
+        self.infer(model, examples, |_, logits| predictions.push(decode(&logits)));
+        predictions
+    }
+
+    /// Runs the plan over a batch (dropout is off, as in any inference
+    /// pass) and hands `each` every example's index and [`Logits`], in
+    /// input order. `model` must be the model this plan was lowered from:
+    /// its store supplies the weights, read in place.
+    ///
+    /// Every slot of the batch lives in one zeroed arena, allocated here
+    /// and dropped on return, so no state survives from one call to the
+    /// next. A row's result does not depend on which rows share a product
+    /// (see `overton_tensor::kernels`), so each example's logits are
+    /// bit-identical to running it alone. The arena grows with the batch;
+    /// [`CompiledModel::predict_batch`] and [`crate::Server::predict_batch`]
+    /// chunk their input to 32 examples.
+    pub(crate) fn infer(
+        &self,
+        model: &CompiledModel,
+        examples: &[CompiledExample],
+        mut each: impl FnMut(usize, Logits<'_>),
+    ) {
         if examples.is_empty() {
-            return Vec::new();
+            return;
         }
         let batch = Batch::new(self, examples.iter());
         let mut regions = Vec::with_capacity(self.slots.len());
@@ -304,27 +324,12 @@ impl Plan {
             let input = |i: usize| &done[regions[step.inputs[i]].clone()];
             self.run(s, &model.params, &batch, input, out, None);
         }
-        let slot = |s: Slot| &arena[regions[s].clone()];
-        let decoded = examples.iter().enumerate().map(|(b, example)| {
-            let heads = self.heads.iter().filter_map(|head| {
-                let SlotDef { rows, cols } = self.slots[head.logits];
-                let range = match rows {
-                    Rows::Tokens(p) => {
-                        Some(batch.segs(rows).range(b)).filter(|_| self.present(p, example))
-                    }
-                    Rows::Examples => Some(b..b + 1),
-                    Rows::Elements(_) => Some(batch.segs(rows).range(b)).filter(|r| !r.is_empty()),
-                }?;
-                Some((
-                    &head.task,
-                    head.decode,
-                    &slot(head.logits)[range.start * cols..range.end * cols],
-                    cols,
-                ))
-            });
-            decode(heads, self.indicators.iter().map(|&s| &slot(s)[2 * b..2 * b + 2]))
-        });
-        decoded.collect()
+        for (b, example) in examples.iter().enumerate() {
+            each(
+                b,
+                Logits { plan: self, arena: &arena, regions: &regions, batch: &batch, example, b },
+            );
+        }
     }
 
     /// Each slot's range in an arena over `batch`, in slot order, and the
@@ -574,6 +579,57 @@ impl Plan {
     }
 }
 
+/// One example's raw outputs, read in place from a batch's arena: each
+/// task head's logits and each slice indicator's.
+pub(crate) struct Logits<'a> {
+    plan: &'a Plan,
+    arena: &'a [f32],
+    regions: &'a [Range<usize>],
+    batch: &'a Batch<'a>,
+    example: &'a CompiledExample,
+    b: usize,
+}
+
+/// A task head's logits for one example.
+pub(crate) struct HeadLogits<'a> {
+    /// The head's position in [`Plan::heads`].
+    pub(crate) index: usize,
+    pub(crate) head: &'a HeadOut,
+    /// Row-major, `width` wide. A select head's are its element scores.
+    pub(crate) values: &'a [f32],
+    pub(crate) width: usize,
+}
+
+impl<'a> Logits<'a> {
+    fn slot(&self, s: Slot) -> &'a [f32] {
+        &self.arena[self.regions[s].clone()]
+    }
+
+    /// The heads with an output for this example, in plan order: a
+    /// sequence head needs its payload present, a select head a nonempty
+    /// set.
+    pub(crate) fn heads(&self) -> impl Iterator<Item = HeadLogits<'a>> + '_ {
+        let (plan, b) = (self.plan, self.b);
+        plan.heads.iter().enumerate().filter_map(move |(index, head)| {
+            let SlotDef { rows, cols } = plan.slots[head.logits];
+            let range = match rows {
+                Rows::Tokens(p) => {
+                    Some(self.batch.segs(rows).range(b)).filter(|_| plan.present(p, self.example))
+                }
+                Rows::Examples => Some(b..b + 1),
+                Rows::Elements(_) => Some(self.batch.segs(rows).range(b)).filter(|r| !r.is_empty()),
+            }?;
+            let values = &self.slot(head.logits)[range.start * cols..range.end * cols];
+            Some(HeadLogits { index, head, values, width: cols })
+        })
+    }
+
+    /// Per slice, the indicator's `[non-member, member]` logits.
+    pub(crate) fn indicators(&self) -> impl Iterator<Item = &'a [f32]> + '_ {
+        self.plan.indicators.iter().map(|&s| &self.slot(s)[2 * self.b..2 * self.b + 2])
+    }
+}
+
 /// Adds the mean of `len` rows into the zeroed `out`: each row times
 /// `1 / len`, in order.
 fn mean_into<'a>(out: &mut [f32], rows: impl Iterator<Item = &'a [f32]>, len: usize) {
@@ -606,17 +662,11 @@ pub(crate) fn argmax(xs: &[f32]) -> usize {
     best
 }
 
-/// Decodes per-task `(task, kind, logits, width)` (row-major logits,
-/// `width` wide) and per-slice `[non-member, member]` indicator logits
-/// into a [`Prediction`]. A select head's logits are its element scores,
-/// whatever their width.
-pub(crate) fn decode<'a>(
-    task_logits: impl Iterator<Item = (&'a String, Decode, &'a [f32], usize)>,
-    indicator_logits: impl Iterator<Item = &'a [f32]>,
-) -> Prediction {
+/// Decodes one example's logits into a [`Prediction`].
+fn decode(logits: &Logits) -> Prediction {
     let mut tasks = BTreeMap::new();
-    for (task, kind, values, width) in task_logits {
-        let output = match kind {
+    for HeadLogits { head, values, width, .. } in logits.heads() {
+        let output = match head.decode {
             Decode::PerElement { bce: false } => TaskOutput::MulticlassSeq {
                 classes: values.chunks_exact(width).map(argmax).collect(),
             },
@@ -641,9 +691,9 @@ pub(crate) fn decode<'a>(
                 TaskOutput::Select { index: argmax(values), dist }
             }
         };
-        tasks.insert(task.clone(), output);
+        tasks.insert(head.task.clone(), output);
     }
-    let slice_probs = indicator_logits.map(|row| stable_sigmoid(row[1] - row[0])).collect();
+    let slice_probs = logits.indicators().map(|row| stable_sigmoid(row[1] - row[0])).collect();
     Prediction { tasks, slice_probs }
 }
 

@@ -9,11 +9,13 @@
 
 use crate::config::ModelConfig;
 use crate::features::{CompiledExample, FeatureSpace};
-use crate::infer::MAX_BATCH;
-use crate::network::{CompiledModel, Prediction, TaskOutput};
-use overton_store::{Record, Schema, ServingSignature, StoreError, TaskKind};
+use crate::infer::{argmax, Decode, HeadLogits, Logits, MAX_BATCH};
+use crate::network::CompiledModel;
+use overton_store::{PayloadValue, Record, Schema, ServingSignature, StoreError, TaskKind};
+use overton_tensor::{softmax_in_place, stable_sigmoid};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A serialized, production-ready model.
 #[derive(Clone, Serialize, Deserialize)]
@@ -68,30 +70,31 @@ impl DeployableModel {
     }
 }
 
-/// One served task output, decoded to label names.
+/// One served task output, decoded to label names. Names are shared with
+/// the [`Server`] that answered, which interns them once at load.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServedOutput {
     /// Singleton multiclass: class name + distribution over class names.
     Multiclass {
         /// Winning class name.
-        class: String,
+        class: Arc<str>,
         /// `(class, probability)` pairs.
-        dist: Vec<(String, f32)>,
+        dist: Vec<(Arc<str>, f32)>,
     },
     /// Sequence multiclass: one class name per element.
     MulticlassSeq {
         /// Class name per element.
-        classes: Vec<String>,
+        classes: Vec<Arc<str>>,
     },
     /// Singleton bitvector: names of the set bits.
     Bits {
         /// Set bits.
-        set: Vec<String>,
+        set: Vec<Arc<str>>,
     },
     /// Sequence bitvector: set-bit names per element.
     BitsSeq {
         /// Set bits per element.
-        rows: Vec<Vec<String>>,
+        rows: Vec<Vec<Arc<str>>>,
     },
     /// Select: chosen element index and its external id.
     Select {
@@ -106,9 +109,9 @@ pub enum ServedOutput {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServingResponse {
     /// Per-task outputs, keyed by task name.
-    pub tasks: BTreeMap<String, ServedOutput>,
+    pub tasks: BTreeMap<Arc<str>, ServedOutput>,
     /// Predicted slice memberships (name, probability).
-    pub slices: Vec<(String, f32)>,
+    pub slices: Vec<(Arc<str>, f32)>,
     /// Response confidence: the minimum top-probability across the tasks
     /// that produce a distribution (multiclass and select heads); `1.0`
     /// when no such task fired. The model-pair cascade (§2.4) escalates
@@ -116,21 +119,69 @@ pub struct ServingResponse {
     pub confidence: f32,
 }
 
+/// How one plan head answers, with its names interned: the head's decode
+/// matched against its schema task kind once, at load.
+enum Answer {
+    /// Softmax distribution over classes.
+    Multiclass(Vec<Arc<str>>),
+    /// One class per element.
+    MulticlassSeq(Vec<Arc<str>>),
+    /// Sigmoid bits over labels.
+    Bits(Vec<Arc<str>>),
+    /// Thresholded bits over labels per element.
+    BitsSeq(Vec<Arc<str>>),
+    /// Softmax over the elements of this set payload.
+    Select(String),
+    /// The head's output does not fit its task's kind.
+    Mismatch,
+}
+
 /// A loaded model ready to answer queries.
 pub struct Server {
     model: CompiledModel,
     space: FeatureSpace,
     signature: ServingSignature,
+    /// Per plan head, in plan order: its task's name and how it answers.
+    answers: Vec<(Arc<str>, Answer)>,
+    /// The slice names, in indicator order.
+    slices: Vec<Arc<str>>,
 }
 
 impl Server {
     /// Loads an artifact into a runnable server.
     pub fn load(artifact: &DeployableModel) -> Self {
-        Self {
-            model: artifact.instantiate(),
-            space: artifact.space.clone(),
-            signature: artifact.signature.clone(),
-        }
+        Self::new(artifact.instantiate(), artifact.space.clone(), artifact.signature.clone())
+    }
+
+    /// Serves `model`, interning every task, class, label and slice name
+    /// once.
+    fn new(model: CompiledModel, space: FeatureSpace, signature: ServingSignature) -> Self {
+        let schema = model.schema();
+        let names = |names: &[String]| names.iter().map(|n| Arc::from(n.as_str())).collect();
+        let answers = (model.inference.heads.iter())
+            .map(|head| {
+                let task = &schema.tasks[&head.task];
+                let answer = match (head.decode, &task.kind) {
+                    (Decode::Single { bce: false }, TaskKind::Multiclass { classes }) => {
+                        Answer::Multiclass(names(classes))
+                    }
+                    (Decode::PerElement { bce: false }, TaskKind::Multiclass { classes }) => {
+                        Answer::MulticlassSeq(names(classes))
+                    }
+                    (Decode::Single { bce: true }, TaskKind::Bitvector { labels }) => {
+                        Answer::Bits(names(labels))
+                    }
+                    (Decode::PerElement { bce: true }, TaskKind::Bitvector { labels }) => {
+                        Answer::BitsSeq(names(labels))
+                    }
+                    (Decode::Select, TaskKind::Select) => Answer::Select(task.payload.clone()),
+                    _ => Answer::Mismatch,
+                };
+                (Arc::from(head.task.as_str()), answer)
+            })
+            .collect();
+        let slices = names(&space.slice_names);
+        Self { model, space, signature, answers, slices }
     }
 
     /// The serving signature (stable across retrains of the same schema).
@@ -159,89 +210,79 @@ impl Server {
     /// poisoning the rest of the batch. Valid ones are encoded and run
     /// through the inference forward together, in chunks of at most 32, so
     /// each affine layer runs once per chunk and memory follows the chunk,
-    /// not the input.
+    /// not the input. Each response is built straight from the chunk's
+    /// arena, with the names the server interned at load.
     pub fn predict_batch(&self, records: &[Record]) -> Vec<Result<ServingResponse, StoreError>> {
         let schema = self.model.schema();
         let mut out: Vec<Option<Result<ServingResponse, StoreError>>> =
             records.iter().map(|r| r.validate(schema).err().map(Err)).collect();
         let valid: Vec<usize> = (0..records.len()).filter(|&i| out[i].is_none()).collect();
+        let mut dist = Vec::new();
         for chunk in valid.chunks(MAX_BATCH) {
             let examples: Vec<CompiledExample> = chunk
                 .iter()
                 .map(|&i| CompiledExample::from_record(&records[i], i, &self.space, schema))
                 .collect();
-            let predictions = self.model.inference.predict_batch(&self.model, &examples);
-            for (&i, prediction) in chunk.iter().zip(&predictions) {
-                out[i] = Some(self.decode_response(&records[i], prediction));
-            }
+            self.model.inference.infer(&self.model, &examples, |b, logits| {
+                let i = chunk[b];
+                out[i] = Some(self.respond(&records[i], &logits, &mut dist));
+            });
         }
         out.into_iter().map(|r| r.expect("every slot filled")).collect()
     }
 
-    /// Decodes a raw prediction into label-named outputs. A task whose
-    /// output shape disagrees with the schema's task kind is an error (a
+    /// Builds one record's response from its logits: the same arithmetic
+    /// as [`crate::CompiledModel::predict`]'s decode, answered with
+    /// interned names. `dist` is scratch for a softmax. A head whose
+    /// output disagrees with the schema's task kind is an error (a
     /// desynchronized artifact must not silently drop tasks from the
     /// response).
-    fn decode_response(
+    fn respond(
         &self,
         record: &Record,
-        prediction: &Prediction,
+        logits: &Logits,
+        dist: &mut Vec<f32>,
     ) -> Result<ServingResponse, StoreError> {
-        let schema = self.model.schema();
         let mut tasks = BTreeMap::new();
         let mut confidence = 1.0f32;
-        for (task, output) in &prediction.tasks {
-            let kind = &schema.tasks[task].kind;
-            let served = match (output, kind) {
-                (TaskOutput::Multiclass { class, dist }, TaskKind::Multiclass { classes }) => {
-                    confidence = confidence.min(dist.get(*class).copied().unwrap_or(0.0));
+        for HeadLogits { index, values, width, .. } in logits.heads() {
+            let (task, answer) = &self.answers[index];
+            let served = match answer {
+                Answer::Multiclass(classes) => {
+                    let (class, p) = softmax(values, dist);
+                    confidence = confidence.min(p);
                     ServedOutput::Multiclass {
-                        class: classes[*class].clone(),
+                        class: classes[class].clone(),
                         dist: classes.iter().cloned().zip(dist.iter().copied()).collect(),
                     }
                 }
-                (
-                    TaskOutput::MulticlassSeq { classes: preds },
-                    TaskKind::Multiclass { classes },
-                ) => ServedOutput::MulticlassSeq {
-                    classes: preds.iter().map(|&c| classes[c].clone()).collect(),
+                Answer::MulticlassSeq(classes) => ServedOutput::MulticlassSeq {
+                    classes: values
+                        .chunks_exact(width)
+                        .map(|row| classes[argmax(row)].clone())
+                        .collect(),
                 },
-                (TaskOutput::Bits { bits, .. }, TaskKind::Bitvector { labels }) => {
-                    ServedOutput::Bits {
-                        set: labels
-                            .iter()
-                            .zip(bits)
-                            .filter(|(_, &b)| b)
-                            .map(|(l, _)| l.clone())
-                            .collect(),
-                    }
-                }
-                (TaskOutput::BitsSeq { rows }, TaskKind::Bitvector { labels }) => {
-                    ServedOutput::BitsSeq {
-                        rows: rows
-                            .iter()
-                            .map(|row| {
-                                labels
-                                    .iter()
-                                    .zip(row)
-                                    .filter(|(_, &b)| b)
-                                    .map(|(l, _)| l.clone())
-                                    .collect()
-                            })
-                            .collect(),
-                    }
-                }
-                (TaskOutput::Select { index, dist }, TaskKind::Select) => {
-                    confidence = confidence.min(dist.get(*index).copied().unwrap_or(0.0));
-                    let id = match record.payloads.get(&schema.tasks[task].payload) {
-                        Some(overton_store::PayloadValue::Set(els)) => {
-                            els.get(*index).map(|e| e.id.clone()).unwrap_or_default()
+                Answer::Bits(labels) => ServedOutput::Bits {
+                    set: set_bits(labels, values, |x| stable_sigmoid(x) > 0.5),
+                },
+                Answer::BitsSeq(labels) => ServedOutput::BitsSeq {
+                    rows: values
+                        .chunks_exact(width)
+                        .map(|row| set_bits(labels, row, |x| x > 0.0))
+                        .collect(),
+                },
+                Answer::Select(payload) => {
+                    let (index, p) = softmax(values, dist);
+                    confidence = confidence.min(p);
+                    let id = match record.payloads.get(payload) {
+                        Some(PayloadValue::Set(els)) => {
+                            els.get(index).map(|e| e.id.clone()).unwrap_or_default()
                         }
                         _ => String::new(),
                     };
-                    ServedOutput::Select { index: *index, id }
+                    ServedOutput::Select { index, id }
                 }
-                _ => {
+                Answer::Mismatch => {
                     return Err(StoreError::Validation(format!(
                         "task '{task}': model output does not match the schema's task kind \
                          (artifact and schema are out of sync)"
@@ -250,15 +291,26 @@ impl Server {
             };
             tasks.insert(task.clone(), served);
         }
-        let slices = self
-            .space
-            .slice_names
-            .iter()
-            .cloned()
-            .zip(prediction.slice_probs.iter().copied())
+        let slices = (self.slices.iter().zip(logits.indicators()))
+            .map(|(name, row)| (name.clone(), stable_sigmoid(row[1] - row[0])))
             .collect();
         Ok(ServingResponse { tasks, slices, confidence })
     }
+}
+
+/// The softmax of `logits`, left in `dist`, and the first largest logit's
+/// index with its probability (zero where there is none).
+fn softmax(logits: &[f32], dist: &mut Vec<f32>) -> (usize, f32) {
+    dist.clear();
+    dist.extend_from_slice(logits);
+    softmax_in_place(dist);
+    let best = argmax(logits);
+    (best, dist.get(best).copied().unwrap_or(0.0))
+}
+
+/// The labels whose logit passes `set`, in label order.
+fn set_bits(labels: &[Arc<str>], logits: &[f32], set: impl Fn(f32) -> bool) -> Vec<Arc<str>> {
+    labels.iter().zip(logits).filter(|(_, &x)| set(x)).map(|(l, _)| l.clone()).collect()
 }
 
 /// A synchronized large/small model pair trained on the same data (§2.4:
@@ -286,8 +338,13 @@ impl ModelPair {
 mod tests {
     use super::*;
     use crate::config::{EncoderKind, ModelConfig};
+    use crate::network::{Prediction, TaskOutput};
+    use crate::oracle;
     use overton_nlp::{generate_workload, WorkloadConfig};
-    use overton_store::Dataset;
+    use overton_store::{Dataset, SetElement};
+    use overton_tensor::ParamId;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup() -> (Dataset, FeatureSpace, CompiledModel) {
         let ds = generate_workload(&WorkloadConfig {
@@ -323,7 +380,7 @@ mod tests {
                 TaskKind::Multiclass { classes } => classes,
                 _ => unreachable!(),
             };
-            assert_eq!(*class, classes[*idx]);
+            assert_eq!(**class, *classes[*idx]);
         } else {
             panic!("Intent output missing");
         }
@@ -339,7 +396,7 @@ mod tests {
         match &response.tasks["POS"] {
             ServedOutput::MulticlassSeq { classes } => {
                 assert!(!classes.is_empty());
-                assert!(classes.iter().all(|c| overton_nlp::POS_TAGS.contains(&c.as_str())));
+                assert!(classes.iter().all(|c| overton_nlp::POS_TAGS.contains(&&**c)));
             }
             other => panic!("unexpected POS output {other:?}"),
         }
@@ -365,23 +422,178 @@ mod tests {
 
     #[test]
     fn mismatched_task_output_is_an_error_not_a_dropped_task() {
-        let (ds, space, model) = setup();
-        let artifact = DeployableModel::package(&model, &space, BTreeMap::new());
-        let server = Server::load(&artifact);
+        let (ds, space, mut model) = setup();
         let record = &ds.records()[ds.test_indices()[0]];
-        // A desynchronized artifact: the model emitted bit probabilities for
-        // the multiclass "Intent" task. The old behaviour silently dropped
-        // the task from the response; it must be a StoreError instead.
-        let mut prediction =
-            model.predict(&CompiledExample::from_record(record, 0, &space, ds.schema()));
-        prediction
-            .tasks
-            .insert("Intent".into(), TaskOutput::Bits { bits: vec![true], probs: vec![0.9] });
-        let err = server.decode_response(record, &prediction).unwrap_err();
+        // A desynchronized artifact: the model's "Intent" head decodes bit
+        // probabilities for a multiclass task. The response must be a
+        // StoreError, not one with the task silently dropped.
+        let head = model.inference.heads.iter_mut().find(|h| h.task == "Intent").expect("Intent");
+        head.decode = Decode::Single { bce: true };
+        let server = Server::new(model, space, ds.schema().serving_signature());
+        let err = server.predict(record).unwrap_err();
         assert!(
             matches!(&err, StoreError::Validation(msg) if msg.contains("Intent")),
             "unexpected error {err}"
         );
+    }
+
+    /// The serving decode written against a [`Prediction`] and the
+    /// schema's names: the reference the server's responses must equal
+    /// bit for bit.
+    fn reference_response(
+        schema: &Schema,
+        slice_names: &[String],
+        record: &Record,
+        prediction: &Prediction,
+    ) -> ServingResponse {
+        let name = |n: &String| Arc::<str>::from(n.as_str());
+        let mut tasks = BTreeMap::new();
+        let mut confidence = 1.0f32;
+        for (task, output) in &prediction.tasks {
+            let served = match (output, &schema.tasks[task].kind) {
+                (TaskOutput::Multiclass { class, dist }, TaskKind::Multiclass { classes }) => {
+                    confidence = confidence.min(dist.get(*class).copied().unwrap_or(0.0));
+                    ServedOutput::Multiclass {
+                        class: name(&classes[*class]),
+                        dist: classes.iter().map(name).zip(dist.iter().copied()).collect(),
+                    }
+                }
+                (
+                    TaskOutput::MulticlassSeq { classes: preds },
+                    TaskKind::Multiclass { classes },
+                ) => ServedOutput::MulticlassSeq {
+                    classes: preds.iter().map(|&c| name(&classes[c])).collect(),
+                },
+                (TaskOutput::Bits { bits, .. }, TaskKind::Bitvector { labels }) => {
+                    ServedOutput::Bits {
+                        set: labels
+                            .iter()
+                            .zip(bits)
+                            .filter(|(_, &b)| b)
+                            .map(|(l, _)| name(l))
+                            .collect(),
+                    }
+                }
+                (TaskOutput::BitsSeq { rows }, TaskKind::Bitvector { labels }) => {
+                    ServedOutput::BitsSeq {
+                        rows: rows
+                            .iter()
+                            .map(|row| {
+                                labels
+                                    .iter()
+                                    .zip(row)
+                                    .filter(|(_, &b)| b)
+                                    .map(|(l, _)| name(l))
+                                    .collect()
+                            })
+                            .collect(),
+                    }
+                }
+                (TaskOutput::Select { index, dist }, TaskKind::Select) => {
+                    confidence = confidence.min(dist.get(*index).copied().unwrap_or(0.0));
+                    let id = match record.payloads.get(&schema.tasks[task].payload) {
+                        Some(PayloadValue::Set(els)) => {
+                            els.get(*index).map(|e| e.id.clone()).unwrap_or_default()
+                        }
+                        _ => String::new(),
+                    };
+                    ServedOutput::Select { index: *index, id }
+                }
+                (output, kind) => panic!("task '{task}': {output:?} does not fit {kind:?}"),
+            };
+            tasks.insert(name(task), served);
+        }
+        let slices =
+            slice_names.iter().map(name).zip(prediction.slice_probs.iter().copied()).collect();
+        ServingResponse { tasks, slices, confidence }
+    }
+
+    #[test]
+    fn responses_are_bit_identical_to_decoding_the_prediction() {
+        let ds = generate_workload(&WorkloadConfig {
+            n_train: 60,
+            n_dev: 15,
+            n_test: 28,
+            seed: 11,
+            slice_rate: 0.3,
+            ..Default::default()
+        });
+        let space = FeatureSpace::build_from_store(&ds.seal()).unwrap();
+        let schema = oracle::every_branch_schema();
+        let mut records: Vec<Record> = ds
+            .test_indices()
+            .iter()
+            .map(|&i| {
+                let mut record = ds.records()[i].clone();
+                if let Some(entities) = record.payloads.get("entities").cloned() {
+                    record.payloads.insert("mentions".into(), entities);
+                }
+                record
+            })
+            .collect();
+        // An empty token sequence (the PAD path, with no entities left to
+        // span it), an absent one, an empty entity set, and a crowd of
+        // like mentions whose flat select distribution sets the response's
+        // confidence, in the middle of the batch so segments on both sides
+        // of them must line up.
+        let unlabeled = |i: usize| Record { tasks: BTreeMap::new(), ..records[i].clone() };
+        let mut empty_tokens = unlabeled(0);
+        empty_tokens.payloads.insert("tokens".into(), PayloadValue::Sequence(vec![]));
+        for set in ["entities", "mentions"] {
+            empty_tokens.payloads.insert(set.into(), PayloadValue::Set(vec![]));
+        }
+        let mut absent_tokens = unlabeled(1);
+        absent_tokens.payloads.remove("tokens");
+        let mut no_entities = unlabeled(2);
+        no_entities.payloads.insert("entities".into(), PayloadValue::Set(vec![]));
+        let mut crowded = unlabeled(3);
+        let mention = SetElement { id: "crowd".into(), span: (0, 1) };
+        crowded.payloads.insert("mentions".into(), PayloadValue::Set(vec![mention; 24]));
+        let middle = records.len() / 2;
+        records.splice(middle..middle, [empty_tokens, absent_tokens, no_entities, crowded]);
+        assert_eq!(records.len(), MAX_BATCH, "one forward over the whole batch");
+        for record in &records {
+            record.validate(&schema).expect("every record is served");
+        }
+        let examples: Vec<CompiledExample> = (records.iter().enumerate())
+            .map(|(i, record)| CompiledExample::from_record(record, i, &space, &schema))
+            .collect();
+
+        let mut outputs = std::collections::HashSet::new();
+        for encoder in oracle::ENCODERS {
+            for slice_heads in [true, false] {
+                let config = ModelConfig { encoder, slice_heads, ..Default::default() };
+                let mut model = CompiledModel::compile(&schema, &space, &config, None);
+                // Nonzero biases and off-init weights, so every add and
+                // every sign of zero is exercised.
+                let mut rng = SmallRng::seed_from_u64(7);
+                let ids: Vec<ParamId> = model.params.ids().collect();
+                for id in ids {
+                    for x in model.params.value_mut(id).as_mut_slice() {
+                        *x += rng.gen_range(-0.2f32..0.2);
+                    }
+                }
+                let predictions = model.predict_batch(&examples);
+                let server = Server::new(model, space.clone(), schema.serving_signature());
+                let responses = server.predict_batch(&records);
+                assert_eq!(responses.len(), records.len());
+                for ((record, prediction), response) in
+                    records.iter().zip(&predictions).zip(responses)
+                {
+                    let want = reference_response(&schema, &space.slice_names, record, prediction);
+                    let got = response.expect("a valid record is answered");
+                    assert_eq!(got, want, "{config:?}");
+                    // The bytes `encode_predict_response` writes per answer.
+                    assert_eq!(
+                        serde_json::to_vec(&got).unwrap(),
+                        serde_json::to_vec(&want).unwrap()
+                    );
+                    assert_eq!(got.slices.is_empty(), !slice_heads);
+                    outputs.extend(got.tasks.values().map(std::mem::discriminant));
+                }
+            }
+        }
+        assert_eq!(outputs.len(), 5, "every served output kind must be built");
     }
 
     #[test]

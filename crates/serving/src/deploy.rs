@@ -36,7 +36,7 @@ impl ScoreBook {
         let mut scored = 0;
         for task in schema.tasks.keys() {
             let Some(gold) = record.gold(task) else { continue };
-            let Some(served) = response.tasks.get(task) else { continue };
+            let Some(served) = response.tasks.get(task.as_str()) else { continue };
             let Some(score) = score_output(served, gold) else { continue };
             scored += 1;
             let per_task = self.tasks.entry(task.clone()).or_default();
@@ -370,7 +370,7 @@ mod tests {
         );
         let response = ServingResponse {
             tasks: BTreeMap::from([(
-                "Intent".to_string(),
+                "Intent".into(),
                 ServedOutput::Multiclass { class: "Age".into(), dist: vec![] },
             )]),
             slices: vec![],

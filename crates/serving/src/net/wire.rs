@@ -255,7 +255,7 @@ mod tests {
     fn response(confidence: f32) -> ServingResponse {
         ServingResponse {
             tasks: BTreeMap::from([(
-                "Intent".to_string(),
+                "Intent".into(),
                 ServedOutput::Multiclass {
                     class: "Person".into(),
                     dist: vec![("Person".into(), 0.62519), ("Age".into(), 0.37481)],

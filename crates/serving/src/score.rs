@@ -8,6 +8,7 @@
 
 use overton_model::{ServedOutput, ServingResponse};
 use overton_store::{Record, Schema, TaskLabel};
+use std::sync::Arc;
 
 /// Accuracy of one served output against gold, in `[0, 1]` (sequence tasks
 /// score the fraction of correct elements). `None` when the shapes do not
@@ -22,39 +23,35 @@ pub(crate) fn score_output(served: &ServedOutput, gold: &TaskLabel) -> Option<f6
     };
     match (served, gold) {
         (ServedOutput::Multiclass { class, .. }, TaskLabel::MulticlassOne(g)) => {
-            Some(f64::from(class == g))
+            Some(f64::from(**class == **g))
         }
         (ServedOutput::MulticlassSeq { classes }, TaskLabel::MulticlassSeq(golds))
             if classes.len() == golds.len() =>
         {
-            fraction(classes.iter().zip(golds).filter(|(p, g)| p == g).count(), golds.len())
+            fraction(classes.iter().zip(golds).filter(|(p, g)| ***p == ***g).count(), golds.len())
         }
         (ServedOutput::Bits { set }, TaskLabel::BitvectorOne(gold_set)) => {
-            let mut a = set.clone();
-            let mut b = gold_set.clone();
-            a.sort();
-            b.sort();
-            Some(f64::from(a == b))
+            Some(f64::from(same_set(set, gold_set)))
         }
         (ServedOutput::BitsSeq { rows }, TaskLabel::BitvectorSeq(gold_rows))
             if rows.len() == gold_rows.len() =>
         {
-            let hits = rows
-                .iter()
-                .zip(gold_rows)
-                .filter(|(p, g)| {
-                    let mut a = (*p).clone();
-                    let mut b = (*g).clone();
-                    a.sort();
-                    b.sort();
-                    a == b
-                })
-                .count();
+            let hits = rows.iter().zip(gold_rows).filter(|(p, g)| same_set(p, g)).count();
             fraction(hits, gold_rows.len())
         }
         (ServedOutput::Select { index, .. }, TaskLabel::Select(g)) => Some(f64::from(index == g)),
         _ => None,
     }
+}
+
+/// Whether the served set bits and the gold ones hold the same names,
+/// in any order.
+fn same_set(served: &[Arc<str>], gold: &[String]) -> bool {
+    let mut a: Vec<&str> = served.iter().map(|s| &**s).collect();
+    let mut b: Vec<&str> = gold.iter().map(String::as_str).collect();
+    a.sort_unstable();
+    b.sort_unstable();
+    a == b
 }
 
 /// Mean accuracy of a response over every task the record carries gold
@@ -65,7 +62,7 @@ pub fn score_response(schema: &Schema, record: &Record, response: &ServingRespon
     let mut n = 0usize;
     for task in schema.tasks.keys() {
         let Some(gold) = record.gold(task) else { continue };
-        let Some(served) = response.tasks.get(task) else { continue };
+        let Some(served) = response.tasks.get(task.as_str()) else { continue };
         let Some(score) = score_output(served, gold) else { continue };
         sum += score;
         n += 1;
@@ -131,11 +128,8 @@ mod tests {
             .with_label("IntentArg", overton_store::GOLD_SOURCE, TaskLabel::Select(1));
         let response = ServingResponse {
             tasks: BTreeMap::from([
-                (
-                    "Intent".to_string(),
-                    ServedOutput::Multiclass { class: "Age".into(), dist: vec![] },
-                ),
-                ("IntentArg".to_string(), ServedOutput::Select { index: 0, id: "x".into() }),
+                ("Intent".into(), ServedOutput::Multiclass { class: "Age".into(), dist: vec![] }),
+                ("IntentArg".into(), ServedOutput::Select { index: 0, id: "x".into() }),
             ]),
             slices: vec![],
             confidence: 1.0,

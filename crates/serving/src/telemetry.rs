@@ -813,7 +813,7 @@ mod tests {
         );
         let resp = ServingResponse {
             tasks: std::collections::BTreeMap::from([(
-                "Intent".to_string(),
+                "Intent".into(),
                 overton_model::ServedOutput::Multiclass { class: "Age".into(), dist: vec![] },
             )]),
             // The model predicts "hard", but the record's tag says "easy":

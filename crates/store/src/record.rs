@@ -129,9 +129,9 @@ impl Record {
         self.tags.contains(tag)
     }
 
-    /// True if the record is in the given slice.
+    /// True if the record is in the given slice: one of [`Record::slices`].
     pub fn in_slice(&self, slice: &str) -> bool {
-        self.tags.contains(&format!("{SLICE_PREFIX}{slice}"))
+        self.slices().any(|s| s == slice)
     }
 
     /// Names of all slices this record belongs to.
@@ -457,6 +457,17 @@ mod tests {
         assert_eq!(r.split(), Some("train"));
         assert!(r.in_slice("complex-disambiguation"));
         assert_eq!(r.slices().collect::<Vec<_>>(), vec!["complex-disambiguation"]);
+    }
+
+    #[test]
+    fn in_slice_agrees_with_slices() {
+        // An unprefixed tag that equals a slice name is not that slice.
+        let r = Record::new().with_slice("hard").with_tag("easy").with_tag("slice").with_slice("");
+        let slices: Vec<&str> = r.slices().collect();
+        assert_eq!(slices, vec!["", "hard"]);
+        for name in ["hard", "easy", "slice", "", "slice:hard", "har"] {
+            assert_eq!(r.in_slice(name), slices.contains(&name), "{name:?}");
+        }
     }
 
     #[test]

@@ -1,21 +1,24 @@
 //! Allocation budgets for the two executors of the model plan, on a fixed
 //! workload: a warm 32-record `CompiledModel::predict_batch` (the inference
-//! forward) and a warm one-epoch `train_model` over 32 examples with one
-//! gradient worker (the training forward and backward). Both run on the
-//! calling thread and make a fixed number of heap allocations, and the
-//! budgets below pin those numbers: a change that brings back per-example
-//! copies into the forward, or per-node matrices into the backward, fails
+//! forward), a warm 32-record `Server::predict_batch` (validate, encode,
+//! forward and build the responses), and a warm one-epoch `train_model`
+//! over 32 examples with one gradient worker (the training forward and
+//! backward). All run on the calling thread and make a fixed number of
+//! heap allocations, and the budgets below pin those numbers: a change
+//! that brings back per-example copies into the forward, per-response name
+//! copies into serving, or per-node matrices into the backward, fails
 //! here. Only the calling thread's allocations are counted, so tests
 //! running alongside cannot move them.
 
 use overton_model::{
-    gold_to_prob, train_model, CompiledExample, CompiledModel, FeatureSpace, ModelConfig,
-    TrainConfig,
+    gold_to_prob, train_model, CompiledExample, CompiledModel, DeployableModel, FeatureSpace,
+    ModelConfig, Server, ServingResponse, TrainConfig,
 };
 use overton_nlp::{generate_workload, WorkloadConfig};
 use overton_store::Dataset;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 /// Allocations of one warm 32-record forward over the fixture below:
 /// about one per decoded output (task maps, names, per-element rows) plus
@@ -68,17 +71,23 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, ALLOCATIONS.with(|count| count.replace(None)).expect("armed above"))
 }
 
-/// The workload both budgets run on.
-fn fixture() -> (Dataset, FeatureSpace) {
+/// The workload the budgets run on: the fixed sizes and seed, with the
+/// rest of `config`.
+fn workload(config: WorkloadConfig) -> (Dataset, FeatureSpace) {
     let ds = generate_workload(&WorkloadConfig {
         n_train: 60,
         n_dev: 10,
         n_test: 40,
         seed: 17,
-        ..Default::default()
+        ..config
     });
     let space = FeatureSpace::build_from_store(&ds.seal()).expect("feature space");
     (ds, space)
+}
+
+/// The workload the forward and serving budgets run on.
+fn fixture() -> (Dataset, FeatureSpace) {
+    workload(WorkloadConfig::default())
 }
 
 #[test]
@@ -99,17 +108,45 @@ fn warm_forward_stays_within_its_allocation_budget() {
     );
 }
 
+/// Allocations of one warm 32-record `Server::predict_batch` over the
+/// fixture's untrained default model, packaged and loaded: validating
+/// and encoding each record, one forward, and per response its task map,
+/// its output vectors and its selected id. Names are the server's,
+/// shared and not copied.
+const SERVE_BUDGET: usize = 663;
+
+#[test]
+fn warm_serve_batch_stays_within_its_allocation_budget() {
+    let (ds, space) = fixture();
+    let model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
+    let server = Server::load(&DeployableModel::package(&model, &space, BTreeMap::new()));
+    let records: Vec<_> =
+        ds.test_indices()[..32].iter().map(|&i| ds.records()[i].clone()).collect();
+    let answers = |results: Vec<Result<_, _>>| -> Vec<ServingResponse> {
+        results.into_iter().map(|r| r.expect("every fixture record is served")).collect()
+    };
+    let warm = answers(server.predict_batch(&records));
+    let (responses, allocations) = allocations_of(|| server.predict_batch(&records));
+    assert_eq!(answers(responses), warm, "a warm batch answers as the first one did");
+    println!("{allocations} allocations for 32 served records");
+    assert!(
+        allocations <= SERVE_BUDGET,
+        "a warm 32-record serve made {allocations} allocations, over its budget of {SERVE_BUDGET}"
+    );
+}
+
 /// Allocations of one warm training epoch over the fixture's first 32
 /// training records with gold targets: default model, no dev split, one
 /// gradient worker. About a dozen per window for its bounds and queue, one
 /// per gradient on its first touch (an optimizer step zeroes them in
 /// place), plus the run's own state (two copies of the weights, the
 /// optimizer's moments) and the growth of its one workspace.
-const TRAIN_BUDGET: usize = 407;
+const TRAIN_BUDGET: usize = 464;
 
 #[test]
 fn warm_training_epoch_stays_within_its_allocation_budget() {
-    let (ds, space) = fixture();
+    // Every training record carries gold, so every task head trains.
+    let (ds, space) = workload(WorkloadConfig { gold_train_fraction: 1.0, ..Default::default() });
     let train: Vec<CompiledExample> = ds.train_indices()[..32]
         .iter()
         .map(|&i| {
@@ -123,6 +160,12 @@ fn warm_training_epoch_stays_within_its_allocation_budget() {
             ex
         })
         .collect();
+    for ex in &train {
+        assert!(
+            ds.schema().tasks.keys().all(|task| ex.targets.contains_key(task)),
+            "every training record carries a target for every task"
+        );
+    }
     let config = TrainConfig { epochs: 1, grad_workers: 1, ..Default::default() };
     let compile = || CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
     let warm = train_model(&mut compile(), &train, &[], &config);

@@ -52,7 +52,7 @@ fn schema_to_serving_roundtrip() {
         ) = (response.tasks.get("Intent"), record.gold("Intent"))
         {
             total += 1;
-            if class == gold {
+            if **class == **gold {
                 agreements += 1;
             }
         }

@@ -12,6 +12,7 @@ use overton_store::{
 use overton_supervision::{majority_vote, LabelMatrix, LabelModel, LabelModelConfig};
 use proptest::prelude::*;
 use serde_json::{Map, Value};
+use std::sync::Arc;
 
 fn arb_payload() -> impl Strategy<Value = PayloadValue> {
     prop_oneof![
@@ -65,14 +66,20 @@ fn arb_f32() -> impl Strategy<Value = f32> {
     prop_oneof![any::<u32>().prop_map(f32::from_bits), 0.0f32..1.0]
 }
 
+/// [`arb_text`] as a shared name, the way a server hands out its
+/// interned task, class, label and slice names.
+fn arb_name() -> impl Strategy<Value = Arc<str>> {
+    arb_text().prop_map(Arc::from)
+}
+
 fn arb_served_output() -> impl Strategy<Value = ServedOutput> {
     prop_oneof![
-        (arb_text(), prop::collection::vec((arb_text(), arb_f32()), 0..4))
+        (arb_name(), prop::collection::vec((arb_name(), arb_f32()), 0..4))
             .prop_map(|(class, dist)| ServedOutput::Multiclass { class, dist }),
-        prop::collection::vec(arb_text(), 0..4)
+        prop::collection::vec(arb_name(), 0..4)
             .prop_map(|classes| ServedOutput::MulticlassSeq { classes }),
-        prop::collection::vec(arb_text(), 0..4).prop_map(|set| ServedOutput::Bits { set }),
-        prop::collection::vec(prop::collection::vec(arb_text(), 0..3), 0..3)
+        prop::collection::vec(arb_name(), 0..4).prop_map(|set| ServedOutput::Bits { set }),
+        prop::collection::vec(prop::collection::vec(arb_name(), 0..3), 0..3)
             .prop_map(|rows| ServedOutput::BitsSeq { rows }),
         (any::<usize>(), arb_text()).prop_map(|(index, id)| ServedOutput::Select { index, id }),
     ]
@@ -81,8 +88,8 @@ fn arb_served_output() -> impl Strategy<Value = ServedOutput> {
 fn arb_serving_result() -> impl Strategy<Value = Result<ServingResponse, StoreError>> {
     prop_oneof![
         (
-            prop::collection::btree_map(arb_text(), arb_served_output(), 0..4),
-            prop::collection::vec((arb_text(), arb_f32()), 0..4),
+            prop::collection::btree_map(arb_name(), arb_served_output(), 0..4),
+            prop::collection::vec((arb_name(), arb_f32()), 0..4),
             arb_f32(),
         )
             .prop_map(|(tasks, slices, confidence)| Ok(ServingResponse {
@@ -128,7 +135,7 @@ fn same_f32(sent: f32, got: f32) -> bool {
 }
 
 fn same_response(sent: &ServingResponse, got: &ServingResponse) -> bool {
-    let same_pairs = |a: &[(String, f32)], b: &[(String, f32)]| {
+    let same_pairs = |a: &[(Arc<str>, f32)], b: &[(Arc<str>, f32)]| {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.0 == y.0 && same_f32(x.1, y.1))
     };
     let same_output = |a: &ServedOutput, b: &ServedOutput| match (a, b) {
