@@ -13,7 +13,7 @@ use overton_model::{
     TrainConfig,
 };
 use overton_nlp::{SourceSpec, WorkloadConfig};
-use overton_store::{Dataset, Schema, TaskKind};
+use overton_store::{Dataset, Schema};
 use overton_supervision::CombineMethod;
 use std::collections::BTreeMap;
 
@@ -183,26 +183,28 @@ pub fn end_to_end_error(intent_acc: f64, arg_acc: f64, joint: Option<f64>) -> f6
 }
 
 /// Joint Intent+IntentArg accuracy of a completed Overton run on the test
-/// split.
+/// split, scored on the responses its packaged artifact serves.
 pub fn joint_accuracy(built: &Run, dataset: &Dataset) -> f64 {
-    use overton_model::TaskOutput;
+    use overton_model::{ServedOutput, Server};
     use overton_store::TaskLabel;
+    let Some(artifact) = built.artifact() else { return 0.0 };
+    let records: Vec<_> = (built.store().index().test_rows().iter())
+        .map(|&row| dataset.records()[row as usize].clone())
+        .collect();
     let mut correct = 0usize;
     let mut total = 0usize;
-    let Some(evaluation) = built.evaluation() else { return 0.0 };
-    for (record_idx, prediction) in &evaluation.predictions {
-        let record = &dataset.records()[*record_idx];
+    for (record, response) in records.iter().zip(Server::load(artifact).predict_batch(&records)) {
         let Some(TaskLabel::MulticlassOne(gold_intent)) = record.gold("Intent") else { continue };
         let Some(TaskLabel::Select(gold_arg)) = record.gold("IntentArg") else { continue };
         total += 1;
+        let Ok(response) = response else { continue };
         let intent_ok = matches!(
-            prediction.tasks.get("Intent"),
-            Some(TaskOutput::Multiclass { class, .. })
-                if intent_name(dataset.schema(), *class).as_deref() == Some(gold_intent)
+            response.tasks.get("Intent"),
+            Some(ServedOutput::Multiclass { class, .. }) if **class == **gold_intent
         );
         let arg_ok = matches!(
-            prediction.tasks.get("IntentArg"),
-            Some(TaskOutput::Select { index, .. }) if index == gold_arg
+            response.tasks.get("IntentArg"),
+            Some(ServedOutput::Select { index, .. }) if index == gold_arg
         );
         if intent_ok && arg_ok {
             correct += 1;
@@ -212,13 +214,6 @@ pub fn joint_accuracy(built: &Run, dataset: &Dataset) -> f64 {
         0.0
     } else {
         correct as f64 / total as f64
-    }
-}
-
-fn intent_name(schema: &Schema, class: usize) -> Option<String> {
-    match &schema.tasks.get("Intent")?.kind {
-        TaskKind::Multiclass { classes } => classes.get(class).cloned(),
-        _ => None,
     }
 }
 

@@ -945,7 +945,7 @@ mod tests {
             report.push("slice:hard", metrics(accuracy));
             reports.insert(task.to_string(), report);
         }
-        run.evaluation = Some(Evaluation { reports, predictions: Vec::new() });
+        run.evaluation = Some(Evaluation { reports });
         assert_eq!(run.weakest_task_on_slice("hard").unwrap(), "Intent");
         let err = run.weakest_task_on_slice("absent").unwrap_err();
         assert!(err.to_string().contains("absent"), "{err}");

@@ -11,40 +11,38 @@
 
 use crate::config::TrainConfig;
 use crate::features::CompiledExample;
-use crate::network::{CompiledModel, TaskOutput};
+use crate::infer::Decode;
+use crate::network::CompiledModel;
 use crate::trainer::{train_model, TrainReport};
 use overton_supervision::ProbLabel;
 
-/// Replaces each example's targets with the teacher's soft predictions.
-/// Examples keep their original targets for tasks the teacher cannot score
-/// (empty payloads).
+/// Replaces each example's targets with the teacher's soft predictions,
+/// read from its logits. Examples keep their original targets for tasks
+/// the teacher cannot score (empty payloads) and for per-element tasks.
 pub fn soften_targets(
     teacher: &CompiledModel,
     examples: &[CompiledExample],
 ) -> Vec<CompiledExample> {
-    examples
-        .iter()
-        .zip(teacher.predict_batch(examples))
-        .map(|(example, prediction)| {
-            let mut out = example.clone();
-            for (task, output) in prediction.tasks {
-                let soft = match output {
-                    TaskOutput::Multiclass { dist, .. } | TaskOutput::Select { dist, .. } => {
-                        ProbLabel::Dist(dist)
-                    }
-                    TaskOutput::MulticlassSeq { .. } => {
-                        // Row distributions are not exposed by the decoded
-                        // output; sequence tasks keep their hard targets.
-                        continue;
-                    }
-                    TaskOutput::Bits { probs, .. } => ProbLabel::Bits(probs),
-                    TaskOutput::BitsSeq { .. } => continue,
-                };
-                out.targets.insert(task, soft);
-            }
-            out
-        })
-        .collect()
+    let mut out = examples.to_vec();
+    teacher.infer(examples, |b, logits| {
+        for head in logits.heads() {
+            let soft = match head.head.decode {
+                Decode::Single { bce: false } | Decode::Select => {
+                    let mut dist = Vec::new();
+                    head.softmax(&mut dist);
+                    ProbLabel::Dist(dist)
+                }
+                Decode::Single { bce: true } => ProbLabel::Bits(head.probs().collect()),
+                // Per-element heads keep their hard targets. Their rows'
+                // logits are here too, but soft per-row targets would
+                // change every distilled student's weights, which wants a
+                // per-slice quality gate first.
+                Decode::PerElement { .. } => continue,
+            };
+            out[b].targets.insert(head.head.task.clone(), soft);
+        }
+    });
+    out
 }
 
 /// Trains `student` on the teacher's soft predictions over `examples`

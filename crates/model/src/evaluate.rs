@@ -6,19 +6,17 @@
 //! conditioned on an example being in the slice").
 
 use crate::features::{CompiledExample, FeatureSpace};
-use crate::infer::MAX_BATCH;
-use crate::network::{CompiledModel, Prediction, TaskOutput};
+use crate::infer::{Decode, HeadLogits, MAX_BATCH};
+use crate::network::CompiledModel;
 use overton_monitor::{Metrics, MetricsAccumulator, QualityReport, SLICE_PREFIX};
 use overton_store::{Record, ShardedStore, TaskKind, TaskLabel};
 use std::collections::BTreeMap;
 
-/// Evaluation output: one report per task plus the raw predictions.
+/// Evaluation output: one report per task.
 #[derive(Debug, Clone)]
 pub struct Evaluation {
     /// Per-task quality reports (rows: `overall`, tags, slices).
     pub reports: BTreeMap<String, QualityReport>,
-    /// `(record index, prediction)` pairs in evaluation order.
-    pub predictions: Vec<(usize, Prediction)>,
 }
 
 impl Evaluation {
@@ -52,11 +50,12 @@ enum Scored {
 }
 
 /// Evaluates `model` on the given **sorted** global rows of a sealed
-/// store, shard-parallel: every shard decodes its rows, runs the batched
-/// forward over them a micro-batch at a time, and scores into mergeable per-group
-/// [`MetricsAccumulator`] partials; the partials reduce in shard order, so
-/// the reports (and the prediction order) do not depend on the shard
-/// count. Records without gold for a task are skipped for that task.
+/// store, shard-parallel: every shard decodes its rows a micro-batch at a
+/// time, runs the inference forward over each and scores every example's
+/// logits in place into mergeable per-group [`MetricsAccumulator`]
+/// partials; the partials reduce in shard order, so the reports do not
+/// depend on the shard count. Records without gold for a task are
+/// skipped for that task.
 pub fn evaluate_store(
     model: &CompiledModel,
     store: &ShardedStore,
@@ -67,7 +66,6 @@ pub fn evaluate_store(
     let schema = store.schema();
     let partials = store.par_scan_rows(rows, |scan| {
         let mut grouped: Grouped = BTreeMap::new();
-        let mut predictions = Vec::with_capacity(scan.len());
         let mut records = scan.records().peekable();
         while records.peek().is_some() {
             let chunk: Vec<(usize, Record)> = records
@@ -79,26 +77,26 @@ pub fn evaluate_store(
                 .iter()
                 .map(|(i, record)| CompiledExample::from_record(record, *i, space, schema))
                 .collect();
-            for ((i, record), prediction) in chunk.iter().zip(model.predict_batch(&examples)) {
-                for (task, def) in &schema.tasks {
-                    let Some(output) = prediction.tasks.get(task) else { continue };
+            model.infer(&examples, |b, logits| {
+                let record = &chunk[b].1;
+                for head in logits.heads() {
+                    let task = &head.head.task;
+                    let Some(def) = schema.tasks.get(task) else { continue };
                     let Some(gold) = record.gold(task) else { continue };
-                    let Some(scored) = score_one(&def.kind, output, gold) else { continue };
+                    let Some(scored) = score_one(&def.kind, &head, gold) else { continue };
                     let per_task = grouped.entry(task.clone()).or_default();
                     for group in &record.tags {
                         accumulate(per_task, group.clone(), &scored);
                     }
                     accumulate(per_task, "overall".to_string(), &scored);
                 }
-                predictions.push((*i, prediction));
-            }
+            });
         }
-        Ok((grouped, predictions))
+        Ok(grouped)
     })?;
 
     let mut grouped: Grouped = BTreeMap::new();
-    let mut predictions = Vec::new();
-    for (shard_grouped, shard_predictions) in partials {
+    for shard_grouped in partials {
         for (task, groups) in shard_grouped {
             let per_task = grouped.entry(task).or_default();
             for (group, acc) in groups {
@@ -110,7 +108,6 @@ pub fn evaluate_store(
                 }
             }
         }
-        predictions.extend(shard_predictions);
     }
 
     let mut reports = BTreeMap::new();
@@ -126,7 +123,7 @@ pub fn evaluate_store(
         }
         reports.insert(task, report);
     }
-    Ok(Evaluation { reports, predictions })
+    Ok(Evaluation { reports })
 }
 
 /// Feeds one scored example into the right per-group accumulator,
@@ -144,61 +141,55 @@ fn accumulate(per_task: &mut BTreeMap<String, MetricsAccumulator>, group: String
     }
 }
 
-fn score_one(kind: &TaskKind, output: &TaskOutput, gold: &TaskLabel) -> Option<Scored> {
-    match (kind, output, gold) {
+/// Scores one head's logits against gold; `None` when the task kind, the
+/// head's decode and the gold label do not fit together, or a sequence's
+/// length differs from its gold's.
+fn score_one(kind: &TaskKind, head: &HeadLogits, gold: &TaskLabel) -> Option<Scored> {
+    let gold_row = |labels: &[String], set: &[String]| -> Vec<bool> {
+        labels.iter().map(|l| set.iter().any(|b| b == l)).collect()
+    };
+    match (kind, head.head.decode, gold) {
         (
             TaskKind::Multiclass { classes },
-            TaskOutput::Multiclass { class, .. },
+            Decode::Single { bce: false },
             TaskLabel::MulticlassOne(g),
         ) => {
             let gold_idx = classes.iter().position(|c| c == g)?;
-            Some(Scored::Multiclass(vec![(*class, gold_idx)], classes.len()))
+            Some(Scored::Multiclass(vec![(head.argmax(), gold_idx)], classes.len()))
         }
         (
             TaskKind::Multiclass { classes },
-            TaskOutput::MulticlassSeq { classes: preds },
+            Decode::PerElement { bce: false },
             TaskLabel::MulticlassSeq(golds),
         ) => {
-            if preds.len() != golds.len() {
+            if head.rows().len() != golds.len() {
                 return None;
             }
-            let pairs: Option<Vec<(usize, usize)>> = preds
-                .iter()
-                .zip(golds)
-                .map(|(p, g)| classes.iter().position(|c| c == g).map(|gi| (*p, gi)))
+            let pairs: Option<Vec<(usize, usize)>> = (head.row_argmax().zip(golds))
+                .map(|(p, g)| classes.iter().position(|c| c == g).map(|gi| (p, gi)))
                 .collect();
             Some(Scored::Multiclass(pairs?, classes.len()))
         }
         (
             TaskKind::Bitvector { labels },
-            TaskOutput::Bits { bits, .. },
+            Decode::Single { bce: true },
             TaskLabel::BitvectorOne(gold_bits),
-        ) => {
-            let gold_row: Vec<bool> =
-                labels.iter().map(|l| gold_bits.iter().any(|b| b == l)).collect();
-            Some(Scored::Bits(vec![(bits.clone(), gold_row)]))
-        }
+        ) => Some(Scored::Bits(vec![(head.bits().collect(), gold_row(labels, gold_bits))])),
         (
             TaskKind::Bitvector { labels },
-            TaskOutput::BitsSeq { rows },
+            Decode::PerElement { bce: true },
             TaskLabel::BitvectorSeq(gold_rows),
         ) => {
-            if rows.len() != gold_rows.len() {
+            if head.rows().len() != gold_rows.len() {
                 return None;
             }
-            let pairs = rows
-                .iter()
-                .zip(gold_rows)
-                .map(|(p, g)| {
-                    let gold_row: Vec<bool> =
-                        labels.iter().map(|l| g.iter().any(|b| b == l)).collect();
-                    (p.clone(), gold_row)
-                })
+            let pairs = (head.row_bits().zip(gold_rows))
+                .map(|(p, g)| (p.collect(), gold_row(labels, g)))
                 .collect();
             Some(Scored::Bits(pairs))
         }
-        (TaskKind::Select, TaskOutput::Select { index, .. }, TaskLabel::Select(gold_idx)) => {
-            Some(Scored::Correct(index == gold_idx))
+        (TaskKind::Select, Decode::Select, TaskLabel::Select(gold_idx)) => {
+            Some(Scored::Correct(head.argmax() == *gold_idx))
         }
         _ => None,
     }
@@ -209,6 +200,7 @@ mod tests {
     use super::*;
     use crate::config::ModelConfig;
     use crate::network::CompiledModel;
+    use crate::serve::{DeployableModel, ServedOutput, Server};
     use overton_nlp::{generate_workload, WorkloadConfig};
     use overton_store::Dataset;
 
@@ -237,7 +229,7 @@ mod tests {
 
     #[test]
     fn untrained_model_produces_reports_for_all_tasks() {
-        let (_, store, space, model) = setup();
+        let (ds, store, space, model) = setup();
         let eval = evaluate_test(&store, &space, &model);
         for task in ["Intent", "POS", "EntityType", "IntentArg"] {
             let report = &eval.reports[task];
@@ -245,7 +237,10 @@ mod tests {
             assert!(overall.count > 0);
             assert!((0.0..=1.0).contains(&overall.accuracy));
         }
-        assert_eq!(eval.predictions.len(), store.index().test_rows().len());
+        // Every test row with gold is scored.
+        let gold = |i: &&usize| ds.records()[**i].gold("Intent").is_some();
+        let with_gold = ds.test_indices().iter().filter(gold).count();
+        assert_eq!(eval.reports["Intent"].overall().map(|m| m.count), Some(with_gold));
     }
 
     #[test]
@@ -292,28 +287,28 @@ mod tests {
     fn evaluation_is_shard_count_invariant() {
         let (ds, _, space, model) = setup();
         let reference = evaluate_test(&ds.seal_shards(1), &space, &model);
-        let order =
-            |eval: &Evaluation| eval.predictions.iter().map(|(i, _)| *i).collect::<Vec<_>>();
         for shards in [4, 7] {
             let store = ds.seal_shards(shards).with_scan_workers(2);
             let sharded = evaluate_test(&store, &space, &model);
             assert_eq!(sharded.reports, reference.reports, "{shards} shards");
-            assert_eq!(order(&sharded), order(&reference), "{shards} shards");
         }
     }
 
     #[test]
     fn evaluation_matches_a_per_row_recount() {
         // Recount IntentArg (a select task) overall and per slice straight
-        // from the returned predictions against each record's gold index.
+        // from the served responses against each record's gold index.
         let (ds, store, space, model) = setup();
         let eval = evaluate_test(&store, &space, &model);
+        let server = Server::load(&DeployableModel::package(&model, &space, BTreeMap::new()));
+        let records: Vec<Record> =
+            ds.test_indices().iter().map(|&i| ds.records()[i].clone()).collect();
         let mut counts: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for (i, prediction) in &eval.predictions {
-            let record = &ds.records()[*i];
+        for (record, response) in records.iter().zip(server.predict_batch(&records)) {
             let Some(TaskLabel::Select(gold)) = record.gold("IntentArg") else { continue };
-            let Some(TaskOutput::Select { index, .. }) = prediction.tasks.get("IntentArg") else {
-                panic!("row {i}: no IntentArg output")
+            let response = response.expect("a test record is served");
+            let Some(ServedOutput::Select { index, .. }) = response.tasks.get("IntentArg") else {
+                panic!("no IntentArg output")
             };
             let groups = std::iter::once("overall".to_string())
                 .chain(record.slices().map(|s| s.to_string()));

@@ -64,11 +64,11 @@ impl FeatureSpace {
 
     /// Encodes a batch of records into model-ready examples (no targets).
     ///
-    /// The counterpart of
-    /// [`CompiledModel::predict_batch`](crate::CompiledModel::predict_batch)
-    /// on the input side: the examples of a batch are encoded together,
-    /// then their rows are stacked so each layer of the forward runs once
-    /// per batch. `record_index` is the position within the batch.
+    /// The input side of the batched inference forward that
+    /// [`Server::predict_batch`](crate::Server::predict_batch) and
+    /// evaluation run: the examples of a batch are encoded together, then
+    /// their rows are stacked so each layer of the forward runs once per
+    /// batch. `record_index` is the position within the batch.
     pub fn encode_batch(&self, records: &[Record], schema: &Schema) -> Vec<CompiledExample> {
         records
             .iter()

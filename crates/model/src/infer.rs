@@ -10,37 +10,38 @@
 //! shared row) is a step of its own that walks the batch's segment bounds;
 //! every affine layer is one step over the whole stack.
 //!
-//! The plan has two executors. Inference ([`Plan::infer`], the one path
-//! every prediction runs — evaluation, dev selection, search,
-//! distillation and serving) lays every slot out in one zeroed `f32` arena
-//! per call and runs the steps in place: GEMMs write straight into their
-//! output slot, and segment steps read stacked rows where they lie, so no
-//! step copies an example out. It then hands each example's head and
-//! indicator logits ([`Logits`]) to its caller where they lie in the
-//! arena. [`Plan::predict_batch`] decodes them into a [`Prediction`] for
-//! evaluation, dev selection and distillation; serving builds its
-//! responses from them directly, with no `Prediction` in between
-//! (`serve.rs`). Training runs the same steps forward, then each step's
-//! hand-written vector-Jacobian product backward, over arenas of the same
-//! layout (`backprop.rs`).
+//! The plan has two executors. Inference ([`Plan::infer`]) lays every slot
+//! out in one zeroed `f32` arena per call and runs the steps in place:
+//! GEMMs write straight into their output slot, and segment steps read
+//! stacked rows where they lie, so no step copies an example out. It then
+//! hands each example's head and indicator logits ([`Logits`]) to its
+//! caller where they lie in the arena. The decode rules live here once,
+//! as methods on [`HeadLogits`] and [`Logits`]: first-max argmax, softmax
+//! into the caller's scratch, the two bit thresholds and the slice
+//! probability. Every consumer reads its answer through them, in place:
+//! serving builds its responses (`serve.rs`), evaluation scores against
+//! gold (`evaluate.rs`), dev selection and search score against targets
+//! (`trainer.rs`), and distillation softens targets (`distill.rs`), all
+//! through [`CompiledModel::infer`]. Training runs the same steps forward,
+//! then each step's hand-written vector-Jacobian product backward, over
+//! arenas of the same layout (`backprop.rs`).
 //!
 //! What mixes rows runs per example and GEMM rows are independent of each
-//! other, so a batched prediction is **bit-identical** to predicting each
-//! example alone (tested over every encoder, aggregation and head kind, in
-//! mixed batches).
+//! other, so each example's logits in a batch are **bit-identical** to
+//! running it alone (tested over every encoder, aggregation and head
+//! kind, in mixed batches).
 
 use crate::features::CompiledExample;
-use crate::network::{CompiledModel, Prediction, TaskOutput};
+use crate::network::CompiledModel;
 use crate::AggregationKind;
 use overton_tensor::nn::{Dropout, Lstm, MultiHeadSelfAttention};
 use overton_tensor::{matmul_into, softmax_in_place, stable_sigmoid, ParamId, ParamStore};
-use std::collections::BTreeMap;
 use std::ops::Range;
+use std::slice::ChunksExact;
 
 /// The most examples one forward stacks: the serving pool's default
-/// `max_batch`. [`CompiledModel::predict_batch`] and
-/// [`crate::Server::predict_batch`] feed the forward in chunks of this
-/// size, so memory follows the chunk and not the caller's input.
+/// `max_batch`. [`CompiledModel::infer`] feeds the forward in chunks of
+/// this size, so memory follows the chunk and not the caller's input.
 pub(crate) const MAX_BATCH: usize = 32;
 
 /// What a slot's rows stack.
@@ -275,20 +276,6 @@ impl Plan {
         example.sequences.get(&self.sequences[p]).is_some_and(|ids| !ids.is_empty())
     }
 
-    /// Runs the plan over a batch and decodes every task output, in input
-    /// order: [`Plan::infer`], with each example's logits decoded into a
-    /// [`Prediction`]. `model` must be the model this plan was lowered
-    /// from.
-    pub(crate) fn predict_batch(
-        &self,
-        model: &CompiledModel,
-        examples: &[CompiledExample],
-    ) -> Vec<Prediction> {
-        let mut predictions = Vec::with_capacity(examples.len());
-        self.infer(model, examples, |_, logits| predictions.push(decode(&logits)));
-        predictions
-    }
-
     /// Runs the plan over a batch (dropout is off, as in any inference
     /// pass) and hands `each` every example's index and [`Logits`], in
     /// input order. `model` must be the model this plan was lowered from:
@@ -299,8 +286,8 @@ impl Plan {
     /// next. A row's result does not depend on which rows share a product
     /// (see `overton_tensor::kernels`), so each example's logits are
     /// bit-identical to running it alone. The arena grows with the batch;
-    /// [`CompiledModel::predict_batch`] and [`crate::Server::predict_batch`]
-    /// chunk their input to 32 examples.
+    /// callers go through [`CompiledModel::infer`], which chunks its input
+    /// to [`MAX_BATCH`] examples.
     pub(crate) fn infer(
         &self,
         model: &CompiledModel,
@@ -605,9 +592,9 @@ impl<'a> Logits<'a> {
         &self.arena[self.regions[s].clone()]
     }
 
-    /// The heads with an output for this example, in plan order: a
-    /// sequence head needs its payload present, a select head a nonempty
-    /// set.
+    /// The heads with an output for this example, in plan order (which is
+    /// task-name order): a sequence head needs its payload present, a
+    /// select head a nonempty set.
     pub(crate) fn heads(&self) -> impl Iterator<Item = HeadLogits<'a>> + '_ {
         let (plan, b) = (self.plan, self.b);
         plan.heads.iter().enumerate().filter_map(move |(index, head)| {
@@ -628,6 +615,61 @@ impl<'a> Logits<'a> {
     pub(crate) fn indicators(&self) -> impl Iterator<Item = &'a [f32]> + '_ {
         self.plan.indicators.iter().map(|&s| &self.slot(s)[2 * self.b..2 * self.b + 2])
     }
+
+    /// Per slice, the predicted membership probability: the sigmoid of
+    /// the member logit's lead over the non-member one.
+    pub(crate) fn slice_probs(&self) -> impl Iterator<Item = f32> + '_ {
+        self.indicators().map(|row| stable_sigmoid(row[1] - row[0]))
+    }
+}
+
+impl<'a> HeadLogits<'a> {
+    /// The logits row by row: one row for a singleton head, one per token
+    /// for a per-element head, one one-wide row per element for a select
+    /// head.
+    pub(crate) fn rows(&self) -> ChunksExact<'a, f32> {
+        self.values.chunks_exact(self.width)
+    }
+
+    /// The first largest logit's index: a singleton multiclass head's
+    /// class, or a select head's element.
+    pub(crate) fn argmax(&self) -> usize {
+        argmax(self.values)
+    }
+
+    /// Per row, its first largest logit's index: a per-element multiclass
+    /// head's classes.
+    pub(crate) fn row_argmax(&self) -> impl Iterator<Item = usize> + 'a {
+        self.rows().map(argmax)
+    }
+
+    /// The softmax of the logits, left in `dist` (the caller's scratch),
+    /// and [`HeadLogits::argmax`] with its probability (zero where there
+    /// is none): a singleton multiclass or a select head's distribution.
+    pub(crate) fn softmax(&self, dist: &mut Vec<f32>) -> (usize, f32) {
+        dist.clear();
+        dist.extend_from_slice(self.values);
+        softmax_in_place(dist);
+        let best = self.argmax();
+        (best, dist.get(best).copied().unwrap_or(0.0))
+    }
+
+    /// Per label, its sigmoid probability: a singleton bitvector head's.
+    pub(crate) fn probs(&self) -> impl Iterator<Item = f32> + 'a {
+        self.values.iter().map(|&x| stable_sigmoid(x))
+    }
+
+    /// A singleton bitvector head's bits: a probability above one half.
+    pub(crate) fn bits(&self) -> impl Iterator<Item = bool> + 'a {
+        self.probs().map(|p| p > 0.5)
+    }
+
+    /// A per-element bitvector head's bits, row by row: a logit above
+    /// zero. This is not the singleton rule: for a tiny positive logit the
+    /// f32 sigmoid rounds to exactly one half, so the two disagree.
+    pub(crate) fn row_bits(&self) -> impl Iterator<Item = impl Iterator<Item = bool> + 'a> + 'a {
+        self.rows().map(|row| row.iter().map(|&x| x > 0.0))
+    }
 }
 
 /// Adds the mean of `len` rows into the zeroed `out`: each row times
@@ -640,12 +682,13 @@ fn mean_into<'a>(out: &mut [f32], rows: impl Iterator<Item = &'a [f32]>, len: us
     }
 }
 
-/// How a head's raw logits decode into a [`TaskOutput`].
+/// How a head's raw logits decode, through the [`HeadLogits`] methods.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Decode {
-    /// Per-row argmax, or per-row thresholded bits with `bce`.
+    /// Per-row argmax, or per-row bits (logit above zero) with `bce`.
     PerElement { bce: bool },
-    /// Softmax distribution, or sigmoid bits with `bce`.
+    /// Softmax distribution, or sigmoid bits (probability above one half)
+    /// with `bce`.
     Single { bce: bool },
     /// Softmax over set elements.
     Select,
@@ -660,41 +703,6 @@ pub(crate) fn argmax(xs: &[f32]) -> usize {
         }
     }
     best
-}
-
-/// Decodes one example's logits into a [`Prediction`].
-fn decode(logits: &Logits) -> Prediction {
-    let mut tasks = BTreeMap::new();
-    for HeadLogits { head, values, width, .. } in logits.heads() {
-        let output = match head.decode {
-            Decode::PerElement { bce: false } => TaskOutput::MulticlassSeq {
-                classes: values.chunks_exact(width).map(argmax).collect(),
-            },
-            Decode::PerElement { bce: true } => TaskOutput::BitsSeq {
-                rows: values
-                    .chunks_exact(width)
-                    .map(|row| row.iter().map(|&x| x > 0.0).collect())
-                    .collect(),
-            },
-            Decode::Single { bce: false } => {
-                let mut dist = values.to_vec();
-                softmax_in_place(&mut dist);
-                TaskOutput::Multiclass { class: argmax(values), dist }
-            }
-            Decode::Single { bce: true } => {
-                let probs: Vec<f32> = values.iter().map(|&x| stable_sigmoid(x)).collect();
-                TaskOutput::Bits { bits: probs.iter().map(|&p| p > 0.5).collect(), probs }
-            }
-            Decode::Select => {
-                let mut dist = values.to_vec();
-                softmax_in_place(&mut dist);
-                TaskOutput::Select { index: argmax(values), dist }
-            }
-        };
-        tasks.insert(head.task.clone(), output);
-    }
-    let slice_probs = logits.indicators().map(|row| stable_sigmoid(row[1] - row[0])).collect();
-    Prediction { tasks, slice_probs }
 }
 
 #[cfg(test)]
@@ -739,7 +747,7 @@ mod tests {
         assert!(lengths.len() > 2, "the batch must mix sequence lengths");
         assert!(exs.len() <= MAX_BATCH, "one forward over the whole batch");
 
-        let mut outputs = std::collections::HashSet::new();
+        let mut kinds = std::collections::HashSet::new();
         for encoder in oracle::ENCODERS {
             for slice_heads in [true, false] {
                 for aggregation in [AggregationKind::Mean, AggregationKind::Max] {
@@ -755,25 +763,29 @@ mod tests {
                             *x += rng.gen_range(-0.2f32..0.2);
                         }
                     }
-                    let batch = model.inference.predict_batch(&model, &exs);
+                    let batch = oracle::raw_logits(&model, &exs);
                     assert_eq!(batch.len(), exs.len());
                     for (ex, fast) in exs.iter().zip(&batch) {
                         assert_eq!(
-                            format!("{fast:?}"),
-                            format!("{:?}", model.predict(ex)),
+                            oracle::raw_logits(&model, std::slice::from_ref(ex)),
+                            std::slice::from_ref(fast),
                             "{config:?} diverged from the example run alone"
                         );
-                        assert_eq!(fast.slice_probs.is_empty(), !slice_heads);
-                        outputs.extend(fast.tasks.values().map(std::mem::discriminant));
+                        assert_eq!(fast.indicators.is_empty(), !slice_heads);
+                        let plan = &model.inference;
+                        kinds.extend(fast.heads.iter().map(|(task, _)| {
+                            let head = plan.heads.iter().find(|h| &h.task == task).expect("head");
+                            format!("{:?}", head.decode)
+                        }));
                     }
                 }
             }
         }
-        assert_eq!(outputs.len(), 5, "every head kind must be decoded");
+        assert_eq!(kinds.len(), 5, "every head kind must run: {kinds:?}");
     }
 
     /// One model over a run of batches of different sizes and contents:
-    /// every answer must be the bits of its example predicted alone, so no
+    /// every example's logits must be the bits of its run alone, so no
     /// slot can carry state from an earlier batch or a larger one.
     #[test]
     fn slot_reuse_cannot_leak_state() {
@@ -804,9 +816,9 @@ mod tests {
             let config = ModelConfig { encoder, ..Default::default() };
             let model = CompiledModel::compile(&schema, &space, &config, None);
             for batch in batches {
-                for (ex, pred) in batch.iter().zip(model.predict_batch(batch)) {
-                    let alone = model.predict(ex);
-                    assert_eq!(format!("{pred:?}"), format!("{alone:?}"), "{encoder:?}");
+                for (ex, logits) in batch.iter().zip(oracle::raw_logits(&model, batch)) {
+                    let alone = oracle::raw_logits(&model, std::slice::from_ref(ex));
+                    assert_eq!(alone, [logits], "{encoder:?}");
                 }
             }
         }

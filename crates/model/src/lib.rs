@@ -34,7 +34,7 @@ pub use config::{
 pub use distill::{distill, soften_targets};
 pub use evaluate::{evaluate_store, Evaluation};
 pub use features::{gold_to_prob, CompiledExample, FeatureSpace};
-pub use network::{CompiledModel, Prediction, TaskOutput};
+pub use network::CompiledModel;
 pub use pretrained::{pretrain, PretrainConfig, PretrainedEncoder};
 pub use registry::{ArtifactEntry, ArtifactId, ModelRegistry};
 pub use search::{search, train_chosen, SearchConfig, TrialResult, Winner};

@@ -26,7 +26,9 @@
 
 use crate::config::{AggregationKind, EmbeddingKind, EncoderKind, ModelConfig};
 use crate::features::{CompiledExample, FeatureSpace};
-use crate::infer::{Act, Decode, HeadOut, Leaves, Op, Plan, Rows, Slot, SlotDef, Step, MAX_BATCH};
+use crate::infer::{
+    Act, Decode, HeadOut, Leaves, Logits, Op, Plan, Rows, Slot, SlotDef, Step, MAX_BATCH,
+};
 use crate::pretrained::PretrainedEncoder;
 use overton_store::{PayloadKind, Schema, TaskKind};
 use overton_tensor::nn::{
@@ -144,51 +146,6 @@ pub struct CompiledModel {
     pub(crate) singleton_order: Vec<String>,
     /// The layers lowered once into steps: the plan both executors run.
     pub(crate) inference: Plan,
-}
-
-/// A decoded prediction for one task.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TaskOutput {
-    /// Singleton multiclass: winning class and the full distribution.
-    Multiclass {
-        /// Argmax class index.
-        class: usize,
-        /// Softmax distribution.
-        dist: Vec<f32>,
-    },
-    /// Sequence multiclass: winning class per element.
-    MulticlassSeq {
-        /// Argmax class per sequence element.
-        classes: Vec<usize>,
-    },
-    /// Singleton bitvector: thresholded bits and probabilities.
-    Bits {
-        /// `probs[i] > 0.5`.
-        bits: Vec<bool>,
-        /// Sigmoid probabilities.
-        probs: Vec<f32>,
-    },
-    /// Sequence bitvector: thresholded bits per element.
-    BitsSeq {
-        /// Bits per sequence element.
-        rows: Vec<Vec<bool>>,
-    },
-    /// Select: chosen element index and distribution over elements.
-    Select {
-        /// Argmax element.
-        index: usize,
-        /// Softmax distribution over set elements.
-        dist: Vec<f32>,
-    },
-}
-
-/// Decoded model output for one example.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Prediction {
-    /// Per-task outputs (a task is absent if its payload was empty).
-    pub tasks: BTreeMap<String, TaskOutput>,
-    /// Predicted slice-membership probabilities (empty without slice heads).
-    pub slice_probs: Vec<f32>,
 }
 
 impl CompiledModel {
@@ -504,21 +461,21 @@ impl CompiledModel {
         plan
     }
 
-    /// [`CompiledModel::predict_batch`] over a batch of one.
-    pub fn predict(&self, example: &CompiledExample) -> Prediction {
-        self.predict_batch(std::slice::from_ref(example)).pop().expect("one prediction")
-    }
-
-    /// Runs inference over a batch and decodes every task output, in input
-    /// order: the plan run in place over one arena per chunk, with f32
-    /// weights read in place, fed chunks of at most 32 examples so memory
-    /// stays bounded whatever the input length. Outputs are bit-identical
-    /// to predicting each example alone.
-    pub fn predict_batch(&self, examples: &[CompiledExample]) -> Vec<Prediction> {
-        examples
-            .chunks(MAX_BATCH)
-            .flat_map(|chunk| self.inference.predict_batch(self, chunk))
-            .collect()
+    /// Runs the plan over `examples` and hands `each` every example's
+    /// index in `examples` and its [`Logits`], in input order: the one
+    /// inference entry, through which serving, evaluation, dev selection
+    /// and distillation read their answers in place. The plan runs over
+    /// chunks of at most [`MAX_BATCH`] examples, so memory follows the
+    /// chunk and not the input, and each example's logits are
+    /// bit-identical to running it alone.
+    pub(crate) fn infer(
+        &self,
+        examples: &[CompiledExample],
+        mut each: impl FnMut(usize, Logits<'_>),
+    ) {
+        for (c, chunk) in examples.chunks(MAX_BATCH).enumerate() {
+            self.inference.infer(self, chunk, |b, logits| each(c * MAX_BATCH + b, logits));
+        }
     }
 }
 
@@ -580,6 +537,8 @@ mod tests {
     use crate::config::TrainConfig;
     use crate::features::gold_to_prob;
     use crate::infer::Batch;
+    use crate::oracle::raw_logits;
+    use crate::serve::{DeployableModel, ServedOutput, Server};
     use overton_nlp::{generate_workload, WorkloadConfig};
     use overton_store::Dataset;
 
@@ -644,8 +603,8 @@ mod tests {
         for kind in crate::oracle::ENCODERS {
             let model = compile(&ds, &space, kind);
             let ex = CompiledExample::from_record(&ds.records()[0], 0, &space, ds.schema());
-            let pred = model.predict(&ex);
-            assert!(pred.tasks.contains_key("Intent"), "{kind:?} lost the Intent head");
+            let logits = &raw_logits(&model, &[ex])[0];
+            assert!(logits.head("Intent").is_some(), "{kind:?} lost the Intent head");
         }
     }
 
@@ -681,15 +640,15 @@ mod tests {
     fn predictions_decode_all_tasks() {
         let (ds, space) = setup();
         let model = compile(&ds, &space, EncoderKind::MeanBag);
-        let ex = CompiledExample::from_record(&ds.records()[0], 0, &space, ds.schema());
-        let pred = model.predict(&ex);
-        assert!(matches!(pred.tasks["Intent"], TaskOutput::Multiclass { .. }));
-        assert!(matches!(pred.tasks["POS"], TaskOutput::MulticlassSeq { .. }));
-        assert!(matches!(pred.tasks["EntityType"], TaskOutput::BitsSeq { .. }));
-        assert!(matches!(pred.tasks["IntentArg"], TaskOutput::Select { .. }));
-        assert_eq!(pred.slice_probs.len(), space.slice_names.len());
-        if let TaskOutput::Multiclass { dist, .. } = &pred.tasks["Intent"] {
-            let s: f32 = dist.iter().sum();
+        let server = Server::load(&DeployableModel::package(&model, &space, BTreeMap::new()));
+        let response = server.predict(&ds.records()[0]).expect("a valid record");
+        assert!(matches!(response.tasks["Intent"], ServedOutput::Multiclass { .. }));
+        assert!(matches!(response.tasks["POS"], ServedOutput::MulticlassSeq { .. }));
+        assert!(matches!(response.tasks["EntityType"], ServedOutput::BitsSeq { .. }));
+        assert!(matches!(response.tasks["IntentArg"], ServedOutput::Select { .. }));
+        assert_eq!(response.slices.len(), space.slice_names.len());
+        if let ServedOutput::Multiclass { dist, .. } = &response.tasks["Intent"] {
+            let s: f32 = dist.iter().map(|(_, p)| p).sum();
             assert!((s - 1.0).abs() < 1e-4);
         }
     }
@@ -703,10 +662,10 @@ mod tests {
             .iter()
             .map(|&i| CompiledExample::from_record(&ds.records()[i], i, &space, ds.schema()))
             .collect();
-        let batched = model.predict_batch(&examples);
+        let batched = raw_logits(&model, &examples);
         assert_eq!(batched.len(), examples.len());
-        for (ex, pred) in examples.iter().zip(&batched) {
-            assert_eq!(*pred, model.predict(ex), "batched path diverged");
+        for (ex, logits) in examples.iter().zip(&batched) {
+            assert_eq!(raw_logits(&model, std::slice::from_ref(ex)), std::slice::from_ref(logits));
         }
     }
 
@@ -716,8 +675,7 @@ mod tests {
         let config = ModelConfig { slice_heads: false, ..Default::default() };
         let model = CompiledModel::compile(ds.schema(), &space, &config, None);
         let ex = CompiledExample::from_record(&ds.records()[0], 0, &space, ds.schema());
-        let pred = model.predict(&ex);
-        assert!(pred.slice_probs.is_empty());
+        assert!(raw_logits(&model, &[ex])[0].indicators.is_empty());
     }
 
     #[test]
@@ -727,7 +685,8 @@ mod tests {
         let b = compile(&ds, &space, EncoderKind::Cnn);
         assert_eq!(a.num_weights(), b.num_weights());
         let ex = CompiledExample::from_record(&ds.records()[3], 3, &space, ds.schema());
-        assert_eq!(a.predict(&ex), b.predict(&ex));
+        let exs = std::slice::from_ref(&ex);
+        assert_eq!(raw_logits(&a, exs), raw_logits(&b, exs));
     }
 
     #[test]
@@ -736,8 +695,8 @@ mod tests {
         let model = compile(&ds, &space, EncoderKind::Cnn);
         let mut ex = CompiledExample::from_record(&ds.records()[0], 0, &space, ds.schema());
         ex.sets.get_mut("entities").unwrap().clear();
-        let pred = model.predict(&ex);
-        assert!(!pred.tasks.contains_key("IntentArg"));
-        assert!(pred.tasks.contains_key("Intent"));
+        let logits = &raw_logits(&model, &[ex])[0];
+        assert!(logits.head("IntentArg").is_none());
+        assert!(logits.head("Intent").is_some());
     }
 }

@@ -1,11 +1,14 @@
 //! Fixtures shared by the bit-identity and gradient tests: a schema and
-//! examples that reach every branch of the model plan, and a soft-target
-//! training set with the edge cases a stacked batch must line up around.
-//! The per-example reference they feed is the training executor itself,
-//! run as a batch of one per example (`trainer.rs`).
+//! examples that reach every branch of the model plan, a soft-target
+//! training set with the edge cases a stacked batch must line up around,
+//! and each example's raw logits copied out of an inference run. The
+//! per-example reference they feed is the training executor itself, run
+//! as a batch of one per example (`trainer.rs`), or the inference
+//! executor over a batch of one.
 
 use crate::config::EncoderKind;
 use crate::features::{gold_to_prob, CompiledExample, FeatureSpace};
+use crate::network::CompiledModel;
 use overton_store::{Dataset, PayloadDef, PayloadKind, Schema, TaskDef, TaskKind};
 use overton_supervision::ProbLabel;
 
@@ -17,6 +20,38 @@ pub(crate) const ENCODERS: [EncoderKind; 5] = [
     EncoderKind::BiLstm,
     EncoderKind::Attention,
 ];
+
+/// One example's raw outputs as bits, copied out of an inference run's
+/// arena: per head with an output for it, in plan order, its task and its
+/// row-major logits, and per slice the indicator's `[non-member, member]`
+/// logits.
+#[derive(Debug, PartialEq)]
+pub(crate) struct RawLogits {
+    pub(crate) heads: Vec<(String, Vec<u32>)>,
+    pub(crate) indicators: Vec<[u32; 2]>,
+}
+
+impl RawLogits {
+    /// The logits of `task`'s head, if it has an output.
+    pub(crate) fn head(&self, task: &str) -> Option<Vec<f32>> {
+        let (_, bits) = self.heads.iter().find(|(t, _)| t == task)?;
+        Some(bits.iter().map(|&b| f32::from_bits(b)).collect())
+    }
+}
+
+/// Each example's [`RawLogits`] from `model`'s inference entry, in input
+/// order.
+pub(crate) fn raw_logits(model: &CompiledModel, examples: &[CompiledExample]) -> Vec<RawLogits> {
+    let mut out = Vec::with_capacity(examples.len());
+    model.infer(examples, |_, logits| {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect();
+        out.push(RawLogits {
+            heads: logits.heads().map(|h| (h.head.task.clone(), bits(h.values))).collect(),
+            indicators: logits.indicators().map(|r| [r[0].to_bits(), r[1].to_bits()]).collect(),
+        });
+    });
+    out
+}
 
 /// The workload schema plus what it lacks to reach every forward
 /// branch: a singleton bitvector head, a singleton built on another

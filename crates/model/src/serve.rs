@@ -9,10 +9,9 @@
 
 use crate::config::ModelConfig;
 use crate::features::{CompiledExample, FeatureSpace};
-use crate::infer::{argmax, Decode, HeadLogits, Logits, MAX_BATCH};
+use crate::infer::{Decode, Logits, MAX_BATCH};
 use crate::network::CompiledModel;
 use overton_store::{PayloadValue, Record, Schema, ServingSignature, StoreError, TaskKind};
-use overton_tensor::{softmax_in_place, stable_sigmoid};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -223,7 +222,7 @@ impl Server {
                 .iter()
                 .map(|&i| CompiledExample::from_record(&records[i], i, &self.space, schema))
                 .collect();
-            self.model.inference.infer(&self.model, &examples, |b, logits| {
+            self.model.infer(&examples, |b, logits| {
                 let i = chunk[b];
                 out[i] = Some(self.respond(&records[i], &logits, &mut dist));
             });
@@ -231,12 +230,12 @@ impl Server {
         out.into_iter().map(|r| r.expect("every slot filled")).collect()
     }
 
-    /// Builds one record's response from its logits: the same arithmetic
-    /// as [`crate::CompiledModel::predict`]'s decode, answered with
-    /// interned names. `dist` is scratch for a softmax. A head whose
-    /// output disagrees with the schema's task kind is an error (a
-    /// desynchronized artifact must not silently drop tasks from the
-    /// response).
+    /// Builds one record's response from its logits, read in place through
+    /// the decode rules evaluation, dev selection and distillation read
+    /// them through too (`infer.rs`), and answered with interned names.
+    /// `dist` is scratch for a softmax. A head whose output disagrees with
+    /// the schema's task kind is an error (a desynchronized artifact must
+    /// not silently drop tasks from the response).
     fn respond(
         &self,
         record: &Record,
@@ -245,11 +244,11 @@ impl Server {
     ) -> Result<ServingResponse, StoreError> {
         let mut tasks = BTreeMap::new();
         let mut confidence = 1.0f32;
-        for HeadLogits { index, values, width, .. } in logits.heads() {
-            let (task, answer) = &self.answers[index];
+        for head in logits.heads() {
+            let (task, answer) = &self.answers[head.index];
             let served = match answer {
                 Answer::Multiclass(classes) => {
-                    let (class, p) = softmax(values, dist);
+                    let (class, p) = head.softmax(dist);
                     confidence = confidence.min(p);
                     ServedOutput::Multiclass {
                         class: classes[class].clone(),
@@ -257,22 +256,14 @@ impl Server {
                     }
                 }
                 Answer::MulticlassSeq(classes) => ServedOutput::MulticlassSeq {
-                    classes: values
-                        .chunks_exact(width)
-                        .map(|row| classes[argmax(row)].clone())
-                        .collect(),
+                    classes: head.row_argmax().map(|class| classes[class].clone()).collect(),
                 },
-                Answer::Bits(labels) => ServedOutput::Bits {
-                    set: set_bits(labels, values, |x| stable_sigmoid(x) > 0.5),
-                },
+                Answer::Bits(labels) => ServedOutput::Bits { set: set_bits(labels, head.bits()) },
                 Answer::BitsSeq(labels) => ServedOutput::BitsSeq {
-                    rows: values
-                        .chunks_exact(width)
-                        .map(|row| set_bits(labels, row, |x| x > 0.0))
-                        .collect(),
+                    rows: head.row_bits().map(|bits| set_bits(labels, bits)).collect(),
                 },
                 Answer::Select(payload) => {
-                    let (index, p) = softmax(values, dist);
+                    let (index, p) = head.softmax(dist);
                     confidence = confidence.min(p);
                     let id = match record.payloads.get(payload) {
                         Some(PayloadValue::Set(els)) => {
@@ -291,26 +282,14 @@ impl Server {
             };
             tasks.insert(task.clone(), served);
         }
-        let slices = (self.slices.iter().zip(logits.indicators()))
-            .map(|(name, row)| (name.clone(), stable_sigmoid(row[1] - row[0])))
-            .collect();
+        let slices = self.slices.iter().cloned().zip(logits.slice_probs()).collect();
         Ok(ServingResponse { tasks, slices, confidence })
     }
 }
 
-/// The softmax of `logits`, left in `dist`, and the first largest logit's
-/// index with its probability (zero where there is none).
-fn softmax(logits: &[f32], dist: &mut Vec<f32>) -> (usize, f32) {
-    dist.clear();
-    dist.extend_from_slice(logits);
-    softmax_in_place(dist);
-    let best = argmax(logits);
-    (best, dist.get(best).copied().unwrap_or(0.0))
-}
-
-/// The labels whose logit passes `set`, in label order.
-fn set_bits(labels: &[Arc<str>], logits: &[f32], set: impl Fn(f32) -> bool) -> Vec<Arc<str>> {
-    labels.iter().zip(logits).filter(|(_, &x)| set(x)).map(|(l, _)| l.clone()).collect()
+/// The labels whose bit is set, in label order.
+fn set_bits(labels: &[Arc<str>], bits: impl Iterator<Item = bool>) -> Vec<Arc<str>> {
+    labels.iter().zip(bits).filter(|(_, set)| *set).map(|(l, _)| l.clone()).collect()
 }
 
 /// A synchronized large/small model pair trained on the same data (§2.4:
@@ -338,11 +317,10 @@ impl ModelPair {
 mod tests {
     use super::*;
     use crate::config::{EncoderKind, ModelConfig};
-    use crate::network::{Prediction, TaskOutput};
-    use crate::oracle;
+    use crate::oracle::{self, RawLogits};
     use overton_nlp::{generate_workload, WorkloadConfig};
-    use overton_store::{Dataset, SetElement};
-    use overton_tensor::ParamId;
+    use overton_store::{Dataset, PayloadKind, SetElement};
+    use overton_tensor::{softmax_in_place, stable_sigmoid, ParamId};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -368,22 +346,10 @@ mod tests {
         let server = Server::load(&loaded);
         let record = &ds.records()[ds.test_indices()[0]];
         let response = server.predict(record).unwrap();
+        assert!(matches!(response.tasks.get("Intent"), Some(ServedOutput::Multiclass { .. })));
         // Same record through the original model must agree.
-        let example = CompiledExample::from_record(record, 0, &space, ds.schema());
-        let direct = model.predict(&example);
-        if let (
-            Some(ServedOutput::Multiclass { class, .. }),
-            Some(TaskOutput::Multiclass { class: idx, .. }),
-        ) = (response.tasks.get("Intent"), direct.tasks.get("Intent"))
-        {
-            let classes = match &ds.schema().tasks["Intent"].kind {
-                TaskKind::Multiclass { classes } => classes,
-                _ => unreachable!(),
-            };
-            assert_eq!(**class, *classes[*idx]);
-        } else {
-            panic!("Intent output missing");
-        }
+        let direct = Server::new(model, space, ds.schema().serving_signature());
+        assert_eq!(response, direct.predict(record).unwrap());
     }
 
     #[test]
@@ -437,74 +403,75 @@ mod tests {
         );
     }
 
-    /// The serving decode written against a [`Prediction`] and the
-    /// schema's names: the reference the server's responses must equal
-    /// bit for bit.
+    /// The serving decode written afresh against one example's raw
+    /// logits and the schema's names: the reference the server's
+    /// responses must equal bit for bit.
     fn reference_response(
         schema: &Schema,
         slice_names: &[String],
         record: &Record,
-        prediction: &Prediction,
+        logits: &RawLogits,
     ) -> ServingResponse {
         let name = |n: &String| Arc::<str>::from(n.as_str());
+        // The first largest value's index.
+        let best = |xs: &[f32]| (0..xs.len()).fold(0, |b, i| if xs[i] > xs[b] { i } else { b });
+        let softmax = |xs: &[f32]| {
+            let mut dist = xs.to_vec();
+            softmax_in_place(&mut dist);
+            dist
+        };
+        let set = |labels: &[String], row: &[f32], on: fn(f32) -> bool| -> Vec<Arc<str>> {
+            labels.iter().zip(row).filter(|(_, &x)| on(x)).map(|(l, _)| name(l)).collect()
+        };
         let mut tasks = BTreeMap::new();
         let mut confidence = 1.0f32;
-        for (task, output) in &prediction.tasks {
-            let served = match (output, &schema.tasks[task].kind) {
-                (TaskOutput::Multiclass { class, dist }, TaskKind::Multiclass { classes }) => {
-                    confidence = confidence.min(dist.get(*class).copied().unwrap_or(0.0));
+        for (task, _) in &logits.heads {
+            let values = &logits.head(task).expect("a listed head");
+            let def = &schema.tasks[task];
+            let per_element =
+                matches!(schema.payloads[&def.payload].kind, PayloadKind::Sequence { .. });
+            let served = match (&def.kind, per_element) {
+                (TaskKind::Multiclass { classes }, false) => {
+                    let (class, dist) = (best(values), softmax(values));
+                    confidence = confidence.min(dist[class]);
                     ServedOutput::Multiclass {
-                        class: name(&classes[*class]),
-                        dist: classes.iter().map(name).zip(dist.iter().copied()).collect(),
+                        class: name(&classes[class]),
+                        dist: classes.iter().map(name).zip(dist).collect(),
                     }
                 }
-                (
-                    TaskOutput::MulticlassSeq { classes: preds },
-                    TaskKind::Multiclass { classes },
-                ) => ServedOutput::MulticlassSeq {
-                    classes: preds.iter().map(|&c| name(&classes[c])).collect(),
+                (TaskKind::Multiclass { classes }, true) => ServedOutput::MulticlassSeq {
+                    classes: values
+                        .chunks(classes.len())
+                        .map(|r| name(&classes[best(r)]))
+                        .collect(),
                 },
-                (TaskOutput::Bits { bits, .. }, TaskKind::Bitvector { labels }) => {
-                    ServedOutput::Bits {
-                        set: labels
-                            .iter()
-                            .zip(bits)
-                            .filter(|(_, &b)| b)
-                            .map(|(l, _)| name(l))
-                            .collect(),
-                    }
+                (TaskKind::Bitvector { labels }, false) => {
+                    ServedOutput::Bits { set: set(labels, values, |x| stable_sigmoid(x) > 0.5) }
                 }
-                (TaskOutput::BitsSeq { rows }, TaskKind::Bitvector { labels }) => {
-                    ServedOutput::BitsSeq {
-                        rows: rows
-                            .iter()
-                            .map(|row| {
-                                labels
-                                    .iter()
-                                    .zip(row)
-                                    .filter(|(_, &b)| b)
-                                    .map(|(l, _)| name(l))
-                                    .collect()
-                            })
-                            .collect(),
-                    }
-                }
-                (TaskOutput::Select { index, dist }, TaskKind::Select) => {
-                    confidence = confidence.min(dist.get(*index).copied().unwrap_or(0.0));
-                    let id = match record.payloads.get(&schema.tasks[task].payload) {
+                (TaskKind::Bitvector { labels }, true) => ServedOutput::BitsSeq {
+                    rows: values
+                        .chunks(labels.len())
+                        .map(|row| set(labels, row, |x| x > 0.0))
+                        .collect(),
+                },
+                (TaskKind::Select, _) => {
+                    let (index, dist) = (best(values), softmax(values));
+                    confidence = confidence.min(dist[index]);
+                    let id = match record.payloads.get(&def.payload) {
                         Some(PayloadValue::Set(els)) => {
-                            els.get(*index).map(|e| e.id.clone()).unwrap_or_default()
+                            els.get(index).map(|e| e.id.clone()).unwrap_or_default()
                         }
                         _ => String::new(),
                     };
-                    ServedOutput::Select { index: *index, id }
+                    ServedOutput::Select { index, id }
                 }
-                (output, kind) => panic!("task '{task}': {output:?} does not fit {kind:?}"),
             };
             tasks.insert(name(task), served);
         }
-        let slices =
-            slice_names.iter().map(name).zip(prediction.slice_probs.iter().copied()).collect();
+        let slices = (slice_names.iter().map(name))
+            .zip(logits.indicators.iter().map(|r| r.map(f32::from_bits)))
+            .map(|(name, [out, member])| (name, stable_sigmoid(member - out)))
+            .collect();
         ServingResponse { tasks, slices, confidence }
     }
 
@@ -573,14 +540,12 @@ mod tests {
                         *x += rng.gen_range(-0.2f32..0.2);
                     }
                 }
-                let predictions = model.predict_batch(&examples);
+                let raw = oracle::raw_logits(&model, &examples);
                 let server = Server::new(model, space.clone(), schema.serving_signature());
                 let responses = server.predict_batch(&records);
                 assert_eq!(responses.len(), records.len());
-                for ((record, prediction), response) in
-                    records.iter().zip(&predictions).zip(responses)
-                {
-                    let want = reference_response(&schema, &space.slice_names, record, prediction);
+                for ((record, logits), response) in records.iter().zip(&raw).zip(responses) {
+                    let want = reference_response(&schema, &space.slice_names, record, logits);
                     let got = response.expect("a valid record is answered");
                     assert_eq!(got, want, "{config:?}");
                     // The bytes `encode_predict_response` writes per answer.

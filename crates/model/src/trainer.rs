@@ -37,7 +37,7 @@
 use crate::backprop::{self, Workspace};
 use crate::config::TrainConfig;
 use crate::features::CompiledExample;
-use crate::infer::argmax;
+use crate::infer::{argmax, Decode};
 use crate::network::CompiledModel;
 use overton_store::par_map;
 use overton_tensor::optim::Adam;
@@ -289,44 +289,41 @@ fn window_gradients(
 }
 
 /// Mean per-task agreement of model predictions with example targets
-/// (used as the dev-selection score and by the hyperparameter search).
+/// (used as the dev-selection score and by the hyperparameter search),
+/// read from each example's logits in place.
 pub fn dev_agreement(model: &CompiledModel, examples: &[CompiledExample]) -> f64 {
-    use crate::network::TaskOutput;
     use overton_supervision::ProbLabel;
     let mut total = 0.0f64;
     let mut n = 0usize;
-    for (example, prediction) in examples.iter().zip(model.predict_batch(examples)) {
-        for (task, target) in &example.targets {
-            let Some(output) = prediction.tasks.get(task) else { continue };
-            let score = match (output, target) {
-                (TaskOutput::Multiclass { class, .. }, ProbLabel::Dist(d))
-                | (TaskOutput::Select { index: class, .. }, ProbLabel::Dist(d)) => {
-                    let gold = argmax(d);
-                    f64::from(*class == gold)
+    model.infer(examples, |b, logits| {
+        // Heads come in task-name order, as the targets do, so the scores
+        // add up in target order.
+        for head in logits.heads() {
+            let Some(target) = examples[b].targets.get(&head.head.task) else { continue };
+            let score = match (head.head.decode, target) {
+                (Decode::Single { bce: false } | Decode::Select, ProbLabel::Dist(d)) => {
+                    f64::from(head.argmax() == argmax(d))
                 }
-                (TaskOutput::MulticlassSeq { classes }, ProbLabel::SeqDist(rows)) => {
-                    if classes.len() != rows.len() || rows.is_empty() {
+                (Decode::PerElement { bce: false }, ProbLabel::SeqDist(rows)) => {
+                    if head.rows().len() != rows.len() || rows.is_empty() {
                         continue;
                     }
                     let correct =
-                        classes.iter().zip(rows).filter(|(c, row)| **c == argmax(row)).count();
+                        head.row_argmax().zip(rows).filter(|(c, row)| *c == argmax(row)).count();
                     correct as f64 / rows.len() as f64
                 }
-                (TaskOutput::Bits { bits, .. }, ProbLabel::Bits(target_bits)) => {
-                    let target: Vec<bool> = target_bits.iter().map(|&p| p > 0.5).collect();
-                    bit_agreement(std::slice::from_ref(bits), std::slice::from_ref(&target))
+                (Decode::Single { bce: true }, ProbLabel::Bits(target)) => {
+                    bit_agreement(std::iter::once(head.bits()), std::slice::from_ref(target))
                 }
-                (TaskOutput::BitsSeq { rows }, ProbLabel::SeqBits(target_rows)) => {
-                    let target: Vec<Vec<bool>> =
-                        target_rows.iter().map(|r| r.iter().map(|&p| p > 0.5).collect()).collect();
-                    bit_agreement(rows, &target)
+                (Decode::PerElement { bce: true }, ProbLabel::SeqBits(target_rows)) => {
+                    bit_agreement(head.row_bits(), target_rows)
                 }
                 _ => continue,
             };
             total += score;
             n += 1;
         }
-    }
+    });
     if n == 0 {
         0.0
     } else {
@@ -334,13 +331,18 @@ pub fn dev_agreement(model: &CompiledModel, examples: &[CompiledExample]) -> f64
     }
 }
 
-fn bit_agreement<B: AsRef<[bool]>>(pred: &[B], gold: &[Vec<bool>]) -> f64 {
+/// The share of predicted bits that match their target's (a probability
+/// above one half), over the rows and columns both have.
+fn bit_agreement(
+    pred: impl Iterator<Item = impl Iterator<Item = bool>>,
+    target: &[Vec<f32>],
+) -> f64 {
     let mut correct = 0usize;
     let mut total = 0usize;
-    for (p, g) in pred.iter().zip(gold) {
-        for (a, b) in p.as_ref().iter().zip(g) {
+    for (p, t) in pred.zip(target) {
+        for (a, &b) in p.zip(t) {
             total += 1;
-            if a == b {
+            if a == (b > 0.5) {
                 correct += 1;
             }
         }

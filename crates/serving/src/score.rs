@@ -45,13 +45,12 @@ pub(crate) fn score_output(served: &ServedOutput, gold: &TaskLabel) -> Option<f6
 }
 
 /// Whether the served set bits and the gold ones hold the same names,
-/// in any order.
+/// in any order and each as many times: equal lengths, and every served
+/// name as often in both.
 fn same_set(served: &[Arc<str>], gold: &[String]) -> bool {
-    let mut a: Vec<&str> = served.iter().map(|s| &**s).collect();
-    let mut b: Vec<&str> = gold.iter().map(String::as_str).collect();
-    a.sort_unstable();
-    b.sort_unstable();
-    a == b
+    let in_served = |name: &str| served.iter().filter(|s| &***s == name).count();
+    let in_gold = |name: &str| gold.iter().filter(|g| g.as_str() == name).count();
+    served.len() == gold.len() && served.iter().all(|name| in_served(name) == in_gold(name))
 }
 
 /// Mean accuracy of a response over every task the record carries gold
@@ -102,6 +101,25 @@ mod tests {
             ),
             Some(1.0)
         );
+        // Set compares ignore order but count duplicates, as comparing both
+        // sides sorted does.
+        for (set, gold) in [
+            (vec![], vec![]),
+            (vec!["x"], vec![]),
+            (vec!["y", "x", "z"], vec!["z", "y", "x"]),
+            (vec!["x", "y"], vec!["x", "x"]),
+            (vec!["x"], vec!["x", "x"]),
+            (vec!["x", "x", "y"], vec!["x", "y", "y"]),
+            (vec!["x", "y", "x"], vec!["y", "x", "x"]),
+            (vec!["x", "y"], vec!["x", "z"]),
+        ] {
+            let (mut a, mut b) = (set.clone(), gold.clone());
+            a.sort_unstable();
+            b.sort_unstable();
+            let served = ServedOutput::Bits { set: set.iter().map(|&n| n.into()).collect() };
+            let gold = TaskLabel::BitvectorOne(gold.iter().map(|&n| n.into()).collect());
+            assert_eq!(score_output(&served, &gold), Some(f64::from(a == b)), "{gold:?}");
+        }
         assert_eq!(
             score_output(&ServedOutput::Select { index: 2, id: "e".into() }, &TaskLabel::Select(1)),
             Some(0.0)

@@ -292,15 +292,15 @@ impl ServeSample {
                 gold_accuracy_millionths: None,
             };
         };
-        let tagged: Vec<bool> = slice_names.iter().map(|s| record.in_slice(s)).collect();
-        let mut mask = 0u64;
-        if tagged.iter().any(|&t| t) {
-            for (i, &t) in tagged.iter().enumerate().take(64) {
-                if t {
-                    mask |= 1 << i;
-                }
+        // The record's own slice tags win when any names a telemetry slice.
+        let (mut mask, mut tagged) = (0u64, false);
+        for slice in record.slices() {
+            for i in (0..slice_names.len()).filter(|&i| slice_names[i] == slice) {
+                tagged = true;
+                mask |= if i < 64 { 1 << i } else { 0 };
             }
-        } else {
+        }
+        if !tagged {
             for (i, (_, prob)) in response.slices.iter().enumerate().take(64) {
                 if *prob > 0.5 {
                     mask |= 1 << i;
@@ -806,6 +806,7 @@ mod tests {
     fn sample_collection_prefers_tags_and_scores_gold() {
         let schema = overton_nlp::workload_schema();
         let slice_names = vec!["hard".to_string(), "easy".to_string()];
+        let latency = Duration::from_micros(42);
         let record = Record::new().with_slice("easy").with_label(
             "Intent",
             overton_store::GOLD_SOURCE,
@@ -839,12 +840,26 @@ mod tests {
             &schema,
             &slice_names,
             &untagged,
-            &Ok(resp),
+            &Ok(resp.clone()),
             Duration::from_micros(42),
         );
         assert!(sample.in_slice(0));
         assert!(!sample.in_slice(1));
         assert_eq!(sample.gold_accuracy_millionths, None);
+        // So does one tagged only with slices telemetry does not track, or
+        // with a plain tag that spells a slice's name.
+        let off_space = Record::new().with_slice("other").with_tag("easy");
+        let sample =
+            ServeSample::collect(&schema, &slice_names, &off_space, &Ok(resp.clone()), latency);
+        assert_eq!(sample.slice_mask, 0b01);
+        // A tag for a slice past the 64 tracked still wins, with no bit.
+        let wide: Vec<String> = (0..70).map(|i| format!("s{i}")).collect();
+        let past = Record::new().with_slice("s66").with_slice("s3");
+        let sample = ServeSample::collect(&schema, &wide, &past, &Ok(resp.clone()), latency);
+        assert_eq!(sample.slice_mask, 1 << 3);
+        let past = Record::new().with_slice("s66");
+        let sample = ServeSample::collect(&schema, &wide, &past, &Ok(resp), latency);
+        assert_eq!(sample.slice_mask, 0);
         // Errors carry latency but nothing else.
         let sample = ServeSample::collect(
             &schema,

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release -p harness --example supervision_health`
 
 use overton::{OvertonOptions, Project};
-use overton_model::{TaskOutput, TrainConfig};
+use overton_model::{ServedOutput, Server, TrainConfig};
 use overton_monitor::calibration_report;
 use overton_nlp::{generate_workload, WorkloadConfig};
 use overton_store::{DatasetStats, TaskLabel};
@@ -33,16 +33,22 @@ fn main() {
         })
         .run()
         .expect("build");
+    // Calibration of what production answers: the packaged artifact's
+    // responses over the build's test rows.
+    let records: Vec<_> = (built.store().index().test_rows().iter())
+        .map(|&row| dataset.records()[row as usize].clone())
+        .collect();
+    let server = Server::load(built.artifact().expect("packaged"));
     let mut confidences = Vec::new();
-    for (record_idx, prediction) in &built.evaluation().expect("evaluated").predictions {
-        let record = &dataset.records()[*record_idx];
-        let (Some(TaskOutput::Multiclass { class, dist }), Some(TaskLabel::MulticlassOne(gold))) =
-            (prediction.tasks.get("Intent"), record.gold("Intent"))
+    for (record, response) in records.iter().zip(server.predict_batch(&records)) {
+        let response = response.expect("a test record is served");
+        let (Some(ServedOutput::Multiclass { class, dist }), Some(TaskLabel::MulticlassOne(gold))) =
+            (response.tasks.get("Intent"), record.gold("Intent"))
         else {
             continue;
         };
-        let correct = overton_nlp::INTENTS.get(*class).is_some_and(|c| c == gold);
-        confidences.push((f64::from(dist[*class]), correct));
+        let (_, p) = dist.iter().find(|(name, _)| name == class).expect("class in dist");
+        confidences.push((f64::from(*p), **class == **gold));
     }
     let report = calibration_report(&confidences, 10);
     println!("Intent accuracy: {:.3}", built.test_accuracy("Intent"));

@@ -3,8 +3,8 @@
 
 use overton::{OvertonOptions, Project, Run};
 use overton_model::{
-    distill, prepare_store, CompiledModel, ModelConfig, ModelPair, ModelRegistry, Server,
-    TrainConfig,
+    distill, prepare_store, CompiledModel, ModelConfig, ModelPair, ModelRegistry, ServedOutput,
+    Server, TrainConfig,
 };
 use overton_monitor::{calibration_report, regressions};
 use overton_nlp::{generate_workload, WorkloadConfig};
@@ -155,16 +155,22 @@ fn registry_publish_latest_fetch_hotswap_rollback_roundtrip() {
 fn trained_model_is_not_wildly_miscalibrated() {
     let ds = workload(94);
     let built = run(&ds, TrainConfig { epochs: 5, early_stop_patience: 0, ..Default::default() });
+    // Scored on the responses the packaged artifact serves over the
+    // run's test rows.
+    let records: Vec<_> = (built.store().index().test_rows().iter())
+        .map(|&row| ds.records()[row as usize].clone())
+        .collect();
+    let server = Server::load(built.artifact().unwrap());
     let mut confidences = Vec::new();
-    for (record_idx, prediction) in &built.evaluation().unwrap().predictions {
-        let record = &ds.records()[*record_idx];
+    for (record, response) in records.iter().zip(server.predict_batch(&records)) {
+        let response = response.expect("a test record is served");
         if let (
-            Some(overton_model::TaskOutput::Multiclass { class, dist }),
+            Some(ServedOutput::Multiclass { class, dist }),
             Some(overton_store::TaskLabel::MulticlassOne(gold)),
-        ) = (prediction.tasks.get("Intent"), record.gold("Intent"))
+        ) = (response.tasks.get("Intent"), record.gold("Intent"))
         {
-            let correct = overton_nlp::INTENTS.get(*class).is_some_and(|c| c == gold);
-            confidences.push((f64::from(dist[*class]), correct));
+            let (_, p) = dist.iter().find(|(name, _)| name == class).expect("class in dist");
+            confidences.push((f64::from(*p), **class == **gold));
         }
     }
     assert!(confidences.len() > 50);

@@ -1,18 +1,19 @@
 //! Allocation budgets for the two executors of the model plan, on a fixed
-//! workload: a warm 32-record `CompiledModel::predict_batch` (the inference
-//! forward), a warm 32-record `Server::predict_batch` (validate, encode,
-//! forward and build the responses), and a warm one-epoch `train_model`
-//! over 32 examples with one gradient worker (the training forward and
-//! backward). All run on the calling thread and make a fixed number of
-//! heap allocations, and the budgets below pin those numbers: a change
-//! that brings back per-example copies into the forward, per-response name
-//! copies into serving, or per-node matrices into the backward, fails
+//! workload: a warm 32-example `dev_agreement` (the inference forward,
+//! with each example's score read from its logits in place), a warm
+//! 32-record `Server::predict_batch` (validate, encode, forward and build
+//! the responses), and a warm one-epoch `train_model` over 32 examples
+//! with one gradient worker (the training forward and backward). All run
+//! on the calling thread and make a fixed number of heap allocations, and
+//! the budgets below pin those numbers: a change that brings back
+//! per-example copies or decoded outputs into the forward, per-response
+//! name copies into serving, or per-node matrices into the backward, fails
 //! here. Only the calling thread's allocations are counted, so tests
 //! running alongside cannot move them.
 
 use overton_model::{
-    gold_to_prob, train_model, CompiledExample, CompiledModel, DeployableModel, FeatureSpace,
-    ModelConfig, Server, ServingResponse, TrainConfig,
+    dev_agreement, gold_to_prob, train_model, CompiledExample, CompiledModel, DeployableModel,
+    FeatureSpace, ModelConfig, Server, ServingResponse, TrainConfig,
 };
 use overton_nlp::{generate_workload, WorkloadConfig};
 use overton_store::Dataset;
@@ -20,10 +21,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-/// Allocations of one warm 32-record forward over the fixture below:
-/// about one per decoded output (task maps, names, per-element rows) plus
-/// a fixed few for the batch's bounds and its arena.
-const BUDGET: usize = 546;
+/// Allocations of one warm 32-example forward over the fixture below,
+/// each example scored against its gold targets where its logits lie:
+/// the batch's bounds and gathered ids, its arena and its step scratch,
+/// and none per example or per decoded output.
+const BUDGET: usize = 41;
 
 /// The system allocator, counting the calling thread's allocations while
 /// [`allocations_of`] is armed.
@@ -90,17 +92,38 @@ fn fixture() -> (Dataset, FeatureSpace) {
     workload(WorkloadConfig::default())
 }
 
+/// `records` of the fixture compiled into examples, each carrying a
+/// target for every task it has gold for.
+fn gold_examples(ds: &Dataset, space: &FeatureSpace, records: &[usize]) -> Vec<CompiledExample> {
+    records
+        .iter()
+        .map(|&i| {
+            let record = &ds.records()[i];
+            let mut ex = CompiledExample::from_record(record, i, space, ds.schema());
+            for task in ds.schema().tasks.keys() {
+                if let Some(p) = gold_to_prob(ds.schema(), record, task) {
+                    ex.targets.insert(task.clone(), p);
+                }
+            }
+            ex
+        })
+        .collect()
+}
+
 #[test]
 fn warm_forward_stays_within_its_allocation_budget() {
     let (ds, space) = fixture();
     let model = CompiledModel::compile(ds.schema(), &space, &ModelConfig::default(), None);
-    let examples: Vec<CompiledExample> = ds.test_indices()[..32]
-        .iter()
-        .map(|&i| CompiledExample::from_record(&ds.records()[i], i, &space, ds.schema()))
-        .collect();
-    let warm = model.predict_batch(&examples);
-    let (predictions, allocations) = allocations_of(|| model.predict_batch(&examples));
-    assert_eq!(predictions, warm, "a warm forward answers as the first one did");
+    let examples = gold_examples(&ds, &space, &ds.test_indices()[..32]);
+    for ex in &examples {
+        assert!(
+            ds.schema().tasks.keys().all(|task| ex.targets.contains_key(task)),
+            "every fixture example carries a target for every task"
+        );
+    }
+    let warm = dev_agreement(&model, &examples);
+    let (score, allocations) = allocations_of(|| dev_agreement(&model, &examples));
+    assert_eq!(score.to_bits(), warm.to_bits(), "a warm forward scores as the first one did");
     println!("{allocations} allocations for 32 records");
     assert!(
         allocations <= BUDGET,
@@ -147,19 +170,7 @@ const TRAIN_BUDGET: usize = 464;
 fn warm_training_epoch_stays_within_its_allocation_budget() {
     // Every training record carries gold, so every task head trains.
     let (ds, space) = workload(WorkloadConfig { gold_train_fraction: 1.0, ..Default::default() });
-    let train: Vec<CompiledExample> = ds.train_indices()[..32]
-        .iter()
-        .map(|&i| {
-            let record = &ds.records()[i];
-            let mut ex = CompiledExample::from_record(record, i, &space, ds.schema());
-            for task in ds.schema().tasks.keys() {
-                if let Some(p) = gold_to_prob(ds.schema(), record, task) {
-                    ex.targets.insert(task.clone(), p);
-                }
-            }
-            ex
-        })
-        .collect();
+    let train = gold_examples(&ds, &space, &ds.train_indices()[..32]);
     for ex in &train {
         assert!(
             ds.schema().tasks.keys().all(|task| ex.targets.contains_key(task)),

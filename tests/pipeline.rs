@@ -2,9 +2,11 @@
 //! artifact → serving, across all crates.
 
 use overton::{OvertonOptions, Project, Run};
-use overton_model::{ModelRegistry, Server, TrainConfig};
+use overton_model::{ModelRegistry, ServedOutput, Server, TrainConfig};
 use overton_nlp::{generate_workload, WorkloadConfig};
 use overton_store::{Dataset, TaskLabel};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 fn quick_workload(seed: u64) -> Dataset {
     generate_workload(&WorkloadConfig {
@@ -27,10 +29,19 @@ fn run(dataset: &Dataset, options: OvertonOptions) -> Run {
     Project::from_dataset(dataset).with_options(options).run().expect("pipeline")
 }
 
+/// One trained build, shared by the tests that serve it.
+fn trained() -> &'static (Dataset, Run) {
+    static BUILT: OnceLock<(Dataset, Run)> = OnceLock::new();
+    BUILT.get_or_init(|| {
+        let dataset = quick_workload(61);
+        let built = run(&dataset, quick_options(4));
+        (dataset, built)
+    })
+}
+
 #[test]
 fn schema_to_serving_roundtrip() {
-    let dataset = quick_workload(61);
-    let built = run(&dataset, quick_options(4));
+    let (dataset, built) = trained();
 
     // Publish to a registry, fetch back, serve a gold test record, and
     // check the served intent agrees with the in-memory evaluation.
@@ -67,6 +78,61 @@ fn schema_to_serving_roundtrip() {
         "served accuracy {served:.3} vs evaluated {expected:.3}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The evaluation's reports describe the model production answers with:
+/// scored from the packaged artifact's served responses over the same
+/// test rows, every overall accuracy and every slice's correct count of
+/// `Intent` and `IntentArg` equals the evaluation's.
+#[test]
+fn evaluation_agrees_with_serving() {
+    let (dataset, built) = trained();
+    let evaluation = built.evaluation().expect("the build evaluated");
+    let server = Server::load(built.artifact().expect("the build packaged"));
+    let records: Vec<_> = (built.store().index().test_rows().iter())
+        .map(|&row| dataset.records()[row as usize].clone())
+        .collect();
+    // Per (task, group): (correct, scored), over "overall" and each slice.
+    let mut served: BTreeMap<(&str, String), (usize, usize)> = BTreeMap::new();
+    for (record, response) in records.iter().zip(server.predict_batch(&records)) {
+        let response = response.expect("a test record is served");
+        for task in ["Intent", "IntentArg"] {
+            let correct = match (response.tasks.get(task), record.gold(task)) {
+                (
+                    Some(ServedOutput::Multiclass { class, .. }),
+                    Some(TaskLabel::MulticlassOne(gold)),
+                ) => **class == **gold,
+                (Some(ServedOutput::Select { index, .. }), Some(TaskLabel::Select(gold))) => {
+                    index == gold
+                }
+                _ => continue,
+            };
+            let slices = record.slices().map(|slice| format!("slice:{slice}"));
+            for group in std::iter::once("overall".to_string()).chain(slices) {
+                let (hits, scored) = served.entry((task, group)).or_default();
+                *hits += usize::from(correct);
+                *scored += 1;
+            }
+        }
+    }
+    for task in ["Intent", "IntentArg"] {
+        let (hits, scored) = served[&(task, "overall".to_string())];
+        assert_eq!(evaluation.accuracy(task), hits as f64 / scored as f64, "{task}");
+        let report = &evaluation.reports[task];
+        let evaluated: BTreeMap<&str, (usize, usize)> = (report.rows.iter())
+            .filter(|row| row.group.starts_with("slice:"))
+            .map(|row| {
+                let m = row.metrics;
+                (row.group.as_str(), ((m.accuracy * m.count as f64).round() as usize, m.count))
+            })
+            .collect();
+        let served_slices: BTreeMap<&str, (usize, usize)> = (served.iter())
+            .filter(|((t, group), _)| *t == task && group.starts_with("slice:"))
+            .map(|((_, group), &counts)| (group.as_str(), counts))
+            .collect();
+        assert!(!served_slices.is_empty(), "{task}: no test record is in a slice");
+        assert_eq!(evaluated, served_slices, "{task}");
+    }
 }
 
 #[test]

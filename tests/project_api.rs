@@ -8,7 +8,7 @@ use overton::store::StoreError;
 use overton::{Error, OvertonOptions, Project, Run, Stage};
 use overton_model::{
     prepare_store, pretrain, train_model, AggregationKind, CompiledModel, EmbeddingKind,
-    EncoderKind, PretrainConfig, SearchConfig, TrainConfig, TuningSpec,
+    EncoderKind, PretrainConfig, SearchConfig, Server, ServingResponse, TrainConfig, TuningSpec,
 };
 use overton_nlp::{
     generate_workload, generate_workload_sealed, write_two_file_workload, WorkloadConfig,
@@ -128,6 +128,7 @@ fn run_resumes_from_every_completed_stage() {
         Project::from_store(store).named("resume").with_options(quick_options(2)).at(&root);
     let baseline = project.run().expect("baseline run");
     let baseline_eval = baseline.evaluation().unwrap();
+    let baseline_responses = test_responses(&baseline);
 
     for from in Stage::ALL {
         let mut resumed = project.resume(baseline.id(), from).expect("resume loads");
@@ -138,7 +139,7 @@ fn run_resumes_from_every_completed_stage() {
         resumed.complete().expect("resumed run completes");
         let eval = resumed.evaluation().unwrap();
         assert_eq!(eval.reports, baseline_eval.reports, "resume from {from}");
-        assert_eq!(eval.predictions, baseline_eval.predictions, "resume from {from}");
+        assert_eq!(test_responses(&resumed), baseline_responses, "resume from {from}");
         // Telemetry for skipped stages is preserved; the report is whole.
         let stages: Vec<Stage> = resumed.report().stages.iter().map(|s| s.stage).collect();
         assert_eq!(stages, Stage::ALL.to_vec(), "resume from {from}");
@@ -199,8 +200,20 @@ fn quick_run(project: Project) -> Run {
     project.with_options(quick_options(3)).run().unwrap()
 }
 
-/// Two runs must agree bit for bit: artifact bytes, evaluation reports and
-/// predictions, and the training report.
+/// The responses a run's packaged artifact serves over its test rows.
+fn test_responses(run: &Run) -> Vec<ServingResponse> {
+    let store = run.store();
+    let records: Vec<_> = (store.index().test_rows().iter())
+        .map(|&row| store.get(row as usize).expect("a test row decodes"))
+        .collect();
+    let server = Server::load(run.artifact().expect("the run packaged an artifact"));
+    (server.predict_batch(&records).into_iter())
+        .map(|response| response.expect("a test row is served"))
+        .collect()
+}
+
+/// Two runs must agree bit for bit: artifact bytes, evaluation reports,
+/// the responses served over the test rows, and the training report.
 fn assert_runs_identical(a: &Run, b: &Run, name: &str) {
     assert_eq!(
         a.artifact().unwrap().to_bytes(),
@@ -209,7 +222,7 @@ fn assert_runs_identical(a: &Run, b: &Run, name: &str) {
     );
     let (ea, eb) = (a.evaluation().unwrap(), b.evaluation().unwrap());
     assert_eq!(ea.reports, eb.reports, "{name}");
-    assert_eq!(ea.predictions, eb.predictions, "{name}");
+    assert_eq!(test_responses(a), test_responses(b), "{name}");
     assert_eq!(a.train_report(), b.train_report(), "{name}");
 }
 

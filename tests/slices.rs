@@ -2,7 +2,7 @@
 //! version of experiment E4).
 
 use overton::{OvertonOptions, Project, Run};
-use overton_model::{ModelConfig, TrainConfig};
+use overton_model::{ModelConfig, Server, TrainConfig};
 use overton_nlp::{generate_workload, SourceSpec, WorkloadConfig};
 
 fn slice_workload(seed: u64) -> overton_store::Dataset {
@@ -66,21 +66,21 @@ fn slice_heads_do_not_hurt_overall_quality() {
 fn indicator_heads_learn_slice_membership() {
     let dataset = slice_workload(73);
     let built = run(&dataset, true);
-    let slice_idx = built
-        .artifact()
-        .unwrap()
-        .space
-        .slice_names
-        .iter()
+    let artifact = built.artifact().unwrap();
+    let slice_idx = (artifact.space.slice_names.iter())
         .position(|s| s == "complex-disambiguation")
         .expect("slice exists");
-    // Mean predicted membership probability must be higher on in-slice test
+    // Mean predicted membership probability, as the packaged artifact
+    // serves it over the run's test rows, must be higher on in-slice test
     // records than out-of-slice ones.
+    let records: Vec<_> = (built.store().index().test_rows().iter())
+        .map(|&row| dataset.records()[row as usize].clone())
+        .collect();
     let mut in_probs = Vec::new();
     let mut out_probs = Vec::new();
-    for (record_idx, prediction) in &built.evaluation().unwrap().predictions {
-        let record = &dataset.records()[*record_idx];
-        let p = prediction.slice_probs[slice_idx];
+    for (record, response) in records.iter().zip(Server::load(artifact).predict_batch(&records)) {
+        let (name, p) = response.expect("a test record is served").slices[slice_idx].clone();
+        assert_eq!(&*name, "complex-disambiguation");
         if record.in_slice("complex-disambiguation") {
             in_probs.push(p);
         } else {
