@@ -47,7 +47,7 @@ pub(crate) struct LiveManifest {
 impl LiveManifest {
     /// The canonical string the self-checksum covers: every field that
     /// determines what `LiveStore::open` will load.
-    fn core(&self) -> String {
+    pub(super) fn core(&self) -> String {
         let list = self
             .deltas
             .iter()

@@ -70,11 +70,11 @@ impl Default for LiveStoreConfig {
     }
 }
 
-/// One sealed delta segment held in memory alongside its manifest entry.
+/// One sealed delta segment held in memory alongside its manifest entry
+/// (the segment carries the checksum the manifest records).
 struct DeltaSegment {
     file: String,
     rows: usize,
-    checksum: u64,
     store: RowStore,
     index: StoreIndex,
 }
@@ -214,13 +214,7 @@ impl LiveStore {
                 let view = view?;
                 index.note_view(row as u32, &view);
             }
-            deltas.push(DeltaSegment {
-                file: entry.file.clone(),
-                rows: entry.rows,
-                checksum: entry.checksum,
-                store,
-                index,
-            });
+            deltas.push(DeltaSegment { file: entry.file.clone(), rows: entry.rows, store, index });
         }
         Self::sweep_orphans(&dir, &manifest);
         let schema = base.schema().clone();
@@ -391,7 +385,6 @@ impl LiveStore {
         state.deltas.push(DeltaSegment {
             file: entry.file,
             rows: entry.rows,
-            checksum: entry.checksum,
             store: segment,
             index,
         });
@@ -400,20 +393,23 @@ impl LiveStore {
     }
 
     /// The current sealed snapshot: base + sealed deltas at this
-    /// generation, pinned. Cheap (refcount clones, no row data copied).
+    /// generation, pinned. Free to take: it was built when the generation
+    /// was sealed, and this clones one `Arc`.
     pub fn snapshot(&self) -> Arc<StoreSnapshot> {
         Arc::clone(&self.snapshot.lock().expect("live snapshot"))
     }
 
-    /// Recomputes every segment checksum (base shards and deltas) against
-    /// the values recorded at seal time.
+    /// Re-hashes every segment in memory (base shards and deltas) against
+    /// the checksum recorded when its bytes were built or read. Flushes,
+    /// snapshots and compactions never re-hash; this audit does.
     pub fn verify(&self) -> Result<()> {
         let state = self.state.lock().expect("live state");
         state.base.verify()?;
         for delta in &state.deltas {
-            if delta.store.blob_checksum() != delta.checksum {
-                return Err(StoreError::Corrupt(format!("{}: checksum mismatch", delta.file)));
-            }
+            delta
+                .store
+                .verify()
+                .map_err(|_| StoreError::Corrupt(format!("{}: checksum mismatch", delta.file)))?;
         }
         Ok(())
     }
@@ -426,7 +422,11 @@ impl LiveStore {
             deltas: state
                 .deltas
                 .iter()
-                .map(|d| DeltaEntry { file: d.file.clone(), rows: d.rows, checksum: d.checksum })
+                .map(|d| DeltaEntry {
+                    file: d.file.clone(),
+                    rows: d.rows,
+                    checksum: d.store.blob_checksum(),
+                })
                 .collect(),
         }
     }
@@ -632,6 +632,89 @@ mod tests {
         let err = LiveStore::open(&dir).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("delta-000000.ovrs"), "{msg}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Bytes of the segment files the live manifest names (base shards
+    /// and deltas), each without its 8-byte checksum trailer: what one
+    /// hash of every segment covers.
+    fn segment_bytes(dir: &Path) -> u64 {
+        let manifest = LiveManifest::read(dir).unwrap();
+        let base = ShardedStore::read_dir(dir.join(&manifest.base)).unwrap();
+        let shards = (0..base.num_shards())
+            .map(|s| format!("{}/shard-{s:04}.ovrs", manifest.base))
+            .chain(manifest.deltas.iter().map(|d| d.file.clone()));
+        shards.map(|file| std::fs::metadata(dir.join(file)).unwrap().len() - 8).sum()
+    }
+
+    /// Bytes the live directory's metadata hashes when written or read:
+    /// the base's `schema.json`, the self-checksummed core of the base
+    /// manifest, and that of `LIVE.json`.
+    fn metadata_bytes(dir: &Path) -> u64 {
+        let manifest = LiveManifest::read(dir).unwrap();
+        let base = ShardedStore::read_dir(dir.join(&manifest.base)).unwrap();
+        let schema_json = base.schema().to_json();
+        let base_core = ShardedStore::manifest_core(
+            base.num_shards(),
+            crate::rowstore::fnv1a(schema_json.as_bytes()),
+            base.shard_checksums(),
+        );
+        (schema_json.len() + base_core.len() + manifest.core().len()) as u64
+    }
+
+    #[test]
+    fn flush_compact_and_open_hash_each_segment_byte_once() {
+        use crate::rowstore::hashed_bytes;
+        let dir = temp("hash-once");
+        let records: Vec<Record> = (0..40).map(record).collect();
+        let base = ShardedStore::from_records(example_schema(), &records, 2);
+        let live = LiveStore::create_from(&dir, base).unwrap();
+        // Ten equal-sized deltas: rows 100..300 all print three digits.
+        let mut flushed = Vec::new();
+        for d in 0..10 {
+            for i in 0..20 {
+                live.append(record(100 + 20 * d + i)).unwrap();
+            }
+            let before = hashed_bytes();
+            live.flush().unwrap();
+            let hashed = hashed_bytes() - before;
+            // A flush hashes its own segment once and its manifest's core:
+            // nothing of the base or of the deltas sealed before it.
+            let manifest = LiveManifest::read(&dir).unwrap();
+            let own = std::fs::metadata(dir.join(&manifest.deltas[d].file)).unwrap().len() - 8;
+            assert_eq!(hashed - manifest.core().len() as u64, own, "flush {}", d + 1);
+            flushed.push(own);
+        }
+        assert_eq!(flushed[0], flushed[9], "the 10th flush costs what the 1st does");
+
+        // Compaction writes shards whose checksums were recorded when their
+        // bytes were built or read: it hashes only the metadata it writes.
+        let before = hashed_bytes();
+        live.compact().unwrap();
+        let hashed = hashed_bytes() - before;
+        assert_eq!(hashed, metadata_bytes(&dir));
+        assert!(segment_bytes(&dir) > 10 * flushed[0]);
+
+        // Opening reads and verifies every segment file in one pass each.
+        for i in 300..320 {
+            live.append(record(i)).unwrap();
+        }
+        live.flush().unwrap();
+        drop(live);
+        let before = hashed_bytes();
+        let back = LiveStore::open(&dir).unwrap();
+        let hashed = hashed_bytes() - before;
+        assert_eq!((back.num_deltas(), back.sealed_rows()), (1, 260));
+        assert_eq!(hashed, segment_bytes(&dir) + metadata_bytes(&dir));
+
+        // The in-memory audit is the one place segments are hashed again.
+        let before = hashed_bytes();
+        back.verify().unwrap();
+        let rehashed = hashed_bytes() - before;
+        let snap = back.snapshot();
+        let blobs: usize =
+            (0..snap.store().num_shards()).map(|s| snap.store().shard(s).blob_len()).sum();
+        assert_eq!(rehashed, blobs as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -9,12 +9,16 @@ use std::sync::Arc;
 /// whole pipeline can scan (`par_scan`, the index, serving, obs — all of
 /// it works unchanged on a snapshot).
 ///
-/// Snapshots are cheap — segment blobs are refcounted `Bytes`, so a
-/// snapshot clones refcounts, never row data — and they are *stable*: a
-/// pinned snapshot keeps its segments alive in memory, so appends sealed
-/// after it, and even a compaction that rewrites and deletes the on-disk
-/// files underneath it, never change what the snapshot reads. Two scans of
-/// the same snapshot are bit-for-bit identical.
+/// Taking a snapshot clones one `Arc`. Building one happens once per
+/// sealed-set commit (a delta seal or a compaction): it copies each
+/// segment's offset table and merges the segments' tag indexes, work that
+/// grows with the row count, but it neither copies nor hashes row bytes —
+/// blobs are refcounted `Bytes` carrying the checksums recorded when they
+/// were built or read. Snapshots are *stable*: a pinned snapshot keeps its
+/// segments alive in memory, so appends sealed after it, and even a
+/// compaction that rewrites and deletes the on-disk files underneath it,
+/// never change what the snapshot reads. Two scans of the same snapshot
+/// are bit-for-bit identical.
 #[derive(Debug, Clone)]
 pub struct StoreSnapshot {
     generation: u64,

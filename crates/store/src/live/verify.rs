@@ -189,6 +189,63 @@ mod tests {
     }
 
     #[test]
+    fn every_flipped_segment_byte_is_caught_and_named() {
+        let dir = temp("sweep");
+        let records: Vec<Record> = (0..24).map(record).collect();
+        let live = LiveStore::create_from_with(
+            &dir,
+            ShardedStore::from_records(example_schema(), &records, 2),
+            LiveStoreConfig { delta_rows: 6, ..Default::default() },
+        )
+        .unwrap();
+        for i in 24..42 {
+            live.append(record(i)).unwrap();
+        }
+        drop(live);
+        let manifest = LiveManifest::read(&dir).unwrap();
+        // Every segment file, with the segment the audit reports it under.
+        let mut files: Vec<(String, String)> = (0..2)
+            .map(|s| (format!("{}/shard-{s:04}.ovrs", manifest.base), manifest.base.clone()))
+            .collect();
+        files.extend(manifest.deltas.iter().map(|d| (d.file.clone(), d.file.clone())));
+        assert_eq!(files.len(), 5, "two base shards and three deltas");
+
+        let mut seed = 47u64;
+        for (file, segment) in &files {
+            let path = dir.join(file);
+            let clean = std::fs::read(&path).unwrap();
+            for _ in 0..6 {
+                seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let pos = (seed >> 33) as usize % clean.len();
+                let mut bytes = clean.clone();
+                bytes[pos] ^= 1 << (seed >> 61);
+                std::fs::write(&path, &bytes).unwrap();
+                let err = LiveStore::open(&dir).unwrap_err().to_string();
+                assert!(err.contains(&path.display().to_string()), "flip at {pos}: {err}");
+                let report = verify_dir(&dir).unwrap();
+                let failed: Vec<&str> =
+                    report.segments.iter().filter(|s| !s.ok).map(|s| s.name.as_str()).collect();
+                assert_eq!(failed, [segment.as_str()], "flip at {pos} of {file}");
+            }
+            std::fs::write(&path, &clean).unwrap();
+        }
+        assert!(verify_dir(&dir).unwrap().ok());
+
+        // A valid delta under another delta's name passes its own file
+        // checksum; only the blob checksum the read recorded, compared
+        // with the live manifest's, rejects it.
+        std::fs::copy(dir.join(&files[3].0), dir.join(&files[2].0)).unwrap();
+        let err = LiveStore::open(&dir).unwrap_err().to_string();
+        assert!(err.contains(&files[2].0) && err.contains("does not match the live manifest"));
+        let report = verify_dir(&dir).unwrap();
+        let failed: Vec<&SegmentStatus> = report.segments.iter().filter(|s| !s.ok).collect();
+        assert_eq!(failed.len(), 1, "{report:?}");
+        assert_eq!(failed[0].name, files[2].0);
+        assert!(failed[0].detail.contains("does not match the live manifest"), "{report:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn plain_sharded_dir_verifies_per_shard() {
         let dir = temp("sharded");
         let records: Vec<Record> = (0..30).map(record).collect();

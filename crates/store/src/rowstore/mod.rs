@@ -14,6 +14,8 @@ pub use sharded::{
     RowSetScan, ShardScan, ShardedStore, ShardedStoreBuilder, StoreIndex, DEFAULT_SHARD_BYTES,
 };
 pub use store::RowStore;
+#[cfg(test)]
+pub(crate) use varint::hashed_bytes;
 pub use varint::{
     fnv1a, fnv1a_continue, read_str, read_str_borrowed, read_u64, write_str, write_u64,
 };

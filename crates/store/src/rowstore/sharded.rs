@@ -58,14 +58,23 @@ impl StoreIndex {
         tags: impl Iterator<Item = &'a str>,
         task_sources: impl Iterator<Item = (&'a str, &'a str)>,
     ) {
+        // Look names up by `&str` first: a name is copied only the first
+        // time the index sees it, not once per row.
         for tag in tags {
-            self.tags.entry(tag.to_string()).or_default().push(row);
+            if let Some(rows) = self.tags.get_mut(tag) {
+                rows.push(row);
+            } else {
+                self.tags.insert(tag.to_string(), vec![row]);
+            }
         }
         for (task, source) in task_sources {
             if source == crate::record::GOLD_SOURCE {
                 continue;
             }
-            let sources = self.sources.entry(task.to_string()).or_default();
+            if !self.sources.contains_key(task) {
+                self.sources.insert(task.to_string(), Vec::new());
+            }
+            let sources = self.sources.get_mut(task).expect("inserted above");
             if let Err(at) = sources.binary_search_by(|s| s.as_str().cmp(source)) {
                 sources.insert(at, source.to_string());
             }
@@ -368,6 +377,9 @@ impl ShardedStore {
         Self::assemble(schema, shards, StoreIndex::from_records(records))
     }
 
+    /// Seals shards and an index into a store. Each shard's checksum is
+    /// the one it recorded when its bytes were built or read, so no row
+    /// byte is hashed here.
     pub(crate) fn assemble(schema: Schema, shards: Vec<RowStore>, index: StoreIndex) -> Self {
         let mut starts = Vec::with_capacity(shards.len() + 1);
         starts.push(0usize);
@@ -381,7 +393,8 @@ impl ShardedStore {
     /// Builds the merged read view a live-store snapshot hands out: this
     /// store's shards followed by `extras` segments appended in order, with
     /// each extra's index merged in at the right row offset. Shard blobs
-    /// are `Bytes`, so the merge clones refcounts, not row data.
+    /// are `Bytes` that carry their recorded checksums, so the merge clones
+    /// refcounts and merges index data; it neither copies nor hashes rows.
     pub(crate) fn with_extra_segments<'a>(
         &self,
         extras: impl Iterator<Item = (&'a RowStore, &'a StoreIndex)>,
@@ -533,20 +546,26 @@ impl ShardedStore {
         Ok(dataset)
     }
 
-    /// Recomputes every shard checksum against the value recorded at seal
-    /// time.
+    /// Re-hashes every shard's bytes in memory against the checksum
+    /// recorded when they were built or read. With
+    /// [`LiveStore::verify`](crate::live::LiveStore::verify) this is the
+    /// only place a sealed store's rows are hashed a second time.
     pub fn verify(&self) -> Result<()> {
-        for (s, (shard, &expect)) in self.shards.iter().zip(&self.checksums).enumerate() {
-            if shard.blob_checksum() != expect {
-                return Err(StoreError::Corrupt(format!("shard {s} checksum mismatch")));
-            }
+        for (s, shard) in self.shards.iter().enumerate() {
+            shard
+                .verify()
+                .map_err(|_| StoreError::Corrupt(format!("shard {s} checksum mismatch")))?;
         }
         Ok(())
     }
 
     /// The canonical string the manifest's self-checksum covers: the
     /// fields that determine what `read_dir` will load.
-    fn manifest_core(shards: usize, schema_checksum: u64, shard_checksums: &[u64]) -> String {
+    pub(crate) fn manifest_core(
+        shards: usize,
+        schema_checksum: u64,
+        shard_checksums: &[u64],
+    ) -> String {
         let list = shard_checksums.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
         format!("1|{shards}|{schema_checksum}|{list}")
     }

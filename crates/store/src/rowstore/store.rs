@@ -6,20 +6,27 @@
 //! magic "OVRS" | version u32 | row_count u64
 //! | offsets (row_count + 1) x u64   -- prefix offsets into the blob
 //! | blob                             -- concatenated encoded rows
-//! | checksum u64                     -- FNV-1a over the blob
+//! | checksum u64                     -- FNV-1a over everything before it
 //! ```
 //!
 //! In memory the blob is a [`bytes::Bytes`]; per-row access hands out
 //! zero-copy slices of it. `Bytes` stands in for a real `mmap` so the crate
 //! stays free of platform-specific dependencies while preserving the access
 //! pattern (shared immutable buffer, cheap slicing).
+//!
+//! A store records its checksums when its bytes come into being: `build`
+//! and the streaming builder hash the freshly encoded rows, and
+//! [`RowStore::from_bytes`] keeps what it computed while verifying the
+//! file. Both come from one pass over the blob ([`fnv1a_fused`]), so
+//! sealing, snapshotting, merging and writing a store never hash its rows
+//! again; only [`RowStore::verify`] re-hashes the bytes in memory.
 
 use crate::error::{Result, StoreError};
 use crate::record::Record;
 use crate::rowstore::encode::{
     approx_record_bytes, decode_record, decode_row_view, encode_record, RowView,
 };
-use crate::rowstore::varint::{fnv1a, fnv1a_continue, FNV_OFFSET};
+use crate::rowstore::varint::{fnv1a, fnv1a_fused};
 use bytes::Bytes;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -36,6 +43,23 @@ pub struct RowStore {
     blob: Bytes,
     /// `offsets[i]..offsets[i+1]` is row `i` within `blob`.
     offsets: Vec<u64>,
+    /// FNV-1a of `blob`, recorded when the bytes were built or read.
+    blob_checksum: u64,
+    /// FNV-1a of the file's header and blob (the value [`RowStore::write`]
+    /// appends), recorded in the same pass.
+    file_checksum: u64,
+}
+
+/// The on-disk header: magic, version, row count and offset table.
+fn header(offsets: &[u64]) -> Vec<u8> {
+    let mut header = Vec::with_capacity(16 + offsets.len() * 8);
+    header.extend_from_slice(MAGIC);
+    header.extend_from_slice(&VERSION.to_le_bytes());
+    header.extend_from_slice(&(offsets.len() as u64 - 1).to_le_bytes());
+    for off in offsets {
+        header.extend_from_slice(&off.to_le_bytes());
+    }
+    header
 }
 
 impl RowStore {
@@ -51,7 +75,7 @@ impl RowStore {
             encode_record(record, &mut blob);
             offsets.push(blob.len() as u64);
         }
-        Self { blob: Bytes::from(blob), offsets }
+        Self::from_raw_parts(blob, offsets)
     }
 
     /// Estimates the encoded size of a set of records without encoding
@@ -61,10 +85,12 @@ impl RowStore {
     }
 
     /// Assembles a store from an already-encoded blob and its offset table
-    /// (the streaming shard builder encodes rows as they arrive).
+    /// (the streaming shard builder encodes rows as they arrive), hashing
+    /// the new bytes once for both checksums.
     pub(crate) fn from_raw_parts(blob: Vec<u8>, offsets: Vec<u64>) -> Self {
         debug_assert!(!offsets.is_empty() && offsets[0] == 0);
-        Self { blob: Bytes::from(blob), offsets }
+        let (blob_checksum, file_checksum) = fnv1a_fused(fnv1a(&header(&offsets)), &blob);
+        Self { blob: Bytes::from(blob), offsets, blob_checksum, file_checksum }
     }
 
     /// Number of rows.
@@ -115,11 +141,21 @@ impl RowStore {
         (0..self.len()).map(move |i| self.view(i))
     }
 
-    /// FNV-1a checksum of the blob (the per-shard integrity fingerprint a
-    /// [`ShardedStore`](crate::rowstore::ShardedStore) records at seal
-    /// time).
+    /// FNV-1a checksum of the blob: the per-segment fingerprint a
+    /// [`ShardedStore`](crate::rowstore::ShardedStore) manifest and the
+    /// live manifest record. It was recorded when the bytes were built or
+    /// read, so this call does not hash; [`verify`](Self::verify) does.
     pub fn blob_checksum(&self) -> u64 {
-        fnv1a(&self.blob)
+        self.blob_checksum
+    }
+
+    /// Re-hashes the in-memory blob and checks it against the checksum
+    /// recorded when the bytes were built or read.
+    pub fn verify(&self) -> Result<()> {
+        if fnv1a(&self.blob) != self.blob_checksum {
+            return Err(StoreError::Corrupt("blob checksum mismatch".into()));
+        }
+        Ok(())
     }
 
     /// Decodes row `i`.
@@ -141,20 +177,15 @@ impl RowStore {
     }
 
     /// Writes the store to a writer in the on-disk format. The trailing
-    /// checksum covers everything before it (header, offsets and blob).
+    /// checksum covers everything before it (header, offsets and blob); it
+    /// is the value recorded when the bytes were built or read, so the
+    /// write hashes nothing, and bytes that changed in memory since then
+    /// fail the file's check when it is read back.
     pub fn write(&self, writer: impl Write) -> Result<()> {
         let mut w = BufWriter::new(writer);
-        let mut header = Vec::with_capacity(16 + self.offsets.len() * 8);
-        header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for off in &self.offsets {
-            header.extend_from_slice(&off.to_le_bytes());
-        }
-        let checksum = fnv1a_continue(fnv1a_continue(FNV_OFFSET, &header), &self.blob);
-        w.write_all(&header)?;
+        w.write_all(&header(&self.offsets))?;
         w.write_all(&self.blob)?;
-        w.write_all(&checksum.to_le_bytes())?;
+        w.write_all(&self.file_checksum.to_le_bytes())?;
         w.flush()?;
         Ok(())
     }
@@ -177,7 +208,8 @@ impl RowStore {
         Self::read(std::fs::File::open(path)?)
     }
 
-    /// Parses an owned byte buffer in the on-disk format.
+    /// Parses an owned byte buffer in the on-disk format. One pass over
+    /// the blob verifies the file checksum and records the blob checksum.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
         let total = bytes.len();
         let need = |n: usize, what: &str| -> Result<()> {
@@ -216,7 +248,9 @@ impl RowStore {
             .ok_or_else(|| StoreError::Corrupt(format!("absurd blob length {blob_len}")))?;
         need(blob_end + 8, "blob and checksum")?;
         let stored_checksum = u64::from_le_bytes(bytes[blob_end..blob_end + 8].try_into().unwrap());
-        if fnv1a(&bytes[..blob_end]) != stored_checksum {
+        let (blob_checksum, file_checksum) =
+            fnv1a_fused(fnv1a(&bytes[..offsets_end]), &bytes[offsets_end..blob_end]);
+        if file_checksum != stored_checksum {
             return Err(StoreError::Corrupt("checksum mismatch".into()));
         }
         let blob = Bytes::from(bytes).slice(offsets_end..blob_end);
@@ -224,7 +258,7 @@ impl RowStore {
         if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err(StoreError::Corrupt("offset table is not monotone".into()));
         }
-        Ok(Self { blob, offsets })
+        Ok(Self { blob, offsets, blob_checksum, file_checksum })
     }
 }
 
@@ -323,6 +357,44 @@ mod tests {
         let n = store.scan_views().filter(|v| v.as_ref().unwrap().has_tag("train")).count();
         assert_eq!(n, 8);
         assert!(store.view(9).is_err());
+    }
+
+    #[test]
+    fn recorded_checksums_equal_a_fresh_hash() {
+        let rs = records(6);
+        let built = RowStore::build(&rs);
+        let mut buf = Vec::new();
+        built.write(&mut buf).unwrap();
+        // The trailer written from the recorded value is the hash of every
+        // byte before it, and a read records the same blob checksum.
+        let (body, trailer) = buf.split_at(buf.len() - 8);
+        assert_eq!(u64::from_le_bytes(trailer.try_into().unwrap()), fnv1a(body));
+        let read = RowStore::from_bytes(buf.clone()).unwrap();
+        assert_eq!(built.blob_checksum(), fnv1a(&built.blob));
+        assert_eq!(read.blob_checksum(), built.blob_checksum());
+        built.verify().unwrap();
+        read.verify().unwrap();
+        // Writing what was read reproduces the file byte for byte.
+        let mut again = Vec::new();
+        read.write(&mut again).unwrap();
+        assert_eq!(again, buf);
+        let empty = RowStore::build([]);
+        assert_eq!(empty.blob_checksum(), fnv1a(b""));
+    }
+
+    #[test]
+    fn verify_rehashes_the_bytes_in_memory() {
+        let mut store = RowStore::build(&records(3));
+        let mut bytes = store.blob.to_vec();
+        bytes[0] ^= 0x01;
+        store.blob = Bytes::from(bytes);
+        let err = store.verify().unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
+        // The write keeps the recorded checksum, so the changed bytes fail
+        // the file's check instead of being blessed by a fresh hash.
+        let mut buf = Vec::new();
+        store.write(&mut buf).unwrap();
+        assert!(RowStore::from_bytes(buf).is_err());
     }
 
     #[test]

@@ -62,7 +62,31 @@ pub fn read_str_borrowed<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
 }
 
 /// The FNV-1a offset basis (hash of the empty input).
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 64-bit FNV prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+#[cfg(test)]
+thread_local! {
+    static HASHED_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Bytes this thread has fed through FNV-1a so far, counting each byte of
+/// a [`fnv1a_fused`] pass once (tests pin how often store bytes are
+/// hashed).
+#[cfg(test)]
+pub(crate) fn hashed_bytes() -> u64 {
+    HASHED_BYTES.with(std::cell::Cell::get)
+}
+
+#[cfg(test)]
+fn count_hashed(bytes: &[u8]) {
+    HASHED_BYTES.with(|n| n.set(n.get() + bytes.len() as u64));
+}
+
+#[cfg(not(test))]
+fn count_hashed(_: &[u8]) {}
 
 /// FNV-1a over a byte slice (integrity check for store files).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -72,11 +96,27 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Continues an FNV-1a hash over another chunk (incremental hashing, used
 /// to checksum a store file's header and blob without concatenating them).
 pub fn fnv1a_continue(mut hash: u64, bytes: &[u8]) -> u64 {
+    count_hashed(bytes);
     for &b in bytes {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// Hashes `blob` once into two FNV-1a chains: a fresh one and one that
+/// continues `header_hash`. Returns `(fnv1a(blob), fnv1a_continue(
+/// header_hash, blob))` — a store segment's blob checksum and its file
+/// checksum. The chains are independent, so the second multiply overlaps
+/// the first and the pass costs about what one chain does.
+pub(crate) fn fnv1a_fused(header_hash: u64, blob: &[u8]) -> (u64, u64) {
+    count_hashed(blob);
+    let (mut fresh, mut continued) = (FNV_OFFSET, header_hash);
+    for &b in blob {
+        fresh = (fresh ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        continued = (continued ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    (fresh, continued)
 }
 
 #[cfg(test)]
@@ -128,5 +168,38 @@ mod tests {
         // FNV-1a of empty input is the offset basis.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+    }
+
+    #[test]
+    fn fused_pass_counts_each_byte_once() {
+        let before = hashed_bytes();
+        fnv1a_fused(fnv1a(b"head"), b"blob bytes");
+        assert_eq!(hashed_bytes() - before, 4 + 10);
+        // Empty inputs: both chains stay where they started.
+        assert_eq!(fnv1a_fused(FNV_OFFSET, b""), (FNV_OFFSET, FNV_OFFSET));
+        assert_eq!(fnv1a_fused(fnv1a(b"head"), b""), (FNV_OFFSET, fnv1a(b"head")));
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fused_chains_equal_the_separate_hashes(
+            header in prop::collection::vec(any::<u8>(), 0..64),
+            blob in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let header_hash = fnv1a(&header);
+            let (fresh, continued) = fnv1a_fused(header_hash, &blob);
+            prop_assert_eq!(fresh, fnv1a(&blob));
+            prop_assert_eq!(continued, fnv1a_continue(header_hash, &blob));
+            let file: Vec<u8> = header.iter().chain(&blob).copied().collect();
+            prop_assert_eq!(continued, fnv1a(&file));
+        }
     }
 }
