@@ -29,7 +29,7 @@ use overton_supervision::ProbLabel;
 use overton_tensor::{dot, matmul_at_into, matmul_into, softmax_in_place, stable_sigmoid};
 use overton_tensor::{ParamId, ParamStore};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::ops::Range;
 
 /// A gradient worker's buffers, kept from one window to the next.
@@ -132,6 +132,16 @@ pub(crate) fn gradients(
     }
 }
 
+/// Fills `mask` from `rng`, in order: each element is 0 with probability
+/// `p` and `1/(1-p)` otherwise. A dropout step multiplies its input by
+/// such a mask when training.
+fn dropout_mask(p: f32, rng: &mut SmallRng, mask: &mut [f32]) {
+    let keep_scale = 1.0 / (1.0 - p);
+    for m in mask {
+        *m = if rng.gen::<f32>() < p { 0.0 } else { keep_scale };
+    }
+}
+
 /// `adj += delta * c`, element by element.
 fn add_scaled(adj: &mut [f32], delta: &[f32], c: f32) {
     adj.iter_mut().zip(delta).for_each(|(a, &d)| *a += d * c);
@@ -218,14 +228,14 @@ impl Plan {
             let (done, out): (&[f32], _) = (done, &mut rest[..regions[s].len()]);
             let input = |i: usize| &done[regions[step.inputs[i]].clone()];
             match &step.op {
-                Op::Dropout(dropout) => {
+                Op::Dropout(p) => {
                     out.copy_from_slice(input(0));
-                    if dropout.p() > 0.0 {
+                    if *p > 0.0 {
                         // Example `b` draws its mask from `rngs[b]`, whatever it shares.
                         let SlotDef { rows, cols } = self.slots[s];
                         saved.resize(out.len(), 0.0);
                         for (seg, rng) in batch.segs(rows).iter().zip(rngs.iter_mut()) {
-                            dropout.mask(rng, &mut saved[seg.start * cols..seg.end * cols]);
+                            dropout_mask(*p, rng, &mut saved[seg.start * cols..seg.end * cols]);
                         }
                         out.iter_mut().zip(saved.iter()).for_each(|(y, &m)| *y *= m);
                     }
@@ -424,9 +434,9 @@ impl Plan {
                         }
                     });
                 }
-                Op::Recur(lstm) => {
+                Op::Recur { wh: wh_id, bias } => {
                     let (h, wh, gates, dxw) =
-                        (lstm.hidden(), ps.value(lstm.wh_id()).as_slice(), &saved[si], adj!(0));
+                        (cols, ps.value(*wh_id).as_slice(), &saved[si], adj!(0));
                     let [carry_h, carry_c, dpre, dwh, dbias, _] = &mut *scratch;
                     for (b, seg) in segs.iter().enumerate().filter(|&(b, _)| !dead(b)) {
                         let (carry_h, carry_c, dpre) =
@@ -466,8 +476,8 @@ impl Plan {
                                 }
                             }
                         }
-                        partials.push(b, lstm.bias_id(), 0, 4 * h).copy_from_slice(dbias);
-                        partials.push(b, lstm.wh_id(), 0, 4 * h * h).copy_from_slice(dwh);
+                        partials.push(b, *bias, 0, 4 * h).copy_from_slice(dbias);
+                        partials.push(b, *wh_id, 0, 4 * h * h).copy_from_slice(dwh);
                     }
                 }
                 Op::Reverse => {
@@ -478,8 +488,8 @@ impl Plan {
                         }
                     }
                 }
-                Op::Attend(attention) => {
-                    let (hd, mut at) = (cols / attention.heads(), 0);
+                Op::Attend { heads } => {
+                    let (hd, mut at) = (cols / heads, 0);
                     let scale = 1.0 / (hd as f32).sqrt();
                     let [go, qh, kh, vt, da, prod] = &mut *scratch;
                     for (seg, lo) in segs
@@ -545,9 +555,9 @@ impl Plan {
                         }
                     });
                 }
-                Op::Dropout(dropout) => {
+                Op::Dropout(p) => {
                     let (dx, mask) = (adj!(0), &saved[si]);
-                    if dropout.p() > 0.0 {
+                    if *p > 0.0 {
                         dx.iter_mut().zip(g.iter().zip(mask)).for_each(|(d, (&g, &m))| *d += g * m);
                     } else {
                         add(dx, g);
@@ -628,9 +638,7 @@ mod tests {
     use crate::network::CompiledModel;
     use crate::{features::FeatureSpace, oracle};
     use overton_nlp::{generate_workload, WorkloadConfig};
-    use overton_tensor::nn::{Embedding, Lstm};
     use overton_tensor::Matrix;
-    use rand::Rng;
     use std::collections::BTreeMap;
 
     /// Which side of every kink the forward in `ws` sits on: each relu
@@ -668,9 +676,9 @@ mod tests {
     /// such step must exist. With dropout off the loss is deterministic.
     fn assert_gradients_match(mut model: CompiledModel, window: &[&CompiledExample]) {
         let (config, mut ws) = (TrainConfig::default(), Workspace::default());
-        let batch = Batch::new(&model.inference, window.iter().copied());
+        let batch = Batch::new(&model.plan, window.iter().copied());
         let mut run = |model: &CompiledModel| -> (f64, Vec<usize>, Partials) {
-            let (plan, ps) = (&model.inference, &model.params);
+            let (plan, ps) = (&model.plan, &model.params);
             gradients(plan, ps, window, &vec![0; window.len()], &config, &mut ws);
             let loss = ws.partials.losses.iter().flatten().map(|&l| f64::from(l)).sum();
             (loss, kinks(plan, &batch, &ws), std::mem::take(&mut ws.partials))
@@ -750,7 +758,7 @@ mod tests {
             let config = small(encoder, AggregationKind::Mean);
             let mut model =
                 CompiledModel::compile(&oracle::every_branch_schema(), &space, &config, None);
-            for step in &mut model.inference.steps {
+            for step in &mut model.plan.steps {
                 if let Op::Affine { act: act @ Act::Relu, .. } = &mut step.op {
                     *act = Act::Tanh;
                 }
@@ -794,16 +802,33 @@ mod tests {
     }
 
     #[test]
+    fn preserves_expectation_at_train() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut mask = vec![0.0; 100 * 100];
+        dropout_mask(0.3, &mut rng, &mut mask);
+        let mean = mask.iter().sum::<f32>() / mask.len() as f32;
+        assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
+        assert!(mask.iter().all(|&m| m == 0.0 || m == 1.0 / 0.7));
+    }
+
+    #[test]
+    fn zero_probability_is_identity_even_at_train() {
+        let mut rng = SmallRng::seed_from_u64(2);
+        let mut mask = vec![0.0; 4];
+        dropout_mask(0.0, &mut rng, &mut mask);
+        assert_eq!(mask, [1.0; 4]);
+    }
+
+    #[test]
     fn lstm_hidden_states_are_bounded() {
         // h = o * tanh(c) with o in (0, 1): |h| < 1 in exact arithmetic, and
         // f32 saturation (sigmoid or tanh rounding to 1.0) makes equality
         // attainable on huge inputs.
-        let (mut ps, mut rng) = (ParamStore::new(), SmallRng::seed_from_u64(2));
-        let table = Embedding::from_pretrained(&mut ps, "e", Matrix::full(2, 2, 100.0));
-        let lstm = Lstm::new(&mut ps, "l", 2, 3, &mut rng);
+        let mut w = (ParamStore::new(), SmallRng::seed_from_u64(2));
+        let table = w.0.add("e.table", Matrix::full(2, 2, 100.0));
         let mut plan = Plan { sequences: vec!["tokens".into()], ..Plan::default() };
-        let x = plan.step(Op::Gather(table.table()), &[], Rows::Tokens(0), 2);
-        let h = plan.lstm(&lstm, x);
+        let x = plan.step(Op::Gather(table), &[], Rows::Tokens(0), 2);
+        let h = plan.lstm(&mut w, "l", x, 3);
         let example = CompiledExample {
             record_index: 0,
             sequences: BTreeMap::from([("tokens".into(), vec![1; 10])]),
@@ -812,7 +837,7 @@ mod tests {
             slice_membership: Vec::new(),
         };
         let mut ws = Workspace::default();
-        gradients(&plan, &ps, &[&example], &[0], &TrainConfig::default(), &mut ws);
+        gradients(&plan, &w.0, &[&example], &[0], &TrainConfig::default(), &mut ws);
         let states = &ws.values[ws.regions[h].clone()];
         assert_eq!(states.len(), 10 * 3);
         assert!(states.iter().all(|v| v.is_finite() && v.abs() <= 1.0), "{states:?}");

@@ -1,14 +1,16 @@
 //! The model plan, and its inference executor.
 //!
-//! [`CompiledModel::compile`] lowers its layers once into a [`Plan`]: a
-//! fixed list of [`Step`]s, each an [`Op`] that reads some slots and writes
-//! a new one. A slot is a matrix stacked by rows over a batch — one row per
-//! example, per token of a sequence payload, or per element of a set
-//! payload ([`Rows`]) — with a width fixed at compile time. What mixes rows
-//! within an example (aggregation, span means, per-segment `im2row`, the
-//! LSTM recurrence, attention, pairing each set element with its owner's
-//! shared row) is a step of its own that walks the batch's segment bounds;
-//! every affine layer is one step over the whole stack.
+//! [`CompiledModel::compile`](crate::CompiledModel::compile) builds a
+//! [`Plan`] in one walk over the schema: a fixed list of [`Step`]s, each an
+//! [`Op`] that reads some slots and the parameters it names by
+//! [`ParamId`], and writes a new slot. A slot is a matrix stacked by rows
+//! over a batch — one row per example, per token of a sequence payload,
+//! or per element of a set payload ([`Rows`]) — with a width fixed at
+//! compile time. What mixes rows within an example (aggregation, span
+//! means, per-segment `im2row`, the LSTM recurrence, attention, pairing
+//! each set element with its owner's shared row) is a step of its own
+//! that walks the batch's segment bounds; every affine layer is one step
+//! over the whole stack.
 //!
 //! The plan has two executors. Inference ([`Plan::infer`]) lays every slot
 //! out in one zeroed `f32` arena per call and runs the steps in place:
@@ -22,7 +24,7 @@
 //! serving builds its responses (`serve.rs`), evaluation scores against
 //! gold (`evaluate.rs`), dev selection and search score against targets
 //! (`trainer.rs`), and distillation softens targets (`distill.rs`), all
-//! through [`CompiledModel::infer`]. Training runs the same steps forward,
+//! through `CompiledModel::infer`. Training runs the same steps forward,
 //! then each step's hand-written vector-Jacobian product backward, over
 //! arenas of the same layout (`backprop.rs`).
 //!
@@ -32,15 +34,13 @@
 //! kind, in mixed batches).
 
 use crate::features::CompiledExample;
-use crate::network::CompiledModel;
 use crate::AggregationKind;
-use overton_tensor::nn::{Dropout, Lstm, MultiHeadSelfAttention};
 use overton_tensor::{matmul_into, softmax_in_place, stable_sigmoid, ParamId, ParamStore};
 use std::ops::Range;
 use std::slice::ChunksExact;
 
 /// The most examples one forward stacks: the serving pool's default
-/// `max_batch`. [`CompiledModel::infer`] feeds the forward in chunks of
+/// `max_batch`. `CompiledModel::infer` feeds the forward in chunks of
 /// this size, so memory follows the chunk and not the caller's input.
 pub(crate) const MAX_BATCH: usize = 32;
 
@@ -100,17 +100,19 @@ pub(crate) enum Op {
     /// `[x]`: the width-`k` sliding-window unfold of each segment, with
     /// `k / 2` rows of zero padding: row `t` joins rows `t - k/2 ..= t + k/2`.
     Im2Row(usize),
-    /// `[x W_x]`: the LSTM recurrence over each segment.
-    Recur(Lstm),
+    /// `[x W_x]`: the LSTM recurrence over each segment, with recurrent
+    /// weights `wh` and gate bias `bias`; the slot's width is the hidden size.
+    Recur { wh: ParamId, bias: ParamId },
     /// `[x]`: each segment's rows in reverse order.
     Reverse,
-    /// `[q, k, v]`: multi-head scaled dot-product attention per segment.
-    Attend(MultiHeadSelfAttention),
+    /// `[q, k, v]`: scaled dot-product attention per segment, over
+    /// `heads` equal bands of the slot's width.
+    Attend { heads: usize },
     /// `[a, b]`: the two slots side by side.
     ConcatCols,
-    /// `[x]`: dropout masks when training. At inference it is the identity,
-    /// and its slot is its input's.
-    Dropout(Dropout),
+    /// `[x]`: inverted dropout with probability `p` when training. At
+    /// inference it is the identity, and its slot is its input's.
+    Dropout(f32),
     /// `parts`: per example, the mean or max over its rows of every part,
     /// stacked in order.
     Pool(AggregationKind),
@@ -142,9 +144,9 @@ pub(crate) struct HeadOut {
     pub(crate) logits: Slot,
 }
 
-/// A [`CompiledModel`]'s layers lowered once into steps over slots. Step
-/// `i` writes slot `i`, created after its inputs', so the steps are
-/// already in execution order.
+/// A compiled model's steps over slots, each naming the parameters it
+/// reads. Step `i` writes slot `i`, created after its inputs', so the
+/// steps are already in execution order.
 #[derive(Debug, Default)]
 pub(crate) struct Plan {
     /// Sequence payload names, by [`Rows::Tokens`] index.
@@ -278,19 +280,19 @@ impl Plan {
 
     /// Runs the plan over a batch (dropout is off, as in any inference
     /// pass) and hands `each` every example's index and [`Logits`], in
-    /// input order. `model` must be the model this plan was lowered from:
-    /// its store supplies the weights, read in place.
+    /// input order. `ps` must be the store this plan was compiled against:
+    /// it supplies the weights, read in place.
     ///
     /// Every slot of the batch lives in one zeroed arena, allocated here
     /// and dropped on return, so no state survives from one call to the
     /// next. A row's result does not depend on which rows share a product
     /// (see `overton_tensor::kernels`), so each example's logits are
     /// bit-identical to running it alone. The arena grows with the batch;
-    /// callers go through [`CompiledModel::infer`], which chunks its input
+    /// callers go through `CompiledModel::infer`, which chunks its input
     /// to [`MAX_BATCH`] examples.
     pub(crate) fn infer(
         &self,
-        model: &CompiledModel,
+        ps: &ParamStore,
         examples: &[CompiledExample],
         mut each: impl FnMut(usize, Logits<'_>),
     ) {
@@ -309,7 +311,7 @@ impl Plan {
             let (done, rest) = arena.split_at_mut(regions[s].start);
             let (done, out): (&[f32], _) = (done, &mut rest[..regions[s].len()]);
             let input = |i: usize| &done[regions[step.inputs[i]].clone()];
-            self.run(s, &model.params, &batch, input, out, None);
+            self.run(s, ps, &batch, input, out, None);
         }
         for (b, example) in examples.iter().enumerate() {
             each(
@@ -392,10 +394,9 @@ impl Plan {
                     }
                 }
             }
-            Op::Recur(lstm) => {
-                let (xw, h) = (input(0), lstm.hidden());
-                let (wh, bias) =
-                    (ps.value(lstm.wh_id()).as_slice(), ps.value(lstm.bias_id()).row(0));
+            Op::Recur { wh, bias } => {
+                let (xw, h) = (input(0), cols);
+                let (wh, bias) = (ps.value(*wh).as_slice(), ps.value(*bias).row(0));
                 let (mut pre, zeros, mut c) =
                     (vec![0.0f32; 4 * h], vec![0.0f32; h], vec![0.0f32; h]);
                 for seg in segs.iter() {
@@ -434,9 +435,9 @@ impl Plan {
                     }
                 }
             }
-            Op::Attend(attention) => {
+            Op::Attend { heads } => {
                 let (q, k, v) = (input(0), input(1), input(2));
-                let head_dim = cols / attention.heads();
+                let head_dim = cols / heads;
                 let scale = 1.0 / (head_dim as f32).sqrt();
                 let [mut qh, mut kt, mut vh, mut scores, mut head]: [Vec<f32>; 5] =
                     Default::default();
@@ -710,6 +711,7 @@ mod tests {
     use super::*;
     use crate::config::ModelConfig;
     use crate::features::FeatureSpace;
+    use crate::network::CompiledModel;
     use crate::oracle;
     use overton_nlp::{generate_workload, WorkloadConfig};
     use overton_store::Dataset;
@@ -772,7 +774,7 @@ mod tests {
                             "{config:?} diverged from the example run alone"
                         );
                         assert_eq!(fast.indicators.is_empty(), !slice_heads);
-                        let plan = &model.inference;
+                        let plan = &model.plan;
                         kinds.extend(fast.heads.iter().map(|(task, _)| {
                             let head = plan.heads.iter().find(|h| &h.task == task).expect("head");
                             format!("{:?}", head.decode)

@@ -18,10 +18,14 @@
 //! it. (Per-expert prediction heads from the original paper are folded into
 //! the expert transforms — see DESIGN.md.)
 //!
-//! Compilation builds these layers, registering their parameters, and
-//! lowers them once into the [`Plan`] that both executors run: inference
-//! in place over one arena per batch (`infer.rs`), and training, which
-//! runs the same steps forward and their vector-Jacobian products
+//! Compiling is lowering: one walk over the schema calls the [`Plan`]
+//! builders (`embed`, `affine`, `conv`, `lstm`, `attend`, `dropout`), each
+//! of which registers its parameters in the [`ParamStore`], drawing their
+//! initial values from the model's seeded RNG, and appends the steps that
+//! read them. No layer object outlives the walk: a step names its
+//! parameters by [`ParamId`]. The plan is what both executors run:
+//! inference in place over one arena per batch (`infer.rs`), and training,
+//! which runs the same steps forward and their vector-Jacobian products
 //! backward over slot arenas (`backprop.rs`).
 
 use crate::config::{AggregationKind, EmbeddingKind, EncoderKind, ModelConfig};
@@ -31,121 +35,29 @@ use crate::infer::{
 };
 use crate::pretrained::PretrainedEncoder;
 use overton_store::{PayloadKind, Schema, TaskKind};
-use overton_tensor::nn::{
-    BiLstm, Conv1d, Dropout, Embedding, Linear, Lstm, MultiHeadSelfAttention,
-};
-use overton_tensor::ParamStore;
+use overton_tensor::{init, Matrix, ParamId, ParamStore};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 
-/// A sequence encoder producing `[T, hidden]` from `[T, token_dim]`.
-#[derive(Debug, Clone)]
-pub(crate) enum Encoder {
-    MeanBag(Linear),
-    Cnn(Conv1d),
-    Lstm(Lstm),
-    BiLstm(BiLstm),
-    Attention { input_proj: Linear, attention: MultiHeadSelfAttention },
-}
+/// The store the plan builders register parameters into, and the RNG
+/// their initial values draw from. Registration order is draw order, so
+/// the order of the builder calls fixes every initial weight.
+pub(crate) type Weights = (ParamStore, SmallRng);
 
-impl Encoder {
-    fn build(
-        store: &mut ParamStore,
-        name: &str,
-        kind: EncoderKind,
-        token_dim: usize,
-        hidden: usize,
-        rng: &mut SmallRng,
-    ) -> Self {
-        match kind {
-            EncoderKind::MeanBag => Encoder::MeanBag(Linear::new(
-                store,
-                &format!("{name}.proj"),
-                token_dim,
-                hidden,
-                rng,
-            )),
-            EncoderKind::Cnn => {
-                Encoder::Cnn(Conv1d::new(store, &format!("{name}.conv"), token_dim, hidden, 3, rng))
-            }
-            EncoderKind::Lstm => {
-                Encoder::Lstm(Lstm::new(store, &format!("{name}.lstm"), token_dim, hidden, rng))
-            }
-            EncoderKind::BiLstm => {
-                assert!(hidden.is_multiple_of(2), "BiLstm needs an even hidden size, got {hidden}");
-                Encoder::BiLstm(BiLstm::new(
-                    store,
-                    &format!("{name}.bilstm"),
-                    token_dim,
-                    hidden / 2,
-                    rng,
-                ))
-            }
-            EncoderKind::Attention => {
-                let heads = [4usize, 2, 1].into_iter().find(|h| hidden.is_multiple_of(*h)).unwrap();
-                Encoder::Attention {
-                    input_proj: Linear::new(
-                        store,
-                        &format!("{name}.inproj"),
-                        token_dim,
-                        hidden,
-                        rng,
-                    ),
-                    attention: MultiHeadSelfAttention::new(
-                        store,
-                        &format!("{name}.attn"),
-                        hidden,
-                        heads,
-                        rng,
-                    ),
-                }
-            }
-        }
-    }
-}
+/// An affine map's registered weight, its optional bias, and its output
+/// width.
+type Affine = (ParamId, Option<ParamId>, usize);
 
-/// A task head bound to a payload.
-#[derive(Debug, Clone)]
-pub(crate) enum Head {
-    /// Multiclass/bitvector over a sequence payload: logits per row.
-    PerElement { payload: String, linear: Linear, bce: bool },
-    /// Multiclass/bitvector over a singleton payload: logits on the shared
-    /// representation.
-    Single { linear: Linear, bce: bool },
-    /// Select over a set payload: pointer scores per element.
-    Select { payload: String, combine: Linear, score: Linear },
-}
-
-/// Slice-based learning heads.
-#[derive(Debug, Clone)]
-pub(crate) struct SliceModule {
-    /// One membership indicator per slice (`[1,2]` logits each).
-    pub(crate) indicators: Vec<Linear>,
-    /// One expert transform per slice.
-    pub(crate) experts: Vec<Linear>,
-}
-
-/// The compiled model: parameters, the layers that hold them, and the
-/// plan those layers lower to.
+/// The compiled model: the schema and configuration it was compiled
+/// from, its parameters, and the plan that reads them.
 pub struct CompiledModel {
     schema: Schema,
     config: ModelConfig,
     /// All learnable weights.
     pub params: ParamStore,
-    pub(crate) token_embedding: Embedding,
-    pub(crate) entity_embedding: Embedding,
-    pub(crate) encoders: BTreeMap<String, Encoder>,
-    /// Learned fallback representation for payloads with no content.
-    pub(crate) set_proj: Linear,
-    pub(crate) heads: BTreeMap<String, Head>,
-    pub(crate) slices: Option<SliceModule>,
-    pub(crate) dropout: Dropout,
-    pub(crate) hidden: usize,
-    /// Singleton payloads in dependency order (bases first).
-    pub(crate) singleton_order: Vec<String>,
-    /// The layers lowered once into steps: the plan both executors run.
-    pub(crate) inference: Plan,
+    /// The steps both executors run.
+    pub(crate) plan: Plan,
 }
 
 impl CompiledModel {
@@ -157,170 +69,188 @@ impl CompiledModel {
         config: &ModelConfig,
         pretrained: Option<&PretrainedEncoder>,
     ) -> Self {
-        let mut rng = SmallRng::seed_from_u64(config.seed);
-        let mut params = ParamStore::new();
-        let hidden = config.hidden_dim;
+        let mut w: Weights = (ParamStore::new(), SmallRng::seed_from_u64(config.seed));
+        let (mut plan, hidden, token_dim) = (Plan::default(), config.hidden_dim, config.token_dim);
 
-        let mut token_embedding = Embedding::new(
-            &mut params,
-            "tokens.embedding",
-            space.token_vocab.len(),
-            config.token_dim,
-            &mut rng,
-        );
+        let tokens = Plan::embed(&mut w, "tokens.embedding", space.token_vocab.len(), token_dim);
         if let Some(pre) = pretrained {
             assert_eq!(
                 config.embedding,
                 EmbeddingKind::Pretrained,
                 "pretrained artifact supplied but config.embedding is Learned"
             );
-            token_embedding = pre.init_embedding(&mut params, &space.token_vocab, config.token_dim);
+            // The random table is still drawn, so every later weight is
+            // the same with or without an artifact.
+            *w.0.value_mut(tokens) = pre.init_embedding(&space.token_vocab, token_dim);
         }
         // A `Pretrained` config without an artifact is allowed: the serving
         // loader compiles the skeleton this way and then overwrites all
         // parameter values from the stored artifact.
-        let entity_embedding = Embedding::new(
-            &mut params,
-            "entities.embedding",
-            space.entity_vocab.len(),
-            config.entity_dim,
-            &mut rng,
-        );
+        let entity_dim = config.entity_dim;
+        let entities =
+            Plan::embed(&mut w, "entities.embedding", space.entity_vocab.len(), entity_dim);
 
-        // One encoder per sequence payload.
-        let mut encoders = BTreeMap::new();
+        // 1. Encode every sequence payload.
+        let mut seq_enc: BTreeMap<&str, Slot> = BTreeMap::new();
         for (name, def) in &schema.payloads {
-            if matches!(def.kind, PayloadKind::Sequence { .. }) {
-                encoders.insert(
-                    name.clone(),
-                    Encoder::build(
-                        &mut params,
-                        &format!("payload.{name}"),
-                        config.encoder,
-                        config.token_dim,
-                        hidden,
-                        &mut rng,
-                    ),
-                );
+            if !matches!(def.kind, PayloadKind::Sequence { .. }) {
+                continue;
             }
-        }
-
-        // Set-element projection: entity embedding ++ span summary -> hidden.
-        let set_proj =
-            Linear::new(&mut params, "set.proj", config.entity_dim + hidden, hidden, &mut rng);
-
-        // Task heads.
-        let mut heads = BTreeMap::new();
-        for (task, def) in &schema.tasks {
-            let payload_kind = &schema.payloads[&def.payload].kind;
-            let head = match (&def.kind, payload_kind) {
-                (TaskKind::Multiclass { classes }, PayloadKind::Sequence { .. }) => {
-                    Head::PerElement {
-                        payload: def.payload.clone(),
-                        linear: Linear::new(
-                            &mut params,
-                            &format!("head.{task}"),
-                            hidden,
-                            classes.len(),
-                            &mut rng,
-                        ),
-                        bce: false,
-                    }
+            let rows = Rows::Tokens(plan.sequences.len());
+            plan.sequences.push(name.clone());
+            let x = plan.step(Op::Gather(tokens), &[], rows, token_dim);
+            let layer = |layer: &str| format!("payload.{name}.{layer}");
+            let enc = match config.encoder {
+                EncoderKind::MeanBag => {
+                    plan.affine(&mut w, &layer("proj"), x, hidden, Act::Relu, Leaves::PerExample)
                 }
-                (TaskKind::Bitvector { labels }, PayloadKind::Sequence { .. }) => {
-                    Head::PerElement {
-                        payload: def.payload.clone(),
-                        linear: Linear::new(
-                            &mut params,
-                            &format!("head.{task}"),
-                            hidden,
-                            labels.len(),
-                            &mut rng,
-                        ),
-                        bce: true,
-                    }
+                EncoderKind::Cnn => plan.conv(&mut w, &layer("conv"), x, hidden, 3),
+                EncoderKind::Lstm => plan.lstm(&mut w, &layer("lstm"), x, hidden),
+                EncoderKind::BiLstm => {
+                    assert!(hidden.is_multiple_of(2), "BiLstm needs an even hidden size: {hidden}");
+                    let f = plan.lstm(&mut w, &layer("bilstm.fwd"), x, hidden / 2);
+                    let rev_in = plan.step(Op::Reverse, &[x], rows, token_dim);
+                    let b_rev = plan.lstm(&mut w, &layer("bilstm.bwd"), rev_in, hidden / 2);
+                    let b = plan.step(Op::Reverse, &[b_rev], rows, hidden / 2);
+                    plan.step(Op::ConcatCols, &[f, b], rows, hidden)
                 }
-                (TaskKind::Multiclass { classes }, _) => Head::Single {
-                    linear: Linear::new(
-                        &mut params,
-                        &format!("head.{task}"),
-                        hidden,
-                        classes.len(),
-                        &mut rng,
-                    ),
-                    bce: false,
-                },
-                (TaskKind::Bitvector { labels }, _) => Head::Single {
-                    linear: Linear::new(
-                        &mut params,
-                        &format!("head.{task}"),
-                        hidden,
-                        labels.len(),
-                        &mut rng,
-                    ),
-                    bce: true,
-                },
-                (TaskKind::Select, _) => Head::Select {
-                    payload: def.payload.clone(),
-                    combine: Linear::new(
-                        &mut params,
-                        &format!("head.{task}.combine"),
-                        2 * hidden,
-                        hidden,
-                        &mut rng,
-                    ),
-                    score: Linear::new(
-                        &mut params,
-                        &format!("head.{task}.score"),
-                        hidden,
-                        1,
-                        &mut rng,
-                    ),
-                },
+                EncoderKind::Attention => {
+                    let heads = [4usize, 2, 1].into_iter().find(|h| hidden.is_multiple_of(*h));
+                    let (act, leaves) = (Act::Tanh, Leaves::PerExample);
+                    let x = plan.affine(&mut w, &layer("inproj"), x, hidden, act, leaves);
+                    plan.attend(&mut w, &layer("attn"), x, heads.unwrap())
+                }
             };
-            heads.insert(task.clone(), head);
+            seq_enc.insert(name, plan.dropout(enc, config.dropout));
         }
 
-        // Slice heads.
-        let slices = (config.slice_heads && !space.slice_names.is_empty()).then(|| SliceModule {
-            indicators: space
-                .slice_names
-                .iter()
-                .map(|s| {
-                    Linear::new(&mut params, &format!("slice.{s}.indicator"), hidden, 2, &mut rng)
-                })
-                .collect(),
-            experts: space
-                .slice_names
-                .iter()
-                .map(|s| {
-                    Linear::new(&mut params, &format!("slice.{s}.expert"), hidden, hidden, &mut rng)
-                })
-                .collect(),
-        });
+        // 2. Singleton payloads aggregate their bases, in dependency order.
+        let (order, mut single) = (schema.payload_topo_order(), BTreeMap::<&str, Slot>::new());
+        for name in &order {
+            let def = &schema.payloads[name];
+            if !matches!(def.kind, PayloadKind::Singleton) {
+                continue;
+            }
+            let parts: Vec<Slot> = (def.base.iter())
+                .filter_map(|base| seq_enc.get(base.as_str()).or(single.get(base.as_str())))
+                .copied()
+                .collect();
+            let op = if parts.is_empty() { Op::Zeros } else { Op::Pool(config.aggregation) };
+            single.insert(name, plan.step(op, &parts, Rows::Examples, hidden));
+        }
 
-        let singleton_order = schema
-            .payload_topo_order()
-            .into_iter()
-            .filter(|name| matches!(schema.payloads[name].kind, PayloadKind::Singleton))
-            .collect();
-        let mut model = Self {
-            schema: schema.clone(),
-            config: config.clone(),
-            params,
-            token_embedding,
-            entity_embedding,
-            encoders,
-            set_proj,
-            heads,
-            slices,
-            dropout: Dropout::new(config.dropout),
-            hidden,
-            singleton_order,
-            inference: Plan::default(),
+        // 3. Shared example-level representation: mean of singleton reprs
+        //    (or of pooled sequence encodings when none exist).
+        let reprs: Vec<Slot> = if single.is_empty() {
+            let mean = AggregationKind::Mean;
+            seq_enc
+                .values()
+                .map(|&enc| plan.step(Op::Pool(mean), &[enc], Rows::Examples, hidden))
+                .collect()
+        } else {
+            single.values().copied().collect()
         };
-        model.inference = model.lower();
-        model
+        let op = if reprs.is_empty() { Op::Zeros } else { Op::Pool(AggregationKind::Mean) };
+        let mut shared = plan.step(op, &reprs, Rows::Examples, hidden);
+
+        // 4. Set payloads: one row per element, entity embedding joined with
+        //    the mean encoding of its span, through one projection shared by
+        //    every set. They read only sequence encodings, so they can run
+        //    here and register their projection in its place, after the
+        //    encoders and before the heads.
+        let set_proj = linear(&mut w, "set.proj", entity_dim + hidden, hidden);
+        let mut set_repr: BTreeMap<&str, Slot> = BTreeMap::new();
+        for (name, def) in &schema.payloads {
+            if !matches!(def.kind, PayloadKind::Set) {
+                continue;
+            }
+            let s = plan.sets.len();
+            plan.sets.push(name.clone());
+            let rows = Rows::Elements(s);
+            let entity = plan.step(Op::Gather(entities), &[], rows, entity_dim);
+            let span = match def.range.as_deref().and_then(|r| seq_enc.get(r)) {
+                Some(&enc) => plan.step(Op::SpanMeans(s), &[enc], rows, hidden),
+                None => plan.step(Op::Zeros, &[], rows, hidden),
+            };
+            let joined = plan.step(Op::ConcatCols, &[entity, span], rows, entity_dim + hidden);
+            let elements = plan.project(set_proj, joined, Act::Tanh, Leaves::PerRow);
+            set_repr.insert(name, elements);
+        }
+
+        // 5. Task heads register here, before the slice module, but read
+        //    the representation it re-weights, so their steps come last.
+        let heads: Vec<(&String, Decode, Vec<Affine>)> = (schema.tasks.iter())
+            .map(|(task, def)| {
+                let name = format!("head.{task}");
+                let on_sequence =
+                    matches!(schema.payloads[&def.payload].kind, PayloadKind::Sequence { .. });
+                let (decode, layers) = match &def.kind {
+                    TaskKind::Multiclass { classes: outputs }
+                    | TaskKind::Bitvector { labels: outputs } => {
+                        let bce = matches!(def.kind, TaskKind::Bitvector { .. });
+                        let decode = if on_sequence {
+                            Decode::PerElement { bce }
+                        } else {
+                            Decode::Single { bce }
+                        };
+                        (decode, vec![linear(&mut w, &name, hidden, outputs.len())])
+                    }
+                    TaskKind::Select => {
+                        let combine =
+                            linear(&mut w, &format!("{name}.combine"), 2 * hidden, hidden);
+                        let score = linear(&mut w, &format!("{name}.score"), hidden, 1);
+                        (Decode::Select, vec![combine, score])
+                    }
+                };
+                (task, decode, layers)
+            })
+            .collect();
+
+        // 6. Slice-based re-weighting of the shared representation: every
+        //    indicator registers, then every expert.
+        if config.slice_heads && !space.slice_names.is_empty() {
+            let mut layers = |role: &str, out: usize| -> Vec<Affine> {
+                let names = space.slice_names.iter();
+                names.map(|s| linear(&mut w, &format!("slice.{s}.{role}"), hidden, out)).collect()
+            };
+            let (indicators, experts) = (layers("indicator", 2), layers("expert", hidden));
+            let mut expert_reprs = Vec::new();
+            for (indicator, expert) in indicators.into_iter().zip(experts) {
+                let logits = plan.project(indicator, shared, Act::None, Leaves::PerExample);
+                plan.indicators.push(logits);
+                expert_reprs.push(plan.project(expert, shared, Act::Relu, Leaves::PerExample));
+            }
+            let inputs = [&[shared][..], &plan.indicators, &expert_reprs].concat();
+            shared = plan.step(Op::SliceMix, &inputs, Rows::Examples, hidden);
+        }
+
+        // 7. Task heads, each over its whole stack.
+        for (task, decode, layers) in heads {
+            let payload = schema.tasks[task].payload.as_str();
+            let logits = match decode {
+                Decode::PerElement { .. } => {
+                    let Some(&enc) = seq_enc.get(payload) else { continue };
+                    plan.project(layers[0], enc, Act::None, Leaves::Present)
+                }
+                Decode::Single { .. } => {
+                    plan.project(layers[0], shared, Act::None, Leaves::PerExample)
+                }
+                Decode::Select => {
+                    let Some(&elements) = set_repr.get(payload) else { continue };
+                    // Pair each element with its example's shared repr,
+                    // score each pair.
+                    let rows = plan.slots[elements].rows;
+                    let paired = plan.step(Op::Pair, &[shared, elements], rows, 2 * hidden);
+                    let (act, leaves) = (Act::Tanh, Leaves::PerExample);
+                    let activated = plan.project(layers[0], paired, act, leaves);
+                    // One score per element: `[elements, 1]`.
+                    plan.project(layers[1], activated, Act::None, Leaves::PerExample)
+                }
+            };
+            plan.heads.push(HeadOut { task: task.clone(), decode, logits });
+        }
+
+        Self { schema: schema.clone(), config: config.clone(), params: w.0, plan }
     }
 
     /// The schema this model was compiled from.
@@ -340,125 +270,7 @@ impl CompiledModel {
 
     /// Whether slice heads were compiled in.
     pub fn has_slice_heads(&self) -> bool {
-        self.slices.is_some()
-    }
-
-    /// Lowers the layers into the plan, step by step in execution order.
-    fn lower(&self) -> Plan {
-        let (mut plan, hidden) = (Plan::default(), self.hidden);
-        let token_dim = self.token_embedding.dim();
-
-        // 1. Encode every sequence payload.
-        let mut seq_enc: BTreeMap<&str, Slot> = BTreeMap::new();
-        for (name, encoder) in &self.encoders {
-            let rows = Rows::Tokens(plan.sequences.len());
-            plan.sequences.push(name.clone());
-            let x = plan.step(Op::Gather(self.token_embedding.table()), &[], rows, token_dim);
-            let enc = match encoder {
-                Encoder::MeanBag(proj) => plan.linear(proj, x, Act::Relu, Leaves::PerExample),
-                Encoder::Cnn(conv) => plan.conv(conv, x),
-                Encoder::Lstm(lstm) => plan.lstm(lstm, x),
-                Encoder::BiLstm(bilstm) => {
-                    let f = plan.lstm(bilstm.fwd(), x);
-                    let rev_in = plan.step(Op::Reverse, &[x], rows, token_dim);
-                    let b_rev = plan.lstm(bilstm.bwd(), rev_in);
-                    let b = plan.step(Op::Reverse, &[b_rev], rows, bilstm.bwd().hidden());
-                    plan.step(Op::ConcatCols, &[f, b], rows, bilstm.out_dim())
-                }
-                Encoder::Attention { input_proj, attention } => {
-                    let x = plan.linear(input_proj, x, Act::Tanh, Leaves::PerExample);
-                    let [q, k, v] = [attention.wq(), attention.wk(), attention.wv()]
-                        .map(|l| plan.linear(l, x, Act::None, Leaves::PerExample));
-                    let attended =
-                        plan.step(Op::Attend(attention.clone()), &[q, k, v], rows, attention.dim());
-                    plan.linear(attention.wo(), attended, Act::None, Leaves::PerExample)
-                }
-            };
-            let cols = plan.slots[enc].cols;
-            seq_enc.insert(name, plan.step(Op::Dropout(self.dropout), &[enc], rows, cols));
-        }
-
-        // 2. Singleton payloads aggregate their bases, in dependency order.
-        let mut single: BTreeMap<&str, Slot> = BTreeMap::new();
-        for name in &self.singleton_order {
-            let parts: Vec<Slot> = (self.schema.payloads[name].base.iter())
-                .filter_map(|base| seq_enc.get(base.as_str()).or(single.get(base.as_str())))
-                .copied()
-                .collect();
-            let op = if parts.is_empty() { Op::Zeros } else { Op::Pool(self.config.aggregation) };
-            single.insert(name, plan.step(op, &parts, Rows::Examples, hidden));
-        }
-
-        // 3. Shared example-level representation: mean of singleton reprs
-        //    (or of pooled sequence encodings when none exist).
-        let reprs: Vec<Slot> = if single.is_empty() {
-            let mean = AggregationKind::Mean;
-            seq_enc
-                .values()
-                .map(|&enc| plan.step(Op::Pool(mean), &[enc], Rows::Examples, hidden))
-                .collect()
-        } else {
-            single.values().copied().collect()
-        };
-        let op = if reprs.is_empty() { Op::Zeros } else { Op::Pool(AggregationKind::Mean) };
-        let mut shared = plan.step(op, &reprs, Rows::Examples, hidden);
-
-        // 4. Slice-based re-weighting of the shared representation.
-        if let Some(slices) = &self.slices {
-            let mut experts = Vec::new();
-            for (indicator, expert) in slices.indicators.iter().zip(&slices.experts) {
-                let logits = plan.linear(indicator, shared, Act::None, Leaves::PerExample);
-                plan.indicators.push(logits);
-                experts.push(plan.linear(expert, shared, Act::Relu, Leaves::PerExample));
-            }
-            let inputs = [&[shared][..], &plan.indicators, &experts].concat();
-            shared = plan.step(Op::SliceMix, &inputs, Rows::Examples, hidden);
-        }
-
-        // 5. Set payloads: one row per element, entity embedding joined with
-        //    the mean encoding of its span, through one projection.
-        let mut set_repr: BTreeMap<&str, Slot> = BTreeMap::new();
-        for (name, def) in &self.schema.payloads {
-            if !matches!(def.kind, PayloadKind::Set) {
-                continue;
-            }
-            let s = plan.sets.len();
-            plan.sets.push(name.clone());
-            let (rows, entity_dim) = (Rows::Elements(s), self.entity_embedding.dim());
-            let entity =
-                plan.step(Op::Gather(self.entity_embedding.table()), &[], rows, entity_dim);
-            let span = match def.range.as_deref().and_then(|r| seq_enc.get(r)) {
-                Some(&enc) => plan.step(Op::SpanMeans(s), &[enc], rows, hidden),
-                None => plan.step(Op::Zeros, &[], rows, hidden),
-            };
-            let joined = plan.step(Op::ConcatCols, &[entity, span], rows, entity_dim + hidden);
-            set_repr.insert(name, plan.linear(&self.set_proj, joined, Act::Tanh, Leaves::PerRow));
-        }
-
-        // 6. Task heads, each over its whole stack.
-        for (task, head) in &self.heads {
-            let logits = match head {
-                Head::PerElement { payload, linear, .. } => {
-                    let Some(&enc) = seq_enc.get(payload.as_str()) else { continue };
-                    plan.linear(linear, enc, Act::None, Leaves::Present)
-                }
-                Head::Single { linear, .. } => {
-                    plan.linear(linear, shared, Act::None, Leaves::PerExample)
-                }
-                Head::Select { payload, combine, score } => {
-                    let Some(&elements) = set_repr.get(payload.as_str()) else { continue };
-                    // Pair each element with its example's shared repr,
-                    // score each pair.
-                    let rows = plan.slots[elements].rows;
-                    let paired = plan.step(Op::Pair, &[shared, elements], rows, 2 * hidden);
-                    let activated = plan.linear(combine, paired, Act::Tanh, Leaves::PerExample);
-                    // One score per element: `[elements, 1]`.
-                    plan.linear(score, activated, Act::None, Leaves::PerExample)
-                }
-            };
-            plan.heads.push(HeadOut { task: task.clone(), decode: head.decode(), logits });
-        }
-        plan
+        !self.plan.indicators.is_empty()
     }
 
     /// Runs the plan over `examples` and hands `each` every example's
@@ -474,20 +286,21 @@ impl CompiledModel {
         mut each: impl FnMut(usize, Logits<'_>),
     ) {
         for (c, chunk) in examples.chunks(MAX_BATCH).enumerate() {
-            self.inference.infer(self, chunk, |b, logits| each(c * MAX_BATCH + b, logits));
+            self.plan.infer(&self.params, chunk, |b, logits| each(c * MAX_BATCH + b, logits));
         }
     }
 }
 
-impl Head {
-    /// How this head's logits decode.
-    pub(crate) fn decode(&self) -> Decode {
-        match self {
-            Head::PerElement { bce, .. } => Decode::PerElement { bce: *bce },
-            Head::Single { bce, .. } => Decode::Single { bce: *bce },
-            Head::Select { .. } => Decode::Select,
-        }
-    }
+/// Registers `{name}.weight`, a `rows x cols` Xavier-uniform matrix.
+fn weight((ps, rng): &mut Weights, name: &str, rows: usize, cols: usize) -> ParamId {
+    ps.add(format!("{name}.weight"), init::xavier_uniform(rows, cols, rng))
+}
+
+/// Registers an affine map's `{name}.weight` (`rows x cols`, Xavier) and
+/// its zero `1 x cols` `{name}.bias`.
+fn linear(w: &mut Weights, name: &str, rows: usize, cols: usize) -> Affine {
+    let weight = weight(w, name, rows, cols);
+    (weight, Some(w.0.add(format!("{name}.bias"), Matrix::zeros(1, cols))), cols)
 }
 
 impl Plan {
@@ -499,34 +312,106 @@ impl Plan {
         out
     }
 
-    /// Appends `act(x W + b)` through `layer`, over `x`'s rows.
-    pub(crate) fn linear(&mut self, layer: &Linear, x: Slot, act: Act, leaves: Leaves) -> Slot {
-        let op = Op::Affine { weight: layer.weight_id(), bias: layer.bias_id(), act, leaves };
-        self.step(op, &[x], self.slots[x].rows, layer.out_dim())
+    /// Registers `{name}.table`, a `vocab x dim` table drawn N(0, 0.1),
+    /// for [`Op::Gather`] steps to read.
+    pub(crate) fn embed((ps, rng): &mut Weights, name: &str, vocab: usize, dim: usize) -> ParamId {
+        ps.add(format!("{name}.table"), init::normal(vocab, dim, 0.1, rng))
     }
 
-    /// Appends `relu(conv(x))`: the unfold per segment, so windows never
-    /// reach across an example boundary, then one affine step.
-    pub(crate) fn conv(&mut self, conv: &Conv1d, x: Slot) -> Slot {
-        let (rows, k) = (self.slots[x].rows, conv.kernel());
-        let unfolded = self.step(Op::Im2Row(k), &[x], rows, k * conv.in_dim());
-        let (weight, bias) = (conv.weight_id(), Some(conv.bias_id()));
-        let op = Op::Affine { weight, bias, act: Act::Relu, leaves: Leaves::PerExample };
-        self.step(op, &[unfolded], rows, conv.out_dim())
+    /// Appends `act(x W + b)` over `x`'s rows through a registered map.
+    pub(crate) fn project(&mut self, layer: Affine, x: Slot, act: Act, leaves: Leaves) -> Slot {
+        let (weight, bias, out) = layer;
+        self.step(Op::Affine { weight, bias, act, leaves }, &[x], self.slots[x].rows, out)
     }
 
-    /// Appends an LSTM: its input projection over the whole stack, then
-    /// the recurrence per segment.
-    pub(crate) fn lstm(&mut self, lstm: &Lstm, x: Slot) -> Slot {
-        let rows = self.slots[x].rows;
-        let project = Op::Affine {
-            weight: lstm.wx_id(),
-            bias: None,
-            act: Act::None,
-            leaves: Leaves::PerExample,
+    /// Registers `{name}.weight` and `{name}.bias` (see [`linear`]) and
+    /// appends `act(x W + b)`, `out` wide, over `x`'s rows.
+    pub(crate) fn affine(
+        &mut self,
+        w: &mut Weights,
+        name: &str,
+        x: Slot,
+        out: usize,
+        act: Act,
+        leaves: Leaves,
+    ) -> Slot {
+        let layer = linear(w, name, self.slots[x].cols, out);
+        self.project(layer, x, act, leaves)
+    }
+
+    /// Registers a same-length convolution of odd width `k`: `{name}.weight`
+    /// (`k * in x out`, He-normal) and a zero `{name}.bias`. Appends
+    /// `relu(conv(x))`: the unfold per segment, so windows never reach
+    /// across an example boundary, then one affine step.
+    ///
+    /// # Panics
+    /// Panics if `k` is even (same-length padding needs an odd width).
+    pub(crate) fn conv(
+        &mut self,
+        w: &mut Weights,
+        name: &str,
+        x: Slot,
+        out: usize,
+        k: usize,
+    ) -> Slot {
+        assert!(k % 2 == 1, "conv kernel must be odd, got {k}");
+        let (SlotDef { rows, cols }, (ps, rng)) = (self.slots[x], w);
+        let weight = ps.add(format!("{name}.weight"), init::he_normal(k * cols, out, rng));
+        let bias = ps.add(format!("{name}.bias"), Matrix::zeros(1, out));
+        let unfolded = self.step(Op::Im2Row(k), &[x], rows, k * cols);
+        self.project((weight, Some(bias), out), unfolded, Act::Relu, Leaves::PerExample)
+    }
+
+    /// Registers a single-layer LSTM with `hidden` units: its input
+    /// weights `{name}.wx` and recurrent weights `{name}.wh` (Xavier),
+    /// fused over the gates in column order `[input, forget, cell, output]`,
+    /// and a `{name}.bias` whose forget-gate entries start at 1.0 (the
+    /// standard trick for gradient flow over long sequences). Appends its
+    /// input projection over the whole stack, then the recurrence per
+    /// segment.
+    pub(crate) fn lstm(&mut self, w: &mut Weights, name: &str, x: Slot, hidden: usize) -> Slot {
+        let (SlotDef { rows, cols }, (ps, rng)) = (self.slots[x], w);
+        let wx = ps.add(format!("{name}.wx"), init::xavier_uniform(cols, 4 * hidden, rng));
+        let wh = ps.add(format!("{name}.wh"), init::xavier_uniform(hidden, 4 * hidden, rng));
+        let mut b = Matrix::zeros(1, 4 * hidden);
+        b.row_mut(0)[hidden..2 * hidden].fill(1.0);
+        let bias = ps.add(format!("{name}.bias"), b);
+        let xw = self.project((wx, None, 4 * hidden), x, Act::None, Leaves::PerExample);
+        self.step(Op::Recur { wh, bias }, &[xw], rows, hidden)
+    }
+
+    /// Registers multi-head self-attention over `x`'s width: the query,
+    /// key, value and output projections `{name}.wq`, `.wk`, `.wv` and
+    /// `.wo`, each square with no bias. Appends the three projections,
+    /// scaled dot-product attention per segment and head, and the output
+    /// projection. This is the Transformer block the schema's sequence
+    /// encoder may be, and the paper's default way of combining payload
+    /// references (§2.1).
+    ///
+    /// # Panics
+    /// Panics unless `heads` divides `x`'s width.
+    pub(crate) fn attend(&mut self, w: &mut Weights, name: &str, x: Slot, heads: usize) -> Slot {
+        let SlotDef { rows, cols: dim } = self.slots[x];
+        assert!(heads > 0 && dim.is_multiple_of(heads), "heads ({heads}) must divide dim ({dim})");
+        let square = |plan: &mut Self, w: &mut Weights, role: &str, x: Slot| {
+            let weight = weight(w, &format!("{name}.{role}"), dim, dim);
+            plan.project((weight, None, dim), x, Act::None, Leaves::PerExample)
         };
-        let xw = self.step(project, &[x], rows, 4 * lstm.hidden());
-        self.step(Op::Recur(lstm.clone()), &[xw], rows, lstm.hidden())
+        let [q, k, v] = ["wq", "wk", "wv"].map(|role| square(self, w, role, x));
+        let attended = self.step(Op::Attend { heads }, &[q, k, v], rows, dim);
+        square(self, w, "wo", attended)
+    }
+
+    /// Appends inverted dropout with probability `p`: at training each
+    /// element is zeroed with probability `p` and survivors are scaled by
+    /// `1/(1-p)`, so inference needs no rescale and skips the step.
+    ///
+    /// # Panics
+    /// Panics unless `0 <= p < 1`.
+    pub(crate) fn dropout(&mut self, x: Slot, p: f32) -> Slot {
+        assert!((0.0..1.0).contains(&p), "dropout probability {p} out of [0,1)");
+        let SlotDef { rows, cols } = self.slots[x];
+        self.step(Op::Dropout(p), &[x], rows, cols)
     }
 }
 
@@ -541,6 +426,18 @@ mod tests {
     use crate::serve::{DeployableModel, ServedOutput, Server};
     use overton_nlp::{generate_workload, WorkloadConfig};
     use overton_store::Dataset;
+    use overton_tensor::optim::Adam;
+    use overton_tensor::{matmul_at_into, matmul_into};
+
+    /// A fresh store and RNG, and a plan over one sequence payload whose
+    /// tokens gather from a registered `3 x 4` table.
+    fn tokens_plan() -> (Weights, Plan, Slot) {
+        let mut w = (ParamStore::new(), SmallRng::seed_from_u64(0));
+        let table = Plan::embed(&mut w, "e", 3, 4);
+        let mut plan = Plan { sequences: vec!["tokens".into()], ..Plan::default() };
+        let x = plan.step(Op::Gather(table), &[], Rows::Tokens(0), 4);
+        (w, plan, x)
+    }
 
     fn setup() -> (Dataset, FeatureSpace) {
         let ds = generate_workload(&WorkloadConfig {
@@ -564,7 +461,7 @@ mod tests {
     fn window(model: &CompiledModel, exs: &[&CompiledExample], weight: f32) -> Workspace {
         let config = TrainConfig { indicator_loss_weight: weight, ..Default::default() };
         let mut ws = Workspace::default();
-        let (plan, ps, seeds) = (&model.inference, &model.params, vec![0; exs.len()]);
+        let (plan, ps, seeds) = (&model.plan, &model.params, vec![0; exs.len()]);
         crate::backprop::gradients(plan, ps, exs, &seeds, &config, &mut ws);
         ws
     }
@@ -577,7 +474,7 @@ mod tests {
             .map(|i| CompiledExample::from_record(&ds.records()[i], i, &space, ds.schema()))
             .collect();
         let ws = window(&model, &exs.iter().collect::<Vec<_>>(), 0.3);
-        let (plan, batch) = (&model.inference, Batch::new(&model.inference, exs.iter()));
+        let (plan, batch) = (&model.plan, Batch::new(&model.plan, exs.iter()));
         let slot =
             |task: &str| plan.slots[plan.heads.iter().find(|h| h.task == task).unwrap().logits];
         let rows = |task: &str, b: usize| batch.segs(slot(task).rows).range(b).len();
@@ -687,6 +584,168 @@ mod tests {
         let ex = CompiledExample::from_record(&ds.records()[3], 3, &space, ds.schema());
         let exs = std::slice::from_ref(&ex);
         assert_eq!(raw_logits(&a, exs), raw_logits(&b, exs));
+    }
+
+    /// FNV-1a over every parameter's name, shape and value bits, in
+    /// registration order, skipping a registration that a later one of the
+    /// same name replaces.
+    fn params_digest(ps: &ParamStore) -> u64 {
+        let ids: Vec<_> = ps.ids().collect();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut feed = |bytes: &[u8]| {
+            for &b in bytes {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for (i, &id) in ids.iter().enumerate() {
+            let (name, value) = (ps.name(id), ps.value(id));
+            if ids[i + 1..].iter().any(|&later| ps.name(later) == name) {
+                continue;
+            }
+            feed(&(name.len() as u64).to_le_bytes());
+            feed(name.as_bytes());
+            feed(&(value.rows() as u64).to_le_bytes());
+            feed(&(value.cols() as u64).to_le_bytes());
+            value.as_slice().iter().for_each(|x| feed(&x.to_bits().to_le_bytes()));
+        }
+        hash
+    }
+
+    /// Compilation pinned bit for bit: every parameter's name, shape and
+    /// initial value, in registration order, for each encoder over the
+    /// every-branch schema with slice heads on and off, then the
+    /// pretrained path.
+    #[test]
+    fn compilation_is_pinned() {
+        const PINNED: [u64; 11] = [
+            0xa8200f4ed6e10ed4,
+            0xb56e7479aeedd51b,
+            0x3a74bdc3b27196ec,
+            0xe1fbc5ac873b5bbb,
+            0xdf573786393abcca,
+            0xbb2087218da439cd,
+            0x4cbd6ce8b1c22dfd,
+            0xb165bcf1e86424e6,
+            0xb04159de3b385fb8,
+            0x14697f9202d66173,
+            0x28f58e67ab62d924,
+        ];
+        let (_, space) = setup();
+        let schema = crate::oracle::every_branch_schema();
+        let mut got = Vec::new();
+        for encoder in crate::oracle::ENCODERS {
+            for slice_heads in [true, false] {
+                let config = ModelConfig { encoder, slice_heads, ..Default::default() };
+                let model = CompiledModel::compile(&schema, &space, &config, None);
+                got.push(params_digest(&model.params));
+            }
+        }
+        let corpus =
+            overton_nlp::pretraining_corpus(&overton_nlp::KnowledgeBase::standard(), 150, 3);
+        let config = crate::PretrainConfig { epochs: 1, ..Default::default() };
+        let artifact = crate::pretrain(&corpus, &config);
+        let config = ModelConfig { embedding: EmbeddingKind::Pretrained, ..Default::default() };
+        let model = CompiledModel::compile(&schema, &space, &config, Some(&artifact));
+        got.push(params_digest(&model.params));
+        assert_eq!(got, PINNED, "{got:#018x?}");
+    }
+
+    #[test]
+    fn lookup_shape_and_content() {
+        let (mut w, plan, x) = tokens_plan();
+        let table = w.0.ids().next().expect("the table");
+        assert_eq!((w.0.name(table), w.0.value(table).shape()), ("e.table", (3, 4)));
+        let rows: Vec<f32> = (0..12).map(|x| x as f32).collect();
+        *w.0.value_mut(table) = Matrix::from_vec(3, 4, rows);
+        let example = CompiledExample {
+            record_index: 0,
+            sequences: BTreeMap::from([("tokens".into(), vec![2, 0])]),
+            sets: BTreeMap::new(),
+            targets: BTreeMap::new(),
+            slice_membership: Vec::new(),
+        };
+        let batch = Batch::new(&plan, std::iter::once(&example));
+        let mut out = [0.0; 8];
+        plan.run(x, &w.0, &batch, |_| &[], &mut out, None);
+        assert_eq!(out, [8.0, 9.0, 10.0, 11.0, 0.0, 1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn frozen_embedding_does_not_train() {
+        let mut w = (ParamStore::new(), SmallRng::seed_from_u64(2));
+        let frozen = Plan::embed(&mut w, "frozen", 3, 2);
+        let live = Plan::embed(&mut w, "live", 3, 2);
+        let ps = &mut w.0;
+        ps.freeze(frozen);
+        let (before_frozen, before_live) = (ps.value(frozen).clone(), ps.value(live).clone());
+        for table in [frozen, live] {
+            ps.grad_mut(table).as_mut_slice().fill(1.0);
+        }
+        Adam::new(1.0).step(ps);
+        assert_eq!(ps.value(frozen), &before_frozen);
+        assert!(ps.value(live).max_abs_diff(&before_live) > 0.5, "the step ran");
+    }
+
+    #[test]
+    fn learns_a_linear_function() {
+        // Fit y = 2x1 - x2 with a registered 2->1 affine map, from the mean
+        // squared error's hand-computed gradient: dW = X^T G and db = sum of
+        // G's rows.
+        let mut w = (ParamStore::new(), SmallRng::seed_from_u64(2));
+        let (weight, bias, _) = linear(&mut w, "l", 2, 1);
+        let (ps, b) = (&mut w.0, bias.expect("bias"));
+        assert_eq!((ps.name(weight), ps.name(b)), ("l.weight", "l.bias"));
+        let mut opt = Adam::new(0.05);
+        let xs = [1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5, -0.5];
+        let ys = [2.0, -1.0, 1.0, 1.5];
+        let n = ys.len();
+        let mut last = f32::MAX;
+        for _ in 0..1000 {
+            let bias = ps.value(b).scalar_value();
+            let mut pred = vec![bias; n];
+            matmul_into(n, 2, 1, &xs, ps.value(weight).as_slice(), &mut pred);
+            let diff: Vec<f32> = pred.iter().zip(&ys).map(|(p, y)| p - y).collect();
+            last = diff.iter().map(|d| d * d).sum::<f32>() / n as f32;
+            let g: Vec<f32> = diff.iter().map(|d| 2.0 * d / n as f32).collect();
+            matmul_at_into(2, n, 1, &xs, &g, ps.grad_mut(weight).as_mut_slice());
+            ps.grad_mut(b).as_mut_slice()[0] = g.iter().sum();
+            opt.step(ps);
+            ps.zero_grads();
+        }
+        assert!(last < 1e-4, "final loss {last}");
+        let fitted = ps.value(weight);
+        assert!(fitted.max_abs_diff(&Matrix::from_vec(2, 1, vec![2.0, -1.0])) < 1e-2, "{fitted:?}");
+    }
+
+    #[test]
+    fn attention_projections_have_no_bias() {
+        let (mut w, mut plan, x) = tokens_plan();
+        let attended = plan.attend(&mut w, "a", x, 2);
+        let names: Vec<&str> = w.0.ids().skip(1).map(|id| w.0.name(id)).collect();
+        assert_eq!(names, ["a.wq.weight", "a.wk.weight", "a.wv.weight", "a.wo.weight"]);
+        assert!(matches!(plan.steps[attended].op, Op::Affine { bias: None, .. }));
+        assert_eq!(plan.slots[attended].cols, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "must divide")]
+    fn rejects_indivisible_heads() {
+        let (mut w, mut plan, x) = tokens_plan();
+        let _ = plan.attend(&mut w, "a", x, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel must be odd")]
+    fn even_kernel_rejected() {
+        let (mut w, mut plan, x) = tokens_plan();
+        let _ = plan.conv(&mut w, "c", x, 6, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of [0,1)")]
+    fn rejects_p_of_one() {
+        let (_, mut plan, x) = tokens_plan();
+        let _ = plan.dropout(x, 1.0);
     }
 
     #[test]

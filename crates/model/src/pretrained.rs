@@ -6,15 +6,21 @@
 //! masked-token objective on an in-domain corpus, and its embedding table
 //! initializes the compiled model's token embeddings (`EmbeddingKind::
 //! Pretrained`). Everything else about training stays identical, so any
-//! quality difference is attributable to pretraining.
+//! quality difference is attributable to pretraining. The encoder is
+//! built by the same plan builders the compiler calls (`network.rs`) and
+//! trained by the same executor (`backprop.rs`). A compiled model draws
+//! its random token table as always and then overwrites it in place with
+//! the [`PretrainedEncoder::init_embedding`] table, so every other weight
+//! is the same as without an artifact, and the model declares the same
+//! parameters as the serving skeleton compiled without one.
 
 use crate::backprop::{self, Workspace};
 use crate::config::TrainConfig;
 use crate::features::CompiledExample;
 use crate::infer::{Act, Decode, HeadOut, Leaves, Op, Plan, Rows};
+use crate::network::Weights;
 use overton_nlp::{Vocab, MASK, PAD};
 use overton_supervision::ProbLabel;
-use overton_tensor::nn::{Conv1d, Embedding, Linear};
 use overton_tensor::optim::Adam;
 use overton_tensor::{Matrix, ParamStore};
 use rand::rngs::SmallRng;
@@ -61,17 +67,12 @@ impl PretrainedEncoder {
         self.table.cols()
     }
 
-    /// Builds an [`Embedding`] for `target_vocab`, copying pretrained rows
-    /// for shared tokens and randomly initializing the rest.
+    /// Builds a `target_vocab x token_dim` embedding table, copying
+    /// pretrained rows for shared tokens and randomly initializing the rest.
     ///
     /// # Panics
     /// Panics if `token_dim` differs from the artifact's width.
-    pub fn init_embedding(
-        &self,
-        params: &mut ParamStore,
-        target_vocab: &Vocab,
-        token_dim: usize,
-    ) -> Embedding {
+    pub fn init_embedding(&self, target_vocab: &Vocab, token_dim: usize) -> Matrix {
         assert_eq!(token_dim, self.dim(), "config.token_dim must match the pretrained width");
         let mut rng = SmallRng::seed_from_u64(7);
         let mut table = overton_tensor::init::normal(target_vocab.len(), token_dim, 0.1, &mut rng);
@@ -85,30 +86,29 @@ impl PretrainedEncoder {
             }
         }
         debug_assert!(copied > 0, "no vocabulary overlap with pretrained table");
-        Embedding::from_pretrained(params, "tokens.embedding", table)
+        table
     }
 }
 
 /// Pretrains a contextual encoder with a masked-token objective and returns
 /// the embedding artifact. The encoder (embedding, a width-3 convolution
-/// with relu, a vocabulary head) is lowered into a four-step model plan,
-/// and each sentence runs through the training executor as a batch of one:
-/// cross-entropy at its masked positions, one optimizer step.
+/// with relu, a vocabulary head) is built through the compiler's plan
+/// builders into a four-step model plan, and each sentence runs through
+/// the training executor as a batch of one: cross-entropy at its masked
+/// positions, one optimizer step.
 pub fn pretrain(corpus: &[Vec<String>], config: &PretrainConfig) -> PretrainedEncoder {
     assert!(!corpus.is_empty(), "pretraining corpus is empty");
     let vocab = Vocab::build(corpus.iter().flat_map(|s| s.iter().map(String::as_str)), 1);
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let mut params = ParamStore::new();
-    let embedding = Embedding::new(&mut params, "mlm.embedding", vocab.len(), config.dim, &mut rng);
-    let encoder = Conv1d::new(&mut params, "mlm.encoder", config.dim, config.dim, 3, &mut rng);
-    let head = Linear::new(&mut params, "mlm.head", config.dim, vocab.len(), &mut rng);
-    let mut opt = Adam::new(config.learning_rate);
+    let mut w: Weights = (ParamStore::new(), SmallRng::seed_from_u64(config.seed));
     let mut plan = Plan { sequences: vec!["tokens".into()], ..Plan::default() };
-    let x = plan.step(Op::Gather(embedding.table()), &[], Rows::Tokens(0), config.dim);
-    let encoded = plan.conv(&encoder, x);
-    let logits = plan.linear(&head, encoded, Act::None, Leaves::PerExample);
+    let table = Plan::embed(&mut w, "mlm.embedding", vocab.len(), config.dim);
+    let x = plan.step(Op::Gather(table), &[], Rows::Tokens(0), config.dim);
+    let encoded = plan.conv(&mut w, "mlm.encoder", x, config.dim, 3);
+    let (act, leaves) = (Act::None, Leaves::PerExample);
+    let logits = plan.affine(&mut w, "mlm.head", encoded, vocab.len(), act, leaves);
     let decode = Decode::PerElement { bce: false };
     plan.heads.push(HeadOut { task: "tokens".into(), decode, logits });
+    let ((mut params, mut rng), mut opt) = (w, Adam::new(config.learning_rate));
     let (train, mut ws) = (TrainConfig::default(), Workspace::default());
 
     let encoded: Vec<Vec<usize>> = corpus.iter().map(|s| vocab.encode(s)).collect();
@@ -163,7 +163,7 @@ pub fn pretrain(corpus: &[Vec<String>], config: &PretrainConfig) -> PretrainedEn
         }
         final_loss = (epoch_loss / batches.max(1) as f64) as f32;
     }
-    PretrainedEncoder { table: params.value(embedding.table()).clone(), vocab, final_loss }
+    PretrainedEncoder { table: params.value(table).clone(), vocab, final_loss }
 }
 
 #[cfg(test)]
@@ -203,9 +203,7 @@ mod tests {
         let art = pretrain(&small_corpus(), &PretrainConfig { epochs: 1, ..Default::default() });
         // Target vocab shares tokens with the corpus.
         let target = Vocab::build(["how", "tall", "zzz-novel-token"].iter().copied(), 1);
-        let mut params = ParamStore::new();
-        let emb = art.init_embedding(&mut params, &target, 32);
-        let table = params.value(emb.table());
+        let table = art.init_embedding(&target, 32);
         let how_target = target.id("how");
         let how_pre = art.vocab.id("how");
         assert_ne!(how_pre, overton_nlp::UNK, "'how' must be in the corpus");
@@ -217,8 +215,7 @@ mod tests {
     fn dim_mismatch_rejected() {
         let art = pretrain(&small_corpus(), &PretrainConfig { epochs: 1, ..Default::default() });
         let target = Vocab::build(["x"].iter().copied(), 1);
-        let mut params = ParamStore::new();
-        let _ = art.init_embedding(&mut params, &target, 64);
+        let _ = art.init_embedding(&target, 64);
     }
 
     #[test]
@@ -267,7 +264,9 @@ mod tests {
             ModelConfig { embedding: EmbeddingKind::Pretrained, ..Default::default() };
         let trained = [1, 3].map(|grad_workers| {
             let mut model = CompiledModel::compile(ds.schema(), &space, &model_config, Some(&art));
-            let table = model.params.value(model.token_embedding.table());
+            let ps = &model.params;
+            let tokens = ps.ids().find(|&id| ps.name(id) == "tokens.embedding.table").unwrap();
+            let table = ps.value(tokens);
             let shared: Vec<(usize, usize)> = (0..space.token_vocab.len())
                 .filter_map(|id| Some((id, art.vocab.id(space.token_vocab.token(id)?))))
                 .filter(|&(_, pre)| pre != overton_nlp::UNK)

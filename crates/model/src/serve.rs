@@ -157,7 +157,7 @@ impl Server {
     fn new(model: CompiledModel, space: FeatureSpace, signature: ServingSignature) -> Self {
         let schema = model.schema();
         let names = |names: &[String]| names.iter().map(|n| Arc::from(n.as_str())).collect();
-        let answers = (model.inference.heads.iter())
+        let answers = (model.plan.heads.iter())
             .map(|head| {
                 let task = &schema.tasks[&head.task];
                 let answer = match (head.decode, &task.kind) {
@@ -353,6 +353,25 @@ mod tests {
     }
 
     #[test]
+    fn a_truncated_weight_matrix_fails_to_load() {
+        let (_, space, model) = setup();
+        let artifact = DeployableModel::package(&model, &space, BTreeMap::new());
+        let text = String::from_utf8(artifact.to_bytes()).unwrap();
+        // Cut the first parameter's `data` to its first value.
+        let params = text.find(r#""params":"#).unwrap();
+        let data = params + text[params..].find(r#""data":["#).unwrap() + r#""data":["#.len();
+        let end = data + text[data..].find(']').unwrap();
+        let first = data + text[data..end].find(',').unwrap();
+        let cut = format!("{}{}", &text[..first], &text[end..]);
+        let (rows, cols) = model.params.value(model.params.ids().next().unwrap()).shape();
+        let Err(err) = DeployableModel::from_bytes(cut.as_bytes()) else {
+            panic!("a truncated matrix loaded")
+        };
+        let expected = format!("a {rows}x{cols} matrix needs {} values, got 1", rows * cols);
+        assert!(err.to_string().contains(&expected), "{err}");
+    }
+
+    #[test]
     fn serving_response_uses_label_names() {
         let (ds, space, model) = setup();
         let artifact = DeployableModel::package(&model, &space, BTreeMap::new());
@@ -393,7 +412,7 @@ mod tests {
         // A desynchronized artifact: the model's "Intent" head decodes bit
         // probabilities for a multiclass task. The response must be a
         // StoreError, not one with the task silently dropped.
-        let head = model.inference.heads.iter_mut().find(|h| h.task == "Intent").expect("Intent");
+        let head = model.plan.heads.iter_mut().find(|h| h.task == "Intent").expect("Intent");
         head.decode = Decode::Single { bce: true };
         let server = Server::new(model, space, ds.schema().serving_signature());
         let err = server.predict(record).unwrap_err();

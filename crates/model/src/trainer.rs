@@ -283,7 +283,7 @@ fn window_gradients(
     par_map(config.grad_workers, jobs, |(rows, ws)| {
         let examples: Vec<&CompiledExample> =
             window[rows.clone()].iter().map(|&i| &train[i]).collect();
-        backprop::gradients(&model.inference, &model.params, &examples, &seeds[rows], config, ws);
+        backprop::gradients(&model.plan, &model.params, &examples, &seeds[rows], config, ws);
     });
     parts
 }

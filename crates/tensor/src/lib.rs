@@ -9,9 +9,10 @@
 //! run the bit-deterministic GEMM kernels into a caller's buffer, beside
 //! the row-wise [`stable_sigmoid`] and [`softmax_in_place`]. Learnable
 //! weights live in a [`ParamStore`] with the gradients a backward pass adds
-//! into it; [`nn`] registers each layer's parameters; [`optim::Adam`]
-//! updates the store. The gradients themselves come from the plan's
-//! hand-written vector-Jacobian products in `overton-model`.
+//! into it, drawn by the schemes in [`init`]; [`optim::Adam`] updates the
+//! store. The model compiler in `overton-model` registers every parameter
+//! as it emits the plan step that reads it, and the gradients come from
+//! that plan's hand-written vector-Jacobian products.
 //!
 //! ```
 //! use overton_tensor::optim::Adam;
@@ -38,7 +39,6 @@ mod matrix;
 mod params;
 
 pub mod init;
-pub mod nn;
 pub mod optim;
 
 pub use matrix::{dot, matmul_at_into, matmul_into, softmax_in_place, stable_sigmoid, Matrix};

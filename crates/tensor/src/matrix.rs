@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major matrix of `f32` values.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -242,6 +242,29 @@ pub fn softmax_in_place(row: &mut [f32]) {
     }
 }
 
+/// Reads `{rows, cols, data}` and rejects a `data` whose length is not
+/// `rows * cols`, so a truncated weight file fails to load instead of
+/// panicking on an out-of-range row later.
+impl Deserialize for Matrix {
+    fn read_json(r: &mut serde::json::Reader<'_>) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Raw {
+            rows: usize,
+            cols: usize,
+            data: Vec<f32>,
+        }
+        let Raw { rows, cols, data } = Raw::read_json(r)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(serde::Error::custom(format!(
+                "a {rows}x{cols} matrix needs {} values, got {}",
+                rows.saturating_mul(cols),
+                data.len()
+            )));
+        }
+        Ok(Self { rows, cols, data })
+    }
+}
+
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f32;
     #[inline]
@@ -350,6 +373,19 @@ mod tests {
         let json = serde_json::to_string(&a).unwrap();
         let back: Matrix = serde_json::from_str(&json).unwrap();
         assert_eq!(a, back);
+    }
+
+    #[test]
+    fn deserialize_rejects_data_that_does_not_fill_the_shape() {
+        for data in ["[1.0]", "[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]", "[]"] {
+            let json = format!(r#"{{"rows":2,"cols":3,"data":{data}}}"#);
+            let err = serde_json::from_str::<Matrix>(&json).unwrap_err().to_string();
+            assert!(err.contains("a 2x3 matrix needs 6 values"), "{err}");
+        }
+        let huge = r#"{"rows":18446744073709551615,"cols":2,"data":[]}"#;
+        assert!(serde_json::from_str::<Matrix>(huge).is_err());
+        let empty: Matrix = serde_json::from_str(r#"{"rows":0,"cols":3,"data":[]}"#).unwrap();
+        assert_eq!(empty.shape(), (0, 3));
     }
 
     #[test]

@@ -7,8 +7,9 @@ use overton::serving::{CanaryConfig, CanaryOutcome};
 use overton::store::StoreError;
 use overton::{Error, OvertonOptions, Project, Run, Stage};
 use overton_model::{
-    prepare_store, pretrain, train_model, AggregationKind, CompiledModel, EmbeddingKind,
-    EncoderKind, PretrainConfig, SearchConfig, Server, ServingResponse, TrainConfig, TuningSpec,
+    evaluate_store, prepare_store, pretrain, train_model, AggregationKind, CompiledModel,
+    EmbeddingKind, EncoderKind, ModelConfig, PretrainConfig, SearchConfig, Server, ServingResponse,
+    TrainConfig, TuningSpec,
 };
 use overton_nlp::{
     generate_workload, generate_workload_sealed, write_two_file_workload, WorkloadConfig,
@@ -326,6 +327,49 @@ fn searched_learned_winner_ignores_a_supplied_pretrained_artifact() {
     let run = Project::from_dataset(&seed9_workload()).with_options(options).run().unwrap();
     assert_eq!(run.chosen_config().unwrap().embedding, EmbeddingKind::Learned);
     assert!(run.is_complete());
+}
+
+/// Figure 4b's "with-BERT" model through the product API: a `Pretrained`
+/// run builds, its artifact serves what the run evaluated in process, and
+/// it resumes and warm-starts. The pretrained table is registered once, so
+/// the trained model and the serving skeleton declare the same parameters.
+#[test]
+fn pretrained_run_serves_resumes_and_warm_starts() {
+    let corpus = overton_nlp::pretraining_corpus(&overton_nlp::KnowledgeBase::standard(), 150, 3);
+    let artifact = pretrain(&corpus, &PretrainConfig { epochs: 1, ..Default::default() });
+    let options = OvertonOptions {
+        base_model: ModelConfig { embedding: EmbeddingKind::Pretrained, ..Default::default() },
+        pretrained: Some(artifact),
+        ..quick_options(2)
+    };
+    let (ds, root) = (seed9_workload(), temp_root("pretrained"));
+    let project = Project::from_dataset(&ds).with_options(options.clone()).at(&root);
+    let run = project.run().expect("a pretrained run completes");
+    let packaged = run.artifact().expect("the run packaged an artifact");
+    let names: Vec<&str> = packaged.params.ids().map(|id| packaged.params.name(id)).collect();
+    let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+    assert_eq!(unique.len(), names.len(), "a parameter registered twice: {names:?}");
+
+    // The served model answers as the run's in-process model evaluated.
+    let test_rows = run.store().index().test_rows();
+    let served = evaluate_store(&packaged.instantiate(), run.store(), test_rows, &packaged.space);
+    assert_eq!(served.unwrap().reports, run.evaluation().unwrap().reports);
+    let responses = test_responses(&run);
+    assert_eq!(responses.len(), test_rows.len());
+
+    let mut resumed = project.resume(run.id(), Stage::Evaluate).expect("resume loads");
+    resumed.complete().expect("resumed run completes");
+    assert_eq!(resumed.evaluation().unwrap().reports, run.evaluation().unwrap().reports);
+    assert_eq!(test_responses(&resumed), responses);
+
+    let retrained = Project::from_dataset(&ds)
+        .with_options(options)
+        .warm_started(packaged.clone())
+        .run()
+        .expect("a warm-started pretrained retrain completes");
+    assert!(retrained.is_complete());
+    assert_eq!(retrained.chosen_config(), run.chosen_config());
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]
